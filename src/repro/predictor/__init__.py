@@ -9,8 +9,9 @@ loudly.  The paper's own pairing (Fig. 3) remains the default:
   conventional 4-step extrapolation used by the CRS-CG baselines;
 * :class:`~repro.predictor.datadriven.DataDrivenPredictor` — the
   paper's data-driven method ([6]-style): Adams-Bashforth plus a
-  per-subdomain modified-Gram-Schmidt estimate of the remaining
-  correction, learned from the last ``s`` time steps.
+  per-subdomain least-squares estimate of the remaining correction,
+  learned from the last ``s`` time steps (modified Gram-Schmidt in the
+  paper; on the host, Householder QR behind the backend seam).
 
 Around them, the classical accelerator ladder:
 

@@ -10,25 +10,32 @@ estimated from history by orthogonal decomposition:
   ``y_k = d_{k+1}`` (``w`` balances force and correction scales; the
   force block captures the exactly-linear forced response, the
   correction block the free-vibration modes);
-* per spatial subdomain, orthonormalize ``X = [x_1 .. x_s]`` by
-  modified Gram-Schmidt, ``P = X U`` (``U`` upper triangular);
+* per spatial subdomain, orthonormalize ``X = [x_1 .. x_s]``,
+  ``P = X U`` (``U`` upper triangular);
 * for the new input ``x = [d_{it-1} ; w f_it]`` estimate
   ``y = Y U c`` with ``c = P^T x``  (i.e. ``y = Y U U^T X^T x``).
 
+The paper orthonormalizes by modified Gram-Schmidt on the CPU; the
+estimate is the same for any orthogonal factorisation, and on the host
+it is a Householder QR — one stacked LAPACK call for all subdomains,
+behind the array-backend seam
+(:meth:`repro.sparse.backend.ArrayBackend.qr_estimate`).
+
 The subdomain split (the paper's "divides the target region into small
 regions") keeps the estimate local and communication-free; here
-subdomains are equal contiguous dof chunks so the whole batch of MGS
-factorizations vectorizes across regions.
+subdomains are equal contiguous dof chunks so the whole batch of
+factorisations is one call.  The history lives in one preallocated
+ring in that region layout, so assembling a step's regression inputs
+is a fixed number of block copies whatever ``s`` is.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
 from repro.predictor.adams_bashforth import AdamsBashforth
 from repro.predictor.registry import Predictor, register_predictor
+from repro.sparse.backend import DEFAULT_BACKEND, backend_by_name
 from repro.util import counters
 
 __all__ = ["DataDrivenPredictor", "mgs_estimate"]
@@ -37,7 +44,13 @@ __all__ = ["DataDrivenPredictor", "mgs_estimate"]
 def mgs_estimate(
     X: np.ndarray, Y: np.ndarray, x: np.ndarray, rtol: float = 1e-12
 ) -> np.ndarray:
-    """Batched MGS prediction ``y = Y U U^T X^T x`` per region.
+    """Batched history estimate ``y = Y U U^T X^T x`` per region.
+
+    Named for the paper's kernel (MGS on the CPU); the host executes it
+    as the array backend's orthogonal factorisation, Householder QR.
+    Predictors carry no backend of their own and every engine inherits
+    the one default primitive, so it is taken from the default engine
+    whatever backend the run was given.
 
     Parameters
     ----------
@@ -54,45 +67,14 @@ def mgs_estimate(
     -------
     y : (nreg, m_out) estimated outputs.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    nreg, m, s = X.shape
-
-    # Batched modified Gram-Schmidt: Q (nreg, m, s), R (nreg, s, s)
-    Q = X.copy()
-    R = np.zeros((nreg, s, s))
-    col_scale = np.linalg.norm(X, axis=1).max(axis=1)  # (nreg,)
-    col_scale = np.where(col_scale == 0.0, 1.0, col_scale)
-    alive = np.ones((nreg, s), dtype=bool)
-    for j in range(s):
-        for i in range(j):
-            rij = np.einsum("rm,rm->r", Q[:, :, i], Q[:, :, j])
-            R[:, i, j] = rij
-            Q[:, :, j] -= rij[:, None] * Q[:, :, i]
-        nrm = np.linalg.norm(Q[:, :, j], axis=1)
-        dead = nrm <= rtol * col_scale
-        alive[:, j] = ~dead
-        safe = np.where(dead, 1.0, nrm)
-        R[:, j, j] = np.where(dead, 1.0, nrm)
-        Q[:, :, j] /= safe[:, None]
-        Q[:, :, j] *= (~dead)[:, None]
-
-    # c = Q^T x ; w solves R w = c (back substitution, batched)
-    c = np.einsum("rms,rm->rs", Q, x)
-    w = np.zeros((nreg, s))
-    for j in range(s - 1, -1, -1):
-        acc = c[:, j] - np.einsum("rk,rk->r", R[:, j, j + 1 :], w[:, j + 1 :])
-        w[:, j] = np.where(alive[:, j], acc / R[:, j, j], 0.0)
-
-    return np.einsum("rms,rs->rm", Y, w)
+    return backend_by_name(DEFAULT_BACKEND).qr_estimate(X, Y, x, rtol)
 
 
 @register_predictor
 class DataDrivenPredictor(Predictor):
     """The paper's data-driven predictor with adjustable history ``s``.
 
-    Wraps an :class:`AdamsBashforth` extrapolator and adds the MGS
+    Wraps an :class:`AdamsBashforth` extrapolator and adds the
     correction estimate once enough history has accumulated.  Until
     then it behaves exactly like Adams-Bashforth, mirroring the paper's
     warm-up (the refinement solver guarantees accuracy throughout).
@@ -110,8 +92,9 @@ class DataDrivenPredictor(Predictor):
 
     name = "data-driven"
     description = (
-        "Adams-Bashforth + per-subdomain MGS correction estimate (the "
-        "paper's Eq. 3) — the heterogeneous pipeline's native predictor"
+        "Adams-Bashforth + per-subdomain least-squares correction "
+        "estimate from history (the paper's Eq. 3) — the heterogeneous "
+        "pipeline's native predictor"
     )
 
     @classmethod
@@ -145,21 +128,24 @@ class DataDrivenPredictor(Predictor):
         self.s = int(s if s is not None else s_max)
         self.tag = tag
         self.ab = AdamsBashforth(n, dt)
-        # corrections d_k = u_k - u_bar(AB)_k for the last s_max+1 steps,
-        # with the force f_k that produced each (Eq. 3's F_it store)
-        self._corr: deque[np.ndarray] = deque(maxlen=self.s_max + 1)
-        self._force: deque[np.ndarray] = deque(maxlen=self.s_max + 1)
         self._last_ab: np.ndarray | None = None
 
         m = -(-self.n // self.n_regions)  # ceil
         self._region_len = m
-        self._padded = m * self.n_regions
+        # corrections d_k = u_k - u_bar(AB)_k (block 0) of the last
+        # s_max+1 steps with the force f_k that produced each (block 1,
+        # Eq. 3's F_it store): a ring of region-layout columns, zero
+        # beyond dof n so a column reshapes to (n_regions, m)
+        self._hist = np.zeros((2, self.s_max + 1, m * self.n_regions))
+        self._norm = np.zeros((2, self.s_max + 1))  # 2-norm of each column
+        self._head = 0  # ring column the next observation goes to
+        self._count = 0  # columns stored
 
     # -- configuration -------------------------------------------------
     @property
     def s_effective(self) -> int:
         """History pairs actually usable right now."""
-        return max(0, min(self.s, len(self._corr) - 1))
+        return max(0, min(self.s, self._count - 1))
 
     def set_s(self, s: int) -> None:
         self.s = int(np.clip(s, 1, self.s_max))
@@ -167,43 +153,73 @@ class DataDrivenPredictor(Predictor):
     def memory_bytes(self) -> int:
         """CPU-side training-data footprint (the paper's ``n x s``
         stores of both responses and forces)."""
-        return 8 * self.n * (len(self._corr) + len(self._force)) + self.ab.memory_bytes()
+        return 8 * self.n * 2 * self._count + self.ab.memory_bytes()
 
     def state_dict(self) -> dict:
         """JSON-able snapshot of everything :meth:`predict` reads:
         the current ``s``, the AB extrapolator, the correction/force
-        history and the pending ``_last_ab`` (non-``None`` between a
-        ``predict`` and its ``observe`` — exactly the situation of the
-        trailing process set at a pipeline checkpoint boundary)."""
+        history (oldest first) and the pending ``_last_ab``
+        (non-``None`` between a ``predict`` and its ``observe`` —
+        exactly the situation of the trailing process set at a pipeline
+        checkpoint boundary)."""
+        spans = self._spans(self._count)
+        corr, force = (
+            [col[: self.n].copy() for _, src in spans for col in block[src]]
+            for block in self._hist
+        )
         return {
             "s": self.s,
             "ab": self.ab.state_dict(),
-            "corr": list(self._corr),
-            "force": list(self._force),
+            "corr": corr,
+            "force": force,
             "last_ab": self._last_ab,
         }
 
     def load_state_dict(self, doc: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place."""
+        corr = [np.asarray(d, dtype=float) for d in doc["corr"]]
+        force = [np.asarray(f, dtype=float) for f in doc["force"]]
+        last = doc.get("last_ab")
+        last = None if last is None else np.asarray(last, dtype=float)
+        if len(corr) != len(force):
+            raise ValueError("state has unequal correction and force histories")
+        vectors = corr + force + ([] if last is None else [last])
+        if any(v.shape != (self.n,) for v in vectors):
+            raise ValueError(
+                f"state size mismatch: history vectors must have shape ({self.n},)"
+            )
         self.s = int(np.clip(int(doc["s"]), 1, self.s_max))
         self.ab.load_state_dict(doc["ab"])
-        self._corr = deque(
-            (np.asarray(d, dtype=float) for d in doc["corr"]),
-            maxlen=self.s_max + 1,
-        )
-        self._force = deque(
-            (np.asarray(f, dtype=float) for f in doc["force"]),
-            maxlen=self.s_max + 1,
-        )
-        last = doc.get("last_ab")
-        self._last_ab = None if last is None else np.asarray(last, dtype=float)
+        self._head = self._count = 0
+        cap = self.s_max + 1
+        for d, f in zip(corr[-cap:], force[-cap:]):
+            self._append(d, f)
+        self._last_ab = last
+
+    # -- history ring --------------------------------------------------
+    def _append(self, d: np.ndarray, f: np.ndarray | None) -> None:
+        """Store one step's correction and force in the ring column at
+        ``_head``, over the oldest once the ring is full."""
+        k = self._head
+        col = self._hist[:, k]
+        col[0, : self.n] = d
+        col[1, : self.n] = 0.0 if f is None else f
+        np.sqrt(np.einsum("bn,bn->b", col, col), out=self._norm[:, k])
+        self._head = (k + 1) % (self.s_max + 1)
+        self._count = min(self._count + 1, self.s_max + 1)
+
+    def _spans(self, count: int) -> list[tuple[slice, slice]]:
+        """``(dst, src)`` slices that lay the newest ``count`` ring
+        columns out oldest first: one pair, two when they wrap."""
+        cap = self.s_max + 1
+        start = (self._head - count) % cap
+        first = min(count, cap - start)
+        spans = [(slice(0, first), slice(start, start + first))]
+        if first < count:
+            spans.append((slice(first, count), slice(0, count - first)))
+        return spans
 
     # -- prediction ----------------------------------------------------
-    def _to_regions(self, v: np.ndarray) -> np.ndarray:
-        buf = np.zeros(self._padded)
-        buf[: self.n] = v
-        return buf.reshape(self.n_regions, self._region_len)
-
     def predict(self, f_next: np.ndarray | None = None) -> np.ndarray:
         """Initial guess for the upcoming step (Eq. 3).
 
@@ -218,36 +234,43 @@ class DataDrivenPredictor(Predictor):
         if s < 1:
             return u_ab
 
-        hist = list(self._corr)[-(s + 1):]
-        X = np.stack(hist[:-1], axis=1)  # (n, s): d_{it-s-1} .. d_{it-2}
-        Y = np.stack(hist[1:], axis=1)  # (n, s): d_{it-s}   .. d_{it-1}
-        x_new = hist[-1]  # d_{it-1}
-
-        # force block: f_k is paired with output d_k
-        fh = list(self._force)[-(s + 1):]
-        F = np.stack(fh[1:], axis=1)  # (n, s) forces of the output steps
-        f_in = (
-            np.zeros(self.n) if f_next is None else np.asarray(f_next, dtype=float)
-        )
-        scale_d = float(np.mean(np.linalg.norm(X, axis=0)))
-        scale_f = float(np.mean(np.linalg.norm(F, axis=0)))
+        # the newest s+1 columns, oldest first, are d_{it-s-1} .. d_{it-1};
+        # force f_k is paired with output d_k, so the force block uses
+        # the newest s
+        nreg, m = self.n_regions, self._region_len
+        spans = self._spans(s + 1)
+        norm = np.concatenate([self._norm[:, src] for _, src in spans], axis=1)
+        scale_d = float(np.mean(norm[0, :-1]))
+        scale_f = float(np.mean(norm[1, 1:]))
         use_force = scale_f > 0.0 and scale_d > 0.0
-        w_f = scale_d / scale_f if use_force else 0.0
+        rows = 2 if use_force else 1
 
-        Xr = np.stack([self._to_regions(X[:, k]) for k in range(s)], axis=2)
-        Yr = np.stack([self._to_regions(Y[:, k]) for k in range(s)], axis=2)
-        xr = self._to_regions(x_new)
+        # W[j] = [d_{it-s-1+j} ; w_f f_{it-s+j}] per region: inputs X are
+        # columns 0..s-1, outputs Y the correction rows of columns 1..s,
+        # the new input x is column s with w_f f_it
+        W = np.empty((s + 1, nreg, rows, m))
+        for dst, src in spans:
+            W[dst, :, 0] = self._hist[0, src].reshape(-1, nreg, m)
         if use_force:
-            Fr = np.stack([self._to_regions(w_f * F[:, k]) for k in range(s)], axis=2)
-            fr = self._to_regions(w_f * f_in)
-            Xr = np.concatenate([Xr, Fr], axis=1)  # stack rows per region
-            xr = np.concatenate([xr, fr], axis=1)
-        yr = mgs_estimate(Xr, Yr, xr)
+            w_f = scale_d / scale_f
+            for dst, src in self._spans(s):
+                np.multiply(
+                    self._hist[1, src].reshape(-1, nreg, m), w_f, out=W[dst, :, 1]
+                )
+            f_in = np.zeros(nreg * m)
+            if f_next is not None:
+                f_in[: self.n] = f_next
+            np.multiply(f_in.reshape(nreg, m), w_f, out=W[s, :, 1])
+        yr = mgs_estimate(
+            W[:s].reshape(s, nreg, rows * m).transpose(1, 2, 0),
+            W[1:, :, 0].transpose(1, 2, 0),
+            W[s].reshape(nreg, rows * m),
+        )
         d_hat = yr.reshape(-1)[: self.n]
 
-        # MGS cost: ~2ns^2 (factorization) + 4ns (projection/estimate);
+        # the paper's MGS kernel, as modeled on GH200 (not what the host
+        # ran): ~2ns^2 (factorization) + 4ns (projection/estimate);
         # streaming X (and F) and Y once plus the new input/output.
-        rows = 2 if use_force else 1
         counters.charge(
             self.tag,
             2.0 * rows * self.n * s * s + 4.0 * rows * self.n * s,
@@ -261,9 +284,6 @@ class DataDrivenPredictor(Predictor):
         if self._last_ab is None:
             # First step: AB predicted from empty history (zeros).
             self._last_ab = np.zeros(self.n)
-        self._corr.append(u - self._last_ab)
-        self._force.append(
-            np.zeros(self.n) if f is None else np.asarray(f, dtype=float).copy()
-        )
+        self._append(u - self._last_ab, f)
         self.ab.observe(u, v)
         self._last_ab = None

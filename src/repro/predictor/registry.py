@@ -16,8 +16,9 @@ The registered zoo spans the classical accelerator ladder:
   beat;
 * ``adams-bashforth`` — the paper's conventional 4-step velocity
   extrapolation (baseline methods' native predictor);
-* ``data-driven`` — the paper's MGS-based correction estimator
-  (heterogeneous methods' native predictor, Eq. 3);
+* ``data-driven`` — the paper's correction estimator by orthogonal
+  decomposition of the history (heterogeneous methods' native
+  predictor, Eq. 3);
 * ``aitken`` — dynamic relaxation of the Adams-Bashforth guess, omega
   updated from successive guess-residual differences (CoCoNuT's
   ``coupled_solvers/aitken.py`` transplanted to time-step prediction);

@@ -3,10 +3,12 @@
 The reproduction executes every kernel in NumPy while device time is
 *modeled* from analytic traffic tallies.  This module is the seam that
 separates the two concerns: the solver hot loops (``cg``, ``ebe``,
-``bcrs``, ``precond``, ``distributed``) are written purely against the
-:class:`ArrayBackend` primitive set below, and a registered backend
-decides how those primitives execute — reference NumPy, cache-blocked
-NumPy, Numba-jitted parallel kernels, or (experimentally) CuPy.  The
+``bcrs``, ``precond``, ``distributed``) and the data-driven
+predictor's history regression (``predictor.datadriven``) are written
+purely against the :class:`ArrayBackend` primitive set below, and a
+registered backend decides how those primitives execute — reference
+NumPy, cache-blocked NumPy, Numba-jitted parallel kernels, or
+(experimentally) CuPy.  The
 *modeled* flop/byte tallies (:mod:`repro.sparse.traffic`) are charged
 by the operator wrappers outside the seam, so they are identical for
 every backend: measured wall time moves with the backend, modeled
@@ -243,6 +245,78 @@ class ArrayBackend(abc.ABC):
             out.reshape(out.shape[0] // 3, 3 * r),
         )
         return out
+
+    # -- history regression (the data-driven predictor) ---------------
+    def qr_estimate(
+        self, X: np.ndarray, Y: np.ndarray, x: np.ndarray, rtol: float
+    ) -> np.ndarray:
+        """Batched least-squares history estimate ``y = Y w`` with
+        ``w = argmin ||x - X w||`` per region (the paper's Eq. 3).
+
+        ``X`` is ``(nreg, m_in, s)``, ``Y`` ``(nreg, m_out, s)``, ``x``
+        ``(nreg, m_in)``; returns a fresh ``(nreg, m_out)`` array
+        rather than filling a caller's: LAPACK factors a copy anyway.
+
+        One stacked Householder QR of ``[X | x]`` per call: the last
+        column of ``R`` is ``Q^T x``, so ``Q`` is never formed.  Column
+        ``j`` is *dead* — linearly dependent, coefficient exactly 0 —
+        when its residual against the alive columns before it is at
+        most ``rtol`` times the region's largest column norm; the
+        alive columns are always fitted by exact least squares.
+        """
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        x = np.asarray(x, dtype=float)
+        nreg, m, s = X.shape
+        # [X | x] transposed: one Fortran-ordered matrix per region,
+        # zero rows added when a region has fewer rows than columns
+        A = np.empty((nreg, s + 1, max(m, s + 1)))
+        A[:, :s, :m] = X.transpose(0, 2, 1)
+        A[:, s, :m] = x
+        A[:, :, m:] = 0.0
+        col_scale = np.sqrt(
+            np.einsum("rsm,rsm->rs", A[:, :s], A[:, :s]).max(axis=1)
+        )
+        tol = rtol * np.where(col_scale == 0.0, 1.0, col_scale)
+        R = np.linalg.qr(A.transpose(0, 2, 1), mode="r")
+        small = (np.abs(np.einsum("rjj->rj", R)[:, :s]) <= tol[:, None]).any(axis=0)
+        if small.any():
+            _skip_dead_columns(R, tol, int(small.argmax()))
+        w = np.linalg.solve(R[:, :s, :s], R[:, :s, s:])
+        return np.matmul(Y, w)[:, :, 0]
+
+
+def _skip_dead_columns(R: np.ndarray, tol: np.ndarray, j0: int) -> None:
+    """Re-triangularise, in place, the systems ``R = [T | c]`` of
+    :meth:`ArrayBackend.qr_estimate` from column ``j0`` on — the first
+    with a pivot within ``tol`` in some region — leaving dead columns
+    out.
+
+    Up to ``j0`` every column is alive and ``|T_jj|`` is its residual.
+    From a dead column on it no longer is: Householder spends a row on
+    the dead column, and what later columns hold in that row is lost to
+    their pivots.  So the trailing block of ``[T | c]``, whose columns
+    are the residuals against the alive columns before ``j0``, is
+    orthogonalised again by right-looking modified Gram-Schmidt, which
+    takes a dead column out of the basis instead: its row becomes the
+    identity row with right-hand side 0, pinning the coefficient to
+    exactly 0 in the back substitution, and the remaining columns are
+    fitted by least squares.  ``c`` rides along as a last column, which
+    keeps MGS least squares backward stable.
+    """
+    s = R.shape[1] - 1
+    B = R[:, j0:s, j0:]
+    k = s - j0
+    N = np.zeros_like(B)
+    for j in range(k):
+        v = B[:, :, j]
+        nrm = np.sqrt(np.einsum("rk,rk->r", v, v))
+        alive = nrm > tol
+        q = v * (alive / np.where(alive, nrm, 1.0))[:, None]
+        N[:, j, j] = np.where(alive, nrm, 1.0)
+        N[:, j, j + 1 :] = np.matmul(q[:, None, :], B[:, :, j + 1 :])[:, 0]
+        B[:, :, j + 1 :] -= q[:, :, None] * N[:, j, None, j + 1 :]
+    B[...] = N
 
 
 class NumpyBackend(ArrayBackend):

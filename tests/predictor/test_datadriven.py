@@ -1,4 +1,4 @@
-"""Data-driven MGS predictor."""
+"""Data-driven predictor: the history estimate and the predictor around it."""
 
 import numpy as np
 import pytest

@@ -283,6 +283,36 @@ def test_prolong_restrict(bk):
     np.testing.assert_allclose(out_c, P_dof.T @ XF, rtol=1e-13, atol=1e-13)
 
 
+def test_qr_estimate(bk):
+    """The history-regression primitive: every engine inherits the one
+    default, so each agrees with the ``numpy`` reference exactly and
+    with a per-region ``lstsq`` to rounding — on strided views (how the
+    predictor passes its work buffer) as on contiguous arrays, and with
+    a dead column in the batch."""
+    rng = _rng(13)
+    nreg, m, m_out, s = 3, 40, 17, 5
+    W = rng.standard_normal((s, nreg, m))
+    X = W.transpose(1, 2, 0)  # one Fortran-ordered matrix per region
+    Y = rng.standard_normal((nreg, m_out, s))
+    x = rng.standard_normal((nreg, m))
+    ref = backend_by_name("numpy")
+    for Xk in (X, np.ascontiguousarray(X)):
+        y = bk.qr_estimate(Xk, Y, x, 1e-12)
+        assert y.shape == (nreg, m_out)
+        np.testing.assert_array_equal(y, ref.qr_estimate(Xk, Y, x, 1e-12))
+        for r in range(nreg):
+            w = np.linalg.lstsq(X[r], x[r], rcond=None)[0]
+            np.testing.assert_allclose(y[r], Y[r] @ w, rtol=1e-10, atol=1e-12)
+    Xd = X.copy()
+    Xd[1, :, 3] = Xd[1, :, 0]  # exact repeat: column 3 of region 1 is dead
+    yd = bk.qr_estimate(Xd, Y, x, 1e-12)
+    np.testing.assert_array_equal(yd, ref.qr_estimate(Xd, Y, x, 1e-12))
+    np.testing.assert_allclose(yd[[0, 2]], y[[0, 2]], rtol=1e-12)
+    keep = [0, 1, 2, 4]
+    w = np.linalg.lstsq(Xd[1][:, keep], x[1], rcond=None)[0]
+    np.testing.assert_allclose(yd[1], Y[1][:, keep] @ w, rtol=1e-10, atol=1e-12)
+
+
 def test_spmv_csr_noncontiguous_falls_back():
     """The reference backend's fallback path (non-C-contiguous input)
     must agree with the fast path."""

@@ -19,7 +19,9 @@ Guarded regions:
 * ``bcrs.BlockCRS._apply_block`` — the CSR SpMV fast path;
 * ``precond.BlockJacobi._apply_block`` — the block-Jacobi fast path;
 * ``twogrid.TwoGrid._cycle`` / ``_residual`` — the two-grid V-cycle
-  applied once per CG iteration.
+  applied once per CG iteration;
+* ``predictor.datadriven.mgs_estimate`` — the data-driven predictor's
+  per-step history regression, the one predictor kernel on the seam.
 
 Cold code (setup, validation, result assembly) may use NumPy freely —
 only the per-iteration regions are linted.
@@ -30,6 +32,7 @@ import inspect
 
 import pytest
 
+from repro.predictor import datadriven
 from repro.sparse import bcrs, cg, distributed, ebe, precond, twogrid
 
 FORBIDDEN_NAMES = {"np", "numpy"}
@@ -140,6 +143,20 @@ def test_twogrid_cycle_is_backend_pure(method):
     sweeps; the whole body is hot.)"""
     fn = _find_method(_module_tree(twogrid), "TwoGrid", method)
     _assert_pure(f"TwoGrid.{method}", fn.body)
+
+
+def test_mgs_estimate_is_backend_pure():
+    """The predictor's kernel is one backend primitive: the function
+    the perf harness wraps must hand its arrays to ``qr_estimate``
+    untouched, or an engine's override would see only part of the
+    work."""
+    fn = _find_function(_module_tree(datadriven), "mgs_estimate")
+    _assert_pure("datadriven.mgs_estimate", fn.body)
+    calls = [
+        n.func.attr for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    ]
+    assert calls == ["qr_estimate"], calls
 
 
 def test_lint_detects_violations():
