@@ -12,13 +12,10 @@ Two tables:
 import numpy as np
 
 from conftest import bench_forces, format_table, write_table
+from repro.campaign.runner import CampaignRunner
 from repro.core.methods import run_method
 from repro.hardware.specs import ALPS_MODULE
-from repro.studies.weakscaling import (
-    run_scaling_campaign,
-    scaling_cells,
-    scaling_table,
-)
+from repro.studies.weakscaling import scaling_cells, scaling_table
 
 
 def test_weak_scaling_over_nparts(tmp_path):
@@ -26,7 +23,7 @@ def test_weak_scaling_over_nparts(tmp_path):
         parts=(1, 2, 4, 8), mode="weak", base_resolution=(3, 3, 2),
         steps=8, module="alps",
     )
-    outcomes = run_scaling_campaign(cells)
+    outcomes = CampaignRunner().run_cells(cells)
     rows = [
         [
             f"{pt.nparts}",

@@ -28,11 +28,11 @@ import time
 import numpy as np
 
 from benchmarks.conftest import RESULTS_DIR, write_table
+from repro.campaign.runner import CampaignRunner
 from repro.studies.predictors import (
     predictor_cells,
     predictor_table,
     render_predictor_table,
-    run_predictor_campaign,
 )
 
 EPS = 1e-8
@@ -56,7 +56,7 @@ def _run_sweep():
         s_range=S_RANGE,
     )
     t0 = time.perf_counter()
-    outcomes = run_predictor_campaign(cells)
+    outcomes = CampaignRunner().run_cells(cells)
     wall = time.perf_counter() - t0
     failed = [o.error for o in outcomes if not o.ok]
     assert not failed, failed

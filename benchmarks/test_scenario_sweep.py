@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import write_table
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import WaveSpec
 from repro.studies.scenarios import (
     render_scenario_table,
-    run_scenario_campaign,
     scenario_cells,
     scenario_table,
 )
@@ -44,7 +44,7 @@ def _run_sweep():
         eps=EPS,
         s_range=(2, 8),
     )
-    outcomes = run_scenario_campaign(cells)
+    outcomes = CampaignRunner().run_cells(cells)
     failed = [o.error for o in outcomes if not o.ok]
     assert not failed, failed
     return scenario_table(outcomes)

@@ -23,10 +23,10 @@ import time
 import numpy as np
 
 from benchmarks.conftest import RESULTS_DIR, write_table
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import WaveSpec
 from repro.studies.twogrid import (
     render_twogrid_table,
-    run_twogrid_campaign,
     twogrid_cells,
     twogrid_table,
 )
@@ -53,7 +53,7 @@ def _run_sweep():
         s_range=(2, 8),
     )
     t0 = time.perf_counter()
-    outcomes = run_twogrid_campaign(cells)
+    outcomes = CampaignRunner().run_cells(cells)
     wall = time.perf_counter() - t0
     failed = [o.error for o in outcomes if not o.ok]
     assert not failed, failed

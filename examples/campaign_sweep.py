@@ -44,12 +44,10 @@ from repro.campaign import (
 )
 from repro.studies.scenarios import (
     render_scenario_table,
-    run_scenario_campaign,
     scenario_cells,
     scenario_table,
 )
 from repro.studies.weakscaling import (
-    run_scaling_campaign,
     scaling_cells,
     scaling_table,
 )
@@ -88,9 +86,9 @@ def main() -> None:
         parts=(1, 2, 4), mode="weak", base_resolution=(2, 2, 1),
         steps=6, module="alps",
     )
-    outcomes = run_scaling_campaign(
-        cells, store=ResultStore("campaign-results/example-scaling")
-    )
+    outcomes = CampaignRunner(
+        store=ResultStore("campaign-results/example-scaling")
+    ).run_cells(cells)
     print("\nweak scaling over the distributed part-local solver:")
     for pt in scaling_table(outcomes):
         print(f"  nparts={pt.nparts:<3d} dofs={pt.n_dofs:<7d} "
@@ -105,10 +103,11 @@ def main() -> None:
     # second aftershock — and its predictor re-bootstrap — in-window.
     from repro.campaign import WaveSpec
 
-    sc_outcomes = run_scenario_campaign(
+    sc_outcomes = CampaignRunner(
+        store=ResultStore("campaign-results/example-scenarios")
+    ).run_cells(
         scenario_cells(wave=WaveSpec(name="w0", f0_factor=1.0),
-                       resolution=(3, 3, 2), steps=18, s_range=(2, 8)),
-        store=ResultStore("campaign-results/example-scenarios"),
+                       resolution=(3, 3, 2), steps=18, s_range=(2, 8))
     )
     print()
     print(render_scenario_table(scenario_table(sc_outcomes)))

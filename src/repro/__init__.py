@@ -34,10 +34,11 @@ over a process pool)::
 
 Workloads themselves are pluggable: ``CampaignSpec(scenarios=(...))``
 fans the grid over registered scenarios — distinct ground-structure x
-source-process bundles (``repro.workloads.scenario``; the library
-ships ``impulse``, ``layered-basin``, ``fault-rupture``, ``soft-soil``
-and ``aftershocks``) — and third-party scenarios plug in through
-``@register_scenario``.
+source-process bundles (``repro.workloads.scenario``;
+``repro.scenario_names()`` lists the ones the library ships) — and
+third-party scenarios plug in through ``@register_scenario``.  The
+scenario is one of six campaign axes, all declared in one table
+(``repro.campaign.axes``).
 
 A second ``run`` of the same spec is pure cache hits: every cell is
 keyed by a content hash of its parameters, and per-cell RNG seeds are
@@ -46,8 +47,9 @@ placement.  The same engine is exposed as ``python -m repro campaign``
 and underlies the design studies (``repro.studies``); see
 ``examples/campaign_sweep.py`` for an end-to-end script.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-table reproductions.
+See README.md for the system inventory, ``benchmarks/`` for the
+paper-table reproductions (``pytest -m slow``) and ``benchmarks/perf``
+for measured wall-clock performance.
 """
 
 from repro.core import ElasticProblem, RunResult, build_problem, run_method

@@ -4,6 +4,8 @@ The paper's throughput story is about *ensembles*: many ground
 structures x many input waves x several methods, all day long.  This
 package turns that into a first-class subsystem:
 
+* :mod:`~repro.campaign.axes` — the one :data:`AXES` table declaring
+  every swept axis (key, spec field, default, validator, label);
 * :mod:`~repro.campaign.spec` — declarative :class:`CampaignSpec`
   grids expanded into content-hashed :class:`CampaignCell` work items
   with deterministic per-cell RNG seeds;
@@ -15,28 +17,21 @@ package turns that into a first-class subsystem:
 * :mod:`~repro.campaign.aggregate` — :class:`CampaignReport`
   per-method / per-scenario summary tables.
 
-Distributed mode
-----------------
-``CampaignSpec(nparts=(1, 2, 4), methods=("ebe-mcg@cpu-gpu",))`` adds
-the part-count axis: every scenario additionally runs through the
-distributed part-local solver (:func:`repro.sparse.distributed.\
-distributed_pcg` — halo exchange each CG iteration, bottleneck-part
-compute, ``nic``-lane comm time) at each part count.  Single-part
-cells keep their pre-axis content hash, so growing a cached campaign
-with an ``nparts`` axis recomputes only the new part counts; the
-scenario seed is nparts-independent, so scaling sweeps compare
-identical physics.  Weak/strong-scaling helpers live in
-:mod:`repro.studies.weakscaling`.
-
-Scenario axis
--------------
-``CampaignSpec(scenarios=("impulse", "fault-rupture", ...))`` fans
-every cell over registered workload scenarios
-(:mod:`repro.workloads.scenario` — distinct ground-structure x
-source-process bundles).  Default-scenario cells keep their pre-axis
-content hash, and the cell seed is scenario-independent, so scenario
-sweeps compare identical random draws.  Cross-scenario difficulty
-helpers live in :mod:`repro.studies.scenarios`.
+Axes
+----
+Besides the plain grid a campaign sweeps the axes declared in
+:mod:`~repro.campaign.axes` — one table that spec validation, grid
+expansion, the cell schema, the executor, the report and the CLI flags
+all iterate: workload ``scenarios`` (:mod:`repro.workloads.scenario`),
+``nparts`` of the distributed part-local solver
+(:func:`repro.sparse.distributed.distributed_pcg`, partitionable
+methods only), storage ``precision``, execution ``backends``,
+``preconditioners`` and ``predictors``.  One rule covers all of them:
+a cell at an axis default keeps the content hash it had before the
+axis existed, so growing a cached campaign along any axis recomputes
+only the new values, and the cell seed depends on no axis, so sweeps
+compare identical random draws.  Per-axis study helpers live in
+:mod:`repro.studies`.
 
 CLI: ``python -m repro campaign --models stratified,basin,slanted
 --waves 2 --methods crs-cg@gpu,ebe-mcg@cpu-gpu --jobs 2``
@@ -53,7 +48,6 @@ from repro.campaign.runner import (
     register_executor,
 )
 from repro.campaign.spec import (
-    DEFAULT_SCENARIO,
     CampaignCell,
     CampaignSpec,
     WaveSpec,
@@ -62,6 +56,7 @@ from repro.campaign.spec import (
     derive_seed,
 )
 from repro.campaign.store import ResultStore
+from repro.workloads.scenario import DEFAULT_SCENARIO
 
 __all__ = [
     "DEFAULT_SCENARIO",

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.campaign.spec import DEFAULT_PREDICTOR, DEFAULT_SCENARIO
+from repro.campaign.axes import AXES, AXIS, axis_values
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner -> here)
     from repro.campaign.runner import CellOutcome
@@ -73,13 +73,10 @@ class CampaignReport:
             s = o.result.get("summary", {})
             out.append(
                 {
-                    "scenario": p.get("scenario", DEFAULT_SCENARIO),
+                    **axis_values(p),
                     "model": p.get("model"),
                     "wave": p.get("wave", {}).get("name"),
                     "method": p.get("method"),
-                    "nparts": p.get("nparts", 1),
-                    "precision": p.get("precision", "fp64"),
-                    "predictor": p.get("predictor", DEFAULT_PREDICTOR),
                     "resolution": "x".join(map(str, p.get("resolution", []))),
                     "n_dofs": o.result.get("n_dofs"),
                     "cached": o.cached,
@@ -124,18 +121,16 @@ class CampaignReport:
 
     @staticmethod
     def _variant(r: dict) -> str:
-        """Display name of a method variant: part count, storage
-        precision and predictor are appended at non-default values
+        """Display name of a method variant: every solver axis at a
+        non-default value is appended the way cell labels spell it
         (``method@p4``, ``method@fp21``, ``method@aitken``) —
         averaging across any of these axes would present a meaningless
-        blend as the method's throughput."""
+        blend as the method's throughput.  The scenario is the workload,
+        not the method: it groups :meth:`by_scenario`."""
         m = r["method"]
-        if r["nparts"] != 1:
-            m += f"@p{r['nparts']}"
-        if r["precision"] != "fp64":
-            m += f"@{r['precision']}"
-        if r["predictor"] != DEFAULT_PREDICTOR:
-            m += f"@{r['predictor']}"
+        for ax in AXES:
+            if ax.solver and r[ax.key] != ax.default:
+                m += "@" + ax.label.format(r[ax.key])
         return m
 
     def by_method(self) -> dict[str, dict]:
@@ -181,7 +176,7 @@ class CampaignReport:
         for key, rows in sorted(groups.items()):
             method, nparts, prec = key
             agg = self._agg(rows)
-            base = groups.get((method, nparts, "fp64"))
+            base = groups.get((method, nparts, AXIS["precision"].default))
             inflation = speedup = None
             if base is not None:
                 ref = self._agg(base)
@@ -272,8 +267,9 @@ class CampaignReport:
         parts = [self.method_table(), self.scenario_table()]
         # the transprecision cross-section only earns its space when a
         # reduced-precision cell exists (fp64-only campaigns render as
-        # they always have)
-        if any(r["precision"] != "fp64" for r in self.rows()):
+        # they always have); a precision enters the params only when it
+        # is not the default
+        if any("precision" in o.cell.params for o in self.outcomes if o.ok):
             parts.append(self.precision_table())
         parts.append(self.cache_line())
         if self.n_failed:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.campaign.aggregate import CampaignReport
+from repro.campaign.axes import AXES, axis_values
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import ResultStore
 
@@ -155,26 +156,17 @@ def run_method_cell(params: dict, ctx: dict | None = None) -> dict:
     """Run one campaign grid cell: an ensemble of ``cases`` inputs on
     one scenario / ground model / method / resolution.
 
-    The optional ``"scenario"`` entry selects a registered workload
-    (:mod:`repro.workloads.scenario`); absent, the default
-    random-impulse scenario reproduces the pre-registry executor
-    bit-for-bit.  Per-case forces come from RNG streams spawned off
-    the cell's content-derived seed, so results are independent of
-    worker placement and grid composition.  An optional ``"nparts"``
-    entry (> 1) runs the cell through the distributed part-local
-    solver, an optional ``"precision"`` entry (non-fp64) through
-    the transprecision solver stack, and an optional ``"backend"``
-    entry (non-numpy) through an accelerated array backend, an
-    optional ``"precond"`` entry (non-``"bj"``) through an alternative
-    preconditioner family, and an optional ``"predictor"`` entry
-    (non-``"auto"``) through a registered initial-guess predictor
-    (:mod:`repro.predictor.registry`) — the scenario seed is unchanged
-    by all six axes, so sweeps compare identical random draws.  The
-    backend always
-    comes from the cell
-    params (never the ``REPRO_BACKEND`` ambient default): the result
-    is cached under the cell's content hash, so the environment must
-    not influence what gets computed.
+    Every :data:`~repro.campaign.axes.AXES` key is optional in
+    ``params``; an absent one means the axis default, which reproduces
+    the executor from before that axis existed bit-for-bit.  The
+    scenario builds the problem and the per-case forces — from RNG
+    streams spawned off the cell's content-derived seed, so results are
+    independent of worker placement and grid composition, and a sweep
+    along any axis compares identical random draws; the other axes are
+    ``run_method`` keywords.  The backend in particular always comes
+    from the cell params, never the ``REPRO_BACKEND`` ambient default:
+    the result is cached under the cell's content hash, so the
+    environment must not influence what gets computed.
 
     ``ctx`` (supplied by the runner when a store is attached) enables
     crash-safe execution: every ``ctx["checkpoint_every"]`` steps the
@@ -195,9 +187,10 @@ def run_method_cell(params: dict, ctx: dict | None = None) -> dict:
         atomic_write_text,
         load_campaign_checkpoint,
     )
-    from repro.workloads.scenario import DEFAULT_SCENARIO, scenario_by_name
+    from repro.workloads.scenario import scenario_by_name
 
-    scenario = scenario_by_name(params.get("scenario", DEFAULT_SCENARIO))()
+    axes = axis_values(params)
+    scenario = scenario_by_name(axes["scenario"])()
     problem = scenario.build_problem(
         params["model"], tuple(params["resolution"])
     )
@@ -261,11 +254,7 @@ def run_method_cell(params: dict, ctx: dict | None = None) -> dict:
         module=module_by_name(params["module"]),
         eps=params["eps"],
         s_range=(params["s_min"], params["s_max"]),
-        nparts=params.get("nparts", 1),
-        precision=params.get("precision", "fp64"),
-        backend=params.get("backend", "numpy"),
-        precond=params.get("precond", "bj"),
-        predictor=params.get("predictor", "auto"),
+        **{ax.key: axes[ax.key] for ax in AXES if ax.solver},
         start_state=start_state,
         checkpoint_every=checkpoint_every,
         on_checkpoint=on_checkpoint,

@@ -18,14 +18,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import pathlib
 from dataclasses import asdict, dataclass, field
 
+from repro.campaign.axes import AXES, AXIS
+from repro.core.methods import HETEROGENEOUS_METHODS, METHODS
+from repro.hardware.specs import module_by_name
+from repro.io.results import atomic_write_text
+from repro.workloads.ground import GROUND_MODELS
+
 __all__ = [
-    "DEFAULT_BACKEND",
-    "DEFAULT_PRECONDITIONER",
-    "DEFAULT_PREDICTOR",
-    "DEFAULT_SCENARIO",
     "WaveSpec",
     "CampaignCell",
     "CampaignSpec",
@@ -33,97 +36,6 @@ __all__ = [
     "default_waves",
     "method_cell_params",
 ]
-
-def _heterogeneous() -> tuple[str, ...]:
-    """Methods pairing two process sets, hence needing even ensembles
-    (lazy: core imports are deferred like the other validators here)."""
-    from repro.core.methods import HETEROGENEOUS_METHODS
-
-    return HETEROGENEOUS_METHODS
-
-
-def _partitionable() -> tuple[str, ...]:
-    """Methods supporting nparts > 1 (lazy, see :func:`_heterogeneous`)."""
-    from repro.core.methods import PARTITIONABLE_METHODS
-
-    return PARTITIONABLE_METHODS
-
-
-def _validate_precision(name: str) -> str:
-    """Spec-time precision validation (lazy import; the registry's own
-    resolver raises loudly on unknown names)."""
-    from repro.sparse.precision import as_precision
-
-    return as_precision(name).name
-
-
-#: The workload scenario pre-axis cells implicitly ran (must mirror
-#: :data:`repro.workloads.scenario.DEFAULT_SCENARIO`; kept literal so
-#: the spec layer stays import-light).
-DEFAULT_SCENARIO = "impulse"
-
-
-def _validate_scenario(name: str) -> str:
-    """Spec-time scenario validation (lazy import; the registry's own
-    resolver raises loudly on unknown names)."""
-    from repro.workloads.scenario import scenario_by_name
-
-    return scenario_by_name(str(name)).name
-
-
-#: The execution backend pre-axis cells implicitly ran (must mirror
-#: :data:`repro.sparse.backend.DEFAULT_BACKEND`; kept literal so the
-#: spec layer stays import-light).
-DEFAULT_BACKEND = "numpy"
-
-
-#: The preconditioner family pre-axis cells implicitly ran (must mirror
-#: :data:`repro.sparse.precond.DEFAULT_PRECONDITIONER`; kept literal so
-#: the spec layer stays import-light).
-DEFAULT_PRECONDITIONER = "bj"
-
-
-def _validate_precond(name: str) -> str:
-    """Spec-time preconditioner validation (lazy import; mirrors the
-    other axis validators)."""
-    from repro.sparse.precond import PRECONDITIONERS
-
-    name = str(name)
-    if name not in PRECONDITIONERS:
-        raise ValueError(
-            f"unknown preconditioner {name!r}; choose from {PRECONDITIONERS}"
-        )
-    return name
-
-
-#: The initial-guess predictor pre-axis cells implicitly ran: the
-#: ``"auto"`` sentinel resolving to each method's paper-native pairing
-#: (must mirror :data:`repro.predictor.registry.DEFAULT_PREDICTOR`;
-#: kept literal so the spec layer stays import-light).
-DEFAULT_PREDICTOR = "auto"
-
-
-def _validate_predictor(name: str) -> str:
-    """Spec-time predictor validation (lazy import; the registry's own
-    resolver raises loudly on unknown names)."""
-    from repro.predictor.registry import predictor_by_name
-
-    return predictor_by_name(str(name)).name
-
-
-def _validate_backend(name: str) -> str:
-    """Spec-time backend validation: the name must be *registered*, but
-    need not be *available* here — a campaign spec is data and may be
-    authored on a machine without the accelerated engine installed.
-    Availability is enforced at execution time by the cell executor."""
-    from repro.sparse.backend import backend_names
-
-    name = str(name)
-    if name not in backend_names():
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {backend_names()}"
-        )
-    return name
 
 
 def _canonical(params: dict) -> str:
@@ -206,27 +118,20 @@ def method_cell_params(
     s_min: int,
     s_max: int,
     seed: int,
-    nparts: int = 1,
-    precision: str = "fp64",
-    scenario: str = DEFAULT_SCENARIO,
-    backend: str = DEFAULT_BACKEND,
-    precond: str = DEFAULT_PRECONDITIONER,
-    predictor: str = DEFAULT_PREDICTOR,
+    **axes,
 ) -> tuple[dict, str]:
     """Canonical ``(params, label)`` of one ``"method"`` campaign cell.
 
     The single owner of the method-cell schema: grid expansion
     (:meth:`CampaignSpec.cells`) and the scaling/transprecision/
-    scenario/predictor studies (:mod:`repro.studies.weakscaling`,
-    :mod:`repro.studies.transprecision`,
-    :mod:`repro.studies.scenarios`, :mod:`repro.studies.predictors`)
-    all build their cells here, so equivalent work always produces the
-    same content hash.  ``nparts``, ``precision``, ``scenario``,
-    ``backend``, ``precond`` and ``predictor`` enter the params (and
-    hence the hash) only at non-default values — the content-addition
-    discipline that keeps pre-axis cells cached — and the scenario
-    ``seed`` is independent of all six, so sweeps along any axis
-    compare identical random draws.
+    scenario/twogrid/predictor studies (:mod:`repro.studies`) all build
+    their cells here, so equivalent work always produces the same
+    content hash.  ``axes`` holds one value per
+    :data:`~repro.campaign.axes.AXES` key (omitted = default); each
+    enters the params, the hash and the label only at a non-default
+    value — the content-addition rule stated in
+    :mod:`repro.campaign.axes` — and the scenario ``seed`` is
+    independent of all of them.
     """
     res = tuple(int(x) for x in resolution)
     res_tag = "x".join(map(str, res))
@@ -244,24 +149,17 @@ def method_cell_params(
         "seed": derive_seed(seed, model, wave.name, method, res_tag),
     }
     label = f"{model}/{wave.name}/{method}/{res_tag}"
-    if scenario != DEFAULT_SCENARIO:
-        params["scenario"] = _validate_scenario(scenario)
-        label += f"/{scenario}"
-    if nparts > 1:
-        params["nparts"] = int(nparts)
-        label += f"/p{int(nparts)}"
-    if precision != "fp64":
-        params["precision"] = _validate_precision(str(precision))
-        label += f"/{precision}"
-    if backend != DEFAULT_BACKEND:
-        params["backend"] = _validate_backend(str(backend))
-        label += f"/{backend}"
-    if precond != DEFAULT_PRECONDITIONER:
-        params["precond"] = _validate_precond(str(precond))
-        label += f"/{precond}"
-    if predictor != DEFAULT_PREDICTOR:
-        params["predictor"] = _validate_predictor(str(predictor))
-        label += f"/{predictor}"
+    if axes:  # none given is the common case: most grids sweep no axis
+        if not axes.keys() <= AXIS.keys():
+            raise TypeError(
+                f"unknown campaign axes {sorted(axes.keys() - AXIS.keys())}; "
+                f"known: {sorted(AXIS)}"
+            )
+        for ax in AXES:
+            value = axes.get(ax.key, ax.default)
+            if value != ax.default:
+                value = params[ax.key] = ax.validate(ax.coerce(value))
+                label += "/" + ax.label.format(value)
     return params, label
 
 
@@ -305,64 +203,22 @@ class CampaignSpec:
     eps: float = 1e-8
     s_min: int = 2
     s_max: int = 8
-    #: Distributed-solve axis: partitionable methods (``ebe-mcg@cpu-gpu``)
-    #: additionally run at every part count here; other methods ignore
-    #: the axis and run once, so a grid can compare the distributed
-    #: solve against the baselines in one campaign.  ``nparts == 1``
-    #: cells keep their pre-axis content hash, so adding part counts to
-    #: an existing campaign never invalidates cached single-part cells.
-    nparts: tuple[int, ...] = (1,)
-    #: Transprecision axis: every method additionally runs at each
-    #: storage precision here (``"fp64"`` / ``"fp32"`` / ``"fp21"``) —
-    #: the accuracy-vs-speed scenario dimension.  ``"fp64"`` cells keep
-    #: their pre-axis content hash (same discipline as ``nparts``), so
-    #: adding precisions to an existing campaign never invalidates
-    #: cached full-precision cells.
-    precision: tuple[str, ...] = ("fp64",)
-    #: Workload axis: every method additionally runs each registered
-    #: scenario here (:mod:`repro.workloads.scenario`) — physically
-    #: distinct ground-structure x source-process bundles.  The
-    #: default ``"impulse"`` scenario keeps its pre-axis content hash
-    #: (same discipline as ``nparts``/``precision``), so adding
-    #: scenarios to an existing campaign never invalidates cached
-    #: random-impulse cells.
-    scenarios: tuple[str, ...] = (DEFAULT_SCENARIO,)
-    #: Execution-backend axis: every method additionally runs under each
-    #: registered array backend here (:mod:`repro.sparse.backend`) —
-    #: a *measured*-performance dimension only: numerics are identical
-    #: (numpy bit-exact, accelerated backends to rounding) and the
-    #: modeled traffic/roofline never depends on the backend.  The
-    #: default ``"numpy"`` backend keeps its pre-axis content hash
-    #: (same discipline as ``nparts``/``precision``/``scenarios``), so
-    #: adding backends to an existing campaign never invalidates cached
-    #: reference cells.  Names must be registered at spec time but need
-    #: only be importable at execution time.
-    backends: tuple[str, ...] = (DEFAULT_BACKEND,)
-    #: Preconditioner axis: every method additionally runs under each
-    #: family here (:data:`repro.sparse.precond.PRECONDITIONERS`) —
-    #: ``"bj"`` is the paper's block-Jacobi, ``"twogrid"`` the
-    #: geometric two-grid cycle that trades cheap iterations for far
-    #: fewer of them.  The default ``"bj"`` keeps its pre-axis content
-    #: hash (same discipline as the other axes), so adding
-    #: preconditioners to an existing campaign never invalidates cached
-    #: block-Jacobi cells.
-    preconditioners: tuple[str, ...] = (DEFAULT_PRECONDITIONER,)
-    #: Predictor axis: every method additionally runs under each
-    #: initial-guess predictor here — the ``"auto"`` sentinel (each
-    #: method's paper-native pairing) or any registered name from
-    #: :mod:`repro.predictor.registry` (``constant``, ``linear``,
-    #: ``adams-bashforth``, ``data-driven``, ``aitken``, ``iqn-ils``).
-    #: The ``"auto"`` default keeps its pre-axis content hash (same
-    #: discipline as the other axes), so adding predictors to an
-    #: existing campaign never invalidates cached native-predictor
-    #: cells.
-    predictors: tuple[str, ...] = (DEFAULT_PREDICTOR,)
+    #: The swept values of each :data:`~repro.campaign.axes.AXES` row
+    #: (what each axis means, and the content-addition rule that keeps
+    #: default-valued cells on their pre-axis hash, is documented
+    #: there).  Methods an axis does not apply to — ``nparts`` fans out
+    #: only over the partitionable ones — ignore it and run once, so a
+    #: grid can compare the distributed solve against the baselines in
+    #: one campaign.  Backend names must be registered at spec time but
+    #: need only be importable at execution time.
+    nparts: tuple[int, ...] = (AXIS["nparts"].default,)
+    precision: tuple[str, ...] = (AXIS["precision"].default,)
+    scenarios: tuple[str, ...] = (AXIS["scenario"].default,)
+    backends: tuple[str, ...] = (AXIS["backend"].default,)
+    preconditioners: tuple[str, ...] = (AXIS["precond"].default,)
+    predictors: tuple[str, ...] = (AXIS["predictor"].default,)
 
     def __post_init__(self) -> None:
-        from repro.core.methods import METHODS
-        from repro.hardware.specs import module_by_name
-        from repro.workloads.ground import GROUND_MODELS
-
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(
             self,
@@ -394,77 +250,37 @@ class CampaignSpec:
             raise ValueError("steps must be >= 1")
         if self.cases < 1:
             raise ValueError("cases must be >= 1")
-        if any(m in _heterogeneous() for m in self.methods) and (
+        if any(m in HETEROGENEOUS_METHODS for m in self.methods) and (
             self.cases < 2 or self.cases % 2
         ):
             raise ValueError(
                 "heterogeneous methods need an even case count >= 2"
             )
-        object.__setattr__(
-            self, "nparts", tuple(int(p) for p in self.nparts)
-        )
-        if not self.nparts:
-            raise ValueError("campaign grid has an empty axis")
-        if any(p < 1 for p in self.nparts):
-            raise ValueError("nparts entries must be >= 1")
-        if any(p > 1 for p in self.nparts) and not any(
-            m in _partitionable() for m in self.methods
-        ):
-            raise ValueError(
-                "nparts > 1 needs at least one partitionable method "
-                f"({', '.join(_partitionable())})"
-            )
-        object.__setattr__(
-            self, "precision", tuple(str(p) for p in self.precision)
-        )
-        if not self.precision:
-            raise ValueError("campaign grid has an empty axis")
-        for prec in self.precision:
-            _validate_precision(prec)
-        if len(set(self.precision)) != len(self.precision):
-            raise ValueError("duplicate precision entries")
-        object.__setattr__(
-            self, "scenarios", tuple(str(s) for s in self.scenarios)
-        )
-        if not self.scenarios:
-            raise ValueError("campaign grid has an empty axis")
-        for scen in self.scenarios:
-            _validate_scenario(scen)
-        if len(set(self.scenarios)) != len(self.scenarios):
-            raise ValueError("duplicate scenario entries")
-        object.__setattr__(
-            self, "backends", tuple(str(b) for b in self.backends)
-        )
-        if not self.backends:
-            raise ValueError("campaign grid has an empty axis")
-        for bk in self.backends:
-            _validate_backend(bk)
-        if len(set(self.backends)) != len(self.backends):
-            raise ValueError("duplicate backend entries")
-        object.__setattr__(
-            self, "preconditioners",
-            tuple(str(p) for p in self.preconditioners),
-        )
-        if not self.preconditioners:
-            raise ValueError("campaign grid has an empty axis")
-        for pc in self.preconditioners:
-            _validate_precond(pc)
-        if len(set(self.preconditioners)) != len(self.preconditioners):
-            raise ValueError("duplicate preconditioner entries")
-        object.__setattr__(
-            self, "predictors", tuple(str(p) for p in self.predictors)
-        )
-        if not self.predictors:
-            raise ValueError("campaign grid has an empty axis")
-        for pred in self.predictors:
-            if pred != DEFAULT_PREDICTOR:
-                _validate_predictor(pred)
-        if len(set(self.predictors)) != len(self.predictors):
-            raise ValueError("duplicate predictor entries")
+        for ax in AXES:
+            values = tuple(ax.coerce(v) for v in getattr(self, ax.field))
+            object.__setattr__(self, ax.field, values)
+            if not values:
+                raise ValueError("campaign grid has an empty axis")
+            for v in values:
+                if v != ax.default:
+                    ax.validate(v)
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {ax.noun} entries")
+            if values != (ax.default,) and not any(
+                map(ax.applies, self.methods)
+            ):
+                # worded for nparts, the one axis that applies to some
+                # methods only
+                takers = ", ".join(filter(ax.applies, METHODS))
+                raise ValueError(
+                    f"{ax.key} > {ax.default} needs at least one "
+                    f"partitionable method ({takers})"
+                )
 
-    def _part_axis(self, method: str) -> tuple[int, ...]:
-        """The part counts one method expands over (baselines run once)."""
-        return self.nparts if method in _partitionable() else (1,)
+    def _swept(self, ax, method: str) -> tuple:
+        """The values of one axis one method expands over (methods the
+        axis does not apply to run once, at the default)."""
+        return getattr(self, ax.field) if ax.applies(method) else (ax.default,)
 
     @property
     def n_cells(self) -> int:
@@ -472,42 +288,34 @@ class CampaignSpec:
             len(self.models)
             * len(self.waves)
             * len(self.resolutions)
-            * len(self.precision)
-            * len(self.scenarios)
-            * len(self.backends)
-            * len(self.preconditioners)
-            * len(self.predictors)
-            * sum(len(self._part_axis(m)) for m in self.methods)
+            * sum(
+                math.prod(len(self._swept(ax, m)) for ax in AXES)
+                for m in self.methods
+            )
         )
 
     def cells(self) -> list[CampaignCell]:
         """Expand the grid in deterministic order."""
+        fixed = dict(
+            cases=self.cases, steps=self.steps, module=self.module,
+            eps=self.eps, s_min=self.s_min, s_max=self.s_max, seed=self.seed,
+        )
+        # axes the spec leaves at their default take no part: the
+        # common all-default grid expands as if they did not exist
+        active = [ax for ax in AXES if getattr(self, ax.field) != (ax.default,)]
+        keys = [ax.key for ax in active]
+        swept = {m: [self._swept(ax, m) for ax in active] for m in self.methods}
         out: list[CampaignCell] = []
         for model, wave, method, res in itertools.product(
             self.models, self.waves, self.methods, self.resolutions
         ):
-            for scen in self.scenarios:
-                for np_ in self._part_axis(method):
-                    for prec in self.precision:
-                        for bk in self.backends:
-                            for pc in self.preconditioners:
-                                for pred in self.predictors:
-                                    params, label = method_cell_params(
-                                        model, wave, method, res,
-                                        cases=self.cases, steps=self.steps,
-                                        module=self.module, eps=self.eps,
-                                        s_min=self.s_min, s_max=self.s_max,
-                                        seed=self.seed, nparts=np_,
-                                        precision=prec, scenario=scen,
-                                        backend=bk, precond=pc,
-                                        predictor=pred,
-                                    )
-                                    out.append(
-                                        CampaignCell(
-                                            kind="method", params=params,
-                                            label=label,
-                                        )
-                                    )
+            for combo in itertools.product(*swept[method]):
+                params, label = method_cell_params(
+                    model, wave, method, res, **fixed, **dict(zip(keys, combo))
+                )
+                out.append(
+                    CampaignCell(kind="method", params=params, label=label)
+                )
         return out
 
     # -- (de)serialization --------------------------------------------
@@ -526,8 +334,6 @@ class CampaignSpec:
         return cls(**d)
 
     def to_json(self, path) -> pathlib.Path:
-        from repro.io.results import atomic_write_text
-
         return atomic_write_text(
             pathlib.Path(path), json.dumps(self.to_dict(), indent=1)
         )

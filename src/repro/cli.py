@@ -48,18 +48,12 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.campaign.axes import AXES
     from repro.hardware.specs import MODULES
-    from repro.predictor.registry import DEFAULT_PREDICTOR, predictor_names
-    from repro.sparse.backend import backend_names, default_backend_name
-    from repro.sparse.precision import PRECISIONS
-    from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
-    from repro.workloads.scenario import DEFAULT_SCENARIO, scenario_names
+    from repro.sparse.backend import default_backend_name
+    from repro.workloads.scenario import scenario_names
 
     modules = sorted(MODULES)
-    precisions = sorted(PRECISIONS)
-    scenarios = list(scenario_names())
-    backends = list(backend_names())
-    predictors = [DEFAULT_PREDICTOR, *predictor_names()]
     p = argparse.ArgumentParser(
         prog="repro",
         description="Heterogeneous CPU-GPU time-evolution solver (SC'24 reproduction)",
@@ -86,27 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="predictor CPU threads per process")
     run.add_argument("--s-min", type=int, default=8)
     run.add_argument("--s-max", type=int, default=32)
-    run.add_argument("--nparts", type=int, default=1,
-                     help="mesh partitions for the distributed solve "
-                          "(ebe-mcg@cpu-gpu only)")
-    run.add_argument("--precision", default="fp64", choices=precisions,
-                     help="transprecision storage policy of the solver")
-    run.add_argument("--scenario", default=DEFAULT_SCENARIO, choices=scenarios,
-                     help="registered workload scenario (see `repro scenarios`)")
-    run.add_argument("--backend", default=default_backend_name(),
-                     choices=backends,
-                     help="array backend executing the solver hot loops "
-                          "(default: $REPRO_BACKEND or 'numpy'; see "
-                          "`repro backends`)")
-    run.add_argument("--precond", default=DEFAULT_PRECONDITIONER,
-                     choices=list(PRECONDITIONERS),
-                     help="preconditioner family: 'bj' block-Jacobi, "
-                          "'twogrid' geometric two-grid cycle")
-    run.add_argument("--predictor", default=DEFAULT_PREDICTOR,
-                     choices=predictors,
-                     help="initial-guess predictor ('auto' = the "
-                          "method's paper-native pairing; see "
-                          "`repro predictors`)")
+    # a lone run honours the ambient $REPRO_BACKEND; campaign cells never do
+    ambient = {"backend": default_backend_name()}
+    for ax in AXES:
+        run.add_argument(f"--{ax.key}", type=ax.coerce,
+                         default=ambient.get(ax.key, ax.default),
+                         choices=ax.names and list(ax.names()), help=ax.help)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--json", default=None, help="save result JSON here")
     run.add_argument("--vtk", default=None, help="save final displacement VTK here")
@@ -134,26 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="semicolon-separated resolutions, e.g. '2,2,1;3,3,2'")
     camp.add_argument("--cases", type=int, default=2, help="ensemble size per cell")
     camp.add_argument("--steps", type=int, default=8, help="time steps per cell")
-    camp.add_argument("--nparts", default="1",
-                      help="comma-separated part counts for the distributed "
-                           "solve axis, e.g. '1,2,4' (ebe-mcg@cpu-gpu only)")
-    camp.add_argument("--precision", default="fp64",
-                      help="comma-separated storage precisions for the "
-                           "transprecision axis, e.g. 'fp64,fp21'")
-    camp.add_argument("--scenario", default=DEFAULT_SCENARIO,
-                      help="comma-separated workload scenarios, e.g. "
-                           "'impulse,fault-rupture' (see `repro scenarios`)")
-    camp.add_argument("--backend", default="numpy",
-                      help="comma-separated array backends for the "
-                           "execution-backend axis, e.g. 'numpy,numba' "
-                           "(see `repro backends`)")
-    camp.add_argument("--precond", default=DEFAULT_PRECONDITIONER,
-                      help="comma-separated preconditioner families for "
-                           "the preconditioner axis, e.g. 'bj,twogrid'")
-    camp.add_argument("--predictor", default=DEFAULT_PREDICTOR,
-                      help="comma-separated initial-guess predictors for "
-                           "the predictor axis, e.g. 'auto,aitken,iqn-ils' "
-                           "(see `repro predictors`)")
+    for ax in AXES:
+        camp.add_argument(f"--{ax.key}", default=str(ax.default),
+                          help="comma-separated values to sweep, one cell "
+                               f"each — {ax.help}")
     camp.add_argument("--module", default="single-gh200",
                       choices=modules)
     camp.add_argument("--seed", type=int, default=0)
@@ -176,23 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         "twogrid",
         help="compare the two-grid preconditioner against block-Jacobi",
     )
-    tg.add_argument("--scenarios", default="soft-soil,impulse",
-                    help="comma-separated scenarios to pair "
-                         "(see `repro scenarios`)")
-    tg.add_argument("--resolutions", default="2,2,1",
-                    help="semicolon-separated resolutions, e.g. '2,2,1;4,4,2'")
-    tg.add_argument("--model", default="stratified",
-                    help="ground model of the paired cells")
-    tg.add_argument("--method", default="ebe-mcg@cpu-gpu")
-    tg.add_argument("--cases", type=int, default=2, help="ensemble size")
-    tg.add_argument("--steps", type=int, default=8, help="time steps")
-    tg.add_argument("--module", default="single-gh200", choices=modules)
-    tg.add_argument("--seed", type=int, default=0)
-    tg.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (1 = inline)")
-    tg.add_argument("--store", default=None,
-                    help="optional result store directory (content-hash "
-                         "cache shared with `repro campaign`)")
+    _add_study_args(tg, modules, scenarios="soft-soil,impulse")
 
     pz = sub.add_parser(
         "predictorzoo",
@@ -201,29 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--predictors", default=None,
                     help="comma-separated registered predictors "
                          "(default: the whole zoo; see `repro predictors`)")
-    pz.add_argument("--scenarios", default="impulse,aftershocks",
-                    help="comma-separated scenarios to sweep "
-                         "(see `repro scenarios`)")
-    pz.add_argument("--resolutions", default="2,2,1",
-                    help="semicolon-separated resolutions, e.g. '2,2,1;4,4,2'")
-    pz.add_argument("--model", default="stratified",
-                    help="ground model of the swept cells")
-    pz.add_argument("--method", default="ebe-mcg@cpu-gpu")
-    pz.add_argument("--cases", type=int, default=2, help="ensemble size")
-    pz.add_argument("--steps", type=int, default=8, help="time steps")
-    pz.add_argument("--module", default="single-gh200", choices=modules)
-    pz.add_argument("--seed", type=int, default=0)
-    pz.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (1 = inline)")
-    pz.add_argument("--store", default=None,
-                    help="optional result store directory (content-hash "
-                         "cache shared with `repro campaign`)")
+    _add_study_args(pz, modules, scenarios="impulse,aftershocks")
 
     end = sub.add_parser(
         "endurance",
         help="profile a long streaming run through the bounded logs",
     )
-    end.add_argument("--scenario", default="aftershocks", choices=scenarios,
+    end.add_argument("--scenario", default="aftershocks",
+                     choices=list(scenario_names()),
                      help="source scenario of the profiled run")
     _add_problem_args(end)
     end.set_defaults(resolution="2,2,1")
@@ -248,6 +180,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _add_study_args(p: argparse.ArgumentParser, modules, scenarios: str) -> None:
+    """Flags shared by the study commands (``twogrid``, ``predictorzoo``)."""
+    p.add_argument("--scenarios", default=scenarios,
+                   help="comma-separated scenarios to sweep "
+                        "(see `repro scenarios`)")
+    p.add_argument("--resolutions", default="2,2,1",
+                   help="semicolon-separated resolutions, e.g. '2,2,1;4,4,2'")
+    p.add_argument("--model", default="stratified",
+                   help="ground model of the study cells")
+    p.add_argument("--method", default="ebe-mcg@cpu-gpu")
+    p.add_argument("--cases", type=int, default=2, help="ensemble size")
+    p.add_argument("--steps", type=int, default=8, help="time steps")
+    p.add_argument("--module", default="single-gh200", choices=modules)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (1 = inline)")
+    p.add_argument("--store", default=None,
+                   help="optional result store directory (content-hash "
+                        "cache shared with `repro campaign`)")
+
+
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default="stratified",
                    help="stratified | basin | slanted")
@@ -266,6 +219,13 @@ def _resolution(args) -> tuple[int, int, int]:
     if len(res) != 3:
         raise SystemExit("--resolution needs three comma-separated integers")
     return res
+
+
+def _resolutions(text: str) -> tuple[tuple[int, ...], ...]:
+    """``'2,2,1;3,3,2'`` -> ``((2, 2, 1), (3, 3, 2))``."""
+    return tuple(
+        tuple(int(x) for x in chunk.split(",")) for chunk in text.split(";")
+    )
 
 
 def _problem(args, scen=None):
@@ -353,35 +313,30 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.core.methods import METHODS, PARTITIONABLE_METHODS, run_method
-
-    if args.method not in METHODS:
-        raise SystemExit(f"unknown method {args.method!r}; choose from {METHODS}")
-    if args.nparts < 1:
-        raise SystemExit("--nparts must be >= 1")
-    if args.nparts > 1 and args.method not in PARTITIONABLE_METHODS:
-        raise SystemExit(
-            f"--nparts > 1 requires --method in {PARTITIONABLE_METHODS}"
-        )
+    from repro.campaign.axes import AXES
+    from repro.core.methods import RunConfig, run_method
+    from repro.sparse.backend import BackendUnavailableError
     from repro.workloads.scenario import scenario_by_name
 
+    solver_axes = {ax.key: getattr(args, ax.key) for ax in AXES if ax.solver}
+    try:
+        # a bad method / axis combination or an absent engine fails
+        # here, before the problem is built
+        RunConfig(method=args.method, **solver_axes)
+    except BackendUnavailableError as exc:
+        raise SystemExit(f"backend unavailable: {exc}") from exc
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
     scen = scenario_by_name(args.scenario)()
     problem = _problem(args, scen=scen)
     # an empty wave dict resolves to wave_params' defaults — the same
     # values the campaign's w0 family carries, owned in one place
     forces = scen.forces(problem, {}, seed=args.seed, n_cases=args.cases)
-    from repro.sparse.backend import BackendUnavailableError
-
-    try:
-        result = run_method(
-            problem, forces, nt=args.steps, method=args.method,
-            module=_module(args.module), s_range=(args.s_min, args.s_max),
-            cpu_threads=args.threads, nparts=args.nparts,
-            precision=args.precision, backend=args.backend,
-            precond=args.precond, predictor=args.predictor,
-        )
-    except BackendUnavailableError as exc:
-        raise SystemExit(f"backend unavailable: {exc}") from exc
+    result = run_method(
+        problem, forces, nt=args.steps, method=args.method,
+        module=_module(args.module), s_range=(args.s_min, args.s_max),
+        cpu_threads=args.threads, **solver_axes,
+    )
     # same steady-state window convention as the campaign executor
     # (non-empty even for --steps 1)
     window = (max(1, args.steps * 5 // 8), args.steps + 1)
@@ -426,6 +381,7 @@ def _cmd_sensitivity(args) -> int:
 
 def _campaign_spec(args):
     from repro.campaign import CampaignSpec, default_waves
+    from repro.campaign.axes import AXES
 
     if args.spec:
         try:
@@ -435,26 +391,20 @@ def _campaign_spec(args):
         except ValueError as exc:  # bad JSON or bad spec contents
             raise SystemExit(f"bad campaign spec {args.spec}: {exc}") from exc
     try:
-        resolutions = tuple(
-            tuple(int(x) for x in chunk.split(","))
-            for chunk in args.resolutions.split(";")
-        )
         return CampaignSpec(
             name=args.name,
             models=tuple(args.models.split(",")),
             waves=default_waves(args.waves),
             methods=tuple(args.methods.split(",")),
-            resolutions=resolutions,
+            resolutions=_resolutions(args.resolutions),
             cases=args.cases,
             steps=args.steps,
             module=args.module,
             seed=args.seed,
-            nparts=tuple(int(p) for p in args.nparts.split(",")),
-            precision=tuple(args.precision.split(",")),
-            scenarios=tuple(args.scenario.split(",")),
-            backends=tuple(args.backend.split(",")),
-            preconditioners=tuple(args.precond.split(",")),
-            predictors=tuple(args.predictor.split(",")),
+            **{
+                ax.field: tuple(map(ax.coerce, getattr(args, ax.key).split(",")))
+                for ax in AXES
+            },
         )
     except ValueError as exc:
         raise SystemExit(f"bad campaign grid: {exc}") from exc
@@ -462,6 +412,7 @@ def _campaign_spec(args):
 
 def _cmd_campaign(args) -> int:
     from repro.campaign import CampaignRunner, ResultStore
+    from repro.campaign.axes import AXES
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
@@ -478,19 +429,13 @@ def _cmd_campaign(args) -> int:
     ).run(spec, resume=args.resume)
     axes = (f"{len(spec.models)} models x {len(spec.waves)} waves x "
             f"{len(spec.methods)} methods x {len(spec.resolutions)} resolutions")
-    if len(spec.nparts) > 1:
-        axes += (", nparts " + ",".join(map(str, spec.nparts))
-                 + " on partitionable methods")
-    if len(spec.precision) > 1:
-        axes += ", precision " + ",".join(spec.precision)
-    if len(spec.scenarios) > 1:
-        axes += ", scenarios " + ",".join(spec.scenarios)
-    if len(spec.backends) > 1:
-        axes += ", backends " + ",".join(spec.backends)
-    if len(spec.preconditioners) > 1:
-        axes += ", preconditioners " + ",".join(spec.preconditioners)
-    if len(spec.predictors) > 1:
-        axes += ", predictors " + ",".join(spec.predictors)
+    for ax in AXES:
+        values = getattr(spec, ax.field)
+        if len(values) > 1:
+            axes += f", {ax.field} " + ",".join(map(str, values))
+            takers = [m for m in spec.methods if ax.applies(m)]
+            if len(takers) < len(spec.methods):
+                axes += " on " + ",".join(takers)
     print(f"\ncampaign {spec.name!r}: {spec.n_cells} cells ({axes}), "
           f"jobs={args.jobs}\n")
     print(report.render())
@@ -499,96 +444,62 @@ def _cmd_campaign(args) -> int:
     return 1 if report.n_failed else 0
 
 
-def _cmd_twogrid(args) -> int:
-    from repro.campaign import ResultStore
-    from repro.studies.twogrid import (
-        render_twogrid_table,
-        run_twogrid_campaign,
-        twogrid_cells,
-        twogrid_table,
-    )
+def _run_study(args, what: str, build_cells, table, render, **extra) -> int:
+    """Shared body of the study commands: build the study's cells from
+    the common flags, run them through the campaign engine, print the
+    study's table."""
+    from repro.campaign import CampaignRunner, ResultStore
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
     try:
-        resolutions = tuple(
-            tuple(int(x) for x in chunk.split(","))
-            for chunk in args.resolutions.split(";")
-        )
-        cells = twogrid_cells(
+        cells = build_cells(
             scenarios=tuple(args.scenarios.split(",")),
-            resolutions=resolutions,
+            resolutions=_resolutions(args.resolutions),
             model=args.model,
             cases=args.cases,
             steps=args.steps,
             method=args.method,
             module=args.module,
             seed=args.seed,
+            **extra,
         )
     except ValueError as exc:
-        raise SystemExit(f"bad twogrid study grid: {exc}") from exc
+        raise SystemExit(f"bad {what} study grid: {exc}") from exc
     store = ResultStore(args.store) if args.store else None
-    outcomes = run_twogrid_campaign(cells, store=store, jobs=args.jobs)
-    n_failed = sum(1 for o in outcomes if not o.ok)
+    outcomes = CampaignRunner(store=store, jobs=args.jobs).run_cells(cells)
     for o in outcomes:
         if not o.ok:
             print(f"FAILED {o.cell.label}: {o.error}")
-    points = twogrid_table(outcomes)
+    points = table(outcomes)
     if not points:
-        raise SystemExit("no complete bj/twogrid pair succeeded")
+        raise SystemExit(f"no complete {what} study row succeeded")
     print()
-    print(render_twogrid_table(points))
+    print(render(points))
     if store is not None:
         print(f"store -> {store.root}")
-    return 1 if n_failed else 0
+    return 0 if all(o.ok for o in outcomes) else 1
+
+
+def _cmd_twogrid(args) -> int:
+    from repro.studies import twogrid as study
+
+    return _run_study(
+        args, "twogrid", study.twogrid_cells, study.twogrid_table,
+        study.render_twogrid_table,
+    )
 
 
 def _cmd_predictorzoo(args) -> int:
-    from repro.campaign import ResultStore
-    from repro.studies.predictors import (
-        predictor_cells,
-        predictor_table,
-        render_predictor_table,
-        run_predictor_campaign,
-    )
+    from repro.studies import predictors as study
 
-    if args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    try:
-        resolutions = tuple(
-            tuple(int(x) for x in chunk.split(","))
-            for chunk in args.resolutions.split(";")
-        )
-        cells = predictor_cells(
-            predictors=(
-                tuple(args.predictors.split(","))
-                if args.predictors else None
-            ),
-            scenarios=tuple(args.scenarios.split(",")),
-            resolutions=resolutions,
-            model=args.model,
-            cases=args.cases,
-            steps=args.steps,
-            method=args.method,
-            module=args.module,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"bad predictor study grid: {exc}") from exc
-    store = ResultStore(args.store) if args.store else None
-    outcomes = run_predictor_campaign(cells, store=store, jobs=args.jobs)
-    n_failed = sum(1 for o in outcomes if not o.ok)
-    for o in outcomes:
-        if not o.ok:
-            print(f"FAILED {o.cell.label}: {o.error}")
-    points = predictor_table(outcomes)
-    if not points:
-        raise SystemExit("no predictor cell succeeded")
-    print()
-    print(render_predictor_table(points))
-    if store is not None:
-        print(f"store -> {store.root}")
-    return 1 if n_failed else 0
+    return _run_study(
+        args, "predictor", study.predictor_cells, study.predictor_table,
+        study.render_predictor_table,
+        predictors=(
+            tuple(args.predictors.split(",")) if args.predictors else None
+        ),
+    )
 
 
 def _cmd_endurance(args) -> int:

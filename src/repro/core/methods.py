@@ -23,6 +23,7 @@ per campaign cell via the ``predictors`` axis.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
 from repro.util.timeline import Timeline
 
 __all__ = ["METHODS", "HETEROGENEOUS_METHODS", "PARTITIONABLE_METHODS",
-           "NATIVE_PREDICTORS", "native_predictor",
+           "NATIVE_PREDICTORS", "native_predictor", "RunConfig",
            "run_method", "estimate_memory", "cpu_share_factors"]
 
 METHODS = ("crs-cg@cpu", "crs-cg@gpu", "crs-cg@cpu-gpu", "ebe-mcg@cpu-gpu")
@@ -211,6 +212,146 @@ def estimate_memory(
     return cpu, gpu
 
 
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """What a run computes, apart from its inputs (problem, forces,
+    step count) and its I/O (waveform/record logs, checkpointing):
+    exactly :func:`run_method`'s other keywords, validated and resolved
+    once — ``precision`` to a :class:`Precision`, ``backend`` to an
+    :class:`ArrayBackend`, ``predictor`` (``"auto"``/``None`` included)
+    to a registered name.  Built by :func:`run_method` and handed whole
+    to the drivers and the checkpoint header, so a new run parameter is
+    one field here plus its use.
+    """
+
+    method: str
+    module: ModuleSpec = SINGLE_GH200
+    eps: float = 1e-8
+    s_range: tuple[int, int] = (8, 32)
+    n_regions: int = 16
+    cpu_threads: int | None = None
+    nparts: int = 1
+    precision: "Precision | str | None" = None
+    backend: "ArrayBackend | str | None" = None
+    precond: str = DEFAULT_PRECONDITIONER
+    predictor: str | None = DEFAULT_PREDICTOR
+
+    def __post_init__(self) -> None:
+        native = native_predictor(self.method)  # unknown methods fail here
+        if self.nparts < 1:
+            raise ValueError("nparts must be >= 1")
+        if self.nparts > 1 and self.method not in PARTITIONABLE_METHODS:
+            raise ValueError(
+                "the distributed solve path (nparts > 1) requires one of "
+                f"{PARTITIONABLE_METHODS}"
+            )
+        if self.precond not in PRECONDITIONERS:
+            raise ValueError(
+                f"unknown precond {self.precond!r}; choose from {PRECONDITIONERS}"
+            )
+        resolve = object.__setattr__  # frozen: each field is resolved once, here
+        resolve(self, "nparts", int(self.nparts))
+        resolve(self, "precision", as_precision(self.precision))
+        resolve(self, "backend", as_backend(self.backend))
+        if self.predictor in (None, DEFAULT_PREDICTOR):
+            resolve(self, "predictor", native)
+        else:
+            # an explicit name must exist in the registry (typos fail
+            # loudly before any work starts)
+            resolve(self, "predictor", predictor_by_name(self.predictor).name)
+
+    @property
+    def op_kind(self) -> str:
+        return "ebe" if self.method.startswith("ebe") else "crs"
+
+    # -- checkpoint header ---------------------------------------------
+    def _identity(self) -> tuple[tuple[str, object, object], ...]:
+        """``(key, this run's value, what a header without the key
+        means)`` for everything a checkpoint must agree with the
+        resuming run on — resuming into a different configuration would
+        produce silently wrong numbers.  Keys whose third entry is
+        ``None`` are always written; the later ones only when the value
+        differs from it, so documents from before those keys existed
+        stay byte-identical and still resume.  A native predictor named
+        explicitly counts as ``"auto"`` (equivalent in every observable
+        way).  The execution *backend* is deliberately absent:
+        checkpoints hold only fp64 host state (Newmark kinematics,
+        predictor history), so a state saved under one backend resumes
+        under any other."""
+        native = self.predictor == native_predictor(self.method)
+        return (
+            ("method", self.method, None),
+            ("nparts", self.nparts, None),
+            ("precision", self.precision.name, None),
+            ("precond", self.precond, DEFAULT_PRECONDITIONER),
+            ("predictor", DEFAULT_PREDICTOR if native else self.predictor,
+             DEFAULT_PREDICTOR),
+        )
+
+    def header(self, step: int, state: dict) -> dict:
+        """The checkpoint document of ``state`` after ``step`` completed
+        steps.  Key order is part of the on-disk format: the always-
+        written keys, ``step``, ``state``, then the optional keys."""
+        fields = self._identity()
+        doc = {key: value for key, value, absent in fields if absent is None}
+        doc["step"] = step
+        doc["state"] = state
+        doc.update(
+            (key, value) for key, value, absent in fields
+            if absent is not None and value != absent
+        )
+        return doc
+
+    def check_header(self, state: dict, nt: int) -> int:
+        """Validate a resume document against this run, loudly; returns
+        the completed step count."""
+        for key, want, absent in self._identity():
+            got = state.get(key, absent)
+            if got != want:
+                raise ValueError(
+                    f"checkpoint {key} {got!r} does not match "
+                    f"this run ({want!r})"
+                )
+        step = int(state.get("step", -1))
+        if not 0 < step <= nt:
+            raise ValueError(
+                f"checkpoint step {state.get('step')!r} outside 1..{nt}"
+            )
+        return step
+
+
+def _case_set(
+    cfg: RunConfig,
+    problem: ElasticProblem,
+    forces: Sequence[Callable[[int], np.ndarray]],
+    **partition,
+) -> CaseSet:
+    """One process set under ``cfg``, one fresh predictor per case;
+    ``partition`` (nparts, link, dist, preconds) selects the distributed
+    part-local solver."""
+    s_min, s_max = cfg.s_range
+    cls = PartitionedCaseSet if partition else CaseSet
+    return cls(
+        problem,
+        forces=list(forces),
+        predictors=[
+            build_predictor(
+                cfg.predictor, problem.n_dofs, problem.dt,
+                s_min=s_min, s_max=s_max, n_regions=cfg.n_regions,
+            )
+            for _ in forces
+        ],
+        op_kind=cfg.op_kind,
+        eps=cfg.eps,
+        precision=cfg.precision,
+        backend=cfg.backend,
+        precond=cfg.precond,
+        **partition,
+    )
+
+
 class _BaselineDriver:
     """Algorithm 2 (AB predictor + CRS-CG on one device), restructured
     as a resumable driver: ``run(nt)`` appends steps, and the full
@@ -224,50 +365,23 @@ class _BaselineDriver:
         self,
         problem: ElasticProblem,
         forces: Sequence[Callable[[int], np.ndarray]],
-        module: ModuleSpec,
-        device: str,
-        eps: float,
+        cfg: RunConfig,
         waveform_dofs: np.ndarray | None,
-        precision: Precision,
-        backend: ArrayBackend,
-        precond: str = DEFAULT_PRECONDITIONER,
-        predictor: str = "adams-bashforth",
-        s_range: tuple[int, int] = (8, 32),
-        n_regions: int = 16,
         record_log=None,
         wave_log=None,
     ) -> None:
         self.problem = problem
-        self.module = module
-        self.device = device
+        self.cfg = cfg
+        self.device = cfg.method.split("@", 1)[1]
         self.waveform_dofs = waveform_dofs
-        self.precision = precision
-        dev_spec = module.cpu if device == "cpu" else module.gpu
-        self.model = DeviceModel(dev_spec)
+        module = cfg.module
+        self.model = DeviceModel(module.cpu if self.device == "cpu" else module.gpu)
         # single-lane schedule: the cpu/gpu overlap is identically
         # zero, so skip the overlap queues (keeps long runs O(1))
         self.tl = Timeline(track_overlap=False)
         self.records = [] if record_log is None else record_log
         self.waves = [] if wave_log is None else wave_log
-        s_min, s_max = s_range
-        self.sets = [
-            CaseSet(
-                problem,
-                forces=[f],
-                predictors=[
-                    build_predictor(
-                        predictor, problem.n_dofs, problem.dt,
-                        s_min=s_min, s_max=s_max, n_regions=n_regions,
-                    )
-                ],
-                op_kind="crs",
-                eps=eps,
-                precision=precision,
-                backend=backend,
-                precond=precond,
-            )
-            for f in forces
-        ]
+        self.sets = [_case_set(cfg, problem, [f]) for f in forces]
 
     def run(self, nt: int) -> None:
         """Execute ``nt`` further time steps (appends to records)."""
@@ -378,19 +492,20 @@ class _BaselineDriver:
 
     def result(self) -> RunResult:
         n_cases = len(self.sets)
+        module = self.cfg.module
         pm = PowerModel(
-            self.module,
+            module,
             cpu_load=1.0 if self.device == "cpu" else 0.0,
             gpu_load=1.0,
         )
         power = energy_of_timeline(self.tl, pm)
         cpu_mem, gpu_mem = estimate_memory(
-            self.problem, f"crs-cg@{self.device}", n_cases,
-            precision=self.precision,
+            self.problem, self.cfg.method, n_cases,
+            precision=self.cfg.precision,
         )
         return RunResult(
-            method=f"crs-cg@{self.device}",
-            module_name=self.module.name,
+            method=self.cfg.method,
+            module_name=module.name,
             n_cases=n_cases,
             n_dofs=self.problem.n_dofs,
             records=self.records,
@@ -407,12 +522,85 @@ class _BaselineDriver:
         )
 
 
-class _PipelineDriver:
-    """Duck-type adapter giving :class:`HeterogeneousPipeline` the same
-    driver surface as :class:`_BaselineDriver` for the chunk loop."""
+def _part_link(module: ModuleSpec) -> TransferModel:
+    """Inter-part link: the NIC when the module has one (multi-node),
+    otherwise NVLink-C2C (single-node multi-GPU)."""
+    if module.interconnect_bandwidth > 0:
+        return TransferModel.nic(module)
+    return TransferModel.c2c(module)
 
-    def __init__(self, pipe: HeterogeneousPipeline) -> None:
-        self.pipe = pipe
+
+class _PipelineDriver:
+    """Algorithms 3 (ebe) / 4 (crs): two sets, CPU/GPU overlapped — a
+    :class:`HeterogeneousPipeline` behind the same driver surface as
+    :class:`_BaselineDriver`.
+
+    ``cfg.nparts > 1`` runs the EBE sets on the distributed part-local
+    solver (halo exchange per CG iteration, comm on the ``nic`` lane).
+    """
+
+    def __init__(
+        self,
+        problem: ElasticProblem,
+        forces: Sequence[Callable[[int], np.ndarray]],
+        cfg: RunConfig,
+        waveform_dofs: np.ndarray | None,
+        record_log=None,
+        wave_log=None,
+    ) -> None:
+        n_cases = len(forces)
+        if n_cases < 2 or n_cases % 2:
+            raise ValueError("heterogeneous methods need an even case count (2 sets)")
+        r = n_cases // 2
+        self.problem = problem
+        self.cfg = cfg
+        self.n_cases = n_cases
+        self.wave_log = wave_log
+        module = cfg.module
+
+        partition = {}
+        if cfg.nparts > 1:
+            # both sets solve the same model: partition once, share the
+            # operator and the per-part block inverses
+            from repro.cluster.halo import DistributedEBE
+            from repro.cluster.partition import PartitionInfo, partition_elements
+            from repro.sparse.distributed import part_block_jacobi
+
+            info = PartitionInfo(
+                problem.mesh, partition_elements(problem.mesh, cfg.nparts)
+            )
+            dist = DistributedEBE.from_elements(
+                problem.Ae, info, precision=cfg.precision, backend=cfg.backend
+            )
+            partition = dict(
+                nparts=cfg.nparts,
+                link=_part_link(module),
+                dist=dist,
+                preconds=(
+                    part_block_jacobi(dist)
+                    if cfg.precond == DEFAULT_PRECONDITIONER else None
+                ),
+            )
+        self.dist = partition.get("dist")
+
+        flop_f, bw_f = cpu_share_factors(cfg.cpu_threads)
+        threads = 36 if cfg.cpu_threads is None else cfg.cpu_threads
+        self.power = PowerModel(
+            module, cpu_load=threads / module.cpu.n_cores, gpu_load=1.0
+        )
+        s_min, s_max = cfg.s_range
+        self.pipe = HeterogeneousPipeline(
+            set_a=_case_set(cfg, problem, forces[:r], **partition),
+            set_b=_case_set(cfg, problem, forces[r:], **partition),
+            cpu=DeviceModel(module.cpu, flop_factor=flop_f, bw_factor=bw_f),
+            gpu=DeviceModel(module.gpu),
+            power=self.power,
+            c2c=TransferModel.c2c(module),
+            controller=AdaptiveSController(s_min=s_min, s_max=s_max),
+            waveform_dofs=waveform_dofs,
+            records=[] if record_log is None else record_log,
+            _waves=[] if wave_log is None else wave_log,
+        )
 
     def run(self, nt: int) -> None:
         self.pipe.run(nt)
@@ -423,74 +611,41 @@ class _PipelineDriver:
     def load_state_dict(self, doc: dict) -> None:
         self.pipe.load_state(doc)
 
-
-def _check_state_header(
-    state: dict, *, method: str, nparts: int, precision: Precision, nt: int,
-    precond: str = DEFAULT_PRECONDITIONER, predictor: str | None = None,
-) -> int:
-    """Validate a resume state against the run being started; returns
-    the completed step count.  Mismatches fail loudly — resuming a
-    checkpoint into a different method/nparts/precision/precond/
-    predictor configuration would produce silently wrong numbers.  The
-    execution *backend* is deliberately absent from the header:
-    checkpoints hold only fp64 host state (Newmark kinematics,
-    predictor history), so a state saved under one backend resumes
-    under any other.  The ``precond`` key is written only at
-    non-default (pre-axis checkpoints stay byte-identical) and read
-    with the default as fallback, so old documents resume cleanly; the
-    ``predictor`` key follows the same discipline (``None`` here means
-    the method-native predictor, and a header without the key means
-    the same)."""
-    for key, want in (
-        ("method", method),
-        ("nparts", int(nparts)),
-        ("precision", precision.name),
-    ):
-        if state.get(key) != want:
-            raise ValueError(
-                f"checkpoint {key} {state.get(key)!r} does not match "
-                f"this run ({want!r})"
-            )
-    got_precond = state.get("precond", DEFAULT_PRECONDITIONER)
-    if got_precond != precond:
-        raise ValueError(
-            f"checkpoint precond {got_precond!r} does not match "
-            f"this run ({precond!r})"
+    def result(self) -> RunResult:
+        cfg, pipe = self.cfg, self.pipe
+        cpu_mem, gpu_mem = estimate_memory(
+            self.problem, cfg.method, self.n_cases, s_max=cfg.s_range[1],
+            precision=cfg.precision,
+            nparts=cfg.nparts if cfg.op_kind == "ebe" else 1, dist=self.dist,
         )
-    got_pred = state.get("predictor")
-    if got_pred != predictor:
-        raise ValueError(
-            f"checkpoint predictor {got_pred or 'auto'!r} does not match "
-            f"this run ({predictor or 'auto'!r})"
+        return RunResult(
+            method=cfg.method,
+            module_name=cfg.module.name,
+            n_cases=self.n_cases,
+            n_dofs=self.problem.n_dofs,
+            records=pipe.records,
+            timeline=pipe.timeline,
+            cpu_memory_bytes=cpu_mem,
+            gpu_memory_bytes=gpu_mem,
+            power=energy_of_timeline(pipe.timeline, self.power),
+            final_states=[*pipe.set_a.states, *pipe.set_b.states],
+            waveforms=None if self.wave_log is not None else pipe.waveforms(),
         )
-    step = int(state.get("step", -1))
-    if not 0 < step <= nt:
-        raise ValueError(
-            f"checkpoint step {state.get('step')!r} outside 1..{nt}"
-        )
-    return step
 
 
 def _run_chunks(
     driver,
-    *,
+    cfg: RunConfig,
     nt: int,
-    method: str,
-    nparts: int,
-    precision: Precision,
     start_state: dict | None,
     checkpoint_every: int,
     on_checkpoint: Callable[[dict], None] | None,
-    precond: str = DEFAULT_PRECONDITIONER,
-    predictor: str | None = None,
 ) -> None:
     """Drive ``nt`` total steps, optionally resuming from
     ``start_state`` and flushing a state document to ``on_checkpoint``
     every ``checkpoint_every`` completed steps.  Chunked execution is
     numerically invisible: ``run(k); run(nt-k)`` is bit-identical to
     ``run(nt)`` (the PR-2 resume contract both drivers honor).
-    ``predictor`` is the resolved predictor name when it differs from
-    the method-native one, else ``None``.
 
     Flushed state documents are *incremental*: each embeds only the
     records/waves produced since the previous flush (the first flush of
@@ -501,10 +656,7 @@ def _run_chunks(
     done = 0
     flushed = 0
     if start_state is not None:
-        done = _check_state_header(
-            start_state, method=method, nparts=nparts, precision=precision,
-            nt=nt, precond=precond, predictor=predictor,
-        )
+        done = cfg.check_header(start_state, nt)
         driver.load_state_dict(start_state["state"])
         flushed = done
     while done < nt:
@@ -512,164 +664,10 @@ def _run_chunks(
         driver.run(k)
         done += k
         if on_checkpoint is not None and checkpoint_every >= 1 and done < nt:
-            doc = {
-                "method": method,
-                "nparts": int(nparts),
-                "precision": precision.name,
-                "step": done,
-                "state": driver.state_dict(since_step=flushed),
-            }
+            on_checkpoint(
+                cfg.header(done, driver.state_dict(since_step=flushed))
+            )
             flushed = done
-            if precond != DEFAULT_PRECONDITIONER:
-                # only at non-default so pre-axis checkpoint documents
-                # stay byte-identical
-                doc["precond"] = precond
-            if predictor is not None:
-                # same discipline: only non-native predictors mark the
-                # header, so auto runs keep pre-axis checkpoint bytes
-                doc["predictor"] = predictor
-            on_checkpoint(doc)
-
-
-def _part_link(module: ModuleSpec) -> TransferModel:
-    """Inter-part link: the NIC when the module has one (multi-node),
-    otherwise NVLink-C2C (single-node multi-GPU)."""
-    if module.interconnect_bandwidth > 0:
-        return TransferModel.nic(module)
-    return TransferModel.c2c(module)
-
-
-def _run_heterogeneous(
-    problem: ElasticProblem,
-    forces: Sequence[Callable[[int], np.ndarray]],
-    nt: int,
-    module: ModuleSpec,
-    op_kind: str,
-    eps: float,
-    s_range: tuple[int, int],
-    n_regions: int,
-    cpu_threads: int | None,
-    waveform_dofs: np.ndarray | None,
-    nparts: int,
-    precision: Precision,
-    backend: ArrayBackend,
-    precond: str,
-    predictor: str,
-    header_pred: str | None,
-    start_state: dict | None,
-    checkpoint_every: int,
-    on_checkpoint: Callable[[dict], None] | None,
-    record_log=None,
-    wave_log=None,
-) -> RunResult:
-    """Algorithms 3 (ebe) / 4 (crs): two sets, CPU/GPU overlapped.
-
-    ``nparts > 1`` runs the EBE sets on the distributed part-local
-    solver (halo exchange per CG iteration, comm on the ``nic`` lane).
-    ``predictor`` is the resolved registered name to build per case;
-    ``header_pred`` the checkpoint-header form (``None`` = native).
-    """
-    n_cases = len(forces)
-    if n_cases < 2 or n_cases % 2:
-        raise ValueError("heterogeneous methods need an even case count (2 sets)")
-    r = n_cases // 2
-    s_min, s_max = s_range
-
-    dist = preconds = None
-    if nparts > 1:
-        # both sets solve the same model: partition once, share the
-        # operator and the per-part block inverses
-        from repro.cluster.halo import DistributedEBE
-        from repro.cluster.partition import PartitionInfo, partition_elements
-        from repro.sparse.distributed import part_block_jacobi
-
-        info = PartitionInfo(
-            problem.mesh, partition_elements(problem.mesh, nparts)
-        )
-        dist = DistributedEBE.from_elements(
-            problem.Ae, info, precision=precision, backend=backend
-        )
-        if precond == DEFAULT_PRECONDITIONER:
-            preconds = part_block_jacobi(dist)
-
-    def make_set(fs: Sequence[Callable[[int], np.ndarray]]) -> CaseSet:
-        predictors = [
-            build_predictor(
-                predictor, problem.n_dofs, problem.dt,
-                s_min=s_min, s_max=s_max, n_regions=n_regions,
-            )
-            for _ in fs
-        ]
-        if nparts > 1:
-            return PartitionedCaseSet(
-                problem,
-                forces=list(fs),
-                predictors=predictors,
-                op_kind=op_kind,
-                eps=eps,
-                precision=precision,
-                backend=backend,
-                precond=precond,
-                nparts=nparts,
-                link=_part_link(module),
-                dist=dist,
-                preconds=preconds,
-            )
-        return CaseSet(
-            problem,
-            forces=list(fs),
-            predictors=predictors,
-            op_kind=op_kind,
-            eps=eps,
-            precision=precision,
-            backend=backend,
-            precond=precond,
-        )
-
-    flop_f, bw_f = cpu_share_factors(cpu_threads)
-    cpu_model = DeviceModel(module.cpu, flop_factor=flop_f, bw_factor=bw_f)
-    gpu_model = DeviceModel(module.gpu)
-    threads = 36 if cpu_threads is None else cpu_threads
-    pm = PowerModel(module, cpu_load=threads / module.cpu.n_cores, gpu_load=1.0)
-
-    pipe = HeterogeneousPipeline(
-        set_a=make_set(forces[:r]),
-        set_b=make_set(forces[r:]),
-        cpu=cpu_model,
-        gpu=gpu_model,
-        power=pm,
-        c2c=TransferModel.c2c(module),
-        controller=AdaptiveSController(s_min=s_min, s_max=s_max),
-        waveform_dofs=waveform_dofs,
-        records=[] if record_log is None else record_log,
-        _waves=[] if wave_log is None else wave_log,
-    )
-    method = "ebe-mcg@cpu-gpu" if op_kind == "ebe" else "crs-cg@cpu-gpu"
-    _run_chunks(
-        _PipelineDriver(pipe),
-        nt=nt, method=method, nparts=nparts, precision=precision,
-        start_state=start_state, checkpoint_every=checkpoint_every,
-        on_checkpoint=on_checkpoint, precond=precond, predictor=header_pred,
-    )
-
-    power = energy_of_timeline(pipe.timeline, pm)
-    cpu_mem, gpu_mem = estimate_memory(
-        problem, method, n_cases, s_max=s_max, precision=precision,
-        nparts=nparts if op_kind == "ebe" else 1, dist=dist,
-    )
-    return RunResult(
-        method=method,
-        module_name=module.name,
-        n_cases=n_cases,
-        n_dofs=problem.n_dofs,
-        records=pipe.records,
-        timeline=pipe.timeline,
-        cpu_memory_bytes=cpu_mem,
-        gpu_memory_bytes=gpu_mem,
-        power=power,
-        final_states=[*pipe.set_a.states, *pipe.set_b.states],
-        waveforms=None if wave_log is not None else pipe.waveforms(),
-    )
 
 
 def run_method(
@@ -778,54 +776,19 @@ def run_method(
         ``RunResult.waveforms`` is ``None`` — the caller owns the log
         (``wave_log.stacked()`` reassembles the cube when spilling).
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    cfg = RunConfig(
+        method=method, module=module, eps=eps, s_range=s_range,
+        n_regions=n_regions, cpu_threads=cpu_threads, nparts=nparts,
+        precision=precision, backend=backend, precond=precond,
+        predictor=predictor,
+    )
     if nt < 1:
         raise ValueError("nt must be >= 1")
-    if nparts < 1:
-        raise ValueError("nparts must be >= 1")
-    if nparts > 1 and method not in PARTITIONABLE_METHODS:
-        raise ValueError(
-            "the distributed solve path (nparts > 1) requires one of "
-            f"{PARTITIONABLE_METHODS}"
-        )
-    if precond not in PRECONDITIONERS:
-        raise ValueError(
-            f"unknown precond {precond!r}; choose from {PRECONDITIONERS}"
-        )
-    prec = as_precision(precision)
-    bk = as_backend(backend)
     if checkpoint_every < 0:
         raise ValueError("checkpoint_every must be >= 0")
-    # Resolve the predictor: "auto" means the method's native pairing;
-    # an explicit name must exist in the registry (typos fail loudly
-    # before any work starts).  The checkpoint header records only
-    # non-native choices, so naming the native predictor explicitly
-    # stays equivalent to the default.
-    if predictor is None or predictor == DEFAULT_PREDICTOR:
-        resolved = native_predictor(method)
-    else:
-        resolved = predictor_by_name(predictor).name
-    header_pred = resolved if resolved != native_predictor(method) else None
-    if method in ("crs-cg@cpu", "crs-cg@gpu"):
-        device = method.split("@", 1)[1]
-        driver = _BaselineDriver(
-            problem, forces, module, device, eps, waveform_dofs, prec, bk,
-            precond=precond, predictor=resolved, s_range=s_range,
-            n_regions=n_regions, record_log=record_log, wave_log=wave_log,
-        )
-        _run_chunks(
-            driver,
-            nt=nt, method=method, nparts=nparts, precision=prec,
-            start_state=start_state, checkpoint_every=checkpoint_every,
-            on_checkpoint=on_checkpoint, precond=precond,
-            predictor=header_pred,
-        )
-        return driver.result()
-    op_kind = "ebe" if method.startswith("ebe") else "crs"
-    return _run_heterogeneous(
-        problem, forces, nt, module, op_kind, eps, s_range, n_regions,
-        cpu_threads, waveform_dofs, nparts, prec, bk, precond,
-        resolved, header_pred, start_state, checkpoint_every, on_checkpoint,
-        record_log, wave_log,
+    driver_cls = (
+        _PipelineDriver if method in HETEROGENEOUS_METHODS else _BaselineDriver
     )
+    driver = driver_cls(problem, forces, cfg, waveform_dofs, record_log, wave_log)
+    _run_chunks(driver, cfg, nt, start_state, checkpoint_every, on_checkpoint)
+    return driver.result()

@@ -7,8 +7,7 @@ separates the two concerns: the solver hot loops (``cg``, ``ebe``,
 predictor's history regression (``predictor.datadriven``) are written
 purely against the :class:`ArrayBackend` primitive set below, and a
 registered backend decides how those primitives execute — reference
-NumPy, cache-blocked NumPy, Numba-jitted parallel kernels, or
-(experimentally) CuPy.  The
+NumPy, cache-blocked NumPy or Numba-jitted parallel kernels.  The
 *modeled* flop/byte tallies (:mod:`repro.sparse.traffic`) are charged
 by the operator wrappers outside the seam, so they are identical for
 every backend: measured wall time moves with the backend, modeled
@@ -29,8 +28,8 @@ names like ``scenario_by_name``).  Contracts:
   bit-identical; dot products regroup their summation, so this backend
   exercises the norm-scaled-tolerance parity contract accelerated
   backends are held to, with no optional dependency.
-* ``numba`` / ``cupy`` — accelerated engines, registered always but
-  *available* only when their import succeeds
+* ``numba`` — the accelerated engine, registered always but
+  *available* only when its import succeeds
   (:meth:`ArrayBackend.available`); resolving an unavailable backend
   raises :class:`BackendUnavailableError` so callers (and tests) can
   skip cleanly instead of failing.
@@ -505,13 +504,9 @@ def as_backend(spec: "ArrayBackend | str | None" = None) -> ArrayBackend:
 register_backend(NumpyBackend)
 register_backend(BlockedNumpyBackend)
 
-# Accelerated engines register unconditionally (their *availability*
-# is probed at resolution time); the imports are cheap because the
-# engine import itself happens lazily inside each module.
+# The accelerated engine registers unconditionally (its *availability*
+# is probed at resolution time); the import is cheap because the
+# engine import itself happens lazily inside the module.
 from repro.sparse.backend_numba import NumbaBackend  # noqa: E402
 
 register_backend(NumbaBackend)
-
-from repro.sparse.backend_cupy import CupyBackend  # noqa: E402
-
-register_backend(CupyBackend)

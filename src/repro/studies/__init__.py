@@ -54,28 +54,24 @@ from repro.studies.ablation import (
 )
 from repro.studies.weakscaling import (
     ScalingPoint,
-    run_scaling_campaign,
     scaling_cells,
     scaling_table,
 )
 from repro.studies.transprecision import (
     TransprecisionPoint,
     modeled_solver_bytes_per_iteration,
-    run_transprecision_campaign,
     transprecision_cells,
     transprecision_table,
 )
 from repro.studies.scenarios import (
     ScenarioPoint,
     render_scenario_table,
-    run_scenario_campaign,
     scenario_cells,
     scenario_table,
 )
 from repro.studies.twogrid import (
     TwoGridPoint,
     render_twogrid_table,
-    run_twogrid_campaign,
     twogrid_cells,
     twogrid_table,
 )
@@ -84,7 +80,6 @@ from repro.studies.predictors import (
     predictor_cells,
     predictor_table,
     render_predictor_table,
-    run_predictor_campaign,
 )
 from repro.studies.endurance import (
     EndurancePoint,
@@ -108,26 +103,21 @@ __all__ = [
     "run_ablation_campaign",
     "ScalingPoint",
     "scaling_cells",
-    "run_scaling_campaign",
     "scaling_table",
     "TransprecisionPoint",
     "transprecision_cells",
-    "run_transprecision_campaign",
     "transprecision_table",
     "modeled_solver_bytes_per_iteration",
     "ScenarioPoint",
     "scenario_cells",
-    "run_scenario_campaign",
     "scenario_table",
     "render_scenario_table",
     "TwoGridPoint",
     "twogrid_cells",
-    "run_twogrid_campaign",
     "twogrid_table",
     "render_twogrid_table",
     "PredictorPoint",
     "predictor_cells",
-    "run_predictor_campaign",
     "predictor_table",
     "render_predictor_table",
     "EndurancePoint",

@@ -33,15 +33,13 @@ import math
 from dataclasses import dataclass
 
 from repro.campaign.aggregate import format_table
-from repro.campaign.runner import CampaignRunner
+from repro.campaign.axes import AXIS
 from repro.campaign.spec import CampaignCell, WaveSpec, method_cell_params
-from repro.campaign.store import ResultStore
 from repro.predictor.registry import predictor_names
 
 __all__ = [
     "PredictorPoint",
     "predictor_cells",
-    "run_predictor_campaign",
     "predictor_table",
     "render_predictor_table",
 ]
@@ -112,15 +110,6 @@ def predictor_cells(
     return cells
 
 
-def run_predictor_campaign(
-    cells: list[CampaignCell],
-    store: ResultStore | None = None,
-    jobs: int = 1,
-):
-    """Execute study cells through the shared campaign engine."""
-    return CampaignRunner(store=store, jobs=jobs).run_cells(cells)
-
-
 @dataclass(frozen=True)
 class PredictorPoint:
     """One row of the zoo comparison (times per step *per case*,
@@ -149,10 +138,10 @@ def predictor_table(outcomes) -> list[PredictorPoint]:
         if not o.ok:
             continue
         p = o.cell.params
-        pred = p.get("predictor")
-        if pred is None:
+        pred = AXIS["predictor"].of(p)
+        if pred == AXIS["predictor"].default:
             continue  # not a predictor-axis cell
-        scen = p.get("scenario", "impulse")
+        scen = AXIS["scenario"].of(p)
         by_scen.setdefault(scen, {})[pred] = o.result["summary"]
     points = []
     for scen, fam in by_scen.items():

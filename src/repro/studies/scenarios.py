@@ -27,15 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.campaign.aggregate import format_table
-from repro.campaign.runner import CampaignRunner
+from repro.campaign.axes import AXIS
 from repro.campaign.spec import CampaignCell, WaveSpec, method_cell_params
-from repro.campaign.store import ResultStore
 from repro.workloads.scenario import DEFAULT_SCENARIO, scenario_names
 
 __all__ = [
     "ScenarioPoint",
     "scenario_cells",
-    "run_scenario_campaign",
     "scenario_table",
     "render_scenario_table",
 ]
@@ -81,15 +79,6 @@ def scenario_cells(
     return cells
 
 
-def run_scenario_campaign(
-    cells: list[CampaignCell],
-    store: ResultStore | None = None,
-    jobs: int = 1,
-):
-    """Execute study cells through the shared campaign engine."""
-    return CampaignRunner(store=store, jobs=jobs).run_cells(cells)
-
-
 @dataclass(frozen=True)
 class ScenarioPoint:
     """One row of the cross-scenario difficulty table (times per step
@@ -118,7 +107,7 @@ def scenario_table(outcomes) -> list[ScenarioPoint]:
         s = o.result["summary"]
         rows.append(
             (
-                o.cell.params.get("scenario", DEFAULT_SCENARIO),
+                AXIS["scenario"].of(o.cell.params),
                 float(s["elapsed_per_step_per_case_s"]),
                 float(s["iterations_per_step"]),
                 # None = the run's predictor keeps no history length;

@@ -26,16 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign.runner import CampaignRunner
+from repro.campaign.axes import AXIS
 from repro.campaign.spec import CampaignCell, WaveSpec, method_cell_params
-from repro.campaign.store import ResultStore
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import ebe_traffic, vector_traffic
 
 __all__ = [
     "TransprecisionPoint",
     "transprecision_cells",
-    "run_transprecision_campaign",
     "transprecision_table",
     "modeled_solver_bytes_per_iteration",
 ]
@@ -78,15 +76,6 @@ def transprecision_cells(
     return cells
 
 
-def run_transprecision_campaign(
-    cells: list[CampaignCell],
-    store: ResultStore | None = None,
-    jobs: int = 1,
-):
-    """Execute study cells through the shared campaign engine."""
-    return CampaignRunner(store=store, jobs=jobs).run_cells(cells)
-
-
 @dataclass(frozen=True)
 class TransprecisionPoint:
     """One row of the accuracy-vs-speed table (times per step *per
@@ -114,7 +103,7 @@ def transprecision_table(outcomes) -> list[TransprecisionPoint]:
         s = o.result["summary"]
         rows.append(
             (
-                o.cell.params.get("precision", "fp64"),
+                AXIS["precision"].of(o.cell.params),
                 float(s["elapsed_per_step_per_case_s"]),
                 float(s["iterations_per_step"]),
                 float(s.get("achieved_relres", 0.0)),
@@ -122,7 +111,7 @@ def transprecision_table(outcomes) -> list[TransprecisionPoint]:
         )
     if not rows:
         return []
-    anchor = next((r for r in rows if r[0] == "fp64"), rows[0])
+    anchor = next((r for r in rows if r[0] == AXIS["precision"].default), rows[0])
     points = [
         TransprecisionPoint(
             precision=prec,

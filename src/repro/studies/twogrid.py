@@ -28,19 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.campaign.aggregate import format_table
-from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import (
-    DEFAULT_PRECONDITIONER,
-    CampaignCell,
-    WaveSpec,
-    method_cell_params,
-)
-from repro.campaign.store import ResultStore
+from repro.campaign.axes import AXIS
+from repro.campaign.spec import CampaignCell, WaveSpec, method_cell_params
+from repro.sparse.precond import DEFAULT_PRECONDITIONER
 
 __all__ = [
     "TwoGridPoint",
     "twogrid_cells",
-    "run_twogrid_campaign",
     "twogrid_table",
     "render_twogrid_table",
 ]
@@ -100,15 +94,6 @@ def twogrid_cells(
     return cells
 
 
-def run_twogrid_campaign(
-    cells: list[CampaignCell],
-    store: ResultStore | None = None,
-    jobs: int = 1,
-):
-    """Execute study cells through the shared campaign engine."""
-    return CampaignRunner(store=store, jobs=jobs).run_cells(cells)
-
-
 @dataclass(frozen=True)
 class TwoGridPoint:
     """One row of the preconditioner comparison (times per step *per
@@ -137,9 +122,9 @@ def twogrid_table(outcomes) -> list[TwoGridPoint]:
         if not o.ok:
             continue
         p = o.cell.params
-        key = (p.get("scenario", "impulse"),
+        key = (AXIS["scenario"].of(p),
                tuple(int(x) for x in p["resolution"]))
-        precond = p.get("precond", DEFAULT_PRECONDITIONER)
+        precond = AXIS["precond"].of(p)
         by_pair.setdefault(key, {})[precond] = o.result["summary"]
     points = []
     for (scen, res), fam in sorted(by_pair.items()):

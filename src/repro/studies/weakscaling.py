@@ -22,14 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.campaign.runner import CampaignRunner
+from repro.campaign.axes import AXIS
 from repro.campaign.spec import CampaignCell, WaveSpec, method_cell_params
-from repro.campaign.store import ResultStore
 
 __all__ = [
     "ScalingPoint",
     "scaling_cells",
-    "run_scaling_campaign",
     "scaling_table",
 ]
 
@@ -88,15 +86,6 @@ def scaling_cells(
     return cells
 
 
-def run_scaling_campaign(
-    cells: list[CampaignCell],
-    store: ResultStore | None = None,
-    jobs: int = 1,
-):
-    """Execute scaling cells through the shared campaign engine."""
-    return CampaignRunner(store=store, jobs=jobs).run_cells(cells)
-
-
 @dataclass(frozen=True)
 class ScalingPoint:
     """One row of the scaling table (times are per step *per case*,
@@ -139,7 +128,7 @@ def scaling_table(outcomes, mode: str | None = None) -> list[ScalingPoint]:
             continue
         rows.append(
             (
-                int(o.cell.params.get("nparts", 1)),
+                int(AXIS["nparts"].of(o.cell.params)),
                 float(o.result["summary"]["elapsed_per_step_per_case_s"]),
                 int(o.result["n_dofs"]),
                 float(o.result.get("halo_time_per_step_per_case", 0.0)),

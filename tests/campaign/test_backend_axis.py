@@ -17,7 +17,8 @@ from repro.campaign import (
     default_waves,
 )
 from repro.campaign.runner import run_method_cell
-from repro.campaign.spec import DEFAULT_BACKEND, method_cell_params
+from repro.campaign.spec import method_cell_params
+from repro.sparse.backend import DEFAULT_BACKEND
 
 
 def make_spec(**over):
@@ -78,17 +79,8 @@ def test_backend_axis_composes_with_other_axes():
     assert len(combos) == 8
 
 
-def test_default_backend_constants_mirror():
-    """spec.py keeps its own DEFAULT_BACKEND literal (import-light
-    spec layer); divergence from the registry's default would silently
-    re-key default cells."""
-    from repro.sparse.backend import DEFAULT_BACKEND as registry_default
-
-    assert DEFAULT_BACKEND == registry_default
-
-
 def test_backend_validation():
-    """Registered-but-unavailable names (numba/cupy here) are *valid*
+    """Registered-but-unavailable names (numba here) are *valid*
     spec entries — availability is an execution-time concern — while
     unknown names fail at spec time."""
     make_spec(backends=("numpy", "numba"))  # registered though absent

@@ -16,7 +16,8 @@ from repro.campaign import (
     default_waves,
 )
 from repro.campaign.runner import run_method_cell
-from repro.campaign.spec import DEFAULT_PRECONDITIONER, method_cell_params
+from repro.campaign.spec import method_cell_params
+from repro.sparse.precond import DEFAULT_PRECONDITIONER
 
 
 def make_spec(**over):
@@ -72,15 +73,6 @@ def test_precond_axis_composes_with_other_axes():
         for c in cells
     }
     assert len(combos) == 8
-
-
-def test_default_precond_constants_mirror():
-    """spec.py keeps its own DEFAULT_PRECONDITIONER literal (import-light
-    spec layer); divergence from the solver registry's default would
-    silently re-key default cells."""
-    from repro.sparse.precond import DEFAULT_PRECONDITIONER as registry_default
-
-    assert DEFAULT_PRECONDITIONER == registry_default
 
 
 def test_precond_validation():

@@ -17,7 +17,8 @@ from repro.campaign import (
     default_waves,
 )
 from repro.campaign.runner import run_method_cell
-from repro.campaign.spec import DEFAULT_PREDICTOR, method_cell_params
+from repro.campaign.spec import method_cell_params
+from repro.predictor.registry import DEFAULT_PREDICTOR
 
 
 def make_spec(**over):
@@ -77,15 +78,6 @@ def test_predictor_axis_composes_with_other_axes():
         for c in cells
     }
     assert len(combos) == 8
-
-
-def test_default_predictor_constants_mirror():
-    """spec.py keeps its own DEFAULT_PREDICTOR literal (import-light
-    spec layer); divergence from the predictor registry's sentinel
-    would silently re-key default cells."""
-    from repro.predictor.registry import DEFAULT_PREDICTOR as registry_default
-
-    assert DEFAULT_PREDICTOR == registry_default
 
 
 def test_predictor_validation():

@@ -15,7 +15,8 @@ from repro.campaign import (
     default_waves,
 )
 from repro.campaign.runner import run_method_cell
-from repro.campaign.spec import DEFAULT_SCENARIO, method_cell_params
+from repro.campaign.spec import method_cell_params
+from repro.workloads.scenario import DEFAULT_SCENARIO
 
 
 def make_spec(**over):
@@ -77,15 +78,6 @@ def test_scenario_axis_composes_with_nparts_and_precision():
         for c in cells
     }
     assert len(combos) == 8
-
-
-def test_default_scenario_constants_mirror():
-    """spec.py keeps its own DEFAULT_SCENARIO literal (import-light
-    spec layer); if it ever diverges from the registry's, default
-    cells would silently re-key or resolve the wrong physics."""
-    from repro.workloads.scenario import DEFAULT_SCENARIO as registry_default
-
-    assert DEFAULT_SCENARIO == registry_default
 
 
 def test_scenario_validation():

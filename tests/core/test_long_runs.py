@@ -2,10 +2,12 @@
 
 A million-step run must not hold a million step records, waveform
 frames or schedule intervals in memory.  These tests prove the
-streaming plumbing end to end at tier-1 scale: the tracemalloc peak of
-a 50x longer run stays within a small constant of the short run's
-when the driver writes through bounded ring/spill logs — with waveform
-recording on and off — and checkpoint flushes stay O(1) bytes each.
+streaming plumbing end to end at tier-1 scale: between two runs that
+both overflow the ring, 400 extra steps add next to nothing to the
+tracemalloc peak when the driver writes through bounded ring/spill
+logs — with waveform recording on and off — and checkpoint flushes
+stay O(1) bytes each.  The 10k-step gate is the nightly
+``benchmarks/test_endurance.py``.
 """
 
 import tracemalloc
@@ -17,8 +19,13 @@ from repro.core.methods import run_method
 from repro.io.spill import RecordLog, WaveLog
 from repro.workloads.ground import build_ground_problem, stratified_model
 
-SHORT, LONG = 100, 5000
+SHORT, LONG = 200, 600
 KEEP = 64
+#: Peak growth allowed over the LONG - SHORT extra steps: 20 bytes per
+#: step.  Measured 1.9-2.1 KiB (flat from 400 steps on); one retained
+#: step record, waveform frame or schedule interval per step would be
+#: 40 KiB or more.
+GROWTH_BOUND = 8 * 1024
 
 
 @pytest.fixture(scope="module")
@@ -58,12 +65,12 @@ def test_memory_flat_in_run_length(
 ):
     forces = make_forces(tiny_problem, 1)
     # warm-up run: import costs, ufunc buffers, solver workspaces
-    _run(tiny_problem, forces, SHORT, tmp_path, "warm", waves)
+    _run(tiny_problem, forces, KEEP, tmp_path, "warm", waves)
     peak_short = _peak(tiny_problem, forces, SHORT, tmp_path, "s", waves)
     peak_long = _peak(tiny_problem, forces, LONG, tmp_path, "l", waves)
-    # 50x the steps must not cost 50x the memory: flat within 1.5x
-    # plus slack for allocator noise
-    assert peak_long <= 1.5 * peak_short + 64 * 1024, (
+    # growth between two long runs, not a ratio: a constant offset
+    # cannot hide a per-step leak, and none can hide behind slack
+    assert peak_long - peak_short <= GROWTH_BOUND, (
         waves, peak_short, peak_long,
     )
 

@@ -6,6 +6,8 @@ import pytest
 from repro.analysis.waves import BandlimitedImpulse
 from repro.core.methods import (
     METHODS,
+    NATIVE_PREDICTORS,
+    RunConfig,
     _cpu_factors,
     cpu_share_factors,
     estimate_memory,
@@ -259,6 +261,77 @@ def test_run_method_unknown_precision_rejected(ground_problem):
     f = [lambda it: np.zeros(ground_problem.n_dofs)]
     with pytest.raises(ValueError, match="unknown precision"):
         run_method(ground_problem, f, nt=1, method="crs-cg@cpu", precision="fp8")
+
+
+# ------------------------------------------------------------ RunConfig
+def test_run_config_mirrors_run_method_keywords():
+    """``RunConfig`` is ``run_method``'s non-I/O keywords, same names
+    and defaults — nothing a caller can set bypasses it."""
+    import dataclasses
+    import inspect
+
+    run_params = inspect.signature(run_method).parameters
+    for f in dataclasses.fields(RunConfig):
+        assert run_params[f.name].default == f.default or f.name == "method"
+    inputs_and_io = {
+        "problem", "forces", "nt", "waveform_dofs", "start_state",
+        "checkpoint_every", "on_checkpoint", "record_log", "wave_log",
+    }
+    assert set(run_params) - inputs_and_io == {
+        f.name for f in dataclasses.fields(RunConfig)
+    }
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_config_resolves_once(method):
+    cfg = RunConfig(method=method)
+    assert cfg.precision.name == "fp64" and cfg.backend.name == "numpy"
+    assert cfg.predictor == NATIVE_PREDICTORS[method]
+    assert RunConfig(method=method, predictor=None) == cfg
+    assert RunConfig(method=method, predictor=cfg.predictor) == cfg
+    # a native predictor, however named, leaves the header as it was
+    # before the predictor axis existed
+    assert list(cfg.header(3, {})) == [
+        "method", "nparts", "precision", "step", "state"
+    ]
+    with pytest.raises(AttributeError):  # frozen
+        cfg.eps = 1.0
+
+
+def test_run_config_rejects_bad_values():
+    for kw, message in [
+        (dict(method="magic"), "unknown method"),
+        (dict(method="crs-cg@gpu", nparts=0), "nparts must be >= 1"),
+        (dict(method="crs-cg@gpu", nparts=2), "requires one of"),
+        (dict(method="crs-cg@gpu", precond="ilu"), "unknown precond"),
+        (dict(method="crs-cg@gpu", precision="fp8"), "unknown precision"),
+        (dict(method="crs-cg@gpu", backend="fortran"), "unknown backend"),
+        (dict(method="crs-cg@gpu", predictor="broyden"), "unknown predictor"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**kw)
+
+
+def test_run_config_header_round_trip_and_mismatch():
+    cfg = RunConfig(method="ebe-mcg@cpu-gpu", nparts=2, precision="fp21",
+                    precond="twogrid", predictor="aitken")
+    doc = cfg.header(5, {"s": 1})
+    assert list(doc) == ["method", "nparts", "precision", "step", "state",
+                         "precond", "predictor"]
+    assert cfg.check_header(doc, nt=8) == 5
+    with pytest.raises(ValueError, match="step 5 outside 1..4"):
+        cfg.check_header(doc, nt=4)
+    other = RunConfig(method="ebe-mcg@cpu-gpu", nparts=2, precision="fp21")
+    with pytest.raises(
+        ValueError,
+        match=r"checkpoint precond 'twogrid' does not match this run \('bj'\)",
+    ):
+        other.check_header(doc, nt=8)
+    with pytest.raises(
+        ValueError,
+        match=r"checkpoint predictor 'auto' does not match this run \('aitken'\)",
+    ):
+        cfg.check_header(other.header(5, {}) | {"precond": "twogrid"}, nt=8)
 
 
 # --------------------------------------------- per-part memory estimates

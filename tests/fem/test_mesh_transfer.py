@@ -115,9 +115,7 @@ def test_restriction_adjoint_identity(seed):
 
 
 # ------------------------------------------------ dof-level backends
-@pytest.mark.parametrize(
-    "name", [n for n in available_backend_names() if n != "cupy"]
-)
+@pytest.mark.parametrize("name", available_backend_names())
 def test_dof_apply_matches_kron_product(name):
     fine, coarse, t = _pair()
     bk = backend_by_name(name)
@@ -146,7 +144,5 @@ def test_numpy_backends_bit_identical():
     XC = rng.standard_normal((3 * coarse.n_nodes, 2))
     ref = t.prolong(XC, backend=backend_by_name("numpy"))
     for name in available_backend_names():
-        if name == "cupy":
-            continue
         got = t.prolong(XC, backend=backend_by_name(name))
         np.testing.assert_array_equal(got, ref)

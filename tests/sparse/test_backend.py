@@ -31,7 +31,7 @@ from repro.sparse.precision import FP21, FP32, FP64
 
 # ------------------------------------------------------------ registry
 def test_registry_contains_all_engines():
-    assert set(backend_names()) >= {"numpy", "numpy-blocked", "numba", "cupy"}
+    assert set(backend_names()) >= {"numpy", "numpy-blocked", "numba"}
     # reference backends are importable everywhere
     assert {"numpy", "numpy-blocked"} <= set(available_backend_names())
 

@@ -12,7 +12,7 @@
 
 ``numpy-blocked`` is always available and — shrunk to a small block
 size — genuinely regroups the reduction arithmetic, so the tolerance
-contracts are exercised even where numba/cupy are not installed.
+contracts are exercised even where numba is not installed.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ WINDOW = (max(1, NT * 5 // 8), NT + 1)
 #: every importable engine (numpy first = the reference), plus a
 #: small-block blocked instance whose reductions round differently
 #: even on test-sized systems.
-PARITY_BACKENDS = [n for n in available_backend_names() if n != "cupy"]
+PARITY_BACKENDS = list(available_backend_names())
 
 
 def _small_block():

@@ -4,13 +4,12 @@ import math
 
 import pytest
 
-from repro.campaign import ResultStore
+from repro.campaign import CampaignRunner, ResultStore
 from repro.predictor.registry import predictor_names
 from repro.studies import (
     predictor_cells,
     predictor_table,
     render_predictor_table,
-    run_predictor_campaign,
 )
 from repro.studies.predictors import ANCHOR_PREDICTOR, STUDY_SCENARIOS
 
@@ -45,7 +44,7 @@ def study_outcomes(tmp_path_factory):
         predictors=("adams-bashforth", "aitken", "data-driven"),
         steps=4, s_range=(2, 4),
     )
-    outcomes = run_predictor_campaign(cells, store=store)
+    outcomes = CampaignRunner(store=store).run_cells(cells)
     assert all(o.ok for o in outcomes)
     return cells, store, outcomes
 
@@ -53,7 +52,7 @@ def study_outcomes(tmp_path_factory):
 def test_study_rides_shared_cache(study_outcomes):
     cells, store, outcomes = study_outcomes
     assert len(store) == len(outcomes) == len(cells)
-    again = run_predictor_campaign(cells, store=store)
+    again = CampaignRunner(store=store).run_cells(cells)
     assert all(o.cached for o in again)
 
 

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.campaign import ResultStore
+from repro.campaign import CampaignRunner, ResultStore
 from repro.studies import (
     render_scenario_table,
-    run_scenario_campaign,
     scenario_cells,
     scenario_table,
 )
@@ -50,7 +49,7 @@ def test_cells_validation():
 def study_outcomes(tmp_path_factory):
     store = ResultStore(tmp_path_factory.mktemp("scenario-study"))
     cells = scenario_cells(steps=4, s_range=(2, 4))
-    outcomes = run_scenario_campaign(cells, store=store)
+    outcomes = CampaignRunner(store=store).run_cells(cells)
     assert all(o.ok for o in outcomes)
     return cells, store, outcomes
 
@@ -63,7 +62,7 @@ def test_study_runs_every_scenario(study_outcomes):
 
 def test_study_rides_shared_cache(study_outcomes):
     cells, store, _ = study_outcomes
-    again = run_scenario_campaign(cells, store=store)
+    again = CampaignRunner(store=store).run_cells(cells)
     assert all(o.cached for o in again)
 
 

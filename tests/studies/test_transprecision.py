@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import WaveSpec, method_cell_params
 from repro.campaign.store import ResultStore
 from repro.studies.transprecision import (
     modeled_solver_bytes_per_iteration,
-    run_transprecision_campaign,
     transprecision_cells,
     transprecision_table,
 )
@@ -47,7 +47,7 @@ def outcomes(tmp_path_factory):
         cases=2, steps=6, s_range=(2, 4),
     )
     store = ResultStore(tmp_path_factory.mktemp("transprec") / "store")
-    return run_transprecision_campaign(cells, store=store)
+    return CampaignRunner(store=store).run_cells(cells)
 
 
 def test_study_accuracy_vs_speed(outcomes):
@@ -69,8 +69,8 @@ def test_study_rides_the_shared_cache(outcomes, tmp_path):
         cases=2, steps=6, s_range=(2, 4),
     )
     store = ResultStore(tmp_path / "fresh")
-    first = run_transprecision_campaign(cells, store=store)
-    again = run_transprecision_campaign(cells, store=store)
+    first = CampaignRunner(store=store).run_cells(cells)
+    again = CampaignRunner(store=store).run_cells(cells)
     assert all(o.cached for o in again)
     assert [o.result["summary"]["iterations_per_step"] for o in again] == [
         o.result["summary"]["iterations_per_step"] for o in first

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
 from repro.studies.weakscaling import (
     _tile_factors,
-    run_scaling_campaign,
     scaling_cells,
     scaling_table,
 )
@@ -90,10 +90,10 @@ def test_scaling_campaign_runs_and_caches(tmp_path):
     cells = scaling_cells(parts=(1, 2), mode="weak",
                           base_resolution=(2, 2, 1), steps=3, module="alps")
     store = ResultStore(tmp_path / "store")
-    outcomes = run_scaling_campaign(cells, store=store)
+    outcomes = CampaignRunner(store=store).run_cells(cells)
     assert all(o.ok for o in outcomes)
     assert not any(o.cached for o in outcomes)
-    again = run_scaling_campaign(cells, store=store)
+    again = CampaignRunner(store=store).run_cells(cells)
     assert all(o.cached for o in again)
 
     table = scaling_table(outcomes)

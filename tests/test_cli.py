@@ -485,3 +485,19 @@ def test_predictorzoo_bad_grid_rejected():
         main(["predictorzoo", "--predictors", "broyden"])
     with pytest.raises(SystemExit, match="jobs"):
         main(["predictorzoo", "--jobs", "0"])
+
+
+def test_twogrid_command_shares_the_study_body(capsys):
+    """``twogrid`` and ``predictorzoo`` are one command body with two
+    studies plugged in: same flags, same failure messages."""
+    args = ["twogrid", "--scenarios", "soft-soil", "--resolutions", "2,2,1",
+            "--cases", "2", "--steps", "4"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "two-grid vs block-Jacobi" in out and "soft-soil" in out
+    with pytest.raises(SystemExit, match="bad twogrid study grid"):
+        main(["twogrid", "--scenarios", "marsquake"])
+    with pytest.raises(SystemExit, match="bad twogrid study grid"):
+        main(["twogrid", "--resolutions", "2,2,x"])
+    with pytest.raises(SystemExit, match="jobs"):
+        main(["twogrid", "--jobs", "0"])

@@ -58,3 +58,43 @@ def test_methods_registry_matches_dispatch():
     assert METHODS == (
         "crs-cg@cpu", "crs-cg@gpu", "crs-cg@cpu-gpu", "ebe-mcg@cpu-gpu"
     )
+
+
+def test_run_method_signature_pinned():
+    """``run_method``'s parameters — names, order, kinds, defaults — as
+    they were before ``RunConfig`` took over the plumbing behind them.
+    A new run parameter is a ``RunConfig`` field first; it becomes a
+    ``run_method`` keyword only by editing this list."""
+    import inspect
+
+    from repro.core.methods import run_method
+    from repro.hardware.specs import SINGLE_GH200
+
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    keyword = inspect.Parameter.KEYWORD_ONLY
+    empty = inspect.Parameter.empty
+    assert [
+        (p.name, p.kind, p.default)
+        for p in inspect.signature(run_method).parameters.values()
+    ] == [
+        ("problem", positional, empty),
+        ("forces", positional, empty),
+        ("nt", positional, empty),
+        ("method", positional, empty),
+        ("module", positional, SINGLE_GH200),
+        ("eps", keyword, 1e-8),
+        ("s_range", keyword, (8, 32)),
+        ("n_regions", keyword, 16),
+        ("cpu_threads", keyword, None),
+        ("waveform_dofs", keyword, None),
+        ("nparts", keyword, 1),
+        ("precision", keyword, None),
+        ("backend", keyword, None),
+        ("precond", keyword, "bj"),
+        ("predictor", keyword, "auto"),
+        ("start_state", keyword, None),
+        ("checkpoint_every", keyword, 0),
+        ("on_checkpoint", keyword, None),
+        ("record_log", keyword, None),
+        ("wave_log", keyword, None),
+    ]
