@@ -86,11 +86,14 @@ class ArrayBackend(abc.ABC):
     """Primitive set every sparse hot loop is written against.
 
     All primitives operate on C-contiguous fp64 host ``numpy`` arrays
-    (accelerated backends may mirror to device storage internally) and
-    write results **in place** into caller-owned buffers — the seam
-    preserves the repo's allocation-free hot-loop discipline.  Blocked
-    vector primitives treat ``(n, r)`` arrays as ``r`` independent
-    columns (the fused multi-RHS layout).
+    (accelerated backends may mirror to device storage internally; only
+    ``copy`` accepts a strided source, which is how a strided operand
+    gets staged) and write results **in place** into caller-owned
+    buffers — the seam preserves the repo's allocation-free hot-loop
+    discipline.  Blocked vector primitives treat ``(n, r)`` arrays as
+    ``r`` independent columns (the fused multi-RHS layout).  The EBE
+    sweep is ``gather_rows`` / ``batched_matmul`` / ``spmv_csr`` on
+    node views; ``scatter_rows`` serves the distributed solver.
 
     Subclass contract: the reference :class:`NumpyBackend` implements
     every primitive with the exact operations the pre-seam code used;
@@ -171,7 +174,7 @@ class ArrayBackend(abc.ABC):
         ebe, bcrs, precond) routes through.  fp64 is a no-op."""
         return precision.quantize_(a)
 
-    # -- gather / apply / scatter (the EBE sweep) ---------------------
+    # -- gather / apply / scatter -------------------------------------
     @abc.abstractmethod
     def gather_rows(self, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = X[idx]`` row gather (``idx`` may be multi-dim; all
@@ -181,14 +184,6 @@ class ArrayBackend(abc.ABC):
     def batched_matmul(self, A: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Batched dense mat-vec ``out[e] = A[e] @ X[e]`` over the
         leading axis (the per-element 30x30 apply)."""
-
-    @abc.abstractmethod
-    def segment_sum(
-        self, contrib: np.ndarray, starts: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Row-segment sums: ``out[s] = contrib[starts[s]:starts[s+1]].sum(0)``
-        (last segment runs to the end) — the deterministic scatter
-        reduction."""
 
     @abc.abstractmethod
     def scatter_rows(
@@ -215,7 +210,9 @@ class ArrayBackend(abc.ABC):
         out: np.ndarray,
     ) -> np.ndarray:
         """Multi-vector CSR SpMV ``out = A @ X`` into the caller
-        buffer (``X``/``out`` shaped ``(n, r)``)."""
+        buffer (``X``/``out`` shaped ``(n, r)``).  Every row accumulates
+        from zero in ``indices`` order — the EBE scatter (a 0/1
+        incidence matrix) takes its summation order from this."""
 
     # -- grid-transfer primitives -------------------------------------
     #
@@ -370,10 +367,6 @@ class NumpyBackend(ArrayBackend):
 
     def batched_matmul(self, A, X, out):
         np.matmul(A, X, out=out)
-        return out
-
-    def segment_sum(self, contrib, starts, out):
-        np.add.reduceat(contrib, starts, axis=0, out=out)
         return out
 
     def scatter_rows(self, Y, targets, values):

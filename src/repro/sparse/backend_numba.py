@@ -12,11 +12,12 @@ consequences of that layout matter:
   :class:`~repro.sparse.backend.BackendUnavailableError`);
 * ``fastmath=False`` keeps IEEE evaluation order inside each scalar
   expression, and every ``prange`` loop is iteration-independent
-  (elementwise updates, per-segment sums, per-row SpMV) while the
+  (elementwise updates, per-row gathers, per-row SpMV) while the
   column reductions stay sequential over rows — so results are
   deterministic run-to-run and agree with the reference backend to
-  rounding (the parity tests' norm-scaled tolerance; regrouped sums in
-  the parallel SpMV/segment kernels are the only difference sources).
+  rounding (the parity tests' norm-scaled tolerance; sums regrouped
+  against einsum/BLAS in the reductions and the batched element apply
+  are the only difference sources).
 """
 
 from __future__ import annotations
@@ -108,19 +109,6 @@ def py_batched_matmul(A, X, out):
                 out[e, i, j] = acc
 
 
-def py_segment_sum(contrib, starts, out):
-    ns = starts.shape[0]
-    m = contrib.shape[0]
-    for s in prange(ns):
-        lo = starts[s]
-        hi = starts[s + 1] if s + 1 < ns else m
-        for j in range(contrib.shape[1]):
-            acc = 0.0
-            for i in range(lo, hi):
-                acc += contrib[i, j]
-            out[s, j] = acc
-
-
 def py_scatter_rows(Y, targets, values):
     for i in prange(Y.shape[0]):
         for j in range(Y.shape[1]):
@@ -176,7 +164,7 @@ def py_transfer3(indptr, indices, data, X, out):
 _KERNELS = (
     py_copy2, py_fill2, py_subtract2, py_xpay_cols, py_axpy_cols,
     py_axmy_cols, py_colwise_dot, py_gather_rows, py_batched_matmul,
-    py_segment_sum, py_scatter_rows, py_block_diag_matvec, py_spmv_csr,
+    py_scatter_rows, py_block_diag_matvec, py_spmv_csr,
     py_transfer3,
 )
 
@@ -266,10 +254,6 @@ class NumbaBackend(ArrayBackend):
 
     def batched_matmul(self, A, X, out):
         self._k["py_batched_matmul"](A, X, out)
-        return out
-
-    def segment_sum(self, contrib, starts, out):
-        self._k["py_segment_sum"](contrib, starts, out)
         return out
 
     def scatter_rows(self, Y, targets, values):

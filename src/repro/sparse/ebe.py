@@ -1,26 +1,34 @@
 """Matrix-free Element-by-Element (EBE) operator (paper Eqs. 2, 8, 9).
 
-Applies ``sum_e P_e^T (A_e (P_e x))`` without a global matrix:
+Applies ``sum_e P_e^T (A_e (P_e x))`` without a global matrix.  The
+sweep is laid out on **nodes**, not dofs — a C-contiguous ``(3*n_nodes,
+r)`` block *is* ``(n_nodes, 3r)`` and ``(ne, 30, r)`` *is* ``(ne, 10,
+3r)`` — so the index work touches a third of the rows, each three times
+as long:
 
-1. gather  — ``x`` restricted to each element's 30 local dofs;
+1. gather  — row gather of ``x``'s node view by the ``(ne, 10)``
+   connectivity into the element buffer;
 2. apply   — batched dense 30x30 mat-vec against the element matrices;
-3. scatter — accumulate element results back to global dofs
-   (bincount-based; deterministic, no atomics needed on the host).
+3. scatter — one CSR product of the 0/1 node-incidence matrix with the
+   ``(10*ne, 3r)`` element results, straight into ``y``'s node view.
+
+Summation order: every node adds its element contributions from zero in
+ascending element order (incidence rows are a stable sort of the
+connectivity) — deterministic, no atomics; the numba kernel and
+:class:`~repro.sparse.distributed.DistributedEBE` keep the same order.
 
 The fused multi-RHS path applies all ``r`` case vectors inside one
-gather/scatter sweep — the paper's Eq. 9, which reduces the random
-access per case to ``1/r``.  The sweep runs entirely inside
-preallocated per-``r`` workspaces (gather, apply, sorted-scatter
-buffers), so steady-state applications — e.g. every ``pcg``
-iteration of a campaign cell — allocate nothing.
+sweep — the paper's Eq. 9, which cuts the random access per case to
+``1/r`` — within preallocated per-``r`` workspaces, so steady-state
+applications (every ``pcg`` iteration of a campaign cell) allocate
+nothing.
 
 The host execution stores ``A_e`` in memory and runs the sweep through
-the pluggable :class:`~repro.sparse.backend.ArrayBackend` primitives
-(gather / batched apply / segment-sum / scatter); the *modeled* device
-kernel (what the tally is charged with) recomputes element matrices on
-the fly like the paper's OpenACC kernel, per
-:func:`repro.sparse.traffic.ebe_traffic` — identically for every
-backend.
+:class:`~repro.sparse.backend.ArrayBackend` primitives (row gather /
+batched apply / CSR product); the *modeled* device kernel the tally is
+charged with recomputes element matrices on the fly like the paper's
+OpenACC kernel, per :func:`repro.sparse.traffic.ebe_traffic` —
+identically for every backend.
 """
 
 from __future__ import annotations
@@ -37,17 +45,19 @@ __all__ = ["EBEOperator"]
 
 
 class _SweepWorkspace:
-    """Reusable buffers for one fused sweep width ``r``."""
+    """Buffers and the tally charge of one fused sweep width ``r``."""
 
-    __slots__ = ("xe", "ye", "sorted_contrib", "reduced", "y")
+    __slots__ = ("xe", "ye", "y", "x", "charge")
 
-    def __init__(self, ne: int, n: int, n_targets: int, r: int,
-                 backend: ArrayBackend) -> None:
-        self.xe = backend.empty((ne, 30, r))
-        self.ye = backend.empty((ne, 30, r))
-        self.sorted_contrib = backend.empty((ne * 30, r))
-        self.reduced = backend.empty((n_targets, r))
-        self.y = backend.empty((n, r))
+    def __init__(self, op: "EBEOperator", r: int) -> None:
+        bk = op.backend
+        self.xe = bk.empty((op.n_elems, 30, r))
+        self.ye = bk.empty((op.n_elems, 30, r))
+        self.y = bk.empty((op.n, r))
+        self.x = None  # staging for strided operands, made on first use
+        w = ebe_traffic(op.n_elems, op.n_nodes, n_rhs=r,
+                        value_bytes=op.precision.itemsize)
+        self.charge = (f"{op.tag}{r}", w.flops * r, w.bytes * r)
 
 
 class EBEOperator:
@@ -70,8 +80,7 @@ class EBEOperator:
         precision-unaware operator.
     backend : execution engine for the sweep
         (:class:`~repro.sparse.backend.ArrayBackend`, registry name, or
-        ``None`` for the ambient default).  ``numpy`` executes the
-        historical call sequence bit-for-bit; the modeled traffic is
+        ``None`` for the ambient default); the modeled traffic is
         backend-independent.
     """
 
@@ -96,36 +105,26 @@ class EBEOperator:
         self.elems = np.asarray(elems, dtype=np.int64)
         self.n_nodes = int(n_nodes)
         self.tag = tag
-        self._dof = element_dof_ids(self.elems)  # (ne, 30)
-        self._dof_flat = self._dof.ravel()
-        if self._dof.max() >= 3 * n_nodes:
+        if self.elems.max() >= n_nodes:
             raise ValueError("connectivity references nodes beyond n_nodes")
-        if self._dof.min() < 0:
-            # the clip-mode gather/scatter below relies on validated
+        if self.elems.min() < 0:
+            # the clip-mode gather and the CSR scatter rely on validated
             # indices; negatives would silently wrap instead of raising
             raise ValueError("connectivity references negative node ids")
-        # Deterministic scatter plan: stable sort groups the flat
-        # contributions by target dof, segment sums preserve the
-        # original element order within each dof (matching the old
-        # per-column bincount to the bit).
-        order = np.argsort(self._dof_flat, kind="stable")
-        sorted_dofs = self._dof_flat[order]
-        seg_starts = np.flatnonzero(
-            np.r_[True, sorted_dofs[1:] != sorted_dofs[:-1]]
-        )
-        self._scatter_order = order
-        self._scatter_starts = seg_starts
-        self._scatter_targets = sorted_dofs[seg_starts]
+        # Scatter plan, the 0/1 node-incidence matrix in CSR form: row i
+        # lists the flat (element, local node) slots touching node i in
+        # ascending element order (stable sort) — the summation order.
+        slots = self.elems.ravel()
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(slots, minlength=self.n_nodes), out=indptr[1:])
+        self._incidence = (indptr, np.argsort(slots, kind="stable"),
+                           np.ones(slots.size))  # indptr, indices, data
         self._ws: dict[int, _SweepWorkspace] = {}
 
     def _workspace(self, r: int) -> _SweepWorkspace:
         ws = self._ws.get(r)
         if ws is None:
-            ws = _SweepWorkspace(
-                self.n_elems, self.n, self._scatter_targets.size, r,
-                self.backend,
-            )
-            self._ws[r] = ws
+            ws = self._ws[r] = _SweepWorkspace(self, r)
         return ws
 
     @property
@@ -151,10 +150,10 @@ class EBEOperator:
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply to ``(n,)`` or fused ``(n, r)`` vectors.
 
-        ``out`` (block shape ``(n, r)``, C-contiguous) receives the
-        result without allocating; otherwise a fresh copy is returned
-        (the sweep itself still runs in the workspace buffers, so
-        callers may hold several results simultaneously).
+        ``out`` (block shape ``(n, r)``, C-contiguous, else
+        ``ValueError``) receives the result without allocating;
+        otherwise a fresh copy is returned (the sweep itself still runs
+        in the workspace buffers, so callers may hold several results).
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -167,28 +166,30 @@ class EBEOperator:
         Y = ws.y if out is None else out
         if Y.shape != (n, r):
             raise ValueError(f"out must have shape {(n, r)}, got {Y.shape}")
+        if not Y.flags.c_contiguous:  # its node view would be a lost copy
+            raise ValueError("out must be C-contiguous")
         self._sweep(X, Y, ws)
-
-        w = ebe_traffic(self.n_elems, self.n_nodes, n_rhs=r,
-                        value_bytes=self.precision.itemsize)
-        counters.charge(f"{self.tag}{r}", w.flops * r, w.bytes * r)
+        counters.charge(*ws.charge)
         if single:
             return Y[:, 0].copy() if out is None else Y[:, 0]
         return Y.copy() if out is None else Y
 
     def _sweep(self, X: np.ndarray, Y: np.ndarray,
                ws: _SweepWorkspace) -> np.ndarray:
-        """The gather/apply/scatter hot path, pure backend primitives
-        (both index arrays are validated in-range at construction, so
-        the gathers need no bounds re-checks)."""
+        """The gather/apply/scatter hot path on the node views, pure
+        backend primitives (the connectivity is validated in-range at
+        construction, so the gather needs no bounds re-checks)."""
         bk = self.backend
-        bk.gather_rows(X, self._dof, ws.xe)
+        ne, nn, r3 = self.n_elems, self.n_nodes, 3 * X.shape[1]
+        if not X.flags.c_contiguous:  # a strided operand has no node view
+            if ws.x is None:
+                ws.x = bk.empty(X.shape)
+            X = bk.copy(ws.x, X)
+        bk.gather_rows(X.reshape(nn, r3), self.elems, ws.xe.reshape(ne, 10, r3))
         bk.quantize_store(ws.xe, self.precision)  # storage-format gather
         bk.batched_matmul(self.Ae, ws.xe, ws.ye)
-        flat_contrib = ws.ye.reshape(-1, X.shape[1])
-        bk.gather_rows(flat_contrib, self._scatter_order, ws.sorted_contrib)
-        bk.segment_sum(ws.sorted_contrib, self._scatter_starts, ws.reduced)
-        bk.scatter_rows(Y, self._scatter_targets, ws.reduced)
+        bk.spmv_csr(*self._incidence, ws.ye.reshape(10 * ne, r3),
+                    Y.reshape(nn, r3))
         return Y
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -212,7 +213,6 @@ class EBEOperator:
         """Assemble densely (tests only; small meshes)."""
         n = self.n
         A = np.zeros((n, n))
-        for e in range(self.n_elems):
-            d = self._dof[e]
-            A[np.ix_(d, d)] += self.Ae[e]
+        for d, Ae in zip(element_dof_ids(self.elems), self.Ae):
+            A[np.ix_(d, d)] += Ae
         return A

@@ -211,19 +211,23 @@ def test_batched_matmul(bk):
     np.testing.assert_allclose(out, A @ X, rtol=1e-13)
 
 
-def test_segment_sum(bk):
+def test_ebe_sweep_on_engine(bk, tiny_mesh):
+    """The whole node-layout sweep (gather by node, batched apply, CSR
+    incidence scatter, strided-operand staging) through each engine's
+    own primitives — for numba's kernel logic also where the engine is
+    absent — against the reference backend."""
+    from repro.sparse.ebe import EBEOperator
+
     rng = _rng(6)
-    contrib = rng.standard_normal((17, 3))
-    # strictly advancing starts: the EBE scatter plan guarantees
-    # non-empty segments (reduceat's empty-segment quirk never arises)
-    starts = np.array([0, 4, 9, 16])
-    out = np.empty((4, 3))
-    bk.segment_sum(contrib, starts, out)
-    bounds = list(starts) + [17]
-    expect = np.stack([
-        contrib[lo:hi].sum(axis=0) for lo, hi in zip(bounds, bounds[1:])
-    ])
-    np.testing.assert_allclose(out, expect, rtol=1e-13)
+    Ae = rng.standard_normal((tiny_mesh.n_elems, 30, 30))
+    ref = EBEOperator(Ae, tiny_mesh.elems, tiny_mesh.n_nodes, backend="numpy")
+    op = EBEOperator(Ae, tiny_mesh.elems, tiny_mesh.n_nodes, backend=bk)
+    wide = rng.standard_normal((ref.n, 4))
+    for X in (np.ascontiguousarray(wide[:, :2]), wide[:, ::2]):
+        expect = ref.matvec(X)
+        np.testing.assert_allclose(
+            op.matvec(X), expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max()
+        )
 
 
 def test_scatter_rows(bk):

@@ -1,12 +1,15 @@
 """EBE matrix-free operator vs assembled representations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fem.assembly import assemble_bsr
+from repro.fem.assembly import assemble_bsr, element_dof_ids
 from repro.sparse.ebe import EBEOperator
+from repro.sparse.precision import as_precision
 from repro.util.counters import tally_scope
 
 
@@ -54,6 +57,103 @@ def test_to_dense_matches(small_problem):
     np.testing.assert_allclose(dense, ref, atol=1e-10 * np.abs(ref).max())
 
 
+@pytest.mark.parametrize("backend", ["numpy", "numpy-blocked"])
+@pytest.mark.parametrize("precision", ["fp64", "fp32", "fp21"])
+@pytest.mark.parametrize("r", [1, 4, 8])
+def test_sweep_matches_dense(small_problem, rng, r, precision, backend):
+    """The node-layout sweep against the densely assembled operator:
+    element matrices and gathered operand both held at the storage
+    format, the arithmetic in fp64."""
+    op = EBEOperator(small_problem.Ae, small_problem.mesh.elems,
+                     small_problem.n_nodes, precision=precision,
+                     backend=backend)
+    X = rng.standard_normal((op.n, r))
+    expect = op.to_dense() @ as_precision(precision).quantize(X)
+    np.testing.assert_allclose(
+        op.matvec(X), expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max()
+    )
+
+
+def test_summation_order_is_ascending_element_order(ops, rng):
+    """Pin of the scatter's summation order: each node's value is, bit
+    for bit, its element contributions added one by one in ascending
+    element order starting from the first.  The numba kernel and
+    ``DistributedEBE`` keep this order; an unordered (or pairwise)
+    reduction swapped in for the incidence product fails here."""
+    A_ebe, _ = ops
+    X = rng.standard_normal((A_ebe.n, 4))
+    ye = A_ebe.Ae @ X[element_dof_ids(A_ebe.elems)]  # (ne, 30, r)
+    expect = np.zeros((A_ebe.n_nodes, 3, 4))
+    seen = np.zeros(A_ebe.n_nodes, dtype=bool)
+    for e, nodes in enumerate(A_ebe.elems):
+        for a, node in enumerate(nodes):
+            contrib = ye[e, 3 * a:3 * a + 3]
+            if seen[node]:
+                expect[node] += contrib
+            else:
+                expect[node] = contrib
+                seen[node] = True
+    np.testing.assert_array_equal(A_ebe.matvec(X), expect.reshape(A_ebe.n, 4))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    fn()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak
+
+
+def test_repeated_application_is_bit_equal_and_allocation_free(ops, rng):
+    A_ebe, _ = ops
+    X = rng.standard_normal((A_ebe.n, 4))
+    out = np.full_like(X, np.nan)
+    first = A_ebe.matvec(X, out=out).copy()  # also makes the r=4 workspace
+    peak = _traced_peak(lambda: A_ebe.matvec(X, out=out))
+    np.testing.assert_array_equal(out, first)
+    assert peak < 2048, f"warm sweep allocated {peak} bytes"  # views only
+
+
+def test_strided_out_is_rejected(ops, rng):
+    """The result lands in the node view of ``out``; a strided block
+    has none, so it is refused instead of silently left unwritten."""
+    A_ebe, _ = ops
+    X = rng.standard_normal((A_ebe.n, 2))
+    for out in (np.empty((A_ebe.n, 4))[:, ::2], np.empty((2, A_ebe.n)).T):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            A_ebe.matvec(X, out=out)
+
+
+def test_strided_operand_is_staged(ops, rng):
+    """Strided operands (a column of a block, a Fortran block) go
+    through the per-r staging buffer: same bits as a contiguous copy,
+    and nothing allocated once the buffer exists."""
+    A_ebe, _ = ops
+    wide = rng.standard_normal((A_ebe.n, 6))
+    for X in (wide[:, ::2], np.asfortranarray(wide[:, :3]), wide[:, 1]):
+        assert not (X[:, None] if X.ndim == 1 else X).flags.c_contiguous
+        np.testing.assert_array_equal(
+            A_ebe.matvec(X), A_ebe.matvec(np.ascontiguousarray(X))
+        )
+    X, out = wide[:, ::2], np.empty((A_ebe.n, 3))
+    assert _traced_peak(lambda: A_ebe.matvec(X, out=out)) < 2048
+
+
+def test_charge_equals_ebe_traffic_on_every_call(ops):
+    """The tally charge is computed once per fused width; every call
+    must still charge exactly what ``ebe_traffic`` gives."""
+    from repro.sparse.traffic import ebe_traffic
+
+    A_ebe, _ = ops
+    w = ebe_traffic(A_ebe.n_elems, A_ebe.n_nodes, n_rhs=4)
+    with tally_scope() as t:
+        for _ in range(3):
+            A_ebe.matvec(np.zeros((A_ebe.n, 4)))
+    assert t.calls("spmv.ebe4") == 3
+    assert t.total_flops("spmv.ebe4") == 3 * (w.flops * 4)
+    assert t.total_bytes("spmv.ebe4") == 3 * (w.bytes * 4)
+
+
 def test_tags_distinguish_fused_width(ops):
     A_ebe, _ = ops
     with tally_scope() as t:
@@ -91,8 +191,10 @@ def test_operand_validation(ops):
 def test_connectivity_validation(small_mesh):
     bad = np.zeros((1, 30, 30))
     elems = np.array([[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]])
-    with pytest.raises(ValueError):
-        EBEOperator(bad, elems, n_nodes=5)  # nodes beyond n_nodes
+    with pytest.raises(ValueError, match="beyond n_nodes"):
+        EBEOperator(bad, elems, n_nodes=5)
+    with pytest.raises(ValueError, match="negative"):
+        EBEOperator(bad, elems - 1, n_nodes=10)
 
 
 @settings(max_examples=20, deadline=None)
