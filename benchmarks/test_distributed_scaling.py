@@ -11,37 +11,18 @@ Two tables:
 
 import numpy as np
 
-from conftest import bench_forces, format_table, write_table
+from benchmarks.conftest import bench_forces, format_table, write_table
 from repro.campaign.runner import CampaignRunner
 from repro.core.methods import run_method
 from repro.hardware.specs import ALPS_MODULE
-from repro.studies.weakscaling import scaling_cells, scaling_table
+from repro.studies import SWEEP
 
 
 def test_weak_scaling_over_nparts(tmp_path):
-    cells = scaling_cells(
-        parts=(1, 2, 4, 8), mode="weak", base_resolution=(3, 3, 2),
-        steps=8, module="alps",
-    )
-    outcomes = CampaignRunner().run_cells(cells)
-    rows = [
-        [
-            f"{pt.nparts}",
-            f"{pt.n_dofs}",
-            f"{pt.elapsed_per_step:.3e}",
-            f"{pt.halo_per_step:.3e}",
-            f"{pt.efficiency:5.3f}",
-        ]
-        for pt in scaling_table(outcomes)
-    ]
-    write_table(
-        "distributed_weak_scaling",
-        format_table(
-            "Weak scaling of the distributed part-local EBE-MCG solve",
-            ["nparts", "dofs", "t/step/case [s]", "halo/step/case [s]", "eff"],
-            rows,
-        ),
-    )
+    sweep = SWEEP["weakscaling"]
+    cells = sweep.cells(nparts=(1, 2, 4, 8), resolution=(3, 3, 2), steps=8)
+    rows = sweep.rows(CampaignRunner().run_cells(cells))
+    write_table("distributed_weak_scaling", sweep.render(rows))
     assert len(rows) == 4
 
 

@@ -2,10 +2,12 @@
 
 The nightly run of this module is the endurance contract's enforcement
 point: a 10,000-step aftershock-sequence run through the bounded
-ring/spill logs must stay memory-flat (tracemalloc peak within 1.5x of
-the 100-step reference plus constant slack), sustain a steps/sec
-floor, and flush O(1) checkpoint bytes per step (incremental tails
-that do not grow with the step index).
+ring/spill logs must stay memory-flat (tracemalloc peak at most 64 KiB
+above a 1024-step reference run's — growth between two runs that both
+overflow the ring, the slope formulation of
+``tests/core/test_long_runs.py``), sustain a steps/sec floor, and flush
+O(1) checkpoint bytes per step (incremental tails that do not grow
+with the step index).
 
 ``benchmarks/results/BENCH_endurance.json`` records the full profile
 point plus the gate verdicts, so CI trend lines can plot throughput
@@ -24,12 +26,13 @@ from repro.studies.endurance import (
 )
 
 STEPS = 10_000
-REF_STEPS = 100
+REF_STEPS = 1024  # 2 x KEEP: the reference overflows the ring too
 CHECKPOINT_EVERY = 256
 KEEP = 512
 #: bench-size gate floors — tiny mesh, CPU baseline, pure NumPy
 MIN_STEPS_PER_SEC = 50.0
-MAX_PEAK_RATIO = 1.5
+#: ~7 bytes per extra step; measured growth is a few hundred bytes
+MAX_PEAK_GROWTH = 64 * 1024
 MAX_TAIL_SPREAD = 1.5
 
 
@@ -49,7 +52,7 @@ def test_endurance(benchmark, tmp_path):
     )
     gates = endurance_gates(
         point,
-        max_peak_ratio=MAX_PEAK_RATIO,
+        max_growth_bytes=MAX_PEAK_GROWTH,
         min_steps_per_sec=MIN_STEPS_PER_SEC,
         max_tail_spread=MAX_TAIL_SPREAD,
     )
@@ -63,7 +66,7 @@ def test_endurance(benchmark, tmp_path):
     write_table("endurance", report + "\n")
 
     assert point.steps == STEPS and point.n_flushes == STEPS // CHECKPOINT_EVERY
-    # gate 1: 100x the steps must not grow the peak — memory-flat
+    # gate 1: ~10x the steps must not grow the peak — memory-flat
     assert gates["memory_flat"], (point.peak_ref_bytes, point.peak_long_bytes)
     # gate 2: sustained throughput floor
     assert gates["throughput"], point.steps_per_sec

@@ -22,18 +22,13 @@ tracking.
 from __future__ import annotations
 
 import json
-import math
 import time
 
 import numpy as np
 
 from benchmarks.conftest import RESULTS_DIR, write_table
 from repro.campaign.runner import CampaignRunner
-from repro.studies.predictors import (
-    predictor_cells,
-    predictor_table,
-    render_predictor_table,
-)
+from repro.studies import SWEEP
 
 EPS = 1e-8
 STEPS = 24
@@ -46,10 +41,10 @@ S_RANGE = (2, 6)
 
 
 def _run_sweep():
-    cells = predictor_cells(
-        predictors=PREDICTORS,
-        scenarios=SCENARIOS,
-        resolutions=(RESOLUTION,),
+    cells = SWEEP["predictors"].cells(
+        predictor=PREDICTORS,
+        scenario=SCENARIOS,
+        resolution=(RESOLUTION,),
         cases=CASES,
         steps=STEPS,
         eps=EPS,
@@ -60,33 +55,34 @@ def _run_sweep():
     wall = time.perf_counter() - t0
     failed = [o.error for o in outcomes if not o.ok]
     assert not failed, failed
-    return predictor_table(outcomes), outcomes, wall
+    return SWEEP["predictors"].rows(outcomes), outcomes, wall
 
 
 def test_predictor_sweep(benchmark):
-    points, outcomes, wall = benchmark.pedantic(
+    rows, outcomes, wall = benchmark.pedantic(
         _run_sweep, rounds=1, iterations=1
     )
 
-    assert len(points) == len(SCENARIOS) * len(PREDICTORS)
-    rows = {(p.scenario, p.predictor): p for p in points}
+    assert len(rows) == len(SCENARIOS) * len(PREDICTORS)
+    by_cell = {(r["scenario"], r["predictor"]): r for r in rows}
 
-    for p in points:
-        assert np.isfinite(p.iterations_per_step) and p.iterations_per_step > 0
-        assert np.isfinite(p.elapsed_per_step) and p.elapsed_per_step > 0
+    for r in rows:
+        iters, t = r["iterations_per_step"], r["elapsed_per_step_per_case_s"]
+        assert np.isfinite(iters) and iters > 0
+        assert np.isfinite(t) and t > 0
         # history-bearing members earned their full window on a run
         # this long; the relaxation/extrapolation rungs honestly
         # report no history length
-        if p.predictor in ("iqn-ils", "data-driven"):
-            assert p.predictor_s_used == S_RANGE[1]
+        if r["predictor"] in ("iqn-ils", "data-driven"):
+            assert r["predictor_s_used"] == S_RANGE[1]
         else:
-            assert math.isnan(p.predictor_s_used)
+            assert r["predictor_s_used"] is None
 
     # headline acceptance: quasi-Newton correction beats plain AB on
     # the re-bootstrapping scenario (and the cheaper Aitken does too)
-    ab = rows[("aftershocks", "adams-bashforth")].iterations_per_step
-    assert rows[("aftershocks", "iqn-ils")].iterations_per_step < ab
-    assert rows[("aftershocks", "aitken")].iterations_per_step < ab
+    ab = by_cell[("aftershocks", "adams-bashforth")]["iterations_per_step"]
+    assert by_cell[("aftershocks", "iqn-ils")]["iterations_per_step"] < ab
+    assert by_cell[("aftershocks", "aitken")]["iterations_per_step"] < ab
 
     # every zoo member converged to eps on every windowed step
     for o in outcomes:
@@ -96,8 +92,8 @@ def test_predictor_sweep(benchmark):
     res_tag = "x".join(map(str, RESOLUTION))
     write_table(
         "predictor_sweep",
-        render_predictor_table(
-            points,
+        SWEEP["predictors"].render(
+            rows,
             title=(
                 f"predictor zoo (ebe-mcg@cpu-gpu, {res_tag} mesh, "
                 f"{CASES} cases, {STEPS} steps, eps={EPS:g}, "
@@ -115,18 +111,15 @@ def test_predictor_sweep(benchmark):
         "wall_time_s": wall,
         "rows": [
             {
-                "scenario": p.scenario,
-                "predictor": p.predictor,
-                "iterations_per_step": p.iterations_per_step,
-                "iteration_inflation": p.iteration_inflation,
-                "predictor_s_used": (
-                    None if math.isnan(p.predictor_s_used)
-                    else p.predictor_s_used
-                ),
-                "modeled_time_per_step_s": p.elapsed_per_step,
-                "achieved_relres": p.achieved_relres,
+                "scenario": r["scenario"],
+                "predictor": r["predictor"],
+                "iterations_per_step": r["iterations_per_step"],
+                "iteration_inflation": r["iteration_inflation"],
+                "predictor_s_used": r["predictor_s_used"],
+                "modeled_time_per_step_s": r["elapsed_per_step_per_case_s"],
+                "achieved_relres": r["achieved_relres"],
             }
-            for p in points
+            for r in rows
         ],
     }
     (RESULTS_DIR / "BENCH_predictors.json").write_text(

@@ -20,11 +20,7 @@ import pytest
 from benchmarks.conftest import write_table
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import WaveSpec
-from repro.studies.scenarios import (
-    render_scenario_table,
-    scenario_cells,
-    scenario_table,
-)
+from repro.studies import SWEEP
 from repro.workloads.scenario import DEFAULT_SCENARIO, scenario_names
 
 EPS = 1e-8
@@ -36,7 +32,7 @@ WAVE = WaveSpec(name="bench", f0_factor=1.0)
 
 
 def _run_sweep():
-    cells = scenario_cells(
+    cells = SWEEP["scenarios"].cells(
         wave=WAVE,
         resolution=RESOLUTION,
         cases=CASES,
@@ -47,32 +43,32 @@ def _run_sweep():
     outcomes = CampaignRunner().run_cells(cells)
     failed = [o.error for o in outcomes if not o.ok]
     assert not failed, failed
-    return scenario_table(outcomes)
+    return SWEEP["scenarios"].rows(outcomes)
 
 
 def test_scenario_sweep(benchmark):
-    points = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
 
-    assert [p.scenario for p in points] == list(scenario_names())
-    assert len(points) >= 5  # impulse + the four library scenarios
+    assert [r["scenario"] for r in rows] == list(scenario_names())
+    assert len(rows) >= 5  # impulse + the four library scenarios
 
-    for p in points:
+    for r in rows:
         # converged: the windowed worst residual respects eps
-        assert 0.0 < p.achieved_relres <= EPS, p
-        assert np.isfinite(p.elapsed_per_step)
-        assert p.iterations_per_step > 0
-        assert p.predictor_s_used >= 2  # the adaptive controller engaged
+        assert 0.0 < r["achieved_relres"] <= EPS, r
+        assert np.isfinite(r["elapsed_per_step_per_case_s"])
+        assert r["iterations_per_step"] > 0
+        assert r["predictor_s_used"] >= 2  # the adaptive controller engaged
 
-    by_name = {p.scenario: p for p in points}
+    by_name = {r["scenario"]: r for r in rows}
     anchor = by_name[DEFAULT_SCENARIO]
-    assert anchor.iteration_inflation == pytest.approx(1.0)
+    assert anchor["iteration_inflation"] == pytest.approx(1.0)
     # the axis is physics, not labeling: difficulty genuinely varies
-    assert len({round(p.iterations_per_step, 3) for p in points}) > 1
+    assert len({round(r["iterations_per_step"], 3) for r in rows}) > 1
 
     write_table(
         "scenario_sweep",
-        render_scenario_table(
-            points,
+        SWEEP["scenarios"].render(
+            rows,
             title=(
                 f"cross-scenario difficulty (ebe-mcg@cpu-gpu, "
                 f"{RESOLUTION[0]}x{RESOLUTION[1]}x{RESOLUTION[2]} mesh, "

@@ -22,7 +22,7 @@ from repro.sparse.cg import pcg
 from repro.sparse.ebe import EBEOperator
 from repro.sparse.precision import PRECISIONS
 from repro.sparse.precond import BlockJacobi
-from repro.studies.transprecision import modeled_solver_bytes_per_iteration
+from repro.sparse.traffic import modeled_solver_bytes_per_iteration
 from repro.util.counters import tally_scope
 
 PAPER_NODES = 15_509_903

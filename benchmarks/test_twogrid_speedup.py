@@ -25,11 +25,7 @@ import numpy as np
 from benchmarks.conftest import RESULTS_DIR, write_table
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import WaveSpec
-from repro.studies.twogrid import (
-    render_twogrid_table,
-    twogrid_cells,
-    twogrid_table,
-)
+from repro.studies import SWEEP
 
 EPS = 1e-8
 STEPS = 16
@@ -43,9 +39,9 @@ MIN_REDUCTION = 2.0
 
 
 def _run_sweep():
-    cells = twogrid_cells(
-        scenarios=SCENARIOS,
-        resolutions=(RESOLUTION,),
+    cells = SWEEP["twogrid"].cells(
+        scenario=SCENARIOS,
+        resolution=(RESOLUTION,),
         wave=WAVE,
         cases=CASES,
         steps=STEPS,
@@ -57,27 +53,33 @@ def _run_sweep():
     wall = time.perf_counter() - t0
     failed = [o.error for o in outcomes if not o.ok]
     assert not failed, failed
-    return twogrid_table(outcomes), outcomes, wall
+    return SWEEP["twogrid"].rows(outcomes), outcomes, wall
 
 
 def test_twogrid_speedup(benchmark):
-    points, outcomes, wall = benchmark.pedantic(
+    rows, outcomes, wall = benchmark.pedantic(
         _run_sweep, rounds=1, iterations=1
     )
 
-    assert len(points) == len(SCENARIOS)
-    assert points[0].scenario == "soft-soil"  # the anchor leads
+    # long form: each scenario's block-Jacobi row, then its two-grid row
+    assert [(r["scenario"], r["precond"]) for r in rows] == [
+        (scen, precond) for scen in SCENARIOS for precond in ("bj", "twogrid")
+    ]
+    assert rows[0]["scenario"] == "soft-soil"  # the anchor leads
+    pairs = list(zip(rows[0::2], rows[1::2]))
 
-    for p in points:
-        assert np.isfinite(p.time_bj) and np.isfinite(p.time_twogrid)
-        assert p.iters_bj > 0 and p.iters_twogrid > 0
+    for bj, tg in pairs:
+        assert bj["iteration_reduction"] == bj["modeled_speedup"] == 1.0
+        for r in (bj, tg):
+            assert np.isfinite(r["elapsed_per_step_per_case_s"])
+            assert r["iterations_per_step"] > 0
         # the cycle never makes iteration counts worse
-        assert p.iteration_reduction > 1.0, p
+        assert tg["iteration_reduction"] > 1.0, tg
 
     # headline acceptance: >= 2x fewer CG iterations on soft-soil at
     # the finest tier-1 resolution
-    anchor = points[0]
-    assert anchor.iteration_reduction >= MIN_REDUCTION, anchor
+    anchor = pairs[0][1]
+    assert anchor["iteration_reduction"] >= MIN_REDUCTION, anchor
 
     # both families converged to eps on every windowed step
     for o in outcomes:
@@ -87,8 +89,8 @@ def test_twogrid_speedup(benchmark):
     res_tag = "x".join(map(str, RESOLUTION))
     write_table(
         "twogrid_speedup",
-        render_twogrid_table(
-            points,
+        SWEEP["twogrid"].render(
+            rows,
             title=(
                 f"two-grid vs block-Jacobi (ebe-mcg@cpu-gpu, {res_tag} "
                 f"mesh, {CASES} cases, {STEPS} steps, eps={EPS:g})"
@@ -104,15 +106,15 @@ def test_twogrid_speedup(benchmark):
         "wall_time_s": wall,
         "rows": [
             {
-                "scenario": p.scenario,
-                "iters_per_step_bj": p.iters_bj,
-                "iters_per_step_twogrid": p.iters_twogrid,
-                "iteration_reduction": p.iteration_reduction,
-                "modeled_time_per_step_bj_s": p.time_bj,
-                "modeled_time_per_step_twogrid_s": p.time_twogrid,
-                "modeled_speedup": p.modeled_speedup,
+                "scenario": tg["scenario"],
+                "iters_per_step_bj": bj["iterations_per_step"],
+                "iters_per_step_twogrid": tg["iterations_per_step"],
+                "iteration_reduction": tg["iteration_reduction"],
+                "modeled_time_per_step_bj_s": bj["elapsed_per_step_per_case_s"],
+                "modeled_time_per_step_twogrid_s": tg["elapsed_per_step_per_case_s"],
+                "modeled_speedup": tg["modeled_speedup"],
             }
-            for p in points
+            for bj, tg in pairs
         ],
     }
     (RESULTS_DIR / "BENCH_twogrid.json").write_text(json.dumps(doc, indent=1))

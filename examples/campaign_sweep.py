@@ -42,15 +42,7 @@ from repro.campaign import (
     ResultStore,
     default_waves,
 )
-from repro.studies.scenarios import (
-    render_scenario_table,
-    scenario_cells,
-    scenario_table,
-)
-from repro.studies.weakscaling import (
-    scaling_cells,
-    scaling_table,
-)
+from repro.studies import SWEEP
 
 
 def main() -> None:
@@ -82,19 +74,12 @@ def main() -> None:
     # Each part count is one cached campaign cell; the solver runs
     # part-locally (halo exchange every CG iteration) and the timeline
     # charges the bottleneck part's compute plus nic-lane comm.
-    cells = scaling_cells(
-        parts=(1, 2, 4), mode="weak", base_resolution=(2, 2, 1),
-        steps=6, module="alps",
-    )
+    weak = SWEEP["weakscaling"]
     outcomes = CampaignRunner(
         store=ResultStore("campaign-results/example-scaling")
-    ).run_cells(cells)
-    print("\nweak scaling over the distributed part-local solver:")
-    for pt in scaling_table(outcomes):
-        print(f"  nparts={pt.nparts:<3d} dofs={pt.n_dofs:<7d} "
-              f"t/step {pt.elapsed_per_step:.3e} s  "
-              f"halo {pt.halo_per_step:.3e} s  "
-              f"efficiency {pt.efficiency:5.3f}")
+    ).run_cells(weak.cells(nparts=(1, 2, 4), steps=6))
+    print()
+    print(weak.render(weak.rows(outcomes)))
 
     # -- workload axis: how hard is each registered scenario? ---------
     # One cached cell per scenario (same model/wave/method/seed, so
@@ -103,14 +88,15 @@ def main() -> None:
     # second aftershock — and its predictor re-bootstrap — in-window.
     from repro.campaign import WaveSpec
 
+    scenarios = SWEEP["scenarios"]
     sc_outcomes = CampaignRunner(
         store=ResultStore("campaign-results/example-scenarios")
     ).run_cells(
-        scenario_cells(wave=WaveSpec(name="w0", f0_factor=1.0),
-                       resolution=(3, 3, 2), steps=18, s_range=(2, 8))
+        scenarios.cells(wave=WaveSpec(name="w0", f0_factor=1.0),
+                        resolution=(3, 3, 2), steps=18)
     )
     print()
-    print(render_scenario_table(scenario_table(sc_outcomes)))
+    print(scenarios.render(scenarios.rows(sc_outcomes)))
 
 
 if __name__ == "__main__":

@@ -123,9 +123,9 @@ def method_cell_params(
     """Canonical ``(params, label)`` of one ``"method"`` campaign cell.
 
     The single owner of the method-cell schema: grid expansion
-    (:meth:`CampaignSpec.cells`) and the scaling/transprecision/
-    scenario/twogrid/predictor studies (:mod:`repro.studies`) all build
-    their cells here, so equivalent work always produces the same
+    (:meth:`CampaignSpec.cells`) and every row of the study table
+    (:meth:`repro.studies.sweeps.Sweep.cells`) build their cells here
+    and nowhere else, so equivalent work always produces the same
     content hash.  ``axes`` holds one value per
     :data:`~repro.campaign.axes.AXES` key (omitted = default); each
     enters the params, the hash and the label only at a non-default

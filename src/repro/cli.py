@@ -27,16 +27,16 @@ Commands
     campaign engine, and print aggregated summary tables.
 ``twogrid``
     Compare the geometric two-grid preconditioner against block-Jacobi
-    (paired campaign cells per scenario x resolution; iteration
-    reduction and modeled speedup, anchored on soft-soil).
+    (one campaign cell per scenario x resolution x family; iteration
+    reduction and modeled speedup against the block-Jacobi row).
 ``predictorzoo``
     Sweep the initial-guess predictor zoo across scenarios (one
     campaign cell per scenario x resolution x predictor; iterations
     per step and earned history, anchored on data-driven).
 ``endurance``
     Profile a long streaming run through the bounded ring/spill logs:
-    throughput, short-vs-long memory peaks, checkpoint bytes per
-    flush, and the nightly pass/fail gates.
+    throughput, peak-memory growth between two long runs, checkpoint
+    bytes per flush, and the nightly pass/fail gates.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     end.set_defaults(resolution="2,2,1")
     end.add_argument("--steps", type=int, default=10_000,
                      help="long-run length in time steps")
-    end.add_argument("--ref-steps", type=int, default=100,
-                     help="short reference run the memory gate compares "
-                          "against")
+    end.add_argument("--ref-steps", type=int, default=1024,
+                     help="reference run the memory gate compares "
+                          "against (must overflow the ring: > --keep)")
     end.add_argument("--method", default="crs-cg@cpu",
                      help="driver to profile (default: the CPU baseline)")
     end.add_argument("--checkpoint-every", type=int, default=256,
@@ -444,25 +444,26 @@ def _cmd_campaign(args) -> int:
     return 1 if report.n_failed else 0
 
 
-def _run_study(args, what: str, build_cells, table, render, **extra) -> int:
-    """Shared body of the study commands: build the study's cells from
+def _run_study(args, sweep, **grid) -> int:
+    """Shared body of the study commands: build the sweep's cells from
     the common flags, run them through the campaign engine, print the
-    study's table."""
+    sweep's table."""
     from repro.campaign import CampaignRunner, ResultStore
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
+    what = sweep.label
     try:
-        cells = build_cells(
-            scenarios=tuple(args.scenarios.split(",")),
-            resolutions=_resolutions(args.resolutions),
+        cells = sweep.cells(
+            scenario=tuple(args.scenarios.split(",")),
+            resolution=_resolutions(args.resolutions),
             model=args.model,
             cases=args.cases,
             steps=args.steps,
             method=args.method,
             module=args.module,
             seed=args.seed,
-            **extra,
+            **grid,
         )
     except ValueError as exc:
         raise SystemExit(f"bad {what} study grid: {exc}") from exc
@@ -471,34 +472,32 @@ def _run_study(args, what: str, build_cells, table, render, **extra) -> int:
     for o in outcomes:
         if not o.ok:
             print(f"FAILED {o.cell.label}: {o.error}")
-    points = table(outcomes)
-    if not points:
+    rows = sweep.rows(outcomes)
+    if not rows:
         raise SystemExit(f"no complete {what} study row succeeded")
+    for row in rows:  # a fallback anchor is never silent
+        if row[sweep.along] == row["anchor"] != sweep.anchor:
+            print(f"ANCHOR {sweep.anchor} missing in {row['group']}: "
+                  f"ratios are against {row['anchor']}")
     print()
-    print(render(points))
+    print(sweep.render(rows))
     if store is not None:
         print(f"store -> {store.root}")
     return 0 if all(o.ok for o in outcomes) else 1
 
 
 def _cmd_twogrid(args) -> int:
-    from repro.studies import twogrid as study
+    from repro.studies import SWEEP
 
-    return _run_study(
-        args, "twogrid", study.twogrid_cells, study.twogrid_table,
-        study.render_twogrid_table,
-    )
+    return _run_study(args, SWEEP["twogrid"])
 
 
 def _cmd_predictorzoo(args) -> int:
-    from repro.studies import predictors as study
+    from repro.studies import SWEEP
 
     return _run_study(
-        args, "predictor", study.predictor_cells, study.predictor_table,
-        study.render_predictor_table,
-        predictors=(
-            tuple(args.predictors.split(",")) if args.predictors else None
-        ),
+        args, SWEEP["predictors"],
+        predictor=tuple(args.predictors.split(",")) if args.predictors else None,
     )
 
 

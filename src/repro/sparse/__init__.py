@@ -43,7 +43,12 @@ from repro.sparse.distributed import (
     part_block_jacobi,
 )
 from repro.sparse.ebe import EBEOperator
-from repro.sparse.traffic import crs_traffic, ebe_traffic, vector_traffic
+from repro.sparse.traffic import (
+    crs_traffic,
+    ebe_traffic,
+    modeled_solver_bytes_per_iteration,
+    vector_traffic,
+)
 
 __all__ = [
     "ArrayBackend",
@@ -72,4 +77,5 @@ __all__ = [
     "crs_traffic",
     "ebe_traffic",
     "vector_traffic",
+    "modeled_solver_bytes_per_iteration",
 ]

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.precision import Precision, as_precision
-from repro.sparse.traffic import vector_traffic
+from repro.sparse.traffic import cg_vector_traffic
 from repro.util import counters
 
 __all__ = ["CGResult", "PCGWorkspace", "pcg"]
@@ -170,15 +170,9 @@ def _guarded_divide(num: np.ndarray, den: np.ndarray, out: np.ndarray,
 
 
 def _charge_vec_iter(n: int, r: int, prec: Precision) -> None:
-    """Modeled per-iteration vector traffic (backend-independent).
-
-    13 streams/entry per iteration: the 11 on the r/z/p/q side move
-    storage-precision words, the solution x (one read + one write)
-    stays fp64 — the same split estimate_memory footprints."""
-    w = vector_traffic(n, n_reads=9, n_writes=2, flops_per_entry=12.0,
-                       value_bytes=prec.itemsize)
-    x_bytes = 8.0 * n * 2
-    counters.charge("cg.vec", w.flops * r, (w.bytes + x_bytes) * r)
+    """Modeled per-iteration vector traffic (backend-independent)."""
+    w = cg_vector_traffic(n, prec.itemsize)
+    counters.charge("cg.vec", w.flops * r, w.bytes * r)
 
 
 def pcg(

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.precision import Precision, as_precision
-from repro.sparse.traffic import vector_traffic
+from repro.sparse.traffic import block_jacobi_traffic
 from repro.util import counters
 
 __all__ = ["BlockJacobi", "PRECONDITIONERS", "DEFAULT_PRECONDITIONER"]
@@ -81,8 +81,7 @@ class BlockJacobi:
         R = r[:, None] if single else r
         nb = self._inv.shape[0]
         n_rhs = R.shape[1]
-        w = vector_traffic(self.n, n_reads=2, n_writes=1, flops_per_entry=6.0,
-                           value_bytes=self.precision.itemsize)
+        w = block_jacobi_traffic(self.n, self.precision.itemsize)
         counters.charge(self.tag, w.flops * n_rhs, w.bytes * n_rhs)
         if (
             out is not None

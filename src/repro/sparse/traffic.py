@@ -35,7 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.sparse.precision import Precision, as_precision
+
 __all__ = ["KernelWork", "crs_traffic", "ebe_traffic", "vector_traffic",
+           "cg_vector_traffic", "block_jacobi_traffic",
+           "modeled_solver_bytes_per_iteration",
            "transfer_traffic", "coarse_solve_traffic",
            "EBE_CONSTRUCTION_FLOPS"]
 
@@ -155,4 +159,45 @@ def vector_traffic(
     return KernelWork(
         flops=flops_per_entry * n,
         bytes=value_bytes * n * (n_reads + n_writes),
+    )
+
+
+def cg_vector_traffic(n: int, value_bytes: float = 8.0) -> KernelWork:
+    """Per-case vector work of one PCG iteration: 13 streams per entry.
+    The 11 on the r/z/p/q side move ``value_bytes`` words; the solution
+    x (one read + one write) stays fp64 under every storage policy —
+    the same split ``estimate_memory`` footprints."""
+    w = vector_traffic(n, n_reads=9, n_writes=2, flops_per_entry=12.0,
+                       value_bytes=value_bytes)
+    return KernelWork(flops=w.flops, bytes=w.bytes + 8.0 * n * 2)
+
+
+def block_jacobi_traffic(n: int, value_bytes: float = 8.0) -> KernelWork:
+    """Per-case work of one block-Jacobi application: the inverted 3x3
+    blocks and the residual stream in, the preconditioned vector out."""
+    return vector_traffic(n, n_reads=2, n_writes=1, flops_per_entry=6.0,
+                          value_bytes=value_bytes)
+
+
+def modeled_solver_bytes_per_iteration(
+    n_elems: int,
+    n_nodes: int,
+    n_rhs: int,
+    precision: Precision | str | None = None,
+) -> float:
+    """Modeled main-memory bytes one fused EBE-MCG CG iteration moves
+    *per case*: one EBE sweep (Eq. 9), one block-Jacobi application and
+    the CG vector updates, all streaming at the policy's itemsize.
+
+    Built from the same three charges the executed solve tallies, so
+    the transprecision benchmark's paper-size table (FP21 must land at
+    <= 0.55x of fp64, the "traffic nearly halved" claim) cannot drift
+    from what an iteration is charged.
+    """
+    width = as_precision(precision).itemsize
+    n = 3 * n_nodes
+    return (
+        ebe_traffic(n_elems, n_nodes, n_rhs=n_rhs, value_bytes=width).bytes
+        + block_jacobi_traffic(n, width).bytes
+        + cg_vector_traffic(n, width).bytes
     )

@@ -1,5 +1,52 @@
 """Design studies on top of the core library.
 
+**The method-cell studies are one table.**  "Solve the same problem
+many times — along which dimension?" is a row of
+:data:`~repro.studies.sweeps.SWEEPS`: the swept
+:func:`~repro.campaign.spec.method_cell_params` keywords and their
+registry defaults, the key rows are compared *along* and its anchor
+value, and the printed columns (plain metrics or ratios against the
+anchor row).  ``SWEEP[name].cells(...)`` emits ordinary cached
+``"method"`` campaign cells, ``.rows(outcomes)`` reduces them and
+``.render(rows)`` prints them:
+
+============== ========================================================
+scenarios      every registered workload vs the ``impulse`` anchor
+               (iterations/step, earned predictor history, residual)
+transprecision FP64/FP32/FP21 storage vs ``fp64`` (residual, iteration
+               inflation, modeled speedup)
+weakscaling    part counts on an x-y tiled mesh, constant size per part
+               (the paper's Fig. 5 protocol; parallel efficiency)
+strongscaling  part counts on one fixed mesh (efficiency of ``p * t``)
+twogrid        block-Jacobi vs the geometric two-grid cycle per
+               scenario x resolution (iteration reduction, modeled
+               speedup), soft-soil listed first
+predictors     the initial-guess predictor zoo per scenario x
+               resolution vs ``data-driven`` (iteration inflation,
+               earned history)
+============== ========================================================
+
+Adding a study is adding a row — no cell builder, row class, reduction
+or renderer.  The ROADMAP's predictor accounting ("is the data-driven
+guess worth its history?") would read::
+
+    Sweep(
+        name="accounting", label="accounting",
+        title="data-driven vs Adams-Bashforth by history cap",
+        swept=("scenario", "s_max", "predictor"),
+        values={"scenario": lambda: ("impulse", "aftershocks"),
+                "s_max": lambda: (4, 8, 16, 32),
+                "predictor": lambda: ("adams-bashforth", "data-driven")},
+        along="predictor", anchor="adams-bashforth",
+        columns=(Column("scenario", "scenario"), Column("s_max", "s_max"),
+                 Column("predictor", "predictor"),
+                 Column("iterations_per_step", "iters/step", ".1f"),
+                 Column("vs_ab", "iters / AB", ".2f",
+                        ratio=("iterations_per_step", "row/anchor"))),
+    )
+
+The other studies run their own executors and keep their own modules:
+
 * :mod:`~repro.studies.sensitivity` — the paper's stated future work
   (§4): "understand sensitivities to the relevant architectural
   features, e.g., CPU memory, CPU-GPU bandwidth, and GPU throughput".
@@ -8,29 +55,12 @@
 * :mod:`~repro.studies.ablation` — predictor design ablations: what
   each ingredient (Adams-Bashforth base, MGS correction, force input,
   subdomain split, history length) buys in solver iterations.
-* :mod:`~repro.studies.weakscaling` — weak/strong-scaling sweeps over
-  the distributed part-local solver, one campaign cell per part count.
-* :mod:`~repro.studies.transprecision` — accuracy-vs-speed sweeps over
-  the FP64/FP32/FP21 storage policies, one campaign cell per
-  precision (achieved residual, iteration inflation, modeled speedup).
-* :mod:`~repro.studies.scenarios` — cross-scenario difficulty sweeps
-  over the registered workload library, one campaign cell per
-  scenario (iterations/step, earned predictor history, achieved
-  residual, inflation vs the impulse anchor).
-* :mod:`~repro.studies.twogrid` — preconditioner comparison: paired
-  block-Jacobi vs geometric two-grid cells per scenario x resolution
-  (iteration reduction and modeled time, anchored on soft-soil).
-* :mod:`~repro.studies.predictors` — initial-guess predictor zoo
-  sweep over the registered accelerators (constant/linear ladder,
-  Adams-Bashforth, Aitken, IQN-ILS, data-driven), one campaign cell
-  per scenario x predictor (iterations/step, earned history,
-  inflation vs the data-driven anchor).
 * :mod:`~repro.studies.endurance` — memory- and I/O-flatness profile
   of one long scenario run through the bounded ring/spill logs
-  (throughput, short-vs-long tracemalloc peaks, checkpoint bytes per
+  (throughput, peak growth between two long runs, checkpoint bytes per
   flush), with the pass/fail gates the nightly benchmark enforces.
 
-Both sweeps are also expressible as *campaigns* (see
+The first two are also expressible as *campaigns* (see
 :mod:`repro.campaign`): ``ablation_cells`` / ``sensitivity_cells``
 emit the same work as content-hashed cells that the shared
 ``CampaignRunner`` caches and parallelizes.
@@ -52,35 +82,7 @@ from repro.studies.ablation import (
     run_ablation_campaign,
     run_predictor_ablation,
 )
-from repro.studies.weakscaling import (
-    ScalingPoint,
-    scaling_cells,
-    scaling_table,
-)
-from repro.studies.transprecision import (
-    TransprecisionPoint,
-    modeled_solver_bytes_per_iteration,
-    transprecision_cells,
-    transprecision_table,
-)
-from repro.studies.scenarios import (
-    ScenarioPoint,
-    render_scenario_table,
-    scenario_cells,
-    scenario_table,
-)
-from repro.studies.twogrid import (
-    TwoGridPoint,
-    render_twogrid_table,
-    twogrid_cells,
-    twogrid_table,
-)
-from repro.studies.predictors import (
-    PredictorPoint,
-    predictor_cells,
-    predictor_table,
-    render_predictor_table,
-)
+from repro.studies.sweeps import SWEEP, SWEEPS, Column, Sweep
 from repro.studies.endurance import (
     EndurancePoint,
     endurance_gates,
@@ -101,25 +103,10 @@ __all__ = [
     "run_predictor_ablation",
     "ablation_cells",
     "run_ablation_campaign",
-    "ScalingPoint",
-    "scaling_cells",
-    "scaling_table",
-    "TransprecisionPoint",
-    "transprecision_cells",
-    "transprecision_table",
-    "modeled_solver_bytes_per_iteration",
-    "ScenarioPoint",
-    "scenario_cells",
-    "scenario_table",
-    "render_scenario_table",
-    "TwoGridPoint",
-    "twogrid_cells",
-    "twogrid_table",
-    "render_twogrid_table",
-    "PredictorPoint",
-    "predictor_cells",
-    "predictor_table",
-    "render_predictor_table",
+    "Column",
+    "Sweep",
+    "SWEEPS",
+    "SWEEP",
     "EndurancePoint",
     "run_endurance",
     "endurance_gates",

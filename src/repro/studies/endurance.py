@@ -7,14 +7,14 @@ replace the in-memory record/waveform lists
 (O(1) bytes per step), and silent source steps cost a memset.  This
 study measures all three on one long scenario run:
 
-* :func:`run_endurance` executes a short *reference* run and a long
-  run of the same cell under ``tracemalloc``, through a
-  :class:`~repro.io.spill.RecordLog` (and optionally a
-  :class:`~repro.io.spill.WaveLog`), collecting throughput, the peak
-  traced memory of both runs, and the byte size of every checkpoint
-  flush.
+* :func:`run_endurance` executes a *reference* run and a much longer
+  run of the same cell under ``tracemalloc`` — both long enough to
+  overflow the ring — through a :class:`~repro.io.spill.RecordLog`
+  (and optionally a :class:`~repro.io.spill.WaveLog`), collecting
+  throughput, the peak traced memory of both runs, and the byte size
+  of every checkpoint flush.
 * :func:`endurance_gates` reduces a point to the pass/fail gates the
-  nightly benchmark enforces (peak ratio, checkpoint flatness).
+  nightly benchmark enforces (peak growth, checkpoint flatness).
 * :func:`render_endurance_report` prints the human-readable summary
   (also consumed by ``benchmarks/test_endurance.py``, which persists
   the document as ``BENCH_endurance.json``).
@@ -50,7 +50,7 @@ class EndurancePoint:
     steps_per_sec: float
     peak_ref_bytes: int
     peak_long_bytes: int
-    peak_ratio: float  # long / ref — ~1.0 when memory-flat
+    peak_growth_bytes: int  # long - ref — ~0 when memory-flat
     checkpoint_every: int
     n_flushes: int
     first_flush_bytes: int  # the full head document
@@ -67,7 +67,7 @@ def run_endurance(
     model: str = "stratified",
     resolution: tuple[int, int, int] = (2, 2, 1),
     steps: int = 10_000,
-    ref_steps: int = 100,
+    ref_steps: int = 1024,
     method: str = "crs-cg@cpu",
     s_range: tuple[int, int] = (2, 4),
     seed: int = 0,
@@ -80,11 +80,14 @@ def run_endurance(
 
     Three measured passes through bounded logs, after a warm-up:
 
-    1. ``ref_steps`` under ``tracemalloc`` — the short-run peak.
+    1. ``ref_steps`` under ``tracemalloc`` — the reference peak.
     2. ``steps`` under ``tracemalloc`` — the long-run peak.  Neither
        peak pass checkpoints: the flush-size measurement itself
        allocates an O(tail) document copy that would contaminate the
        comparison (and the tier-1 flatness test draws the same line).
+       Both must overflow the ring (``ref_steps > keep``): against a
+       reference that never filled it, the difference measures the
+       ring filling up, not a leak.
     3. ``steps`` again with ``checkpoint_every`` flushes, timed — the
        throughput number and the byte size of every flush.
 
@@ -102,6 +105,11 @@ def run_endurance(
 
     if keep <= checkpoint_every:
         raise ValueError("keep must exceed checkpoint_every")
+    if not keep < ref_steps < steps:
+        raise ValueError(
+            "need keep < ref_steps < steps: both measured runs must "
+            "overflow the ring"
+        )
     scen = scenario_by_name(scenario)()
     problem = scen.build_problem(model, tuple(resolution))
     n_cases = 1 if method in ("crs-cg@cpu", "crs-cg@gpu") else 2
@@ -169,7 +177,7 @@ def run_endurance(
         steps_per_sec=float(steps / elapsed) if elapsed > 0 else 0.0,
         peak_ref_bytes=int(peak_ref),
         peak_long_bytes=int(peak_long),
-        peak_ratio=float(peak_long / peak_ref) if peak_ref else 0.0,
+        peak_growth_bytes=int(peak_long - peak_ref),
         checkpoint_every=int(checkpoint_every),
         n_flushes=len(flush_sizes),
         first_flush_bytes=int(flush_sizes[0]) if flush_sizes else 0,
@@ -181,27 +189,26 @@ def run_endurance(
 
 def endurance_gates(
     point: EndurancePoint,
-    max_peak_ratio: float = 1.5,
-    slack_bytes: int = 256 * 1024,
+    max_growth_bytes: int = 64 * 1024,
     min_steps_per_sec: float = 50.0,
     max_tail_spread: float = 1.5,
 ) -> dict[str, bool]:
     """The nightly gates, as named booleans.
 
-    * ``memory_flat`` — the long run's tracemalloc peak stays within
-      ``max_peak_ratio`` of the reference run's plus ``slack_bytes``.
-      The additive slack absorbs run-length-independent transients
-      (allocator noise, the checkpoint document and its JSON
-      serialization — O(tail), not O(steps)); what the gate rejects is
-      a peak that *scales* with the step count.
+    * ``memory_flat`` — the long run's tracemalloc peak exceeds the
+      reference run's by at most ``max_growth_bytes``.  Growth between
+      two runs that both overflowed the ring, under an absolute bound:
+      a constant offset (the full ring, workspaces) cancels, so a
+      per-step leak cannot hide behind it, and there is no slack for
+      one to hide in.  Measured growth over ~9000 extra steps is a few
+      hundred bytes; one retained float per step would be 70 KB.
     * ``throughput`` — the run sustains ``min_steps_per_sec``.
     * ``checkpoint_flat`` — incremental flushes stay within
       ``max_tail_spread`` of each other: bytes per flush do not grow
       with the step index (the O(n²/k) regression).
     """
     return {
-        "memory_flat": point.peak_long_bytes
-        <= max_peak_ratio * point.peak_ref_bytes + slack_bytes,
+        "memory_flat": point.peak_growth_bytes <= max_growth_bytes,
         "throughput": point.steps_per_sec >= min_steps_per_sec,
         "checkpoint_flat": (
             point.n_flushes < 3
@@ -220,7 +227,7 @@ def render_endurance_report(point: EndurancePoint) -> str:
         f"({point.elapsed_s:.2f} s total)",
         f"  peak memory     {point.peak_long_bytes / mib:10.2f} MiB long "
         f"vs {point.peak_ref_bytes / mib:.2f} MiB @ {point.ref_steps} steps "
-        f"(ratio {point.peak_ratio:.2f})",
+        f"(growth {point.peak_growth_bytes:+d} B)",
         f"  checkpoints     {point.n_flushes} flushes every "
         f"{point.checkpoint_every} steps: head {point.first_flush_bytes} B, "
         f"tails mean {point.mean_tail_bytes:.0f} B / max "

@@ -12,10 +12,18 @@ modules, outside the table module itself,
   ``AXIS[key].of(params)`` / ``axis_values(params)``;
 * no ``DEFAULT_* = "<literal>"`` assignment — import the owning
   registry's constant.
+
+The method-cell studies have one owner too: under ``studies/`` only the
+study table (``sweeps.py``) may call ``method_cell_params`` or define a
+``*_cells`` / ``*_table`` / ``render_*_table`` function whose module
+builds ``kind="method"`` cells — a new study is a ``Sweep`` row, not a
+tenth hand-written module.  (``ablation`` / ``sensitivity`` register
+their own executors and keep their own ``*_cells``.)
 """
 
 import ast
 import pathlib
+import re
 
 import repro
 from repro.campaign.axes import AXIS
@@ -59,9 +67,47 @@ def _violations(path: pathlib.Path) -> list[str]:
     return bad
 
 
+STUDY_TABLE = SRC / "studies" / "sweeps.py"
+_STUDY_FUNCTION = re.compile(r"_(cells|table)$")  # render_*_table included
+
+
+def _study_violations(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    nodes = list(ast.walk(tree))
+    bad = [
+        f"{path.name}:{n.lineno}: calls method_cell_params"
+        for n in nodes
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "id", getattr(n.func, "attr", None))
+        == "method_cell_params"
+    ]
+    builds_method_cells = any(
+        isinstance(n, ast.keyword) and n.arg == "kind"
+        and isinstance(n.value, ast.Constant) and n.value.value == "method"
+        for n in nodes
+    )
+    if builds_method_cells:
+        bad += [
+            f"{path.name}:{n.lineno}: def {n.name} beside kind=\"method\" cells"
+            for n in nodes
+            if isinstance(n, ast.FunctionDef) and _STUDY_FUNCTION.search(n.name)
+        ]
+    return bad
+
+
+def test_method_cell_studies_live_in_the_table_only():
+    others = sorted(set((SRC / "studies").glob("*.py")) - {STUDY_TABLE})
+    assert STUDY_TABLE.exists() and others
+    bad = [v for path in others for v in _study_violations(path)]
+    assert not bad, (
+        "method-cell study written out by hand; add a Sweep row to "
+        "studies/sweeps.py instead:\n" + "\n".join(bad)
+    )
+
+
 def test_guarded_modules_exist():
     assert TABLE_MODULE.exists()
-    assert len(GUARDED) > 15 and all(p.exists() for p in GUARDED)
+    assert len(GUARDED) > 10 and all(p.exists() for p in GUARDED)
 
 
 def test_no_axis_default_is_spelled_outside_the_table():
@@ -78,3 +124,20 @@ def test_lint_catches_the_patterns(tmp_path):
         'z = params.get("model")\n'
     )
     assert len(_violations(sample)) == 3
+
+    study = tmp_path / "study.py"
+    study.write_text(
+        'def widget_cells():\n'
+        '    params, label = method_cell_params("m", w, "x", (2, 2, 1))\n'
+        '    return [CampaignCell(kind="method", params=params)]\n'
+        'def widget_table(outcomes): ...\n'
+        'def render_widget_table(points): ...\n'
+        'def helper(): ...\n'
+    )
+    assert len(_study_violations(study)) == 4
+    own_executor = tmp_path / "own.py"  # ablation / sensitivity shape
+    own_executor.write_text(
+        'def widget_cells():\n'
+        '    return [CampaignCell(kind="widget", params={})]\n'
+    )
+    assert _study_violations(own_executor) == []

@@ -113,22 +113,12 @@ def test_aggregation_skips_none_instead_of_diluting():
 
 
 def test_tables_render_dash_for_missing_s_used():
-    from repro.studies.scenarios import ScenarioPoint, render_scenario_table
+    from repro.studies import SWEEP
 
-    pt = ScenarioPoint(
-        scenario="impulse", elapsed_per_step=1.0,
-        iterations_per_step=10.0, iteration_inflation=1.0,
-        predictor_s_used=float("nan"), achieved_relres=1e-9,
-    )
-    out = render_scenario_table([pt])
-    assert "-" in out and "nan" not in out
-
-    from repro.studies.predictors import PredictorPoint, render_predictor_table
-
-    pp = PredictorPoint(
-        scenario="impulse", predictor="aitken", iterations_per_step=10.0,
-        iteration_inflation=1.0, predictor_s_used=float("nan"),
-        elapsed_per_step=1.0, achieved_relres=1e-9,
-    )
-    out = render_predictor_table([pp])
-    assert "-" in out and "nan" not in out
+    row = {"scenario": "impulse", "predictor": "aitken",
+           "iterations_per_step": 10.0, "iteration_inflation": 1.0,
+           "elapsed_per_step_per_case_s": 1.0, "achieved_relres": 1e-9}
+    for s_used in (None, float("nan")):
+        for name in ("scenarios", "predictors"):
+            out = SWEEP[name].render([{**row, "predictor_s_used": s_used}])
+            assert "  -  " in out and "nan" not in out

@@ -97,3 +97,38 @@ def test_vector_value_bytes_scaling():
                        value_bytes=21.0 / 8.0)
     assert w.flops == 2000
     assert w.bytes == pytest.approx(21.0 / 8.0 * 1000 * 3)
+
+
+@pytest.mark.parametrize("precision", ["fp64", "fp32", "fp21"])
+def test_modeled_iteration_bytes_are_what_a_solve_is_charged(
+    small_problem, precision
+):
+    """One owner for the per-iteration byte model: the analytic
+    function the transprecision benchmark tabulates equals, to the
+    byte, what one executed fused EBE-MCG iteration (EBE sweep +
+    block-Jacobi + vector updates) charges the tally."""
+    import numpy as np
+
+    from repro.sparse.cg import pcg
+    from repro.sparse.ebe import EBEOperator
+    from repro.sparse.precond import BlockJacobi
+    from repro.sparse.traffic import modeled_solver_bytes_per_iteration
+    from repro.util.counters import tally_scope
+
+    p, r = small_problem, 4
+    A = EBEOperator(p.Ae, p.mesh.elems, p.n_nodes, precision=precision)
+    M = BlockJacobi(A.diagonal_blocks(), precision=precision)
+    B = np.random.default_rng(3).standard_normal((p.n_dofs, r))
+    B[p.fixed_dofs, :] = 0.0
+
+    def charged(iterations: int) -> float:
+        with tally_scope() as tally:
+            res = pcg(A, B, precond=M, eps=0.0, max_iter=iterations,
+                      precision=precision)
+        assert res.loop_iterations == iterations
+        return tally.total_bytes()
+
+    one_iteration = charged(3) - charged(2)
+    assert one_iteration == r * modeled_solver_bytes_per_iteration(
+        p.mesh.n_elems, p.n_nodes, r, precision=precision
+    )

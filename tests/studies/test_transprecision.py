@@ -1,19 +1,18 @@
-"""Transprecision study: cells, cache sharing, and the trade table."""
+"""Transprecision study (``SWEEP["transprecision"]``): what is specific
+to it — the rules every sweep shares are in ``test_sweeps``."""
 
 import pytest
 
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import WaveSpec, method_cell_params
-from repro.campaign.store import ResultStore
-from repro.studies.transprecision import (
-    modeled_solver_bytes_per_iteration,
-    transprecision_cells,
-    transprecision_table,
-)
+from repro.sparse.traffic import modeled_solver_bytes_per_iteration
+from repro.studies import SWEEP
+
+STUDY = SWEEP["transprecision"]
 
 
 def test_cells_one_per_precision():
-    cells = transprecision_cells(precisions=("fp64", "fp32", "fp21"))
+    cells = STUDY.cells(precision=("fp64", "fp32", "fp21"))
     assert len(cells) == 3
     assert [c.params.get("precision", "fp64") for c in cells] == [
         "fp64", "fp32", "fp21"
@@ -26,7 +25,7 @@ def test_cells_one_per_precision():
 def test_fp64_cell_shares_grid_cache_key():
     """The study's anchor cell hashes like the equivalent plain grid
     cell, so study and campaign share one cache."""
-    cells = transprecision_cells(precisions=("fp64", "fp21"))
+    cells = STUDY.cells(precision=("fp64", "fp21"))
     params, _ = method_cell_params(
         "stratified", WaveSpec(name="w0"), "ebe-mcg@cpu-gpu", (2, 2, 1),
         cases=2, steps=8, module="single-gh200", eps=1e-8,
@@ -37,39 +36,24 @@ def test_fp64_cell_shares_grid_cache_key():
 
 def test_empty_precisions_rejected():
     with pytest.raises(ValueError):
-        transprecision_cells(precisions=())
+        STUDY.cells(precision=())
 
 
-@pytest.fixture(scope="module")
-def outcomes(tmp_path_factory):
-    cells = transprecision_cells(
-        precisions=("fp64", "fp32", "fp21"), resolution=(2, 2, 1),
-        cases=2, steps=6, s_range=(2, 4),
-    )
-    store = ResultStore(tmp_path_factory.mktemp("transprec") / "store")
-    return CampaignRunner(store=store).run_cells(cells)
-
-
-def test_study_accuracy_vs_speed(outcomes):
-    pts = transprecision_table(outcomes)
-    assert [p.precision for p in pts] == ["fp64", "fp32", "fp21"]
-    anchor = pts[0]
-    assert anchor.speedup == 1.0 and anchor.iteration_inflation == 1.0
-    for p in pts:
+def test_study_accuracy_vs_speed(ran):
+    rows = STUDY.rows(ran("transprecision")[2])
+    assert [r["precision"] for r in rows] == ["fp64", "fp32", "fp21"]
+    anchor = rows[0]
+    assert anchor["speedup"] == 1.0 and anchor["iteration_inflation"] == 1.0
+    for r in rows:
         # the convergence-safety acceptance bound at every precision
-        assert p.achieved_relres < 1e-8
-        assert p.iteration_inflation <= 1.5
+        assert r["achieved_relres"] < 1e-8
+        assert r["iteration_inflation"] <= 1.5
         # reduced storage must never model *slower* than fp64
-        assert p.speedup >= 1.0 or p.precision == "fp64"
+        assert r["speedup"] >= 1.0 or r["precision"] == "fp64"
 
 
-def test_study_rides_the_shared_cache(outcomes, tmp_path):
-    cells = transprecision_cells(
-        precisions=("fp64", "fp32", "fp21"), resolution=(2, 2, 1),
-        cases=2, steps=6, s_range=(2, 4),
-    )
-    store = ResultStore(tmp_path / "fresh")
-    first = CampaignRunner(store=store).run_cells(cells)
+def test_study_rides_the_shared_cache(ran):
+    cells, store, first = ran("transprecision")
     again = CampaignRunner(store=store).run_cells(cells)
     assert all(o.cached for o in again)
     assert [o.result["summary"]["iterations_per_step"] for o in again] == [
@@ -77,31 +61,17 @@ def test_study_rides_the_shared_cache(outcomes, tmp_path):
     ]
 
 
-def test_table_skips_failures_and_anchors_on_fp64():
-    class FakeOutcome:
-        def __init__(self, prec, t, iters, ok=True):
-            self.ok = ok
-            self.result = {
-                "summary": {
-                    "elapsed_per_step_per_case_s": t,
-                    "iterations_per_step": iters,
-                    "achieved_relres": 1e-9,
-                }
-            }
-            from repro.campaign.spec import CampaignCell
-
-            params = {} if prec == "fp64" else {"precision": prec}
-            self.cell = CampaignCell(kind="method", params=params)
-
-    pts = transprecision_table([
-        FakeOutcome("fp21", 1.0, 12.0),
-        FakeOutcome("fp64", 2.0, 10.0),
-        FakeOutcome("fp32", 1.0, 10.0, ok=False),
-    ])
-    assert [p.precision for p in pts] == ["fp64", "fp21"]
-    fp21 = pts[1]
-    assert fp21.speedup == pytest.approx(2.0)
-    assert fp21.iteration_inflation == pytest.approx(1.2)
+def test_table_skips_failures_and_anchors_on_fp64(fake_outcomes):
+    cells = STUDY.cells(precision=("fp21", "fp64", "fp32"))
+    rows = STUDY.rows(fake_outcomes(cells, [
+        {"elapsed_per_step_per_case_s": 1.0, "iterations_per_step": 12.0},
+        {"elapsed_per_step_per_case_s": 2.0, "iterations_per_step": 10.0},
+        None,
+    ]))
+    assert [r["precision"] for r in rows] == ["fp64", "fp21"]
+    fp21 = rows[1]
+    assert fp21["speedup"] == pytest.approx(2.0)
+    assert fp21["iteration_inflation"] == pytest.approx(1.2)
 
 
 def test_modeled_bytes_acceptance_bound():

@@ -477,6 +477,7 @@ def test_predictorzoo_command(capsys, tmp_path):
         assert col in out
     assert "aitken" in out and "data-driven" in out
     assert "-" in out  # history-less rungs render s_used as dash
+    assert "ANCHOR" not in out  # every group kept its declared anchor
     assert f"store -> {store}" in out
 
 
@@ -485,6 +486,29 @@ def test_predictorzoo_bad_grid_rejected():
         main(["predictorzoo", "--predictors", "broyden"])
     with pytest.raises(SystemExit, match="jobs"):
         main(["predictorzoo", "--jobs", "0"])
+
+
+def test_study_command_names_a_lost_anchor(capsys, monkeypatch):
+    """A group whose anchor cell failed is still reported, and the row
+    its ratios fell back onto is named beside the FAILED line."""
+    from repro.campaign import CampaignRunner
+
+    run_cells = CampaignRunner.run_cells
+
+    def lose_block_jacobi(self, cells):
+        outcomes = run_cells(self, cells)
+        for o in outcomes:
+            if "precond" not in o.cell.params:
+                o.error = "boom"
+        return outcomes
+
+    monkeypatch.setattr(CampaignRunner, "run_cells", lose_block_jacobi)
+    assert main(["twogrid", "--scenarios", "soft-soil", "--steps", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "FAILED twogrid/stratified/w0/ebe-mcg@cpu-gpu/2x2x1/soft-soil: boom" in out
+    assert ("ANCHOR bj missing in soft-soil/2x2x1: ratios are against twogrid"
+            in out)
+    assert "soft-soil  2x2x1  twogrid" in out
 
 
 def test_twogrid_command_shares_the_study_body(capsys):

@@ -1,16 +1,19 @@
 """Pin what the campaign axes produce: cells, study cells, checkpoint headers.
 
 ``python tools/axes_fixture.py`` writes
-``tests/campaign/fixtures/axes_parent.json``; it was run at the commit
-*before* the axis table and ``RunConfig`` replaced the per-axis copies
-(``d140743``), and ``tests/campaign/test_axes.py`` rebuilds the same
-document from the working tree and demands equality.  Regenerate only
-when a cell key, label, cell order or checkpoint header is *meant* to
-change — every cached store and pending checkpoint is invalidated by
-such a change.
+``tests/campaign/fixtures/axes_parent.json``; the committed fixture was
+generated at ``d140743``, the commit *before* the axis table and
+``RunConfig`` replaced the per-axis copies, and
+``tests/campaign/test_axes.py`` rebuilds the same document from the
+working tree and demands equality.  Regenerate only when a cell key,
+label, cell order or checkpoint header is *meant* to change — every
+cached store and pending checkpoint is invalidated by such a change.
 
-Only public entry points are used, so the script runs unmodified on
-either side of the refactor.
+The ``cells`` and ``checkpoint_headers`` sections use only entry points
+that exist on both sides of that refactor.  The ``studies`` section no
+longer does: at ``d140743`` it called the five per-study cell builders
+of ``repro.studies`` at their defaults; since the study table replaced
+them (PR 16) it reads the same cells from ``SWEEP[name].cells()``.
 """
 
 from __future__ import annotations
@@ -51,25 +54,15 @@ def composite_spec():
 
 
 def study_cells() -> dict:
-    """``(params, label)`` of each study cell builder at its defaults."""
-    from repro.studies import (
-        predictor_cells,
-        scaling_cells,
-        scenario_cells,
-        transprecision_cells,
-        twogrid_cells,
-    )
+    """``(params, label)`` of each study's cells at its defaults (the
+    strong-scaling row came after this fixture; its cells are pinned by
+    ``tests/studies/fixtures/tables_parent.json``)."""
+    from repro.studies import SWEEP
 
-    builders = {
-        "scenarios": scenario_cells,
-        "transprecision": transprecision_cells,
-        "weakscaling": scaling_cells,
-        "twogrid": twogrid_cells,
-        "predictors": predictor_cells,
-    }
     return {
-        name: [[c.params, c.label] for c in build()]
-        for name, build in builders.items()
+        name: [[c.params, c.label] for c in SWEEP[name].cells()]
+        for name in ("scenarios", "transprecision", "weakscaling",
+                     "twogrid", "predictors")
     }
 
 
