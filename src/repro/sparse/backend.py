@@ -19,10 +19,12 @@ per-engine wrappers), backends register by name in a strict registry
 (:func:`register_backend` / :func:`backend_by_name`, loud on unknown
 names like ``scenario_by_name``).  Contracts:
 
-* ``numpy`` — the reference.  Every primitive performs the exact NumPy
-  operations the pre-seam hot loops performed, in the same order, so
-  the default execution is **bit-identical** to the historical code
-  (the committed golden fixtures pin this).
+* ``numpy`` — the reference.  Every primitive makes the roundings the
+  pre-seam hot loops made, in the same order, so the default execution
+  is **bit-identical** to the historical code (the committed golden
+  fixtures pin this).  *Which* kernel makes them is chosen by the
+  operand's shape: one vector takes scipy's single-vector SpMV, a
+  large block is scaled through a wide view.
 * ``numpy-blocked`` — always-available variant that runs the column
   reductions in cache-sized row blocks.  Elementwise primitives stay
   bit-identical; dot products regroup their summation, so this backend
@@ -49,12 +51,13 @@ import os
 
 import numpy as np
 
-try:  # scipy's C kernel that accumulates A @ X into a caller buffer
+try:  # scipy's C kernels that accumulate A @ X into a caller buffer
     from scipy.sparse import _sparsetools as _spt
 
-    _csr_matvecs = getattr(_spt, "csr_matvecs", None)
-except ImportError:  # pragma: no cover - scipy always ships it today
-    _csr_matvecs = None
+    _csr_matvec = getattr(_spt, "csr_matvec", None)  # one vector
+    _csr_matvecs = getattr(_spt, "csr_matvecs", None)  # (n, r) block
+except ImportError:  # pragma: no cover - scipy always ships them today
+    _csr_matvec = _csr_matvecs = None
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -95,10 +98,11 @@ class ArrayBackend(abc.ABC):
     sweep is ``gather_rows`` / ``batched_matmul`` / ``spmv_csr`` on
     node views; ``scatter_rows`` serves the distributed solver.
 
-    Subclass contract: the reference :class:`NumpyBackend` implements
-    every primitive with the exact operations the pre-seam code used;
-    accelerated backends may regroup/parallelize arithmetic and are
-    held to norm-scaled-tolerance parity, never bit parity.
+    Subclass contract: the reference :class:`NumpyBackend` reproduces
+    the pre-seam code's results bit for bit; accelerated backends may
+    regroup/parallelize arithmetic and are held to norm-scaled-tolerance
+    parity, never bit parity.  Every backend keeps the columns of a
+    block independent: a non-finite case must not reach its neighbours.
     """
 
     #: registry name (``backend_by_name`` key); subclasses override.
@@ -139,7 +143,8 @@ class ArrayBackend(abc.ABC):
     @abc.abstractmethod
     def xpay_cols(self, P: np.ndarray, beta: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """``P = P * beta + Z`` with per-column scales ``beta`` —
-        the CG search-direction update (two separately rounded ops)."""
+        the CG search-direction update (two separately rounded ops,
+        elementwise: column ``j`` sees ``beta[j]`` only)."""
 
     @abc.abstractmethod
     def axpy_cols(
@@ -209,10 +214,12 @@ class ArrayBackend(abc.ABC):
         X: np.ndarray,
         out: np.ndarray,
     ) -> np.ndarray:
-        """Multi-vector CSR SpMV ``out = A @ X`` into the caller
-        buffer (``X``/``out`` shaped ``(n, r)``).  Every row accumulates
-        from zero in ``indices`` order — the EBE scatter (a 0/1
-        incidence matrix) takes its summation order from this."""
+        """CSR SpMV ``out = A @ X`` into the caller buffer (``X``/``out``
+        shaped ``(n, r)``, ``r >= 1``).  Every row accumulates from zero
+        in ``indices`` order at every width — the EBE scatter (a 0/1
+        incidence matrix) takes its summation order from this, and one
+        column alone gets the bits it gets inside a block, so an engine
+        may pick its kernel by ``r``."""
 
     # -- grid-transfer primitives -------------------------------------
     #
@@ -316,12 +323,17 @@ def _skip_dead_columns(R: np.ndarray, tol: np.ndarray, j0: int) -> None:
 
 
 class NumpyBackend(ArrayBackend):
-    """Reference backend: the exact NumPy operations the pre-seam hot
-    loops performed, in the same order — bit-identical to the
-    historical implementation (asserted by the golden fixtures)."""
+    """Reference backend: the roundings the pre-seam hot loops made, in
+    the same order — bit-identical to the historical implementation
+    (asserted by the golden fixtures) — from whichever NumPy/scipy
+    kernel makes them fastest for the operand's shape."""
 
     name = "numpy"
     description = "reference NumPy execution (bit-exact default)"
+
+    def __init__(self) -> None:
+        # r -> ((_TILE, r), (_TILE * r,)) views of one scale scratch
+        self._tiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- blocked streaming primitives ---------------------------------
     def copy(self, dst, src):
@@ -337,19 +349,48 @@ class NumpyBackend(ArrayBackend):
         return out
 
     def xpay_cols(self, P, beta, Z):
-        P *= beta
+        self._scale_cols(P, beta, P)
         P += Z
         return P
 
     def axpy_cols(self, Y, s, V, work):
-        np.multiply(V, s, out=work)
+        self._scale_cols(V, s, work)
         Y += work
         return Y
 
     def axmy_cols(self, Y, s, V, work):
-        np.multiply(V, s, out=work)
+        self._scale_cols(V, s, work)
         Y -= work
         return Y
+
+    #: rows folded into one wide row by the column scaling (measured:
+    #: 16-64 alike, 4 and 128 slower); under ``_TILE`` wide rows the
+    #: plain broadcast is as fast.
+    _TILE = 32
+
+    def _scale_cols(self, V, s, out):
+        """``out = V * s``, per-column scales (``out`` may be ``V``).
+        The broadcast's inner loop is only ``r`` long, so a large block
+        is scaled as its ``(n // k, k * r)`` view against a ``k``-tiled
+        copy of ``s``: the same products, elementwise (a diagonal GEMM
+        is faster still, but lets a NaN column into its neighbours)."""
+        n, r = V.shape
+        k = self._TILE
+        m = n // k
+        if r == 1 or m < k or not (V.flags.c_contiguous
+                                   and out.flags.c_contiguous):
+            return np.multiply(V, s, out=out)
+        tile = self._tiles.get(r)
+        if tile is None:
+            flat = np.empty(k * r)
+            tile = self._tiles[r] = (flat.reshape(k, r), flat)
+        np.copyto(tile[0], s)
+        mk = m * k
+        np.multiply(V[:mk].reshape(m, k * r), tile[1],
+                    out=out[:mk].reshape(m, k * r))
+        if mk < n:
+            np.multiply(V[mk:], s, out=out[mk:])
+        return out
 
     def colwise_dot(self, V, W, out):
         return np.einsum("ij,ij->j", V, W, out=out)
@@ -383,15 +424,21 @@ class NumpyBackend(ArrayBackend):
 
     def spmv_csr(self, indptr, indices, data, X, out):
         n, r = out.shape
+        if indptr.size != n + 1:  # the C kernels would read past its end
+            raise ValueError(f"indptr size {indptr.size} != {n} rows + 1")
         if (
             _csr_matvecs is not None
             and X.flags.c_contiguous
             and out.flags.c_contiguous
             and X.dtype == np.float64
         ):
-            out.fill(0.0)  # csr_matvecs accumulates: y += A @ x
-            _csr_matvecs(n, X.shape[0], r, indptr, indices, data,
-                         X.ravel(), out.ravel())
+            out.fill(0.0)  # both kernels accumulate: y += A @ x
+            if r == 1:  # same row-by-row order, no axpy call per entry
+                _csr_matvec(n, X.shape[0], indptr, indices, data,
+                            X.ravel(), out.ravel())
+            else:
+                _csr_matvecs(n, X.shape[0], r, indptr, indices, data,
+                             X.ravel(), out.ravel())
             return out
         import scipy.sparse as sp  # fallback: wrap without copying
 

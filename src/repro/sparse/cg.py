@@ -20,11 +20,15 @@ updates run in place.
 
 Every vector operation in the loop routes through an
 :class:`~repro.sparse.backend.ArrayBackend` (``backend=``): the
-``numpy`` default executes the exact historical call sequence
-(bit-identical, golden-pinned), accelerated backends swap the
-execution engine without touching the algorithm.  The *modeled*
-per-iteration traffic is charged here in the loop, outside the seam,
-so the roofline tally is identical for every backend.
+``numpy`` default is bit-identical to the historical solver
+(golden-pinned) — the same roundings in the same order, no longer the
+same call sequence: it picks its kernels by the operand's shape — and
+accelerated backends swap the execution engine without touching the
+algorithm.  The *modeled* vector traffic is charged here, outside the
+seam, so the roofline tally is identical for every backend: once per
+solve, after the loop, as ``loop_iterations`` calls of the
+per-iteration cost — to the last bit what charging it every iteration
+gave (see :mod:`repro.util.counters`).
 
 Transprecision storage (``precision=``): the CG *recurrences* — dot
 products, the scalar dance, the solution update — always run at fp64,
@@ -38,6 +42,8 @@ historical fp64-only implementation.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,13 +113,20 @@ def _as_block(v: np.ndarray | None, n: int, r: int) -> np.ndarray:
     return v.copy()  # C-order copy regardless of input layout
 
 
+@functools.lru_cache(maxsize=256)
+def _accepts_out(fn) -> bool:
+    """Whether ``fn`` takes ``out=`` (by name, or through ``**kwargs``)."""
+    params = inspect.signature(fn).parameters.values()
+    return any(p.name == "out" or p.kind is p.VAR_KEYWORD for p in params)
+
+
 def _make_apply(op, method_name: str):
     """Wrap an operator into ``apply(V, out) -> out``.
 
-    Prefers the operator's own ``out=`` support; falls back to
-    ``np.copyto`` for operators (or plain matrices) without it.  The
-    probe is safe: an unexpected-keyword ``TypeError`` is raised before
-    the operator body runs, so no work is double-charged.
+    Prefers the operator's own ``out=`` support, decided from its
+    signature, never by trial; operators without it, and plain
+    matrices, go through ``np.copyto``.  Whatever the operator body
+    raises propagates — it is never run a second time.
     """
     bound = getattr(op, method_name, None)
     if bound is None:  # plain ndarray / anything supporting @
@@ -126,53 +139,61 @@ def _make_apply(op, method_name: str):
 
         return apply
 
-    state = {"out_ok": True}
-
-    def apply(V: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if state["out_ok"]:
-            try:
-                bound(V, out=out)
-                return out
-            except TypeError:
-                state["out_ok"] = False
-        np.copyto(out, bound(V))
-        return out
+    if _accepts_out(getattr(bound, "__func__", bound)):
+        def apply(V: np.ndarray, out: np.ndarray) -> np.ndarray:
+            bound(V, out=out)
+            return out
+    else:
+        def apply(V: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.copyto(out, bound(V))
+            return out
 
     return apply
 
 
-class _FusedReduction:
-    """Default reduction: one contiguous sweep over all rows (the
-    single-address-space behaviour :func:`pcg` always had), executed
-    by the active backend's column-dot primitive."""
-
-    def __init__(self, backend: ArrayBackend) -> None:
-        self.backend = backend
-
-    def dot(self, V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return self.backend.colwise_dot(V, W, out)
-
-    def norm(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Column 2-norms of ``V`` into the ``(r,)`` buffer ``out``."""
-        return self.backend.colwise_norm(V, out)
-
-
 def _guarded_divide(num: np.ndarray, den: np.ndarray, out: np.ndarray,
-                    done: np.ndarray) -> np.ndarray:
+                    done: np.ndarray | None) -> np.ndarray:
     """``out = num / den`` columnwise with the CG scalar guard:
     zero denominators (converged or zero columns would produce
     0/0 -> NaN and poison the block update) and already-converged
-    columns are frozen at 0.  Mutates ``den`` (a scratch buffer)."""
-    den[den == 0.0] = 1.0
+    columns (``done``; ``None`` while every column is open) are frozen
+    at 0.  Mutates ``den`` (a scratch buffer)."""
+    if not den.all():
+        den[den == 0.0] = 1.0
     np.divide(num, den, out=out)
-    out[done] = 0.0
+    if done is not None:
+        out[done] = 0.0
     return out
 
 
-def _charge_vec_iter(n: int, r: int, prec: Precision) -> None:
-    """Modeled per-iteration vector traffic (backend-independent)."""
-    w = cg_vector_traffic(n, prec.itemsize)
-    counters.charge("cg.vec", w.flops * r, w.bytes * r)
+def _mark_crossings(relres: np.ndarray, eps: float, done: np.ndarray,
+                    iterations: np.ndarray, loop_it: int) -> int:
+    """Close the columns that met the tolerance at iteration
+    ``loop_it`` (their first crossing; closed columns stay closed).
+    Returns how many it closed."""
+    newly = relres < eps
+    if not newly.any():
+        return 0
+    newly &= ~done
+    iterations[newly] = loop_it
+    done |= newly
+    return int(newly.sum())
+
+
+def _store_fn(bk: ArrayBackend, prec: Precision):
+    """``store(a)``, resolved once per solve: round a working block to
+    the storage format in place — nothing at all under fp64."""
+    if prec.is_fp64:
+        return lambda a: a
+    return lambda a: bk.quantize_store(a, prec)
+
+
+def _charge_vec_iters(n: int, r: int, prec: Precision, iters: int) -> None:
+    """Modeled vector traffic of ``iters`` iterations, charged as that
+    many calls (backend-independent)."""
+    if iters:
+        w = cg_vector_traffic(n, prec.itemsize)
+        counters.charge("cg.vec", w.flops * r, w.bytes * r, calls=iters)
 
 
 def pcg(
@@ -245,63 +266,64 @@ def pcg(
     else:
         apply_M = _make_apply(precond, "__nonexistent__")  # matrix path
 
-    red = _FusedReduction(bk) if reduction is None else reduction
-    if reduction is None:
+    if reduction is None:  # one contiguous sweep over all rows
+        dot, norm = bk.colwise_dot, bk.colwise_norm
         norm_b = np.linalg.norm(B, axis=0)
     else:
-        norm_b = red.norm(B, out=np.empty(r))
+        dot, norm = reduction.dot, reduction.norm
+        norm_b = norm(B, out=np.empty(r))
     # Zero RHS: solution 0, converged immediately (relative test is
     # ill-defined; the paper's problems always have nonzero f after the
     # first impulse, but robustness demands the guard).
     zero_rhs = norm_b == 0.0
     denom = np.where(zero_rhs, 1.0, norm_b)
 
+    store = _store_fn(bk, prec)
     apply_A(X, out=R)
     bk.subtract(B, R, out=R)
-    bk.quantize_store(R, prec)
-    red.norm(R, out=relres)
+    store(R)
+    norm(R, out=relres)
     relres /= denom
     initial_relres = relres.copy()
     history = [relres.copy()] if record_history else None
 
     iterations = np.zeros(r, dtype=np.int64)
     done = (relres < eps) | zero_rhs
-    iterations[done] = 0
 
     bk.fill(P, 0.0)
     rho_prev.fill(1.0)
     loop_it = 0
+    n_open = r - int(done.sum())  # kept in step with ``done``
 
-    while not done.all() and loop_it < max_iter:
+    while n_open and loop_it < max_iter:
         loop_it += 1
+        frozen = done if n_open < r else None
         apply_M(R, out=Z)
-        bk.quantize_store(Z, prec)
-        red.dot(Z, R, out=rho)
-        # beta = rho/rho_prev; converged/zero columns frozen at 0.
-        bk.copy(work, rho_prev)
-        _guarded_divide(rho, work, beta, done)
+        store(Z)
+        dot(Z, R, out=rho)
+        # beta = rho/rho_prev; converged/zero columns frozen at 0
+        # (rho_prev is spent after this: the divide may use it up).
+        _guarded_divide(rho, rho_prev, beta, frozen)
         if loop_it == 1:
             beta.fill(0.0)
         bk.xpay_cols(P, beta, Z)
-        bk.quantize_store(P, prec)
+        store(P)
         apply_A(P, out=Q)
-        bk.quantize_store(Q, prec)
-        red.dot(P, Q, out=work)
-        _guarded_divide(rho, work, alpha, done)
+        store(Q)
+        dot(P, Q, out=work)
+        _guarded_divide(rho, work, alpha, frozen)
         bk.axpy_cols(X, alpha, P, T)
         bk.axmy_cols(R, alpha, Q, T)
-        bk.quantize_store(R, prec)
-        bk.copy(rho_prev, rho)
-        _charge_vec_iter(n, r, prec)
+        store(R)
+        rho, rho_prev = rho_prev, rho  # next dot overwrites the old one
 
-        red.norm(R, out=relres)
+        norm(R, out=relres)
         relres /= denom
         if record_history:
             history.append(relres.copy())
-        newly = (~done) & (relres < eps)
-        iterations[newly] = loop_it
-        done |= newly
+        n_open -= _mark_crossings(relres, eps, done, iterations, loop_it)
 
+    _charge_vec_iters(n, r, prec, loop_it)
     iterations[~done] = loop_it  # non-converged cases report the cap
     final_relres = relres.copy()
     out_x = X[:, 0] if single else X

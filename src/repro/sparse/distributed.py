@@ -37,7 +37,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.backend import ArrayBackend, as_backend
-from repro.sparse.cg import CGResult, _charge_vec_iter, _guarded_divide
+from repro.sparse.cg import (CGResult, _charge_vec_iters, _guarded_divide,
+                             _mark_crossings, _store_fn)
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.precond import BlockJacobi
 from repro.util import counters
@@ -247,6 +248,8 @@ def distributed_pcg(
             raise ValueError(f"expected x0 shape {(n, r)}, got {X0.shape}")
         Xp = _restrict(X0, gdofs)
 
+    store = _store_fn(bk, prec)
+
     def owned_dot(Vp: list[np.ndarray], Wp: list[np.ndarray],
                   out: np.ndarray) -> np.ndarray:
         """Partial dots over owned dofs, reduced in canonical part
@@ -291,13 +294,13 @@ def distributed_pcg(
             precond.apply(ws.RG, out=ws.ZG)
             for p in range(nparts):
                 bk.gather_rows(ws.ZG, gdofs[p], Z[p])
-                bk.quantize_store(Z[p], prec)
+                store(Z[p])
     else:
 
         def apply_precond() -> None:
             for p in range(nparts):
                 local_preconds[p].apply(R[p], out=Z[p])
-                bk.quantize_store(Z[p], prec)
+                store(Z[p])
 
     norm_b = owned_norm(Bp, np.empty(r))
     zero_rhs = norm_b == 0.0
@@ -306,7 +309,7 @@ def distributed_pcg(
     apply_A(Xp, out=R)
     for p in range(nparts):
         bk.subtract(Bp[p], R[p], R[p])
-        bk.quantize_store(R[p], prec)
+        store(R[p])
     owned_norm(R, relres)
     relres /= denom
     initial_relres = relres.copy()
@@ -314,48 +317,47 @@ def distributed_pcg(
 
     iterations = np.zeros(r, dtype=np.int64)
     done = (relres < eps) | zero_rhs
-    iterations[done] = 0
 
     for Pp in P:
         bk.fill(Pp, 0.0)
     rho_prev.fill(1.0)
     loop_it = 0
+    n_open = r - int(done.sum())
 
-    while not done.all() and loop_it < max_iter:
+    while n_open and loop_it < max_iter:
         loop_it += 1
+        frozen = done if n_open < r else None
         apply_precond()
         owned_dot(Z, R, rho)
         # beta = rho/rho_prev with converged/zero columns frozen at 0
         # (the exact scalar dance of repro.sparse.cg.pcg).
-        bk.copy(work, rho_prev)
-        _guarded_divide(rho, work, beta, done)
+        _guarded_divide(rho, rho_prev, beta, frozen)
         if loop_it == 1:
             beta.fill(0.0)
         for p in range(nparts):
             bk.xpay_cols(P[p], beta, Z[p])
-            bk.quantize_store(P[p], prec)
+            store(P[p])
         apply_A(P, out=Q)
         for p in range(nparts):
-            bk.quantize_store(Q[p], prec)
+            store(Q[p])
         owned_dot(P, Q, work)
-        _guarded_divide(rho, work, alpha, done)
+        _guarded_divide(rho, work, alpha, frozen)
         for p in range(nparts):
             bk.axpy_cols(Xp[p], alpha, P[p], T[p])
             bk.axmy_cols(R[p], alpha, Q[p], T[p])
-            bk.quantize_store(R[p], prec)
-            # storage-width r/z/p/q streams + the fp64 solution read
-            # and write — the exact split of the fused loop's charge
-            _charge_vec_iter(gdofs[p].size, r, prec)
-        bk.copy(rho_prev, rho)
+            store(R[p])
+        rho, rho_prev = rho_prev, rho
 
         owned_norm(R, relres)
         relres /= denom
         if record_history:
             history.append(relres.copy())
-        newly = (~done) & (relres < eps)
-        iterations[newly] = loop_it
-        done |= newly
+        n_open -= _mark_crossings(relres, eps, done, iterations, loop_it)
 
+    # storage-width r/z/p/q streams + the fp64 solution read and write,
+    # per part — the exact split of the fused loop's charge
+    for g in gdofs:
+        _charge_vec_iters(g.size, r, prec, loop_it)
     iterations[~done] = loop_it
     final_relres = relres.copy()
 

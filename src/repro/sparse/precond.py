@@ -54,6 +54,7 @@ class BlockJacobi:
         self.precision = as_precision(precision)
         self.backend = as_backend(backend)
         self._inv = self.precision.quantize_(np.linalg.inv(blocks))
+        self._charges: dict[int, tuple] = {}  # n_rhs -> (tag, flops, bytes)
         self.tag = tag
 
     @classmethod
@@ -79,10 +80,13 @@ class BlockJacobi:
         r = np.asarray(r)
         single = r.ndim == 1
         R = r[:, None] if single else r
-        nb = self._inv.shape[0]
         n_rhs = R.shape[1]
-        w = block_jacobi_traffic(self.n, self.precision.itemsize)
-        counters.charge(self.tag, w.flops * n_rhs, w.bytes * n_rhs)
+        charge = self._charges.get(n_rhs)
+        if charge is None:  # priced once per width, on first use
+            w = block_jacobi_traffic(self.n, self.precision.itemsize)
+            charge = self._charges[n_rhs] = (
+                self.tag, w.flops * n_rhs, w.bytes * n_rhs)
+        counters.charge(*charge)
         if (
             out is not None
             and not single
@@ -91,6 +95,7 @@ class BlockJacobi:
             and R.flags.c_contiguous
         ):
             return self._apply_block(R, out)
+        nb = self._inv.shape[0]
         Rb = np.ascontiguousarray(R).reshape(nb, 3, n_rhs)
         Z = np.matmul(self._inv, Rb).reshape(3 * nb, n_rhs)
         if out is not None:

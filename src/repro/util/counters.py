@@ -13,6 +13,11 @@ Counts follow the conventions of the paper's kernels:
 * EBE SpMV (Eq. 8): ``2 * 30 * 30 * ne`` flops per right-hand side;
   bytes = element matrices are *recomputed*, so traffic is the gathered
   nodal vectors + scatter of results + element geometry.
+
+A kernel that ran ``k`` times at one cost ``w`` is charged once with
+``calls=k`` (the CG loop's vector traffic, after the loop): ``w`` is a
+multiple of 1/8 far below 2^53 at every storage width, so ``k * w`` is
+exactly ``w`` added ``k`` times.
 """
 
 from __future__ import annotations
@@ -31,10 +36,10 @@ class KernelRecord:
     bytes: float = 0.0
     calls: int = 0
 
-    def add(self, flops: float, bytes_: float) -> None:
-        self.flops += float(flops)
-        self.bytes += float(bytes_)
-        self.calls += 1
+    def add(self, flops: float, bytes_: float, calls: int = 1) -> None:
+        self.flops += float(flops) * calls
+        self.bytes += float(bytes_) * calls
+        self.calls += calls
 
     def merged(self, other: "KernelRecord") -> "KernelRecord":
         return KernelRecord(
@@ -55,11 +60,13 @@ class KernelTally:
 
     records: dict[str, KernelRecord] = field(default_factory=lambda: defaultdict(KernelRecord))
 
-    def charge(self, tag: str, flops: float, bytes_: float) -> None:
-        """Charge ``flops``/``bytes_`` of work to kernel ``tag``."""
-        if flops < 0 or bytes_ < 0:
+    def charge(self, tag: str, flops: float, bytes_: float,
+               calls: int = 1) -> None:
+        """Charge ``calls`` invocations of ``flops``/``bytes_`` each to
+        kernel ``tag``."""
+        if flops < 0 or bytes_ < 0 or calls < 0:
             raise ValueError("work must be non-negative")
-        self.records[tag].add(flops, bytes_)
+        self.records[tag].add(flops, bytes_, calls)
 
     def total_flops(self, prefix: str = "") -> float:
         return sum(r.flops for t, r in self.records.items() if t.startswith(prefix))
@@ -101,10 +108,10 @@ def active_tally() -> KernelTally | None:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
-def charge(tag: str, flops: float, bytes_: float) -> None:
+def charge(tag: str, flops: float, bytes_: float, calls: int = 1) -> None:
     """Charge work to the active tally (no-op when none is active)."""
     if _ACTIVE:
-        _ACTIVE[-1].charge(tag, flops, bytes_)
+        _ACTIVE[-1].charge(tag, flops, bytes_, calls)
 
 
 @contextlib.contextmanager

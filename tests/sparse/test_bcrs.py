@@ -81,3 +81,25 @@ def test_reduced_precision_never_mutates_caller_matrix():
     assert np.array_equal(bsr.data, before)  # caller untouched
     assert np.array_equal(a64.bsr.data, before)  # fp64 twin untouched
     assert not np.array_equal(a21.bsr.data, before)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_matvec_rejects_a_short_operand_before_the_c_kernel(matrix, r):
+    """Regression: ``out=`` was shape-checked but the operand's rows
+    were not, so scipy's C kernel (the single-vector one at r = 1, the
+    multi-vector one otherwise) read past the end of a short operand
+    and *returned* garbage."""
+    A, _ = matrix
+    out = np.full((A.n, r), 7.0)
+    with tally_scope() as tally:
+        with pytest.raises(ValueError, match=f"operand size 10 != {A.n}"):
+            A.matvec(np.ones((10, r)), out=out)
+        with pytest.raises(ValueError, match=f"operand size 10 != {A.n}"):
+            A.matvec(np.ones((10, r)))
+        with pytest.raises(ValueError, match="operand size"):
+            A.matvec(np.ones(A.n + 3))
+    assert (out == 7.0).all()  # never touched
+    assert tally.calls(A.tag) == 0  # and nothing charged
+    # the full-size operand still goes through, on the same kernel
+    X = np.random.default_rng(r).standard_normal((A.n, r))
+    np.testing.assert_allclose(A.matvec(X, out=out), A.bsr @ X, rtol=1e-13)

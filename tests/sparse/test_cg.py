@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.sparse.cg import PCGWorkspace, pcg
 from repro.sparse.precond import BlockJacobi
+from repro.util import counters
 
 
 class DenseOp:
@@ -126,6 +127,56 @@ def test_preconditioner_reduces_iterations():
     assert prec.iterations[0] < plain.iterations[0]
 
 
+# ------------------------------------------------ out= support probe
+def test_operator_without_out_still_solves():
+    """``DenseOp.matvec(x)`` takes no ``out=``: read off its signature,
+    once, and served through a copy."""
+    A = spd(18, seed=30)
+    b = np.random.default_rng(31).standard_normal(18)
+    calls = []
+
+    class Plain(DenseOp):
+        def matvec(self, x):
+            calls.append(x.shape)
+            return super().matvec(x)
+
+    res = pcg(Plain(A), b, eps=1e-10, max_iter=200)
+    assert res.converged.all()
+    assert len(calls) == res.loop_iterations + 1  # never applied twice
+    np.testing.assert_allclose(A @ res.x, b, rtol=1e-8)
+
+
+def test_kwargs_operator_receives_out():
+    A = spd(12, seed=32)
+    seen = []
+
+    class Kw(DenseOp):
+        def matvec(self, x, **kwargs):
+            seen.append(sorted(kwargs))
+            np.matmul(self.A, x, out=kwargs["out"])
+
+    res = pcg(Kw(A), np.ones(12), eps=1e-10, max_iter=100)
+    assert res.converged.all()
+    assert seen and all(k == ["out"] for k in seen)
+
+
+def test_type_error_inside_an_operator_propagates_with_one_charge():
+    """Regression: a ``TypeError`` raised by the operator *body* was
+    taken for "no ``out=`` support" — the body ran again without
+    ``out=``, its work was charged twice and the error was lost."""
+    A = spd(9, seed=33)
+
+    class Broken(DenseOp):
+        def matvec(self, x, out=None):
+            counters.charge("spmv.broken", 2.0, 8.0)
+            raise TypeError("unsupported operand inside the kernel")
+
+    with counters.tally_scope() as tally:
+        with pytest.raises(TypeError, match="inside the kernel"):
+            pcg(Broken(A), np.ones(9))
+    assert {t: r.calls for t, r in tally.records.items()} == {"spmv.broken": 1}
+
+
 def test_shape_mismatch_raises():
     A = spd(6)
     with pytest.raises(ValueError):
@@ -133,11 +184,11 @@ def test_shape_mismatch_raises():
 
 
 # -------------------------------------------------- allocation counting
-def _steady_state_peak(problem, B, ws, max_iter):
+def _steady_state_peak(problem, B, ws, max_iter, kind="ebe"):
     """Peak traced allocation of one warm pcg solve capped at
     ``max_iter`` iterations (eps far below reachable -> loop runs the
     full cap)."""
-    A = problem.ebe_operator()
+    A = problem.ebe_operator() if kind == "ebe" else problem.crs_operator()
     M = problem.preconditioner()
     tracemalloc.start()
     pcg(A, B, precond=M, eps=1e-30, max_iter=max_iter, workspace=ws)
@@ -146,26 +197,37 @@ def _steady_state_peak(problem, B, ws, max_iter):
     return peak
 
 
-def test_fused_pcg_allocates_no_per_iteration_temporaries(small_problem, rng):
-    """The acceptance property of the batched hot path: with a warm
-    workspace and out=-capable operators, peak memory of a 60-iteration
-    solve equals that of a 5-iteration solve — i.e. the loop body
-    allocates nothing that scales with (n, r) per iteration."""
-    n, r = small_problem.n_dofs, 4
+def _assert_no_per_iteration_allocation(problem, rng, kind, r):
+    n = problem.n_dofs
     B = rng.standard_normal((n, r))
-    B[small_problem.fixed_dofs, :] = 0.0
+    B[problem.fixed_dofs, :] = 0.0
     ws = PCGWorkspace()
     # warm-up: materialize workspace + operator sweep buffers
-    pcg(small_problem.ebe_operator(), B,
-        precond=small_problem.preconditioner(), eps=1e-30, max_iter=3,
-        workspace=ws)
-    peak_short = _steady_state_peak(small_problem, B, ws, max_iter=5)
-    peak_long = _steady_state_peak(small_problem, B, ws, max_iter=60)
+    _steady_state_peak(problem, B, ws, max_iter=3, kind=kind)
+    peak_short = _steady_state_peak(problem, B, ws, max_iter=5, kind=kind)
+    peak_long = _steady_state_peak(problem, B, ws, max_iter=60, kind=kind)
     # 55 extra iterations must not add even one (n,) vector of heap
     per_vector = 8 * n
     assert peak_long <= peak_short + per_vector, (
         f"per-iteration allocation detected: {peak_short} -> {peak_long} bytes"
     )
+
+
+def test_fused_pcg_allocates_no_per_iteration_temporaries(small_problem, rng):
+    """The acceptance property of the batched hot path: with a warm
+    workspace and out=-capable operators, peak memory of a 60-iteration
+    solve equals that of a 5-iteration solve — i.e. the loop body
+    allocates nothing that scales with (n, r) per iteration."""
+    _assert_no_per_iteration_allocation(small_problem, rng, "ebe", 4)
+
+
+@pytest.mark.parametrize("kind,r", [("ebe", 4), ("crs", 4), ("crs", 1)])
+def test_no_per_iteration_temporaries_on_any_kernel_path(
+        ground_problem, rng, kind, r):
+    """The same property where the operand's shape selects the other
+    kernels: 1215 rows take the wide column view (735 above do not),
+    one right-hand side takes the single-vector SpMV."""
+    _assert_no_per_iteration_allocation(ground_problem, rng, kind, r)
 
 
 def test_ebe_matvec_out_reuses_buffers(small_problem, rng):
