@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.cluster.partition import PartitionInfo
 from repro.sparse.backend import ArrayBackend, as_backend
+from repro.sparse.distributed import PartLocalOperator
 from repro.sparse.ebe import EBEOperator
 from repro.sparse.precision import FP64, Precision, as_precision
 from repro.util import counters
@@ -157,6 +158,7 @@ class DistributedEBE:
     precision: Precision = FP64
     backend: ArrayBackend | None = None
     _xplan: _ExchangePlan | None = field(default=None, repr=False)
+    _part_local: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_elements(
@@ -279,6 +281,15 @@ class DistributedEBE:
             self._xplan = _ExchangePlan(self.plan, self._node_index)
         return self._xplan
 
+    def part_local(self, backend: ArrayBackend) -> PartLocalOperator:
+        """This operator on the stacked part-local layout of
+        ``distributed_pcg``, vector work on ``backend``: built on first
+        use and kept — a solve rebuilds no index array or staging."""
+        op = self._part_local.get(backend.name)
+        if op is None:
+            op = self._part_local[backend.name] = PartLocalOperator(self, backend)
+        return op
+
     def halo_exchange(
         self,
         local_values: list[np.ndarray],
@@ -318,7 +329,8 @@ class DistributedEBE:
         else:
             exchanged = out
             for dst, src in zip(exchanged, local_values):
-                np.copyto(dst, src)
+                if dst is not src:  # in place: nothing to move
+                    np.copyto(dst, src)
         for p in range(nparts):
             if not xp.adds[p]:
                 continue

@@ -4,7 +4,8 @@ The paper's headline runs shard the finite element model across
 compute nodes and run Algorithm 3 per node, synchronizing shared nodes
 point-to-point inside every CG iteration.  :class:`PartitionedCaseSet`
 is a drop-in :class:`~repro.core.pipeline.CaseSet` whose solver is
-:func:`~repro.sparse.distributed.distributed_pcg` over a
+:func:`~repro.sparse.distributed.distributed_pcg` — the same ``pcg``
+loop and workspace, on the stacked part-local layout of a
 :class:`~repro.cluster.halo.DistributedEBE`: the Newmark loop, the
 predictors, the RHS build and the per-step source-force cache
 (:meth:`~repro.core.pipeline.CaseSet.forces_at` — one evaluation per
@@ -25,7 +26,7 @@ Cost model
   model :mod:`repro.cluster.weakscaling` validates against Fig. 5.
   The pipeline schedules it on the ``nic`` timeline lane.
 
-Accuracy: the distributed solve is bit-identical to the fused global
+Accuracy: the part-local solve is bit-identical to the fused global
 solve under the canonical partitioned reduction (see
 :mod:`repro.sparse.distributed`), so a partitioned run's displacements
 match an unpartitioned ``op_kind="ebe"`` run to solver rounding.
@@ -43,11 +44,7 @@ from repro.cluster.partition import PartitionInfo, partition_elements
 from repro.core.pipeline import CaseSet
 from repro.hardware.transfer import TransferModel
 from repro.sparse.cg import CGResult
-from repro.sparse.distributed import (
-    DistributedPCGWorkspace,
-    distributed_pcg,
-    part_block_jacobi,
-)
+from repro.sparse.distributed import distributed_pcg, part_block_jacobi
 from repro.sparse.precond import DEFAULT_PRECONDITIONER
 from repro.util.counters import KernelTally
 
@@ -87,9 +84,6 @@ class PartitionedCaseSet(CaseSet):
     overlap_fraction: float = 0.8
     dist: DistributedEBE | None = field(default=None, repr=False)
     preconds: list | None = field(default=None, repr=False)
-    _dws: DistributedPCGWorkspace = field(
-        init=False, repr=False, default_factory=DistributedPCGWorkspace
-    )
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -133,33 +127,22 @@ class PartitionedCaseSet(CaseSet):
             self.preconds = part_block_jacobi(self.dist)
         self._comm = CommCostModel(self.link)
 
-    def _global_precond(self):
-        """The global (non-part-local) preconditioner, cached on the
-        problem so both pipeline sets share one factorization."""
-        return self.problem.preconditioner_for(
-            self.precond, self.precision, self.backend, self.op_kind
-        )
-
     # -- solver ---------------------------------------------------------
     def _solve_system(self, B: np.ndarray, guesses: np.ndarray) -> CGResult:
-        if self.precond != DEFAULT_PRECONDITIONER:
-            return distributed_pcg(
-                self.dist,
-                B,
-                x0=guesses,
-                precond=self._global_precond(),
-                eps=self.eps,
-                workspace=self._dws,
-                precision=self.precision,
-                backend=self.backend,
-            )
+        # ``preconds`` is None exactly when the family is global; that
+        # preconditioner is cached on the problem, so both pipeline
+        # sets share one factorization
+        global_precond = None if self.preconds is not None else (
+            self.problem.preconditioner_for(
+                self.precond, self.precision, self.backend, self.op_kind))
         return distributed_pcg(
             self.dist,
             B,
             x0=guesses,
             local_preconds=self.preconds,
+            precond=global_precond,
             eps=self.eps,
-            workspace=self._dws,
+            workspace=self._pcg_ws,
             precision=self.precision,
             backend=self.backend,
         )

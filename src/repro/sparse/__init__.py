@@ -37,7 +37,6 @@ from repro.sparse.precision import (
 from repro.sparse.precond import BlockJacobi
 from repro.sparse.cg import CGResult, pcg
 from repro.sparse.distributed import (
-    DistributedPCGWorkspace,
     PartitionedReduction,
     distributed_pcg,
     part_block_jacobi,
@@ -64,7 +63,6 @@ __all__ = [
     "CGResult",
     "pcg",
     "distributed_pcg",
-    "DistributedPCGWorkspace",
     "PartitionedReduction",
     "part_block_jacobi",
     "EBEOperator",

@@ -96,7 +96,7 @@ class ArrayBackend(abc.ABC):
     discipline.  Blocked vector primitives treat ``(n, r)`` arrays as
     ``r`` independent columns (the fused multi-RHS layout).  The EBE
     sweep is ``gather_rows`` / ``batched_matmul`` / ``spmv_csr`` on
-    node views; ``scatter_rows`` serves the distributed solver.
+    node views.
 
     Subclass contract: the reference :class:`NumpyBackend` reproduces
     the pre-seam code's results bit for bit; accelerated backends may
@@ -189,13 +189,6 @@ class ArrayBackend(abc.ABC):
     def batched_matmul(self, A: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Batched dense mat-vec ``out[e] = A[e] @ X[e]`` over the
         leading axis (the per-element 30x30 apply)."""
-
-    @abc.abstractmethod
-    def scatter_rows(
-        self, Y: np.ndarray, targets: np.ndarray, values: np.ndarray
-    ) -> np.ndarray:
-        """``Y[...] = 0`` then ``Y[targets] = values`` (each target row
-        written exactly once)."""
 
     # -- operator kernels ---------------------------------------------
     @abc.abstractmethod
@@ -409,11 +402,6 @@ class NumpyBackend(ArrayBackend):
     def batched_matmul(self, A, X, out):
         np.matmul(A, X, out=out)
         return out
-
-    def scatter_rows(self, Y, targets, values):
-        Y.fill(0.0)
-        Y[targets] = values
-        return Y
 
     # -- operator kernels ---------------------------------------------
     def block_diag_matvec(self, inv, R, out):

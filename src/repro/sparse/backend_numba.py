@@ -109,16 +109,6 @@ def py_batched_matmul(A, X, out):
                 out[e, i, j] = acc
 
 
-def py_scatter_rows(Y, targets, values):
-    for i in prange(Y.shape[0]):
-        for j in range(Y.shape[1]):
-            Y[i, j] = 0.0
-    for s in prange(targets.shape[0]):
-        t = targets[s]
-        for j in range(values.shape[1]):
-            Y[t, j] = values[s, j]
-
-
 def py_block_diag_matvec(inv, Rb, outb):
     # inv (nb, 3, 3) applied per block to Rb/outb (nb, 3, r)
     for b in prange(inv.shape[0]):
@@ -164,8 +154,7 @@ def py_transfer3(indptr, indices, data, X, out):
 _KERNELS = (
     py_copy2, py_fill2, py_subtract2, py_xpay_cols, py_axpy_cols,
     py_axmy_cols, py_colwise_dot, py_gather_rows, py_batched_matmul,
-    py_scatter_rows, py_block_diag_matvec, py_spmv_csr,
-    py_transfer3,
+    py_block_diag_matvec, py_spmv_csr, py_transfer3,
 )
 
 _jitted: dict[str, object] = {}
@@ -255,10 +244,6 @@ class NumbaBackend(ArrayBackend):
     def batched_matmul(self, A, X, out):
         self._k["py_batched_matmul"](A, X, out)
         return out
-
-    def scatter_rows(self, Y, targets, values):
-        self._k["py_scatter_rows"](Y, targets, values)
-        return Y
 
     # -- operator kernels ---------------------------------------------
     def block_diag_matvec(self, inv, R, out):

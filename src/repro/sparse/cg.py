@@ -214,7 +214,11 @@ def pcg(
     Parameters
     ----------
     A : operator with ``matvec`` accepting ``(n, r)`` blocks
-        (``matvec(V, out=...)`` is used when supported).
+        (``matvec(V, out=...)`` is used when supported).  One on the
+        stacked part-local layout of a partitioned solve
+        (:class:`~repro.sparse.distributed.PartLocalOperator`) names
+        its slice lengths in ``row_extents``: the modeled vector
+        traffic is then charged once per slice, as each rank would.
     b : ``(n,)`` or ``(n, r)`` right-hand side(s).
     x0 : optional initial guess(es), same shape as ``b``.
     precond : optional preconditioner with ``apply`` (block-capable);
@@ -226,11 +230,14 @@ def pcg(
         across solves of one case set to keep the loop allocation-free.
     reduction : optional dot-product strategy with
         ``dot(V, W, out)`` / ``norm(V, out)``; defaults to one fused
-        sweep over all rows.  The distributed solver passes
-        :class:`~repro.sparse.distributed.PartitionedReduction` here so
-        the fused reference reduces in the exact same (deterministic,
-        canonical part order) grouping as the part-local loop — the
-        basis of the bit-identity guarantee.
+        sweep over all rows.  The part-local solve is this loop on
+        the stacked layout (every update and store is elementwise, so
+        one call there rounds as one call per part would) with a
+        :class:`~repro.sparse.distributed.PartitionedReduction` over
+        each part's *owned* rows here; the fused global reference
+        takes the same class over the owned *global* dofs and so sums
+        in the same (deterministic, canonical part order) grouping —
+        the basis of the bit-identity guarantee.
     precision : storage policy (:class:`~repro.sparse.precision.Precision`
         or name) for the working vectors ``r, z, p, q``: each store is
         rounded to the format and the per-iteration vector traffic is
@@ -323,7 +330,9 @@ def pcg(
             history.append(relres.copy())
         n_open -= _mark_crossings(relres, eps, done, iterations, loop_it)
 
-    _charge_vec_iters(n, r, prec, loop_it)
+    # one charge per part's rows on a stacked part-local layout
+    for rows in getattr(A, "row_extents", (n,)):
+        _charge_vec_iters(rows, r, prec, loop_it)
     iterations[~done] = loop_it  # non-converged cases report the cap
     final_relres = relres.copy()
     out_x = X[:, 0] if single else X

@@ -230,17 +230,6 @@ def test_ebe_sweep_on_engine(bk, tiny_mesh):
         )
 
 
-def test_scatter_rows(bk):
-    rng = _rng(7)
-    Y = rng.standard_normal((10, 3))  # pre-filled garbage must vanish
-    targets = np.array([8, 1, 5])
-    values = rng.standard_normal((3, 3))
-    bk.scatter_rows(Y, targets, values)
-    expect = np.zeros((10, 3))
-    expect[targets] = values
-    np.testing.assert_array_equal(Y, expect)
-
-
 def test_block_diag_matvec(bk):
     rng = _rng(8)
     nb, r = 11, 3

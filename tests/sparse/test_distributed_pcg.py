@@ -13,9 +13,8 @@ import pytest
 
 from repro.cluster.halo import DistributedEBE
 from repro.cluster.partition import PartitionInfo, partition_elements
-from repro.sparse.cg import pcg
+from repro.sparse.cg import PCGWorkspace, pcg
 from repro.sparse.distributed import (
-    DistributedPCGWorkspace,
     PartitionedReduction,
     distributed_pcg,
     part_block_jacobi,
@@ -38,9 +37,15 @@ def make_dist(problem, nparts):
     return DistributedEBE.from_elements(problem.Ae, info)
 
 
-@pytest.mark.parametrize("nparts", [1, 2, 4, 8])
-def test_bit_identical_to_fused_global_solve(ground_problem, rhs, nparts):
-    """The tentpole guarantee: same bits at every part count."""
+@pytest.mark.parametrize(
+    "nparts,max_iter",
+    [(1, 10_000), (2, 10_000), (4, 10_000), (8, 10_000), (2, 3)],
+    ids=["1", "2", "4", "8", "2-capped-3"],
+)
+def test_bit_identical_to_fused_global_solve(ground_problem, rhs, nparts,
+                                             max_iter):
+    """The tentpole guarantee: same bits at every part count — also
+    when the cap stops the loop before any case has converged."""
     B, G = rhs
     dist = make_dist(ground_problem, nparts)
     ref = pcg(
@@ -49,15 +54,19 @@ def test_bit_identical_to_fused_global_solve(ground_problem, rhs, nparts):
         x0=G,
         precond=BlockJacobi(dist.diagonal_blocks()),
         eps=1e-8,
+        max_iter=max_iter,
         reduction=PartitionedReduction(dist.owned_global_dofs),
     )
-    got = distributed_pcg(dist, B, x0=G, eps=1e-8)
+    got = distributed_pcg(dist, B, x0=G, eps=1e-8, max_iter=max_iter)
     assert np.array_equal(got.x, ref.x)
     assert np.array_equal(got.iterations, ref.iterations)
     assert got.loop_iterations == ref.loop_iterations
     assert np.array_equal(got.initial_relres, ref.initial_relres)
     assert np.array_equal(got.final_relres, ref.final_relres)
-    assert np.all(got.converged)
+    assert np.array_equal(got.converged, ref.converged)
+    assert np.all(got.converged) == (max_iter > 3)
+    if max_iter == 3:
+        assert got.loop_iterations == 3 and np.all(got.iterations == 3)
 
 
 @pytest.mark.parametrize("nparts", [1, 2, 4])
@@ -137,7 +146,7 @@ def test_workspace_reuse_is_deterministic(ground_problem, rhs):
     """One workspace across repeated solves must not change a bit."""
     B, G = rhs
     dist = make_dist(ground_problem, 4)
-    ws = DistributedPCGWorkspace()
+    ws = PCGWorkspace()
     preconds = part_block_jacobi(dist)
     first = distributed_pcg(
         dist, B, x0=G, local_preconds=preconds, eps=1e-8, workspace=ws

@@ -15,9 +15,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.cluster.halo import DistributedEBE
+from repro.cluster.partition import PartitionInfo, partition_elements
 from repro.sparse import backend as backend_mod
 from repro.sparse.backend import NumpyBackend, as_backend
 from repro.sparse.cg import pcg
+from repro.sparse.distributed import distributed_pcg
 
 TILE = NumpyBackend._TILE
 WIDE = TILE * TILE  # fewest rows the wide view takes
@@ -148,17 +151,30 @@ def test_column_primitives_allocate_nothing_per_call(n, r):
 
 
 # ------------------------------------------- per-case independence
-@pytest.mark.parametrize("kind", ["crs", "ebe"])
+@pytest.mark.parametrize("kind", ["crs", "ebe", "part-local"])
 def test_a_nan_case_leaves_its_fused_neighbours_untouched(ground_problem, kind):
     """r = 4 with one all-NaN right-hand side, against the same-width
     solve whose column is a zero right-hand side: the three healthy
     cases come out bit for bit the same, the NaN case reports
     non-convergence.  (``ground_problem`` is large enough for the wide
-    column scaling to run.)"""
+    column scaling to run.)  ``part-local`` is the same loop on the
+    stacked layout of a two-part partition: the halo sums and the
+    owned-row reductions stay per column as well."""
     problem = ground_problem
     assert problem.n_dofs >= WIDE
-    A = (problem.crs_operator() if kind == "crs" else problem.ebe_operator())
-    M = problem.preconditioner()
+    if kind == "part-local":
+        info = PartitionInfo(problem.mesh, partition_elements(problem.mesh, 2))
+        dist = DistributedEBE.from_elements(problem.Ae, info)
+
+        def solve(B):
+            return distributed_pcg(dist, B, eps=1e-8, max_iter=400)
+    else:
+        A = (problem.crs_operator() if kind == "crs"
+             else problem.ebe_operator())
+        M = problem.preconditioner()
+
+        def solve(B):
+            return pcg(A, B, precond=M, eps=1e-8, max_iter=400)
     B = np.random.default_rng(21).standard_normal((problem.n_dofs, 4))
     B[problem.fixed_dofs, :] = 0.0
     healthy = [0, 1, 3]
@@ -166,10 +182,10 @@ def test_a_nan_case_leaves_its_fused_neighbours_untouched(ground_problem, kind):
     B_zero[:, 2] = 0.0
     B_nan[:, 2] = np.nan
 
-    ref = pcg(A, B_zero, precond=M, eps=1e-8, max_iter=400)
+    ref = solve(B_zero)
     assert ref.converged.all() and ref.loop_iterations < 400
     with np.errstate(invalid="ignore"):
-        got = pcg(A, B_nan, precond=M, eps=1e-8, max_iter=400)
+        got = solve(B_nan)
 
     assert got.loop_iterations == 400  # the NaN case never closes
     assert not got.converged[2] and got.converged[healthy].all()

@@ -9,12 +9,15 @@ region must contain no reference to the ``np``/``numpy`` names.
 
 Guarded regions:
 
-* ``cg.pcg`` — the CG ``while`` loop body;
-* ``distributed.distributed_pcg`` — its ``while`` loop body and the
-  ``owned_dot`` / ``owned_norm`` / ``apply_A`` closures it calls from
-  inside the loop;
-* ``distributed.distributed_pcg`` — both ``apply_precond`` closures
-  (per-part block-Jacobi and the gather/cycle/scatter global family);
+* ``cg.pcg`` — the CG ``while`` loop body, the only one there is: the
+  part-local solve hands over to it (``distributed.distributed_pcg``
+  holds no loop of its own, and nothing else calls the recurrence
+  primitives);
+* what that loop calls on the stacked part-local layout —
+  ``distributed.PartitionedReduction.dot`` / ``norm``,
+  ``distributed.PartLocalOperator.matvec``, and both preconditioner
+  ``apply`` bodies (per-part block-Jacobi and the gather/cycle/scatter
+  global family);
 * ``ebe.EBEOperator._sweep`` — the gather/apply/scatter sweep;
 * ``bcrs.BlockCRS._apply_block`` — the CSR SpMV fast path;
 * ``precond.BlockJacobi._apply_block`` — the block-Jacobi fast path;
@@ -29,9 +32,11 @@ only the per-iteration regions are linted.
 
 import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.predictor import datadriven
 from repro.sparse import bcrs, cg, distributed, ebe, precond, twogrid
 
@@ -90,34 +95,61 @@ def test_cg_loop_is_backend_pure():
 
 
 def test_distributed_loop_is_backend_pure():
+    """The part-local solve has no loop of its own to lint: it must
+    hand the stacked layout to the one ``pcg`` loop linted above."""
     fn = _find_function(_module_tree(distributed), "distributed_pcg")
-    _assert_pure("distributed_pcg while-loop", _while_body(fn))
+    loops = [n for n in ast.walk(fn) if isinstance(n, (ast.While, ast.For))]
+    assert not loops, "distributed_pcg grew a loop — the copy is back?"
+    calls = [n.func.id for n in ast.walk(fn)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    assert calls.count("pcg") == 1, calls
 
 
-@pytest.mark.parametrize("closure", ["owned_dot", "owned_norm", "apply_A"])
-def test_distributed_closures_are_backend_pure(closure):
-    """The reductions and operator application the loop calls are part
-    of the hot path even though they sit outside the while statement."""
-    fn = _find_function(_module_tree(distributed), "distributed_pcg")
-    inner = _find_function(fn, closure)
-    _assert_pure(f"distributed_pcg.{closure}", inner.body)
+# ids: the closures of the deleted second loop these bodies replaced
+@pytest.mark.parametrize("cls,method", [
+    pytest.param("PartitionedReduction", "dot", id="owned_dot"),
+    pytest.param("PartitionedReduction", "norm", id="owned_norm"),
+    pytest.param("PartLocalOperator", "matvec", id="apply_A"),
+])
+def test_distributed_closures_are_backend_pure(cls, method):
+    """The reductions and operator application ``pcg`` calls on the
+    stacked layout are its hot path as much as the loop body is."""
+    fn = _find_method(_module_tree(distributed), cls, method)
+    _assert_pure(f"distributed.{cls}.{method}", fn.body)
 
 
 def test_distributed_precond_closures_are_backend_pure():
-    """Both preconditioner application closures (the per-part default
-    and the global two-grid gather/cycle/scatter) run once per loop
-    iteration — each must stay on the seam."""
-    fn = _find_function(_module_tree(distributed), "distributed_pcg")
-    closures = [
-        n for n in ast.walk(fn)
-        if isinstance(n, ast.FunctionDef) and n.name == "apply_precond"
-    ]
-    assert len(closures) == 2, "expected the global and per-part variants"
-    for inner in closures:
-        _assert_pure(
-            f"distributed_pcg.apply_precond (line {inner.lineno})",
-            inner.body,
-        )
+    """Both preconditioner adapters (the per-part default and the
+    global two-grid gather/cycle/scatter) run once per loop iteration
+    — each ``apply`` must stay on the seam."""
+    tree = _module_tree(distributed)
+    for cls in ("_PerPartPrecond", "_GatheredPrecond"):
+        fn = _find_method(tree, cls, "apply")
+        _assert_pure(f"distributed.{cls}.apply", fn.body)
+
+
+def test_there_is_one_cg_loop():
+    """Keeps the second copy from coming back: outside the backends,
+    the direction update ``xpay_cols`` is called from ``cg.pcg`` and
+    nowhere else, and ``sparse/`` holds one ``while`` loop."""
+    src = Path(repro.__file__).parent
+    callers, whiles = [], []
+    for path in sorted(src.rglob("*.py")):
+        if path.name.startswith("backend"):
+            continue
+        rel = path.relative_to(src).as_posix()
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "xpay_cols"):
+                    callers.append(f"{rel}:{fn.name}")
+                if isinstance(node, ast.While) and rel.startswith("sparse/"):
+                    whiles.append(f"{rel}:{fn.name}")
+    assert callers == ["sparse/cg.py:pcg"], callers
+    assert whiles == ["sparse/cg.py:pcg"], whiles
 
 
 def test_ebe_sweep_is_backend_pure():

@@ -7,8 +7,17 @@ iteration.  Charging cached tuples, and ``cg.vec`` once per solve as
 ``loop_iterations`` calls, must reproduce every flop, byte and call
 count exactly (``==``, no tolerance): the modeled times and energies of
 every table derive from these numbers.  Never regenerate the fixture.
+
+``fixtures/tally_dist_parent.json`` is its sibling for the two
+part-local solves that file does not reach — the global two-grid
+preconditioner and a ``max_iter=3`` cap, both at nparts 2 — written
+once by the code of commit b51c09d, the last one where
+``distributed_pcg`` ran its own copy of the CG loop.  Beside the tally
+it pins a SHA-256 of every array of the result, so the one loop must
+reproduce that solver's bits, not only its bookkeeping.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -22,7 +31,13 @@ from repro.sparse.cg import pcg
 from repro.sparse.distributed import distributed_pcg
 from repro.util import counters
 
-FIXTURE = Path(__file__).parent / "fixtures" / "tally_parent.json"
+FIXTURES = Path(__file__).parent / "fixtures"
+PINNED = {
+    name: pinned
+    for file in ("tally_parent.json", "tally_dist_parent.json")
+    for name, pinned in json.loads((FIXTURES / file).read_text()).items()
+}
+DIGESTED = ("x", "iterations", "converged", "initial_relres", "final_relres")
 
 PRECISIONS = ("fp64", "fp32", "fp21")
 
@@ -52,11 +67,13 @@ def _pcg_case(problem, kind, r, precision=None, **kwargs):
     return lambda: pcg(A, B, precond=M, precision=precision, **kwargs)
 
 
-def _dist_case(problem, nparts, precision=None):
+def _dist_case(problem, nparts, precision=None, twogrid=False, **kwargs):
     info = PartitionInfo(problem.mesh, partition_elements(problem.mesh, nparts))
     dist = DistributedEBE.from_elements(problem.Ae, info, precision=precision)
     B = _rhs(problem, 3)
-    return lambda: distributed_pcg(dist, B, eps=1e-8)
+    if twogrid:
+        kwargs["precond"] = problem.twogrid_preconditioner()
+    return lambda: distributed_pcg(dist, B, eps=1e-8, **kwargs)
 
 
 def solve_cases(small_problem, ground_problem):
@@ -76,18 +93,25 @@ def solve_cases(small_problem, ground_problem):
     for nparts in (1, 2, 4):
         cases[f"dist-n{nparts}-fp64"] = _dist_case(ground_problem, nparts)
     cases["dist-n2-fp21"] = _dist_case(ground_problem, 2, "fp21")
+    cases["dist-n2-twogrid"] = _dist_case(ground_problem, 2, twogrid=True)
+    cases["dist-n2-capped-3"] = _dist_case(ground_problem, 2, max_iter=3)
     return cases
 
 
 def measure(run):
-    """``{"loop_iterations", "records": {tag: [flops, bytes, calls]}}``
-    of one solve under a fresh tally."""
+    """``{"loop_iterations", "records": {tag: [flops, bytes, calls]},
+    "digests": {field: sha256}}`` of one solve under a fresh tally."""
     with counters.tally_scope() as tally:
         res = run()
     return {
         "loop_iterations": int(res.loop_iterations),
         "records": {tag: [rec.flops, rec.bytes, rec.calls]
                     for tag, rec in sorted(tally.records.items())},
+        "digests": {
+            name: hashlib.sha256(
+                np.ascontiguousarray(getattr(res, name)).tobytes()).hexdigest()
+            for name in DIGESTED
+        },
     }
 
 
@@ -97,15 +121,17 @@ def cases(small_problem, ground_problem):
 
 
 def test_fixture_names_every_case(cases):
-    assert sorted(json.loads(FIXTURE.read_text())) == sorted(cases)
+    assert sorted(PINNED) == sorted(cases)
 
 
-@pytest.mark.parametrize("name", sorted(json.loads(FIXTURE.read_text())))
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_tally_equals_parent(cases, name):
-    pinned = json.loads(FIXTURE.read_text())[name]
+    pinned = PINNED[name]
     got = measure(cases[name])
     assert got["loop_iterations"] == pinned["loop_iterations"]
     assert got["records"] == pinned["records"]
+    if "digests" in pinned:  # the sibling fixture pins the bits too
+        assert got["digests"] == pinned["digests"]
     if name.endswith(("exact-x0", "zero-rhs")):
         assert got["loop_iterations"] == 0
     if name.endswith("capped-3"):
