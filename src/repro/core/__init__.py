@@ -5,8 +5,11 @@
 * :mod:`~repro.core.methods` — the four compared methods:
   ``CRS-CG@CPU``, ``CRS-CG@GPU`` (Algorithm 2), ``CRS-CG@CPU-GPU``
   (Algorithm 4), ``EBE-MCG@CPU-GPU`` (Algorithm 3);
-* :class:`~repro.core.pipeline.HeterogeneousPipeline` — the
-  two-process-set CPU/GPU overlap schedule on a simulated timeline;
+* :mod:`~repro.core.pipeline` — the one time-step loop
+  (:class:`~repro.core.pipeline.StepDriver`) and its two schedules on a
+  simulated timeline: :class:`~repro.core.pipeline.SequentialSchedule`
+  (Algorithm 2) and :class:`~repro.core.pipeline.HeterogeneousPipeline`
+  (the two-process-set CPU/GPU overlap of Algorithms 3/4);
 * :mod:`~repro.core.results` — per-step records and table-ready
   summaries.
 """

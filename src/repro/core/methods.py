@@ -29,9 +29,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.partitioned import PartitionedCaseSet
-from repro.core.pipeline import CaseSet, HeterogeneousPipeline, _s_effective
+from repro.core.pipeline import (
+    CaseSet,
+    HeterogeneousPipeline,
+    SequentialSchedule,
+    StepDriver,
+)
 from repro.core.problem import ElasticProblem
-from repro.core.results import RunResult, StepRecord
+from repro.core.results import RunResult
 from repro.hardware.power import PowerModel, energy_of_timeline
 from repro.hardware.roofline import DeviceModel
 from repro.hardware.specs import SINGLE_GH200, ModuleSpec
@@ -45,7 +50,6 @@ from repro.predictor.registry import (
 from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
-from repro.util.timeline import Timeline
 
 __all__ = ["METHODS", "HETEROGENEOUS_METHODS", "PARTITIONABLE_METHODS",
            "NATIVE_PREDICTORS", "native_predictor", "RunConfig",
@@ -110,10 +114,6 @@ def cpu_share_factors(threads: int | None) -> tuple[float, float]:
         raise ValueError("threads must be in 1..72")
     ratio = t / _REFERENCE_THREADS
     return min(_FLOP_FACTOR_CAP, ratio), min(_BW_FACTOR_CAP, float(np.sqrt(ratio)))
-
-
-#: Backwards-compatible private alias.
-_cpu_factors = cpu_share_factors
 
 
 def estimate_memory(
@@ -212,8 +212,6 @@ def estimate_memory(
     return cpu, gpu
 
 
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """What a run computes, apart from its inputs (problem, forces,
@@ -222,8 +220,8 @@ class RunConfig:
     once — ``precision`` to a :class:`Precision`, ``backend`` to an
     :class:`ArrayBackend`, ``predictor`` (``"auto"``/``None`` included)
     to a registered name.  Built by :func:`run_method` and handed whole
-    to the drivers and the checkpoint header, so a new run parameter is
-    one field here plus its use.
+    to the schedule builder and the checkpoint header, so a new run
+    parameter is one field here plus its use.
     """
 
     method: str
@@ -352,176 +350,6 @@ def _case_set(
     )
 
 
-class _BaselineDriver:
-    """Algorithm 2 (AB predictor + CRS-CG on one device), restructured
-    as a resumable driver: ``run(nt)`` appends steps, and the full
-    numeric state (case sets, timeline, records) snapshots through
-    ``state_dict``/``load_state_dict`` so a checkpointed baseline run
-    resumes bit-identically — same contract as
-    :class:`~repro.core.pipeline.HeterogeneousPipeline`.
-    """
-
-    def __init__(
-        self,
-        problem: ElasticProblem,
-        forces: Sequence[Callable[[int], np.ndarray]],
-        cfg: RunConfig,
-        waveform_dofs: np.ndarray | None,
-        record_log=None,
-        wave_log=None,
-    ) -> None:
-        self.problem = problem
-        self.cfg = cfg
-        self.device = cfg.method.split("@", 1)[1]
-        self.waveform_dofs = waveform_dofs
-        module = cfg.module
-        self.model = DeviceModel(module.cpu if self.device == "cpu" else module.gpu)
-        # single-lane schedule: the cpu/gpu overlap is identically
-        # zero, so skip the overlap queues (keeps long runs O(1))
-        self.tl = Timeline(track_overlap=False)
-        self.records = [] if record_log is None else record_log
-        self.waves = [] if wave_log is None else wave_log
-        self.sets = [_case_set(cfg, problem, [f]) for f in forces]
-
-    def run(self, nt: int) -> None:
-        """Execute ``nt`` further time steps (appends to records)."""
-        tl = self.tl
-        start_step = self.records[-1].step + 1 if self.records else 1
-        for it in range(start_step, start_step + nt):
-            t0 = tl.makespan
-            iters = []
-            s_vals = []
-            t_solve = t_pred = relres = 0.0
-            for cs in self.sets:
-                # capture before predict: the history length this very
-                # prediction consumes (same convention as the pipeline)
-                s_vals.append(_s_effective(cs))
-                guess, tp = cs.predict(it)
-                res, ts = cs.solve(it, guess)
-                tp_t = self.model.time_for_tally(tp)
-                ts_t = self.model.time_for_tally(ts)
-                tl.schedule(self.device, "predictor", tp_t)
-                tl.schedule(self.device, "solver", ts_t)
-                t_pred += tp_t
-                t_solve += ts_t
-                iters.append(res.iterations)
-                relres = max(relres, float(res.final_relres.max()))
-            self.records.append(
-                StepRecord(
-                    step=it,
-                    iterations=np.concatenate(iters),
-                    t_solver=t_solve,
-                    t_predictor=t_pred,
-                    t_transfer=0.0,
-                    t_step=tl.makespan - t0,
-                    s_used=max(
-                        (v for v in s_vals if v is not None), default=None
-                    ),
-                    relres=relres,
-                )
-            )
-            if self.waveform_dofs is not None:
-                self.waves.append(
-                    np.stack(
-                        [cs.displacements()[self.waveform_dofs, 0]
-                         for cs in self.sets]
-                    )
-                )
-
-    # -- checkpoint/resume --------------------------------------------
-    def state_dict(self, since_step: int | None = None) -> dict:
-        """Snapshot; with ``since_step`` only the records/waves tail
-        after that step is embedded and ``tail_from`` marks the cut
-        (see :class:`~repro.core.pipeline.PipelineState`)."""
-        if since_step:
-            recs = (
-                self.records.tail(since_step)
-                if hasattr(self.records, "tail")
-                else [r for r in self.records if r.step > since_step]
-            )
-            n = len(recs)
-            if not len(self.waves):
-                waves = []
-            elif hasattr(self.waves, "last"):
-                waves = self.waves.last(n)
-            else:
-                waves = list(self.waves[-n:]) if n else []
-        else:
-            recs = list(self.records)
-            waves = (
-                self.waves.all()
-                if hasattr(self.waves, "all")
-                else list(self.waves)
-            )
-        doc = {
-            "sets": [cs.state_dict() for cs in self.sets],
-            "timeline": self.tl.state_dict(),
-            "records": [r.to_dict() for r in recs],
-            "waves": waves,
-        }
-        if since_step:
-            doc["tail_from"] = int(since_step)
-        return doc
-
-    def load_state_dict(self, doc: dict) -> None:
-        if doc.get("tail_from"):
-            raise ValueError(
-                f"cannot resume from an incremental checkpoint tail "
-                f"(tail_from={doc['tail_from']}); merge the checkpoint "
-                "sequence with repro.io.results.merge_checkpoint_docs "
-                "first"
-            )
-        if len(doc["sets"]) != len(self.sets):
-            raise ValueError(
-                f"state has {len(doc['sets'])} cases, driver has "
-                f"{len(self.sets)}"
-            )
-        for cs, d in zip(self.sets, doc["sets"]):
-            cs.load_state_dict(d)
-        self.tl.load_state_dict(doc["timeline"])
-        recs = [StepRecord.from_dict(d) for d in doc["records"]]
-        if hasattr(self.records, "replace"):
-            self.records.replace(recs)
-        else:
-            self.records = recs
-        waves = [np.asarray(w, dtype=float) for w in doc["waves"]]
-        if hasattr(self.waves, "replace"):
-            self.waves.replace(waves)
-        else:
-            self.waves = waves
-
-    def result(self) -> RunResult:
-        n_cases = len(self.sets)
-        module = self.cfg.module
-        pm = PowerModel(
-            module,
-            cpu_load=1.0 if self.device == "cpu" else 0.0,
-            gpu_load=1.0,
-        )
-        power = energy_of_timeline(self.tl, pm)
-        cpu_mem, gpu_mem = estimate_memory(
-            self.problem, self.cfg.method, n_cases,
-            precision=self.cfg.precision,
-        )
-        return RunResult(
-            method=self.cfg.method,
-            module_name=module.name,
-            n_cases=n_cases,
-            n_dofs=self.problem.n_dofs,
-            records=self.records,
-            timeline=self.tl,
-            cpu_memory_bytes=cpu_mem,
-            gpu_memory_bytes=gpu_mem,
-            power=power,
-            final_states=[cs.states[0] for cs in self.sets],
-            waveforms=(
-                np.stack(list(self.waves), axis=1)
-                if isinstance(self.waves, list) and self.waves
-                else None
-            ),
-        )
-
-
 def _part_link(module: ModuleSpec) -> TransferModel:
     """Inter-part link: the NIC when the module has one (multi-node),
     otherwise NVLink-C2C (single-node multi-GPU)."""
@@ -530,111 +358,85 @@ def _part_link(module: ModuleSpec) -> TransferModel:
     return TransferModel.c2c(module)
 
 
-class _PipelineDriver:
-    """Algorithms 3 (ebe) / 4 (crs): two sets, CPU/GPU overlapped — a
-    :class:`HeterogeneousPipeline` behind the same driver surface as
-    :class:`_BaselineDriver`.
+def _partition(cfg: RunConfig, problem: ElasticProblem) -> dict:
+    """The :class:`PartitionedCaseSet` keywords of ``cfg.nparts > 1``
+    (empty at one part): the EBE sets run on the distributed part-local
+    solver — halo exchange per CG iteration, comm on the ``nic`` lane.
+    Both sets solve the same model: partition once, share the operator
+    and the per-part block inverses."""
+    if cfg.nparts == 1:
+        return {}
+    from repro.cluster.halo import DistributedEBE
+    from repro.cluster.partition import PartitionInfo, partition_elements
+    from repro.sparse.distributed import part_block_jacobi
 
-    ``cfg.nparts > 1`` runs the EBE sets on the distributed part-local
-    solver (halo exchange per CG iteration, comm on the ``nic`` lane).
-    """
+    info = PartitionInfo(
+        problem.mesh, partition_elements(problem.mesh, cfg.nparts)
+    )
+    dist = DistributedEBE.from_elements(
+        problem.Ae, info, precision=cfg.precision, backend=cfg.backend
+    )
+    return dict(
+        nparts=cfg.nparts,
+        link=_part_link(cfg.module),
+        dist=dist,
+        preconds=(
+            part_block_jacobi(dist)
+            if cfg.precond == DEFAULT_PRECONDITIONER else None
+        ),
+    )
 
-    def __init__(
-        self,
-        problem: ElasticProblem,
-        forces: Sequence[Callable[[int], np.ndarray]],
-        cfg: RunConfig,
-        waveform_dofs: np.ndarray | None,
-        record_log=None,
-        wave_log=None,
-    ) -> None:
-        n_cases = len(forces)
-        if n_cases < 2 or n_cases % 2:
-            raise ValueError("heterogeneous methods need an even case count (2 sets)")
-        r = n_cases // 2
-        self.problem = problem
-        self.cfg = cfg
-        self.n_cases = n_cases
-        self.wave_log = wave_log
-        module = cfg.module
 
-        partition = {}
-        if cfg.nparts > 1:
-            # both sets solve the same model: partition once, share the
-            # operator and the per-part block inverses
-            from repro.cluster.halo import DistributedEBE
-            from repro.cluster.partition import PartitionInfo, partition_elements
-            from repro.sparse.distributed import part_block_jacobi
-
-            info = PartitionInfo(
-                problem.mesh, partition_elements(problem.mesh, cfg.nparts)
-            )
-            dist = DistributedEBE.from_elements(
-                problem.Ae, info, precision=cfg.precision, backend=cfg.backend
-            )
-            partition = dict(
-                nparts=cfg.nparts,
-                link=_part_link(module),
-                dist=dist,
-                preconds=(
-                    part_block_jacobi(dist)
-                    if cfg.precond == DEFAULT_PRECONDITIONER else None
-                ),
-            )
-        self.dist = partition.get("dist")
-
-        flop_f, bw_f = cpu_share_factors(cfg.cpu_threads)
-        threads = 36 if cfg.cpu_threads is None else cfg.cpu_threads
-        self.power = PowerModel(
-            module, cpu_load=threads / module.cpu.n_cores, gpu_load=1.0
+def _schedule(
+    cfg: RunConfig,
+    problem: ElasticProblem,
+    forces: Sequence[Callable[[int], np.ndarray]],
+    partition: dict,
+    **logs,
+) -> tuple[StepDriver, PowerModel]:
+    """The method's schedule of the step loop and its power model: the
+    baselines run Algorithm 2 with one case per set on their device,
+    the ``@cpu-gpu`` methods Algorithms 3 (ebe) / 4 (crs) with two sets,
+    CPU and GPU overlapped.  ``logs`` are the :class:`StepDriver`
+    fields."""
+    module = cfg.module
+    if cfg.method not in HETEROGENEOUS_METHODS:
+        device = cfg.method.split("@", 1)[1]
+        schedule = SequentialSchedule(
+            sets=[_case_set(cfg, problem, [f]) for f in forces],
+            device=device,
+            model=DeviceModel(module.cpu if device == "cpu" else module.gpu),
+            **logs,
         )
-        s_min, s_max = cfg.s_range
-        self.pipe = HeterogeneousPipeline(
-            set_a=_case_set(cfg, problem, forces[:r], **partition),
-            set_b=_case_set(cfg, problem, forces[r:], **partition),
-            cpu=DeviceModel(module.cpu, flop_factor=flop_f, bw_factor=bw_f),
-            gpu=DeviceModel(module.gpu),
-            power=self.power,
-            c2c=TransferModel.c2c(module),
-            controller=AdaptiveSController(s_min=s_min, s_max=s_max),
-            waveform_dofs=waveform_dofs,
-            records=[] if record_log is None else record_log,
-            _waves=[] if wave_log is None else wave_log,
+        return schedule, PowerModel(
+            module, cpu_load=1.0 if device == "cpu" else 0.0, gpu_load=1.0
         )
 
-    def run(self, nt: int) -> None:
-        self.pipe.run(nt)
-
-    def state_dict(self, since_step: int | None = None) -> dict:
-        return self.pipe.save_state(since_step).to_dict()
-
-    def load_state_dict(self, doc: dict) -> None:
-        self.pipe.load_state(doc)
-
-    def result(self) -> RunResult:
-        cfg, pipe = self.cfg, self.pipe
-        cpu_mem, gpu_mem = estimate_memory(
-            self.problem, cfg.method, self.n_cases, s_max=cfg.s_range[1],
-            precision=cfg.precision,
-            nparts=cfg.nparts if cfg.op_kind == "ebe" else 1, dist=self.dist,
-        )
-        return RunResult(
-            method=cfg.method,
-            module_name=cfg.module.name,
-            n_cases=self.n_cases,
-            n_dofs=self.problem.n_dofs,
-            records=pipe.records,
-            timeline=pipe.timeline,
-            cpu_memory_bytes=cpu_mem,
-            gpu_memory_bytes=gpu_mem,
-            power=energy_of_timeline(pipe.timeline, self.power),
-            final_states=[*pipe.set_a.states, *pipe.set_b.states],
-            waveforms=None if self.wave_log is not None else pipe.waveforms(),
-        )
+    n_cases = len(forces)
+    if n_cases < 2 or n_cases % 2:
+        raise ValueError("heterogeneous methods need an even case count (2 sets)")
+    r = n_cases // 2
+    flop_f, bw_f = cpu_share_factors(cfg.cpu_threads)
+    threads = _REFERENCE_THREADS if cfg.cpu_threads is None else cfg.cpu_threads
+    power = PowerModel(
+        module, cpu_load=threads / module.cpu.n_cores, gpu_load=1.0
+    )
+    s_min, s_max = cfg.s_range
+    schedule = HeterogeneousPipeline(
+        set_a=_case_set(cfg, problem, forces[:r], **partition),
+        set_b=_case_set(cfg, problem, forces[r:], **partition),
+        cpu=DeviceModel(module.cpu, flop_factor=flop_f, bw_factor=bw_f),
+        gpu=DeviceModel(module.gpu),
+        power=power,
+        c2c=TransferModel.c2c(module),
+        controller=AdaptiveSController(s_min=s_min, s_max=s_max),
+        **logs,
+    )
+    return schedule, power
 
 
 def _run_chunks(
-    driver,
+    driver: StepDriver,
     cfg: RunConfig,
     nt: int,
     start_state: dict | None,
@@ -645,7 +447,8 @@ def _run_chunks(
     ``start_state`` and flushing a state document to ``on_checkpoint``
     every ``checkpoint_every`` completed steps.  Chunked execution is
     numerically invisible: ``run(k); run(nt-k)`` is bit-identical to
-    ``run(nt)`` (the PR-2 resume contract both drivers honor).
+    ``run(nt)`` (the PR-2 resume contract every schedule honors — they
+    share the loop).
 
     Flushed state documents are *incremental*: each embeds only the
     records/waves produced since the previous flush (the first flush of
@@ -658,6 +461,14 @@ def _run_chunks(
     if start_state is not None:
         done = cfg.check_header(start_state, nt)
         driver.load_state_dict(start_state["state"])
+        logged = driver.records[-1].step if driver.records else 0
+        if logged != done:
+            # replaying from the header's step on a state that is
+            # already elsewhere would silently repeat or skip steps
+            raise ValueError(
+                f"checkpoint step {done} does not match its records "
+                f"(last logged step {logged})"
+            )
         flushed = done
     while done < nt:
         k = nt - done if checkpoint_every < 1 else min(checkpoint_every, nt - done)
@@ -752,9 +563,11 @@ def run_method(
         loaded via :func:`repro.io.results.load_pipeline_state`): the
         run resumes from the checkpointed step and only executes the
         remaining ones.  The resumed run's records, summary, timeline
-        and energy numbers are bit-identical to an uninterrupted run.
-        The document's method/nparts/precision header must match this
-        call; mismatches raise ``ValueError``.
+        and energy numbers are bit-identical to an uninterrupted run,
+        under either schedule (they share the step loop and the logs'
+        part of the document).  The document's method/nparts/precision
+        header must match this call, and its ``step`` the last step its
+        records hold; mismatches raise ``ValueError``.
     checkpoint_every : flush a state document to ``on_checkpoint``
         every this many completed steps (0 = never).  Checkpointing
         does not perturb the numerics — chunked execution is
@@ -786,9 +599,29 @@ def run_method(
         raise ValueError("nt must be >= 1")
     if checkpoint_every < 0:
         raise ValueError("checkpoint_every must be >= 0")
-    driver_cls = (
-        _PipelineDriver if method in HETEROGENEOUS_METHODS else _BaselineDriver
+    partition = _partition(cfg, problem)
+    driver, power = _schedule(
+        cfg, problem, forces, partition,
+        waveform_dofs=waveform_dofs,
+        records=[] if record_log is None else record_log,
+        _waves=[] if wave_log is None else wave_log,
     )
-    driver = driver_cls(problem, forces, cfg, waveform_dofs, record_log, wave_log)
     _run_chunks(driver, cfg, nt, start_state, checkpoint_every, on_checkpoint)
-    return driver.result()
+    cpu_mem, gpu_mem = estimate_memory(
+        problem, method, len(forces), s_max=cfg.s_range[1],
+        precision=cfg.precision, nparts=cfg.nparts, dist=partition.get("dist"),
+    )
+    return RunResult(
+        method=method,
+        module_name=module.name,
+        n_cases=len(forces),
+        n_dofs=problem.n_dofs,
+        records=driver.records,
+        timeline=driver.timeline,
+        cpu_memory_bytes=cpu_mem,
+        gpu_memory_bytes=gpu_mem,
+        power=energy_of_timeline(driver.timeline, power),
+        final_states=[s for cs in driver.sets for s in cs.states],
+        # a caller-supplied wave log is the caller's to reassemble
+        waveforms=None if wave_log is not None else driver.waveforms(),
+    )

@@ -1,16 +1,25 @@
-"""Two-process-set CPU/GPU pipeline (paper Algorithms 3 & 4).
+"""The time-step loop and its two schedules (paper Algorithms 2, 3 & 4).
 
-Two sets of ``r`` cases leapfrog: while set B's solver occupies the
-GPU, set A's predictor runs on the CPU; after a synchronization and a
-C2C exchange the roles swap within the same time step.  If predictor
-time <= solver time, the predictor is completely hidden — the paper's
-central scheduling claim.
+A :class:`CaseSet` advances ``r`` cases one step: predict, solve,
+update.  :class:`StepDriver` is the one loop over time steps — it owns
+the per-step record log, the waveform frames and their share of a
+checkpoint — and a *schedule* is what one step of it does with the
+sets and the modeled devices:
 
-Numerically the sets are executed sequentially on the host — the
-dependency order is exactly that of Algorithm 2, so results match a
-sequential per-case run to rounding (the fused multi-RHS kernels order
-flops differently, nothing more); concurrency exists in the modeled
-:class:`~repro.util.timeline.Timeline`.
+* :class:`SequentialSchedule` — Algorithm 2: every set predicts and
+  solves in turn on a single device lane.
+* :class:`HeterogeneousPipeline` — Algorithms 3 (EBE) / 4 (CRS): two
+  sets of ``r`` cases leapfrog.  While set B's solver occupies the GPU,
+  set A's predictor runs on the CPU; after a synchronization and a C2C
+  exchange the roles swap within the same time step.  If predictor
+  time <= solver time, the predictor is completely hidden — the paper's
+  central scheduling claim.
+
+Numerically the sets are executed sequentially on the host under
+either schedule — the dependency order is exactly that of Algorithm 2,
+so results match a sequential per-case run to rounding (the fused
+multi-RHS kernels order flops differently, nothing more); concurrency
+exists in the modeled :class:`~repro.util.timeline.Timeline`.
 """
 
 from __future__ import annotations
@@ -33,7 +42,8 @@ from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
 from repro.util.counters import KernelTally, tally_scope
 from repro.util.timeline import Timeline
 
-__all__ = ["CaseSet", "HeterogeneousPipeline", "PipelineState"]
+__all__ = ["CaseSet", "StepDriver", "SequentialSchedule",
+           "HeterogeneousPipeline", "PipelineState"]
 
 
 def _s_effective(cs: "CaseSet") -> int | None:
@@ -253,12 +263,181 @@ class CaseSet:
         self._F_step = None
 
 
+@dataclass(kw_only=True)
+class StepDriver:
+    """The loop over time steps, and what every schedule of it shares.
+
+    A schedule provides ``sets`` — its :class:`CaseSet` objects, in case
+    order — and ``_step(it)``, which advances them all by one time step
+    and returns the step's record (built by :meth:`_record`).  The
+    driver owns the two per-step logs and their share of a checkpoint,
+    so a step ends in exactly one place.  The logs may be the caller's
+    (:class:`repro.io.spill.RecordLog` / :class:`~repro.io.spill.WaveLog`,
+    or any ``list``): the probes of their optional surface live here
+    and nowhere else.
+    """
+
+    records: list[StepRecord] = field(default_factory=list)
+    waveform_dofs: np.ndarray | None = None
+    _waves: list[np.ndarray] = field(default_factory=list)
+
+    def run(self, nt: int) -> None:
+        """Execute ``nt`` further time steps (appends to the logs).
+
+        Calling ``run`` again continues seamlessly: ``run(nt); run(nt)``
+        produces the same records and makespan as ``run(2 * nt)``.
+        """
+        start_step = self.records[-1].step + 1 if self.records else 1
+        dofs = self.waveform_dofs
+        for it in range(start_step, start_step + nt):
+            self.records.append(self._step(it))
+            if dofs is not None:
+                self._waves.append(
+                    np.concatenate([cs.displacements()[dofs].T for cs in self.sets])
+                )
+
+    @staticmethod
+    def _record(it: int, results: Sequence[CGResult], **costs) -> StepRecord:
+        """Step ``it``'s record from its solves (in set order) and its
+        modeled ``costs``.  The worst residual is folded with a
+        reduction that propagates NaN — the builtin ``max`` drops one
+        depending on operand order, and a diverged solve would read as
+        converged."""
+        relres = np.concatenate([res.final_relres for res in results])
+        return StepRecord(
+            step=it,
+            iterations=np.concatenate([res.iterations for res in results]),
+            relres=float(np.max(relres)),
+            **costs,
+        )
+
+    def waveforms(self) -> np.ndarray | None:
+        """(ncases, nt, nrec) recorded displacements, if requested."""
+        if not len(self._waves):
+            return None
+        if hasattr(self._waves, "stacked"):
+            return self._waves.stacked()
+        return np.stack(self._waves, axis=1)
+
+    # -- the logs' share of a snapshot ----------------------------------
+    def _logs_doc(self, since_step: int | None) -> dict:
+        """``records`` and ``waves`` of a snapshot.  With ``since_step``
+        (> 0) only the tail after that step is embedded and
+        ``tail_from`` marks the cut, so a periodic checkpointer writes
+        O(1) bytes per step instead of re-serializing the whole
+        history; ``None`` or ``0`` means the full logs."""
+        records, waves = self.records, self._waves
+        if since_step:
+            recs = (
+                records.tail(since_step)
+                if hasattr(records, "tail")
+                else [r for r in records if r.step > since_step]
+            )
+            n = len(recs)
+            if not len(waves):
+                frames = []
+            elif hasattr(waves, "last"):
+                frames = waves.last(n)
+            else:
+                frames = list(waves[-n:]) if n else []
+        else:
+            recs = list(records)
+            frames = waves.all() if hasattr(waves, "all") else list(waves)
+        doc = {"records": [r.to_dict() for r in recs], "waves": frames}
+        if since_step:
+            doc["tail_from"] = int(since_step)
+        return doc
+
+    def _load_logs(self, records: list, waves: list, tail_from=None) -> None:
+        """Reset both logs to a full snapshot's; a tail is refused."""
+        if tail_from:
+            raise ValueError(
+                f"cannot resume from an incremental checkpoint tail "
+                f"(tail_from={tail_from}); merge the checkpoint "
+                "sequence with repro.io.results.merge_checkpoint_docs "
+                "first"
+            )
+        recs = [StepRecord.from_dict(d) for d in records]
+        if hasattr(self.records, "replace"):
+            self.records.replace(recs)
+        else:
+            self.records = recs
+        frames = [np.asarray(w, dtype=float) for w in waves]
+        if hasattr(self._waves, "replace"):
+            self._waves.replace(frames)
+        else:
+            self._waves = frames
+
+
+@dataclass
+class SequentialSchedule(StepDriver):
+    """Algorithm 2 on one device: each set (the baselines run one case
+    per set) predicts and solves in turn on the ``device`` lane.  The
+    full numeric state (case sets, timeline, logs) snapshots through
+    ``state_dict`` / ``load_state_dict``, so a checkpointed run resumes
+    bit-identically — same contract as :class:`HeterogeneousPipeline`.
+    """
+
+    sets: list[CaseSet]
+    device: str  # the timeline lane: "cpu" or "gpu"
+    model: DeviceModel
+    # single-lane schedule: the cpu/gpu overlap is identically zero, so
+    # skip the overlap queues (keeps long runs O(1))
+    timeline: Timeline = field(default_factory=lambda: Timeline(track_overlap=False))
+
+    def _step(self, it: int) -> StepRecord:
+        tl = self.timeline
+        t0 = tl.makespan
+        results, s_vals = [], []
+        t_solve = t_pred = 0.0
+        for cs in self.sets:
+            # capture before predict: the history length this very
+            # prediction consumes (same convention as the pipeline)
+            s_vals.append(_s_effective(cs))
+            guess, tp = cs.predict(it)
+            res, ts = cs.solve(it, guess)
+            tp_t = self.model.time_for_tally(tp)
+            ts_t = self.model.time_for_tally(ts)
+            tl.schedule(self.device, "predictor", tp_t)
+            tl.schedule(self.device, "solver", ts_t)
+            t_pred += tp_t
+            t_solve += ts_t
+            results.append(res)
+        return self._record(
+            it, results,
+            t_solver=t_solve, t_predictor=t_pred, t_transfer=0.0,
+            t_step=tl.makespan - t0,
+            s_used=max((v for v in s_vals if v is not None), default=None),
+        )
+
+    # -- checkpoint/resume --------------------------------------------
+    def state_dict(self, since_step: int | None = None) -> dict:
+        """Snapshot between steps; ``since_step`` as in
+        :meth:`StepDriver._logs_doc`."""
+        return {
+            "sets": [cs.state_dict() for cs in self.sets],
+            "timeline": self.timeline.state_dict(),
+            **self._logs_doc(since_step),
+        }
+
+    def load_state_dict(self, doc: dict) -> None:
+        self._load_logs(doc["records"], doc["waves"], doc.get("tail_from"))
+        if len(doc["sets"]) != len(self.sets):
+            raise ValueError(
+                f"state has {len(doc['sets'])} cases, driver has "
+                f"{len(self.sets)}"
+            )
+        for cs, d in zip(self.sets, doc["sets"]):
+            cs.load_state_dict(d)
+        self.timeline.load_state_dict(doc["timeline"])
+
+
 @dataclass
 class PipelineState:
     """Mid-run snapshot of a :class:`HeterogeneousPipeline`.
 
-    Captures everything :meth:`HeterogeneousPipeline.run` reads across
-    step boundaries — the step index, both sets' Newmark/predictor
+    Captures everything the pipeline's step reads across step
+    boundaries — the step index, both sets' Newmark/predictor
     state, set B's carried prediction (``_next_guesses_b`` /
     ``_next_s_b``), the adaptive controller, the full timeline and the
     per-step records — so a pipeline restored from a snapshot
@@ -300,7 +479,7 @@ class PipelineState:
 
 
 @dataclass
-class HeterogeneousPipeline:
+class HeterogeneousPipeline(StepDriver):
     """Schedules two :class:`CaseSet` objects per Algorithm 3/4.
 
     Parameters
@@ -321,15 +500,16 @@ class HeterogeneousPipeline:
     c2c: TransferModel
     controller: object | None = None
     timeline: Timeline = field(default_factory=Timeline)
-    records: list[StepRecord] = field(default_factory=list)
-    waveform_dofs: np.ndarray | None = None
-    _waves: list[np.ndarray] = field(default_factory=list)
-    # set B's prediction for the next step, carried across run() calls
-    # so resumed runs continue instead of re-bootstrapping
+    # set B's prediction for the next step, carried across steps (and
+    # run() calls, so resumed runs continue instead of re-bootstrapping)
     _next_guesses_b: np.ndarray | None = field(default=None, repr=False)
     # None when set B's predictor keeps no history length (see
     # ``_s_effective``); 0 only as the pre-bootstrap default
     _next_s_b: int | None = field(default=0, repr=False)
+
+    @property
+    def sets(self) -> tuple[CaseSet, CaseSet]:
+        return self.set_a, self.set_b
 
     def _gpu_concurrent(self) -> DeviceModel:
         f = self.power.gpu_throttle_factor(cpu_concurrent=True)
@@ -346,157 +526,91 @@ class HeterogeneousPipeline:
         nbytes = 8.0 * self.set_a.problem.n_dofs * n_vectors
         return self.c2c.time(nbytes)
 
-    def run(self, nt: int) -> None:
-        """Execute ``nt`` time steps (appends to records/timeline).
-
-        Calling ``run`` again continues the schedule seamlessly:
-        ``run(nt); run(nt)`` produces the same records and makespan as
-        ``run(2 * nt)``.
-        """
+    def _step(self, it: int) -> StepRecord:
         tl = self.timeline
         lanes = ["cpu", "gpu", "c2c", "nic"]
 
-        start_step = self.records[-1].step + 1 if self.records else 1
-
         if self._next_guesses_b is None:
-            # Bootstrap (first run only): set B's first prediction
+            # Bootstrap (first step only): set B's first prediction
             # (Algorithm 3 needs x_bar for the first phase-A solve).
-            # Resumed runs reuse the prediction made at the end of the
-            # previous run — re-predicting here would double-charge the
-            # predictor and call predict twice without an intervening
-            # observe.
-            guesses_b, tp = self.set_b.predict(start_step)
-            s_used_b = _s_effective(self.set_b)
-            tl.schedule(
-                "cpu", "predictor", self.set_b.predictor_time(self.cpu, tp)
-            )
+            # Every later step — resumed runs included — reuses the
+            # prediction made in phase B of the step before;
+            # re-predicting here would double-charge the predictor and
+            # call predict twice without an intervening observe.
+            self._next_guesses_b, tp = self.set_b.predict(it)
+            self._next_s_b = _s_effective(self.set_b)
+            tl.schedule("cpu", "predictor", self.set_b.predictor_time(self.cpu, tp))
             tl.barrier(lanes)
-        else:
-            guesses_b = self._next_guesses_b
-            s_used_b = self._next_s_b
+        guesses_b, s_used_b = self._next_guesses_b, self._next_s_b
 
-        for it in range(start_step, start_step + nt):
-            t0 = tl.makespan
+        t0 = tl.makespan
 
-            # ---- phase A: predictor(A)@CPU || solver(B)@GPU ----
-            guesses_a, tp_a = self.set_a.predict(it)
-            s_used_a = _s_effective(self.set_a)
-            res_b, ts_b = self.set_b.solve(it, guesses_b)
-            t_cpu_a = self.set_a.predictor_time(self.cpu, tp_a)
-            t_gpu_a = self.set_b.solver_time(self._gpu_concurrent(), ts_b)
-            t_nic_a = self.set_b.comm_time(res_b)
-            tl.schedule("cpu", "predictor", t_cpu_a)
-            tl.schedule("gpu", "solver", t_gpu_a)
-            if t_nic_a > 0.0:
-                # halo/allreduce traffic not hidden behind the sweep,
-                # serialized after the solver phase it belongs to
-                tl.schedule("nic", "halo", t_nic_a, not_before=tl.now("gpu"))
-            sync = tl.barrier(["cpu", "gpu", "nic"])
-            t_x1 = self._exchange_time(self.set_a.r)
-            tl.schedule("c2c", "exchange", t_x1, not_before=sync)
-            tl.barrier(lanes)
+        # ---- phase A: predictor(A)@CPU || solver(B)@GPU ----
+        guesses_a, tp_a = self.set_a.predict(it)
+        s_used_a = _s_effective(self.set_a)
+        res_b, ts_b = self.set_b.solve(it, guesses_b)
+        t_cpu_a = self.set_a.predictor_time(self.cpu, tp_a)
+        t_gpu_a = self.set_b.solver_time(self._gpu_concurrent(), ts_b)
+        t_nic_a = self.set_b.comm_time(res_b)
+        tl.schedule("cpu", "predictor", t_cpu_a)
+        tl.schedule("gpu", "solver", t_gpu_a)
+        if t_nic_a > 0.0:
+            # halo/allreduce traffic not hidden behind the sweep,
+            # serialized after the solver phase it belongs to
+            tl.schedule("nic", "halo", t_nic_a, not_before=tl.now("gpu"))
+        sync = tl.barrier(["cpu", "gpu", "nic"])
+        t_x1 = self._exchange_time(self.set_a.r)
+        tl.schedule("c2c", "exchange", t_x1, not_before=sync)
+        tl.barrier(lanes)
 
-            # ---- phase B: solver(A)@GPU || predictor(B)@CPU ----
-            res_a, ts_a = self.set_a.solve(it, guesses_a)
-            next_guesses_b, tp_b = self.set_b.predict(it + 1)
-            next_s_b = _s_effective(self.set_b)
-            t_gpu_b = self.set_a.solver_time(self._gpu_concurrent(), ts_a)
-            t_nic_b = self.set_a.comm_time(res_a)
-            t_cpu_b = self.set_b.predictor_time(self.cpu, tp_b)
-            tl.schedule("gpu", "solver", t_gpu_b)
-            tl.schedule("cpu", "predictor", t_cpu_b)
-            if t_nic_b > 0.0:
-                tl.schedule("nic", "halo", t_nic_b, not_before=tl.now("gpu"))
-            sync = tl.barrier(["cpu", "gpu", "nic"])
-            t_x2 = self._exchange_time(self.set_b.r)
-            tl.schedule("c2c", "exchange", t_x2, not_before=sync)
-            tl.barrier(lanes)
+        # ---- phase B: solver(A)@GPU || predictor(B)@CPU ----
+        res_a, ts_a = self.set_a.solve(it, guesses_a)
+        self._next_guesses_b, tp_b = self.set_b.predict(it + 1)
+        self._next_s_b = _s_effective(self.set_b)
+        t_gpu_b = self.set_a.solver_time(self._gpu_concurrent(), ts_a)
+        t_nic_b = self.set_a.comm_time(res_a)
+        t_cpu_b = self.set_b.predictor_time(self.cpu, tp_b)
+        tl.schedule("gpu", "solver", t_gpu_b)
+        tl.schedule("cpu", "predictor", t_cpu_b)
+        if t_nic_b > 0.0:
+            tl.schedule("nic", "halo", t_nic_b, not_before=tl.now("gpu"))
+        sync = tl.barrier(["cpu", "gpu", "nic"])
+        t_x2 = self._exchange_time(self.set_b.r)
+        tl.schedule("c2c", "exchange", t_x2, not_before=sync)
+        tl.barrier(lanes)
 
-            # ---- bookkeeping ----
-            iters = np.concatenate([res_a.iterations, res_b.iterations])
-            self.records.append(
-                StepRecord(
-                    step=it,
-                    iterations=iters,
-                    t_solver=t_gpu_a + t_gpu_b,
-                    t_predictor=t_cpu_a + t_cpu_b,
-                    t_transfer=t_x1 + t_x2,
-                    t_step=tl.makespan - t0,
-                    # s actually used by the predictions consumed this
-                    # step: set A predicted in phase A above; set B's
-                    # guess was produced at the end of the previous
-                    # step (or the bootstrap), before any controller
-                    # update in between.
-                    s_used=s_used_a,
-                    s_used_b=s_used_b,
-                    t_halo=t_nic_a + t_nic_b,
-                    relres=float(
-                        max(res_a.final_relres.max(), res_b.final_relres.max())
-                    ),
-                )
-            )
-            if self.waveform_dofs is not None:
-                ua = self.set_a.displacements()[self.waveform_dofs]
-                ub = self.set_b.displacements()[self.waveform_dofs]
-                self._waves.append(np.concatenate([ua.T, ub.T], axis=0))
+        if self.controller is not None:
+            t_pred = max(t_cpu_a, t_cpu_b)
+            t_solve = max(t_gpu_a, t_gpu_b)
+            s_new = self.controller.update(t_pred, t_solve)
+            for p in (*self.set_a.predictors, *self.set_b.predictors):
+                if hasattr(p, "set_s"):
+                    p.set_s(s_new)
 
-            if self.controller is not None:
-                t_pred = max(t_cpu_a, t_cpu_b)
-                t_solve = max(t_gpu_a, t_gpu_b)
-                s_new = self.controller.update(t_pred, t_solve)
-                for p in (*self.set_a.predictors, *self.set_b.predictors):
-                    if hasattr(p, "set_s"):
-                        p.set_s(s_new)
-
-            guesses_b, s_used_b = next_guesses_b, next_s_b
-
-        self._next_guesses_b = guesses_b
-        self._next_s_b = s_used_b
-
-    def waveforms(self) -> np.ndarray | None:
-        """(ncases, nt, nrec) recorded displacements, if requested."""
-        if not len(self._waves):
-            return None
-        if hasattr(self._waves, "stacked"):
-            return self._waves.stacked()
-        return np.stack(self._waves, axis=1)
+        return self._record(
+            it, (res_a, res_b),
+            t_solver=t_gpu_a + t_gpu_b,
+            t_predictor=t_cpu_a + t_cpu_b,
+            t_transfer=t_x1 + t_x2,
+            t_step=tl.makespan - t0,
+            # s actually used by the predictions consumed this step:
+            # set A predicted in phase A above; set B's guess was
+            # produced at the end of the previous step (or the
+            # bootstrap), before any controller update in between.
+            s_used=s_used_a,
+            s_used_b=s_used_b,
+            t_halo=t_nic_a + t_nic_b,
+        )
 
     # -- checkpoint/resume --------------------------------------------
-    def _records_tail(self, since_step: int) -> list[StepRecord]:
-        if hasattr(self.records, "tail"):
-            return self.records.tail(since_step)
-        return [r for r in self.records if r.step > since_step]
-
-    def _waves_tail(self, n: int) -> list:
-        if not len(self._waves):
-            return []
-        if hasattr(self._waves, "last"):
-            return self._waves.last(n)
-        return list(self._waves[-n:]) if n else []
-
     def save_state(self, since_step: int | None = None) -> PipelineState:
         """Snapshot the pipeline between steps (i.e. between ``run``
         calls) for later :meth:`load_state`.  Resuming from the
         snapshot and finishing the remaining steps is bit-identical to
         an uninterrupted run — records, summaries, timeline and energy
-        numbers included.
-
-        With ``since_step`` (> 0), the snapshot is an incremental tail:
-        records/waves cover only steps after ``since_step`` and
-        ``tail_from`` marks the cut, so a periodic checkpointer writes
-        O(1) bytes per step instead of re-serializing the whole
-        history.  ``since_step=None`` or ``0`` means a full snapshot.
+        numbers included.  ``since_step`` (> 0) makes the snapshot an
+        incremental tail (see :meth:`StepDriver._logs_doc`).
         """
-        if since_step:
-            recs = self._records_tail(since_step)
-            waves = self._waves_tail(len(recs))
-        else:
-            recs = list(self.records)
-            waves = (
-                self._waves.all()
-                if hasattr(self._waves, "all")
-                else list(self._waves)
-            )
         return PipelineState(
             step=self.records[-1].step if len(self.records) else 0,
             set_a=self.set_a.state_dict(),
@@ -510,9 +624,7 @@ class HeterogeneousPipeline:
                 else None
             ),
             timeline=self.timeline.state_dict(),
-            records=[r.to_dict() for r in recs],
-            waves=waves,
-            tail_from=int(since_step) if since_step else None,
+            **self._logs_doc(since_step),
         )
 
     def load_state(self, state: PipelineState | dict) -> None:
@@ -520,23 +632,18 @@ class HeterogeneousPipeline:
         or its :meth:`PipelineState.to_dict`/JSON-loaded dict form)."""
         if isinstance(state, dict):
             state = PipelineState.from_dict(state)
-        if state.tail_from:
+        self._load_logs(state.records, state.waves, state.tail_from)
+        if state.step != (self.records[-1].step if self.records else 0):
             raise ValueError(
-                f"cannot resume from an incremental checkpoint tail "
-                f"(tail_from={state.tail_from}); merge the checkpoint "
-                "sequence with repro.io.results.merge_checkpoint_docs "
-                "first"
+                f"state step {state.step} does not match its records"
             )
         self.set_a.load_state_dict(state.set_a)
         self.set_b.load_state_dict(state.set_b)
+        guesses, s_b = state.next_guesses_b, state.next_s_b
         self._next_guesses_b = (
-            None
-            if state.next_guesses_b is None
-            else np.asarray(state.next_guesses_b, dtype=float)
+            None if guesses is None else np.asarray(guesses, dtype=float)
         )
-        self._next_s_b = (
-            None if state.next_s_b is None else int(state.next_s_b)
-        )
+        self._next_s_b = None if s_b is None else int(s_b)
         if state.controller is not None:
             if self.controller is None or not hasattr(
                 self.controller, "load_state_dict"
@@ -547,17 +654,9 @@ class HeterogeneousPipeline:
                 )
             self.controller.load_state_dict(state.controller)
         self.timeline.load_state_dict(state.timeline)
-        recs = [StepRecord.from_dict(d) for d in state.records]
-        if hasattr(self.records, "replace"):
-            self.records.replace(recs)
-        else:
-            self.records = recs
-        if state.step != (recs[-1].step if recs else 0):
-            raise ValueError(
-                f"state step {state.step} does not match its records"
-            )
-        waves = [np.asarray(w, dtype=float) for w in state.waves]
-        if hasattr(self._waves, "replace"):
-            self._waves.replace(waves)
-        else:
-            self._waves = waves
+
+    # the snapshot surface every schedule offers ``run_method``
+    def state_dict(self, since_step: int | None = None) -> dict:
+        return self.save_state(since_step).to_dict()
+
+    load_state_dict = load_state

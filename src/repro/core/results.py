@@ -123,7 +123,8 @@ class RunResult:
         transprecision safety number (must stay below eps at any
         storage precision)."""
         recs = self._window(window)
-        return float(max((r.relres for r in recs), default=0.0))
+        # np.max, not the builtin: a NaN step must read NaN here too
+        return float(np.max([r.relres for r in recs], initial=0.0))
 
     def energy_per_step_per_case(self, window: tuple[int, int] | None = None) -> float:
         """Module energy per time step per case (paper's last column),

@@ -139,11 +139,13 @@ def save_pipeline_state(
 ) -> pathlib.Path:
     """Atomically write one mid-run solver state snapshot.
 
-    ``state`` is the document produced by the method drivers
-    (:meth:`repro.core.pipeline.HeterogeneousPipeline.save_state` via
-    :func:`repro.core.methods.run_method`); floats survive the JSON
-    round trip bit-exactly, so resuming from the loaded state is
-    numerically indistinguishable from never having stopped.
+    ``state`` is the document :func:`repro.core.methods.run_method`
+    hands to ``on_checkpoint``: the run's header around the
+    ``state_dict`` of its schedule
+    (:class:`~repro.core.pipeline.SequentialSchedule` or
+    :class:`~repro.core.pipeline.HeterogeneousPipeline`); floats survive
+    the JSON round trip bit-exactly, so resuming from the loaded state
+    is numerically indistinguishable from never having stopped.
     """
     doc = {"schema": _STATE_SCHEMA_VERSION, "state": _jsonable(state)}
     return atomic_write_text(path, json.dumps(doc))

@@ -99,7 +99,7 @@ def run_endurance(
 
     import numpy as np
 
-    from repro.core.methods import run_method
+    from repro.core.methods import HETEROGENEOUS_METHODS, run_method
     from repro.io.spill import RecordLog, WaveLog
     from repro.workloads.scenario import scenario_by_name
 
@@ -112,7 +112,7 @@ def run_endurance(
         )
     scen = scenario_by_name(scenario)()
     problem = scen.build_problem(model, tuple(resolution))
-    n_cases = 1 if method in ("crs-cg@cpu", "crs-cg@gpu") else 2
+    n_cases = 2 if method in HETEROGENEOUS_METHODS else 1
     forces = scen.forces(problem, {}, seed=seed, n_cases=n_cases)
 
     tmp = None

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.core.methods import run_method
+from repro.core.methods import HETEROGENEOUS_METHODS, run_method
 from repro.core.pipeline import PipelineState
 from repro.io.golden import canonical, golden_diff
 from repro.io.results import (
@@ -57,8 +57,7 @@ def _doc(result) -> dict:
 
 
 def _forces_for(method, problem, make_forces):
-    n = 1 if method in ("crs-cg@cpu", "crs-cg@gpu") else 2
-    return make_forces(problem, n)
+    return make_forces(problem, 2 if method in HETEROGENEOUS_METHODS else 1)
 
 
 @pytest.mark.parametrize("method,nparts,precision", CONFIGS)
@@ -201,6 +200,26 @@ def test_header_mismatch_rejected(ground_problem, make_forces):
             ground_problem, forces, nt=1, method="ebe-mcg@cpu-gpu",
             s_range=(2, 4), start_state=saved,
         )
+
+    # a header whose step disagrees with the records it carries: both
+    # families refuse to replay steps on a state that is elsewhere
+    for method in ("crs-cg@cpu", "ebe-mcg@cpu-gpu"):
+        flushes = []
+        kw = dict(method=method, s_range=(2, 4))
+        run_method(
+            ground_problem, forces, nt=NT, checkpoint_every=3,
+            on_checkpoint=flushes.append, **kw
+        )
+        merged = merge_checkpoint_docs(flushes)  # step 6, records 1..6
+        cut = {**merged["state"], "records": merged["state"]["records"][:4]}
+        for tampered in (
+            {**merged, "state": cut},  # records cut to step 4
+            {**merged, "step": 4},  # header rewritten 6 -> 4
+        ):
+            with pytest.raises(ValueError, match="does not match its records"):
+                run_method(
+                    ground_problem, forces, nt=NT, start_state=tampered, **kw
+                )
 
 
 def test_state_schema_mismatch_fails_loudly(tmp_path):

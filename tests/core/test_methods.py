@@ -8,7 +8,6 @@ from repro.core.methods import (
     METHODS,
     NATIVE_PREDICTORS,
     RunConfig,
-    _cpu_factors,
     cpu_share_factors,
     estimate_memory,
     run_method,
@@ -57,11 +56,6 @@ def test_cpu_factors_out_of_range_raises():
     for t in (0, -1, 73, 1000):
         with pytest.raises(ValueError):
             cpu_share_factors(t)
-
-
-def test_cpu_factors_private_alias():
-    """The historical private name stays importable."""
-    assert _cpu_factors is cpu_share_factors
 
 
 @pytest.fixture(scope="module")

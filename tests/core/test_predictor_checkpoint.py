@@ -10,7 +10,11 @@ resumes under the predictor that wrote it.
 
 import pytest
 
-from repro.core.methods import native_predictor, run_method
+from repro.core.methods import (
+    HETEROGENEOUS_METHODS,
+    native_predictor,
+    run_method,
+)
 from repro.io.golden import canonical, golden_diff
 from repro.io.results import (
     load_pipeline_state,
@@ -49,8 +53,7 @@ def _doc(result) -> dict:
 
 
 def _forces_for(method, problem, make_forces):
-    n = 1 if method in ("crs-cg@cpu", "crs-cg@gpu") else 2
-    return make_forces(problem, n)
+    return make_forces(problem, 2 if method in HETEROGENEOUS_METHODS else 1)
 
 
 @pytest.mark.parametrize("predictor,method,nparts", CONFIGS)

@@ -37,6 +37,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core import methods, pipeline
 from repro.predictor import datadriven
 from repro.sparse import bcrs, cg, distributed, ebe, precond, twogrid
 
@@ -150,6 +151,51 @@ def test_there_is_one_cg_loop():
                     whiles.append(f"{rel}:{fn.name}")
     assert callers == ["sparse/cg.py:pcg"], callers
     assert whiles == ["sparse/cg.py:pcg"], whiles
+
+
+def test_there_is_one_step_loop():
+    """Keeps the second step driver from coming back: across
+    ``core/methods.py`` and ``core/pipeline.py`` a step record is
+    appended from one function, the optional surface of caller-supplied
+    logs is probed inside ``StepDriver`` only, the pipeline schedule
+    has no ``run`` of its own, and ``methods.py`` holds no driver class.
+    (``core/nonlinear.py`` logs its own record type and is out of
+    scope.)"""
+    log_surface = {"tail", "last", "all", "replace", "stacked"}
+    appenders, probes, classes = [], [], {}
+    for mod in (methods, pipeline):
+        name = mod.__name__.rsplit(".", 1)[1]
+        tree = _module_tree(mod)
+        classes[name] = {
+            c.name: c for c in tree.body if isinstance(c, ast.ClassDef)
+        }
+        shared = classes[name].get("StepDriver")
+        in_step_driver = {id(n) for n in ast.walk(shared)} if shared else set()
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "append"
+                        and ast.unparse(node.func.value).endswith("records")):
+                    appenders.append(f"{name}:{fn.name}")
+        for node in ast.walk(tree):
+            # a probe is the name as a string (hasattr) or as an attribute
+            probe = (node.value if isinstance(node, ast.Constant)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else None)
+            if (isinstance(probe, str) and probe in log_surface
+                    and id(node) not in in_step_driver):
+                probes.append(f"{name}:{node.lineno}:{probe}")
+    assert appenders == ["pipeline:run"], appenders
+    assert not probes, probes
+    assert set(classes["methods"]) == {"RunConfig"}, set(classes["methods"])
+    pipe_methods = {
+        f.name for f in classes["pipeline"]["HeterogeneousPipeline"].body
+        if isinstance(f, ast.FunctionDef)
+    }
+    assert "run" not in pipe_methods and "_step" in pipe_methods
 
 
 def test_ebe_sweep_is_backend_pure():
