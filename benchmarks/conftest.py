@@ -30,6 +30,7 @@ def pytest_collection_modifyitems(items) -> None:
             item.add_marker(pytest.mark.slow)
 
 from repro.analysis.waves import BandlimitedImpulse
+from repro.campaign.aggregate import format_table  # noqa: F401 - re-exported
 from repro.core.problem import ElasticProblem
 from repro.workloads.ground import build_ground_problem, stratified_model
 
@@ -40,16 +41,6 @@ def write_table(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text)
     print(f"\n{text}")
-
-
-def format_table(title: str, headers: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-    lines = [title, "=" * len(title)]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines) + "\n"
 
 
 def bench_forces(problem: ElasticProblem, n: int, seed0: int = 0,

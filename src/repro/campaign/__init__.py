@@ -13,7 +13,8 @@ package turns that into a first-class subsystem:
   content-hash caching (re-runs skip every already-computed cell);
 * :mod:`~repro.campaign.runner` — :class:`CampaignRunner` executing
   cells inline or over a ``concurrent.futures`` process pool, with a
-  per-kind executor registry that the study modules plug into;
+  per-kind executor registry (the built-in ``"method"`` kind is what
+  every :mod:`repro.studies.sweeps` row runs);
 * :mod:`~repro.campaign.aggregate` — :class:`CampaignReport`
   per-method / per-scenario summary tables.
 

@@ -10,10 +10,8 @@ work items into results:
    the same computation, so the work runs once and the result fans
    back out to every index;
 3. execute the unique misses, inline for ``jobs=1`` or through a
-   ``concurrent.futures`` process pool (a worker initializer imports
-   the study modules so every executor kind is registered under any
-   multiprocessing start method; each cell rebuilds its problem from
-   the spec parameters, so nothing heavyweight crosses the pickle
+   ``concurrent.futures`` process pool (each cell rebuilds its problem
+   from the spec parameters, so nothing heavyweight crosses the pickle
    boundary).  Each miss computes under the store's per-key advisory
    lock: concurrent campaigns sharing a store never double-compute,
    and whoever loses the race finds the winner's artifact when it
@@ -26,10 +24,10 @@ work items into results:
 
 Executors are registered per cell *kind* with
 :func:`register_executor`; the built-in ``"method"`` kind runs one
-ensemble through :func:`repro.core.methods.run_method`.  Study modules
-register their own kinds (``"ablation"``, ``"sensitivity"``) so their
-sweeps ride the same caching/parallelism machinery.  An executor may
-accept an optional ``ctx`` keyword to participate in
+ensemble through :func:`repro.core.methods.run_method`, and every
+study that rides the caching/parallelism machinery is a sweep over such
+cells (:mod:`repro.studies.sweeps`).  An executor may accept an
+optional ``ctx`` keyword to participate in
 checkpoint/resume (see :func:`run_method_cell`); executors without it
 keep working unchanged.
 """
@@ -69,15 +67,6 @@ def register_executor(kind: str):
         return fn
 
     return deco
-
-
-def _worker_init() -> None:
-    """Process-pool initializer: make sure every built-in executor is
-    registered in the worker regardless of the multiprocessing start
-    method (fork inherits the registry; spawn/forkserver re-import only
-    this module, so the study kinds must be imported explicitly)."""
-    with contextlib.suppress(ImportError):
-        import repro.studies  # noqa: F401 - registers ablation/sensitivity
 
 
 def _format_error(exc: BaseException) -> str:
@@ -177,7 +166,6 @@ def run_method_cell(params: dict, ctx: dict | None = None) -> dict:
     Checkpointed, resumed and uninterrupted executions of the same
     cell are bit-identical.
     """
-    import contextlib
     import os
 
     from repro.core.methods import run_method
@@ -423,7 +411,6 @@ class CampaignRunner:
             )
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(reps)),
-                initializer=_worker_init,
                 mp_context=ctx,
             ) as pool:
                 futs = {

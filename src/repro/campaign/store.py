@@ -46,7 +46,6 @@ from repro.io.results import (
     load_campaign_cell,
     load_campaign_checkpoint,
     save_campaign_cell,
-    save_campaign_checkpoint,
 )
 
 __all__ = ["ResultStore"]
@@ -133,16 +132,6 @@ class ResultStore:
         if not self.checkpoint_dir.is_dir():
             return []
         return sorted(p.stem for p in self.checkpoint_dir.glob("*.json"))
-
-    def save_checkpoint(self, cell: CampaignCell, step: int, state: dict) -> pathlib.Path:
-        doc = {
-            "key": cell.key,
-            "kind": cell.kind,
-            "params": cell.params,
-            "step": int(step),
-            "state": state,
-        }
-        return save_campaign_checkpoint(doc, self.checkpoint_path(cell.key))
 
     def load_checkpoint(self, key: str) -> dict | None:
         """Load a cell's resume checkpoint (merged across the journal).

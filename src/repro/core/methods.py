@@ -124,7 +124,7 @@ def estimate_memory(
     *,
     precision: Precision | str | None = None,
     nparts: int = 1,
-    dist=None,
+    backend: "ArrayBackend | str | None" = None,
 ) -> tuple[float, float]:
     """Modeled (cpu_bytes, gpu_bytes) footprint of a method.
 
@@ -141,8 +141,11 @@ def estimate_memory(
     share, its case vectors over every node it touches (halo *ghost*
     vectors included) and its halo send/receive staging — which is
     what one device must actually hold, not the fused global sum.
-    Pass the prebuilt ``dist`` (:class:`~repro.cluster.halo.DistributedEBE`)
-    to reuse an existing partition; otherwise one is derived here.
+
+    The byte counts are read off the problem's operators at
+    ``precision`` on ``backend``: a run names its engine so the
+    estimate reads the operators it solved with rather than building a
+    second set.  The numbers themselves are backend-independent.
     """
     prec = as_precision(precision)
     n = problem.n_dofs
@@ -165,7 +168,7 @@ def estimate_memory(
 
     if method.startswith("crs"):
         # CRS storage: effective matrix + mass + damping (for the RHS)
-        crs_bytes = 3.0 * problem.crs_operator(prec).memory_bytes()
+        crs_bytes = 3.0 * problem.crs_operator(prec, backend).memory_bytes()
         if method == "crs-cg@cpu":
             return crs_bytes + precond + n_cases * (vec + ab_hist), 0.0
         if method == "crs-cg@gpu":
@@ -177,23 +180,13 @@ def estimate_memory(
         )
 
     if nparts == 1:
-        ebe_bytes = 3.0 * problem.ebe_operator(prec).memory_bytes()
+        ebe_bytes = 3.0 * problem.ebe_operator(prec, backend).memory_bytes()
         return (
             ebe_bytes + n_cases * dd_hist,
             ebe_bytes + precond + n_cases * vec,
         )
 
-    if dist is None:
-        from repro.cluster.halo import DistributedEBE
-        from repro.cluster.partition import PartitionInfo, partition_elements
-
-        info = PartitionInfo(
-            problem.mesh, partition_elements(problem.mesh, nparts)
-        )
-        dist = DistributedEBE.from_elements(problem.Ae, info, precision=prec)
-    elif dist.nparts != nparts:
-        raise ValueError("prebuilt dist does not match nparts")
-
+    dist = problem.distributed_operator(nparts, prec, backend)
     cpu = gpu = 0.0
     for p, (op, nodes) in enumerate(zip(dist.local_ops, dist.local_to_global)):
         ld = 3 * nodes.size  # local dofs: owned + halo ghosts
@@ -327,8 +320,8 @@ def _case_set(
     **partition,
 ) -> CaseSet:
     """One process set under ``cfg``, one fresh predictor per case;
-    ``partition`` (nparts, link, dist, preconds) selects the distributed
-    part-local solver."""
+    ``partition`` (nparts, link) selects the distributed part-local
+    solver."""
     s_min, s_max = cfg.s_range
     cls = PartitionedCaseSet if partition else CaseSet
     return cls(
@@ -350,41 +343,20 @@ def _case_set(
     )
 
 
-def _part_link(module: ModuleSpec) -> TransferModel:
-    """Inter-part link: the NIC when the module has one (multi-node),
-    otherwise NVLink-C2C (single-node multi-GPU)."""
-    if module.interconnect_bandwidth > 0:
-        return TransferModel.nic(module)
-    return TransferModel.c2c(module)
-
-
-def _partition(cfg: RunConfig, problem: ElasticProblem) -> dict:
+def _partition(cfg: RunConfig) -> dict:
     """The :class:`PartitionedCaseSet` keywords of ``cfg.nparts > 1``
     (empty at one part): the EBE sets run on the distributed part-local
-    solver — halo exchange per CG iteration, comm on the ``nic`` lane.
-    Both sets solve the same model: partition once, share the operator
-    and the per-part block inverses."""
+    solver — halo exchange per CG iteration, comm on the inter-part
+    link: the NIC when the module has one (multi-node), otherwise
+    NVLink-C2C (single-node multi-GPU).  The partitioned operator and
+    its per-part block inverses come from the problem, so both sets
+    share them."""
     if cfg.nparts == 1:
         return {}
-    from repro.cluster.halo import DistributedEBE
-    from repro.cluster.partition import PartitionInfo, partition_elements
-    from repro.sparse.distributed import part_block_jacobi
-
-    info = PartitionInfo(
-        problem.mesh, partition_elements(problem.mesh, cfg.nparts)
-    )
-    dist = DistributedEBE.from_elements(
-        problem.Ae, info, precision=cfg.precision, backend=cfg.backend
-    )
-    return dict(
-        nparts=cfg.nparts,
-        link=_part_link(cfg.module),
-        dist=dist,
-        preconds=(
-            part_block_jacobi(dist)
-            if cfg.precond == DEFAULT_PRECONDITIONER else None
-        ),
-    )
+    module = cfg.module
+    link = (TransferModel.nic(module) if module.interconnect_bandwidth > 0
+            else TransferModel.c2c(module))
+    return dict(nparts=cfg.nparts, link=link)
 
 
 def _schedule(
@@ -599,9 +571,8 @@ def run_method(
         raise ValueError("nt must be >= 1")
     if checkpoint_every < 0:
         raise ValueError("checkpoint_every must be >= 0")
-    partition = _partition(cfg, problem)
     driver, power = _schedule(
-        cfg, problem, forces, partition,
+        cfg, problem, forces, _partition(cfg),
         waveform_dofs=waveform_dofs,
         records=[] if record_log is None else record_log,
         _waves=[] if wave_log is None else wave_log,
@@ -609,7 +580,7 @@ def run_method(
     _run_chunks(driver, cfg, nt, start_state, checkpoint_every, on_checkpoint)
     cpu_mem, gpu_mem = estimate_memory(
         problem, method, len(forces), s_max=cfg.s_range[1],
-        precision=cfg.precision, nparts=cfg.nparts, dist=partition.get("dist"),
+        precision=cfg.precision, nparts=cfg.nparts, backend=cfg.backend,
     )
     return RunResult(
         method=method,

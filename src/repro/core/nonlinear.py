@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from repro.core.problem import ElasticProblem
-from repro.fem.assembly import apply_dirichlet_to_elements
 from repro.fem.newmark import NewmarkState
 from repro.fem.nonlinear import (
     EquivalentLinearMaterial,
@@ -33,8 +32,6 @@ from repro.fem.nonlinear import (
 )
 from repro.predictor.datadriven import DataDrivenPredictor
 from repro.sparse.cg import pcg
-from repro.sparse.ebe import EBEOperator
-from repro.sparse.precond import BlockJacobi
 from repro.util import counters
 from repro.util.counters import KernelTally, tally_scope
 
@@ -90,15 +87,16 @@ class NonlinearDriver:
         self._G = centroid_gradients(pb.mesh)
         self._gamma_eff = np.zeros(pb.n_elems)
         self._ratio = np.ones(pb.n_elems)
-        self._damping_cache: EBEOperator | None = None
-        self._set_operator(pb.Ae)
+        # the problem at the current secant state: every operator of a
+        # step is asked of it, and a material update replaces it
+        self._current = pb
+        self._charge_assembly()
 
-    def _set_operator(self, Ae: np.ndarray) -> None:
-        self._op = EBEOperator(Ae, self.problem.mesh.elems,
-                               self.problem.n_nodes, tag="spmv.ebe")
-        self._precond = BlockJacobi(self._op.diagonal_blocks())
+    def _charge_assembly(self) -> None:
+        """An EBE kernel recomputes element matrices in-flight, so a new
+        material state costs nothing on-device; CRS pays the re-assembly
+        stream — every block written once."""
         if self.op_kind == "crs":
-            # charge the re-assembly stream: every block written once
             nnzb = self.problem.crs_operator().nnz_blocks
             counters.charge("assembly.crs", 1900.0 * self.problem.n_elems,
                             76.0 * nnzb)
@@ -113,17 +111,14 @@ class NonlinearDriver:
             return False, float(gamma.max())
         self._ratio = new_ratio
         pb = self.problem
-        nm = pb.newmark
         # secant stiffness: Ke scales per element; mass unchanged;
         # Rayleigh part of Ce tracks Ke's beta term approximately by
         # scaling the whole damping with sqrt(ratio) (bounded change).
-        Ke = pb.Ke * self._ratio[:, None, None]
-        Ce = pb.Ce * np.sqrt(self._ratio)[:, None, None]
-        Ae_raw = nm.c_mass * pb.Me + nm.c_damp * Ce + Ke
-        Ae = apply_dirichlet_to_elements(Ae_raw, pb.mesh.elems,
-                                         pb.fixed_nodes, pb.n_nodes)
-        self._set_operator(Ae)
-        self._damping_cache = None  # Ce scaled too; rebuild lazily
+        self._current = pb.updated(
+            Ce=pb.Ce * np.sqrt(self._ratio)[:, None, None],
+            Ke=pb.Ke * self._ratio[:, None, None],
+        )
+        self._charge_assembly()
         return True, float(gamma.max())
 
     # -- time loop ----------------------------------------------------
@@ -145,11 +140,10 @@ class NonlinearDriver:
             for it in range(1, nt + 1):
                 f = force(it)
                 guess = pred.predict(f_next=f)
-                b = nm.rhs(pb.mass_operator("ebe"),
-                           self._damping_operator_scaled(), f, state)
-                b[pb.fixed_dofs] = 0.0
-                res = pcg(self._op, b, x0=guess, precond=self._precond,
-                          eps=self.eps)
+                cur = self._current
+                b = cur.rhs(f, state, kind="ebe")
+                res = pcg(cur.ebe_operator(), b, x0=guess,
+                          precond=cur.preconditioner(), eps=self.eps)
                 state = nm.advance(state, np.asarray(res.x))
                 pred.observe(state.u, state.v, f=f)
 
@@ -167,17 +161,6 @@ class NonlinearDriver:
                     )
                 )
         return state, tally
-
-    def _damping_operator_scaled(self) -> EBEOperator:
-        """Damping consistent with the current secant state; rebuilt
-        lazily only when ratios change (a real EBE kernel recomputes
-        element matrices in-flight, so this costs nothing on-device)."""
-        if self._damping_cache is None:
-            pb = self.problem
-            Ce = pb.Ce * np.sqrt(self._ratio)[:, None, None]
-            self._damping_cache = EBEOperator(Ce, pb.mesh.elems, pb.n_nodes,
-                                              tag="spmv.ebe")
-        return self._damping_cache
 
     @property
     def modulus_ratio(self) -> np.ndarray:

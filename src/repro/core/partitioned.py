@@ -5,8 +5,11 @@ compute nodes and run Algorithm 3 per node, synchronizing shared nodes
 point-to-point inside every CG iteration.  :class:`PartitionedCaseSet`
 is a drop-in :class:`~repro.core.pipeline.CaseSet` whose solver is
 :func:`~repro.sparse.distributed.distributed_pcg` — the same ``pcg``
-loop and workspace, on the stacked part-local layout of a
-:class:`~repro.cluster.halo.DistributedEBE`: the Newmark loop, the
+loop and workspace, on the stacked part-local layout of the problem's
+:class:`~repro.cluster.halo.DistributedEBE`
+(:meth:`~repro.core.problem.ElasticProblem.distributed_operator`, built
+once per (nparts, precision, engine) and shared by both sets of a
+pipeline): the Newmark loop, the
 predictors, the RHS build and the per-step source-force cache
 (:meth:`~repro.core.pipeline.CaseSet.forces_at` — one evaluation per
 (case, step), shared by predictor and solver) are untouched — exactly
@@ -34,17 +37,15 @@ match an unpartitioned ``op_kind="ebe"`` run to solver rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cluster.comm import CommCostModel
-from repro.cluster.halo import DistributedEBE
-from repro.cluster.partition import PartitionInfo, partition_elements
 from repro.core.pipeline import CaseSet
 from repro.hardware.transfer import TransferModel
 from repro.sparse.cg import CGResult
-from repro.sparse.distributed import distributed_pcg, part_block_jacobi
+from repro.sparse.distributed import distributed_pcg
 from repro.sparse.precond import DEFAULT_PRECONDITIONER
 from repro.util.counters import KernelTally
 
@@ -65,11 +66,9 @@ class PartitionedCaseSet(CaseSet):
     overlap_fraction : fraction of the halo exchange hidden behind the
         interior EBE sweep (allreduces are latency-bound and charged in
         full) — matching :func:`repro.cluster.weakscaling.weak_scaling_curve`.
-    dist, preconds : prebuilt partitioned operator / per-part
-        preconditioners.  The two sets of one pipeline solve the same
-        model, so the driver builds these once and shares them (the
-        partition is read-only inside a solve); both are derived from
-        the problem when omitted.
+
+    The partitioned operator (readable as ``dist``) and the per-part
+    block-Jacobi appliers are asked of the problem, never passed in.
 
     With ``precond="twogrid"`` the per-part block-Jacobi appliers are
     replaced by one *global* geometric two-grid cycle: the distributed
@@ -82,8 +81,6 @@ class PartitionedCaseSet(CaseSet):
     nparts: int = 2
     link: TransferModel | None = None
     overlap_fraction: float = 0.8
-    dist: DistributedEBE | None = field(default=None, repr=False)
-    preconds: list | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -99,47 +96,28 @@ class PartitionedCaseSet(CaseSet):
             from repro.hardware.specs import ALPS_MODULE
 
             self.link = TransferModel.nic(ALPS_MODULE)
-        if self.dist is None:
-            mesh = self.problem.mesh
-            info = PartitionInfo(mesh, partition_elements(mesh, self.nparts))
-            self.dist = DistributedEBE.from_elements(
-                self.problem.Ae, info, precision=self.precision,
-                backend=self.backend,
-            )
-        elif (
-            self.dist.nparts != self.nparts
-            or self.dist.info.mesh is not self.problem.mesh
-            or self.dist.precision != self.precision
-            or (self.dist.backend is not None
-                and self.dist.backend.name != self.backend.name)
-        ):
-            raise ValueError(
-                "shared dist does not match this problem/nparts/"
-                "precision/backend"
-            )
-        if self.precond != DEFAULT_PRECONDITIONER:
-            if self.preconds is not None:
-                raise ValueError(
-                    "per-part preconds only apply to the default "
-                    "block-Jacobi; the non-default families are global"
-                )
-        elif self.preconds is None:
-            self.preconds = part_block_jacobi(self.dist)
+        run = (self.nparts, self.precision, self.backend)
+        self.dist = self.problem.distributed_operator(*run)
+        # None exactly when the family is global (one cycle on the
+        # aggregating device instead of per-part appliers)
+        self._preconds = (
+            self.problem.part_preconditioners(*run)
+            if self.precond == DEFAULT_PRECONDITIONER else None
+        )
         self._comm = CommCostModel(self.link)
 
     # -- solver ---------------------------------------------------------
     def _solve_system(self, B: np.ndarray, guesses: np.ndarray) -> CGResult:
-        # ``preconds`` is None exactly when the family is global; that
-        # preconditioner is cached on the problem, so both pipeline
-        # sets share one factorization
-        global_precond = None if self.preconds is not None else (
+        # a global preconditioner is cached on the problem, so both
+        # pipeline sets share one factorization
+        global_precond = None if self._preconds is not None else (
             self.problem.preconditioner_for(
                 self.precond, self.precision, self.backend, self.op_kind))
         return distributed_pcg(
             self.dist,
             B,
             x0=guesses,
-            local_preconds=self.preconds,
+            local_preconds=self._preconds,
             precond=global_precond,
             eps=self.eps,
             workspace=self._pcg_ws,

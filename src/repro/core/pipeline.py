@@ -196,8 +196,8 @@ class CaseSet:
             F = F_T.T
             UM = nm.c_mass * U + (4.0 / pb.dt) * V + Acc
             UC = nm.c_damp * U + V
-            B = F + pb.mass_operator(self.op_kind) @ UM
-            B += pb.damping_operator(self.op_kind) @ UC
+            B = F + pb.mass_operator(self.op_kind, self.backend) @ UM
+            B += pb.damping_operator(self.op_kind, self.backend) @ UC
             B[pb.fixed_dofs, :] = 0.0
 
             res = self._solve_system(B, guesses)

@@ -6,12 +6,14 @@ coefficients and boundary data so the method drivers
 operators.  Both matrix representations (block-CRS and EBE) are built
 lazily from the *same* constrained element matrices, which is what
 makes the CRS-vs-EBE comparisons apples-to-apples and lets tests assert
-exact agreement.
+exact agreement.  The problem is also the one place a run's operators
+come from: solver, RHS, preconditioners and the mesh partition are each
+built once per (storage precision, engine) pair and cached here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -70,6 +72,9 @@ class ElasticProblem:
         return (3 * self.fixed_nodes[:, None] + np.arange(3)[None, :]).ravel()
 
     # -- operators (lazy, cached) -------------------------------------
+    # Every operator of a run is a pure function of this problem and a
+    # (storage precision, engine) pair, built here and nowhere else
+    # under core/, studies/ or campaign/ (test_there_is_one_operator_factory).
     @staticmethod
     def _op_key(base: str, prec: Precision,
                 backend: ArrayBackend | None = None) -> str:
@@ -80,6 +85,40 @@ class ElasticProblem:
             key = f"{key}#{backend.name}"
         return key
 
+    def _cached(self, base: str, precision, backend, build):
+        """The one lazy-build site: resolve the (precision, backend)
+        pair once, look ``base`` up under :meth:`_op_key`, and call
+        ``build(prec, bk)`` on a miss.  ``backend=None`` is the ambient
+        default of a bare library call; a run always names its engine,
+        so what it builds and what it later looks up share one key."""
+        prec = as_precision(precision)
+        bk = as_backend(backend)
+        key = self._op_key(base, prec, bk)
+        if key not in self._cache:
+            self._cache[key] = build(prec, bk)
+        return self._cache[key]
+
+    def _element_operator(
+        self, base: str, mats: np.ndarray, kind: str,
+        precision=None, backend=None, crs_tag: str = "spmv.crs",
+    ) -> BlockCRS | EBEOperator:
+        """Element matrices ``mats`` as one operator: assembled into
+        3x3 block CRS charging ``crs_tag`` (``kind="crs"``), or applied
+        matrix-free (Eq. 8/9; every EBE sweep charges ``spmv.ebe``).
+        Both come from the *same* element matrices, which is what makes
+        the CRS-vs-EBE comparisons apples-to-apples."""
+        def build(prec, bk):
+            if kind == "crs":
+                return BlockCRS(
+                    assemble_bsr(mats, self.mesh.elems, self.n_nodes),
+                    tag=crs_tag, precision=prec, backend=bk,
+                )
+            return EBEOperator(
+                mats, self.mesh.elems, self.n_nodes, tag="spmv.ebe",
+                precision=prec, backend=bk,
+            )
+        return self._cached(f"{base}_{kind}", precision, backend, build)
+
     def crs_operator(
         self,
         precision: Precision | str | None = None,
@@ -88,15 +127,8 @@ class ElasticProblem:
         """Effective matrix in 3x3 block CRS (the baseline storage),
         optionally held at a transprecision storage policy and executed
         by a non-default backend."""
-        prec = as_precision(precision)
-        bk = as_backend(backend)
-        key = self._op_key("A_crs", prec, bk)
-        if key not in self._cache:
-            self._cache[key] = BlockCRS(
-                assemble_bsr(self.Ae, self.mesh.elems, self.n_nodes),
-                tag="spmv.crs", precision=prec, backend=bk,
-            )
-        return self._cache[key]
+        return self._element_operator(
+            "A", self.Ae, "crs", precision, backend)
 
     def ebe_operator(
         self,
@@ -106,41 +138,63 @@ class ElasticProblem:
         """Effective matrix applied matrix-free (Eq. 8/9), optionally
         held at a transprecision storage policy and executed by a
         non-default backend."""
-        prec = as_precision(precision)
-        bk = as_backend(backend)
-        key = self._op_key("A_ebe", prec, bk)
-        if key not in self._cache:
-            self._cache[key] = EBEOperator(
-                self.Ae, self.mesh.elems, self.n_nodes, tag="spmv.ebe",
+        return self._element_operator(
+            "A", self.Ae, "ebe", precision, backend)
+
+    def mass_operator(
+        self, kind: str = "crs",
+        backend: "ArrayBackend | str | None" = None,
+    ) -> BlockCRS | EBEOperator:
+        """Mass matrix of the RHS build (always fp64: the outer loop is
+        FP64-accurate), executed by the run's ``backend``."""
+        return self._element_operator(
+            "M", self.Me, kind, backend=backend, crs_tag="rhs.spmv")
+
+    def damping_operator(
+        self, kind: str = "crs",
+        backend: "ArrayBackend | str | None" = None,
+    ) -> BlockCRS | EBEOperator:
+        """Damping matrix of the RHS build; see :meth:`mass_operator`."""
+        return self._element_operator(
+            "C", self.Ce, kind, backend=backend, crs_tag="rhs.spmv")
+
+    def distributed_operator(
+        self,
+        nparts: int,
+        precision: Precision | str | None = None,
+        backend: "ArrayBackend | str | None" = None,
+    ):
+        """Effective matrix partitioned over ``nparts`` mesh parts
+        (:class:`~repro.cluster.halo.DistributedEBE`).  Both sets of a
+        pipeline and the memory estimate solve the same model, so they
+        share this one partition (read-only inside a solve)."""
+        from repro.cluster.halo import DistributedEBE
+        from repro.cluster.partition import PartitionInfo, partition_elements
+
+        return self._cached(
+            f"A_dist.{nparts}", precision, backend,
+            lambda prec, bk: DistributedEBE.from_elements(
+                self.Ae,
+                PartitionInfo(self.mesh, partition_elements(self.mesh, nparts)),
                 precision=prec, backend=bk,
-            )
-        return self._cache[key]
+            ),
+        )
 
-    def mass_operator(self, kind: str = "crs") -> BlockCRS | EBEOperator:
-        key = f"M_{kind}"
-        if key not in self._cache:
-            if kind == "crs":
-                self._cache[key] = BlockCRS(
-                    assemble_bsr(self.Me, self.mesh.elems, self.n_nodes), tag="rhs.spmv"
-                )
-            else:
-                self._cache[key] = EBEOperator(
-                    self.Me, self.mesh.elems, self.n_nodes, tag="spmv.ebe"
-                )
-        return self._cache[key]
+    def part_preconditioners(
+        self,
+        nparts: int,
+        precision: Precision | str | None = None,
+        backend: "ArrayBackend | str | None" = None,
+    ) -> list[BlockJacobi]:
+        """Per-part block-Jacobi appliers of :meth:`distributed_operator`
+        (:func:`~repro.sparse.distributed.part_block_jacobi`)."""
+        from repro.sparse.distributed import part_block_jacobi
 
-    def damping_operator(self, kind: str = "crs") -> BlockCRS | EBEOperator:
-        key = f"C_{kind}"
-        if key not in self._cache:
-            if kind == "crs":
-                self._cache[key] = BlockCRS(
-                    assemble_bsr(self.Ce, self.mesh.elems, self.n_nodes), tag="rhs.spmv"
-                )
-            else:
-                self._cache[key] = EBEOperator(
-                    self.Ce, self.mesh.elems, self.n_nodes, tag="spmv.ebe"
-                )
-        return self._cache[key]
+        return self._cached(
+            f"precond.parts.{nparts}", precision, backend,
+            lambda prec, bk: part_block_jacobi(
+                self.distributed_operator(nparts, prec, bk)),
+        )
 
     def preconditioner(
         self,
@@ -150,26 +204,23 @@ class ElasticProblem:
         """3x3 block-Jacobi of the constrained effective matrix, its
         block inverses stored at the requested precision and applied
         by the requested backend."""
-        prec = as_precision(precision)
-        bk = as_backend(backend)
-        key = self._op_key("precond", prec, bk)
-        if key not in self._cache:
-            # Diagonal blocks come matrix-free so the EBE path never
-            # needs the assembled matrix; they are taken from the
-            # matching-precision operator so the inverted blocks see
-            # exactly the values the solver applies.
-            self._cache[key] = BlockJacobi(
+        # Diagonal blocks come matrix-free so the EBE path never
+        # needs the assembled matrix; they are taken from the
+        # matching-precision operator so the inverted blocks see
+        # exactly the values the solver applies.
+        return self._cached(
+            "precond", precision, backend,
+            lambda prec, bk: BlockJacobi(
                 self.ebe_operator(prec, bk).diagonal_blocks(),
                 precision=prec, backend=bk,
-            )
-        return self._cache[key]
+            ),
+        )
 
     def twogrid_preconditioner(
         self,
         precision: Precision | str | None = None,
         backend: "ArrayBackend | str | None" = None,
         op_kind: str = "ebe",
-        levels: int = 2,
         n_smooth: int = 2,
     ):
         """Geometric two-grid preconditioner of the effective matrix
@@ -177,7 +228,9 @@ class ElasticProblem:
         this mesh, direct solve on its coarsened companion, transfers
         from :mod:`repro.fem.transfer`.  Two sweeps per side is the
         default: one is too weak for the strong-contrast (`soft-soil`)
-        regime this preconditioner exists for.
+        regime this preconditioner exists for.  Two levels only: a
+        third never saved an iteration and cost 4-8% more modeled time
+        wherever it was measured (CHANGES, PR 24).
 
         ``op_kind`` picks which fine-level operator the cycle's
         residuals apply (``"ebe"``/``"crs"``) so the modeled traffic
@@ -188,32 +241,25 @@ class ElasticProblem:
         from repro.fem.transfer import build_transfer
         from repro.sparse.twogrid import build_twogrid
 
-        prec = as_precision(precision)
-        bk = as_backend(backend)
-        key = self._op_key(f"precond.twogrid.{op_kind}.{levels}.{n_smooth}",
-                           prec, bk)
-        if key not in self._cache:
-            meshes = mesh_hierarchy(self.mesh, levels)
+        def build(prec, bk):
+            meshes = mesh_hierarchy(self.mesh, 2)
             if len(meshes) < 2:
                 raise ValueError(
                     "mesh has no coarser companion: the two-grid "
                     "preconditioner needs a coarsenable resolution"
                 )
-            transfers = [
-                build_transfer(meshes[i], meshes[i + 1])
-                for i in range(len(meshes) - 1)
-            ]
             op = (self.crs_operator(prec, bk) if op_kind == "crs"
                   else self.ebe_operator(prec, bk))
             A_csr = assemble_bsr(
                 self.Ae, self.mesh.elems, self.n_nodes
             ).tocsr()
-            self._cache[key] = build_twogrid(
-                op, A_csr, transfers, op.diagonal_blocks(),
+            return build_twogrid(
+                op, A_csr, build_transfer(*meshes), op.diagonal_blocks(),
                 fixed_nodes=self.fixed_nodes, n_smooth=n_smooth,
                 precision=prec, backend=bk,
             )
-        return self._cache[key]
+        return self._cached(
+            f"precond.twogrid.{op_kind}.{n_smooth}", precision, backend, build)
 
     def preconditioner_for(
         self,
@@ -251,6 +297,31 @@ class ElasticProblem:
         """Zero fixed dofs of a vector (in place; returned for chaining)."""
         v[self.fixed_dofs] = 0.0
         return v
+
+    def updated(self, Ce: np.ndarray, Ke: np.ndarray) -> "ElasticProblem":
+        """This model at a new material state (paper §2.2: the matrix
+        changes under a nonlinear material): new damping and stiffness
+        element matrices, the effective matrices rebuilt from them, and
+        an empty operator cache — except the mass operators, which do
+        not depend on the material state and are carried over."""
+        return replace(
+            self, Ce=Ce, Ke=Ke,
+            Ae=_effective_matrices(
+                self.newmark, self.Me, Ce, Ke, self.mesh, self.fixed_nodes),
+            _cache={k: op for k, op in self._cache.items()
+                    if k.startswith("M_")},
+        )
+
+
+def _effective_matrices(
+    newmark: NewmarkBeta, Me, Ce, Ke, mesh: Tet10Mesh, fixed_nodes
+) -> np.ndarray:
+    """Constrained effective element matrices (Eq. 5 left side): the
+    Newmark combination of mass, damping and stiffness with the
+    Dirichlet rows/columns of ``fixed_nodes`` replaced by identity."""
+    Ae_raw = newmark.c_mass * Me + newmark.c_damp * Ce + Ke
+    return apply_dirichlet_to_elements(
+        Ae_raw, mesh.elems, fixed_nodes, mesh.n_nodes)
 
 
 def build_problem(
@@ -295,9 +366,7 @@ def build_problem(
             fold_faces_into_elements(Ce, mesh, f_elem, f_nodes, Cf)
 
     nm = NewmarkBeta(dt)
-    Ae_raw = nm.c_mass * Me + nm.c_damp * Ce + Ke
     fixed = mesh.bottom_nodes() if fix_bottom else np.empty(0, dtype=np.int64)
-    Ae = apply_dirichlet_to_elements(Ae_raw, mesh.elems, fixed, mesh.n_nodes)
 
     return ElasticProblem(
         mesh=mesh,
@@ -306,6 +375,6 @@ def build_problem(
         Me=Me,
         Ce=Ce,
         Ke=Ke,
-        Ae=Ae,
+        Ae=_effective_matrices(nm, Me, Ce, Ke, mesh, fixed),
         fixed_nodes=np.asarray(fixed, dtype=np.int64),
     )

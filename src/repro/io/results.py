@@ -41,7 +41,6 @@ __all__ = [
     "load_campaign_cell",
     "save_pipeline_state",
     "load_pipeline_state",
-    "save_campaign_checkpoint",
     "append_campaign_checkpoint",
     "load_campaign_checkpoint",
     "merge_checkpoint_docs",
@@ -164,22 +163,6 @@ def load_pipeline_state(path: str | pathlib.Path) -> dict:
     return doc["state"]
 
 
-def save_campaign_checkpoint(
-    doc: dict, path: str | pathlib.Path
-) -> pathlib.Path:
-    """Atomically write one per-cell campaign checkpoint.
-
-    ``doc`` must carry the cell identity (``key``, ``kind``,
-    ``params``), the completed ``step`` count, and the driver
-    ``state`` to resume from.
-    """
-    for required in ("key", "kind", "params", "step", "state"):
-        if required not in doc:
-            raise ValueError(f"campaign checkpoint doc missing {required!r}")
-    out = {**_jsonable(doc), "schema": _CHECKPOINT_SCHEMA_VERSION}
-    return atomic_write_text(path, json.dumps(out))
-
-
 def append_campaign_checkpoint(
     doc: dict, path: str | pathlib.Path
 ) -> pathlib.Path:
@@ -187,9 +170,10 @@ def append_campaign_checkpoint(
 
     The journal is line-delimited JSON, written with a single
     ``O_APPEND`` write per flush: each line is one complete checkpoint
-    document (same schema :func:`save_campaign_checkpoint` stamps),
-    whose embedded driver state is the incremental records/waves tail
-    since the previous line.  A crash mid-append can only tear the
+    document — the cell identity (``key``, ``kind``, ``params``), the
+    completed ``step`` count and the driver ``state``, stamped with the
+    checkpoint schema version — whose embedded driver state is the
+    incremental records/waves tail since the previous line.  A crash mid-append can only tear the
     *last* line, which :func:`load_campaign_checkpoint` discards —
     every earlier flush stays intact, and total checkpoint I/O is O(1)
     per step instead of O(n²/k).
@@ -264,8 +248,9 @@ def merge_checkpoint_docs(docs) -> dict:
 def load_campaign_checkpoint(path: str | pathlib.Path) -> dict:
     """Read one campaign checkpoint (journal or legacy single-doc file).
 
-    A file written by :func:`save_campaign_checkpoint` is read as a
-    one-line journal.  Multi-line journals
+    A legacy single-document file (one whole checkpoint, written
+    before the journal existed) is read as a one-line journal.
+    Multi-line journals
     (:func:`append_campaign_checkpoint`) are merged into one
     self-contained document — the latest ``step``, the full records —
     via :func:`merge_checkpoint_docs`.

@@ -137,8 +137,7 @@ class TwoGrid:
     Build through :func:`build_twogrid` (which owns the row masking,
     Galerkin product, and smoothing-weight estimate); the constructor
     only wires prebuilt parts together.  ``coarse_solve`` is anything
-    with ``apply(rc, out=) -> out`` — a :class:`DirectCoarseSolve`, or
-    another :class:`TwoGrid` for V-cycle recursion.
+    with ``apply(rc, out=) -> out`` — here a :class:`DirectCoarseSolve`.
     """
 
     def __init__(
@@ -302,7 +301,7 @@ def _mask_fixed_rows(
 def build_twogrid(
     A,
     A_csr: sp.csr_matrix,
-    transfers: list[TransferOperators],
+    transfer: TransferOperators,
     diag_blocks: np.ndarray,
     *,
     fixed_nodes: np.ndarray | None = None,
@@ -311,41 +310,37 @@ def build_twogrid(
     precision: Precision | str | None = None,
     backend: "ArrayBackend | str | None" = None,
 ) -> TwoGrid:
-    """Assemble a two-grid (or, with more transfers, V-cycle)
-    preconditioner for ``A``.
+    """Assemble a two-grid preconditioner for ``A``.
+
+    Two levels only: a third (an intermediate level smoothing over its
+    Galerkin operator, direct solve one level deeper) never saved a CG
+    iteration and cost 4-8% more modeled time than two on every
+    scenario and resolution in reach (CHANGES, PR 24).
 
     Parameters
     ----------
     A : fine-level operator with ``matvec`` (EBE, BlockCRS, ...) —
         what the cycle applies in its residuals, charging its own tag.
     A_csr : the same operator assembled as a dof-level scipy CSR; used
-        host-side for the Galerkin products and the smoothing-weight
+        host-side for the Galerkin product and the smoothing-weight
         estimate, then discarded.
-    transfers : one :class:`~repro.fem.transfer.TransferOperators` per
-        level pair, finest first.  One entry = classic two-grid; more
-        entries recurse: each intermediate level smooths over its
-        Galerkin operator (a :class:`~repro.sparse.bcrs.BlockCRS`
-        charging ``<tag>.coarse.spmv``) and only the deepest level is
-        solved directly.
+    transfer : the fine-to-coarse
+        :class:`~repro.fem.transfer.TransferOperators`.
     diag_blocks : ``(nb, 3, 3)`` fine-level diagonal blocks for the
         smoother.
     fixed_nodes : Dirichlet node ids whose interpolation rows are
-        masked (see :func:`_mask_fixed_rows`); finest level only — the
-        coarse Galerkin operators carry no constrained structure.
+        masked (see :func:`_mask_fixed_rows`).
     """
-    if not transfers:
-        raise ValueError("need at least one level transfer")
     prec = as_precision(precision)
     bk = as_backend(backend)
-    t = transfers[0]
-    if 3 * t.n_fine != A_csr.shape[0]:
+    if 3 * transfer.n_fine != A_csr.shape[0]:
         raise ValueError("transfer fine size does not match the operator")
-    P, R = _mask_fixed_rows(t, fixed_nodes)
+    P, R = _mask_fixed_rows(transfer, fixed_nodes)
     P_dof = sp.kron(P, sp.eye(3), format="csr")
     A_c = sp.csr_matrix(P_dof.T @ A_csr @ P_dof)
     masked = TransferOperators(
-        n_fine=t.n_fine,
-        n_coarse=t.n_coarse,
+        n_fine=transfer.n_fine,
+        n_coarse=transfer.n_coarse,
         p_indptr=P.indptr.astype(np.int64),
         p_indices=P.indices.astype(np.int64),
         p_data=P.data,
@@ -353,27 +348,11 @@ def build_twogrid(
         r_indices=R.indices.astype(np.int64),
         r_data=R.data,
     )
-    if len(transfers) == 1:
-        coarse = DirectCoarseSolve(A_c, tag=f"{tag}.coarse")
-    else:
-        from repro.sparse.bcrs import BlockCRS
-
-        A_c_op = BlockCRS(
-            A_c.tobsr(blocksize=(3, 3)),
-            tag=f"{tag}.coarse.spmv",
-            precision=prec,
-            backend=bk,
-        )
-        coarse = build_twogrid(
-            A_c_op, A_c, transfers[1:], A_c_op.diagonal_blocks(),
-            n_smooth=n_smooth, tag=f"{tag}.coarse", precision=prec,
-            backend=bk,
-        )
     smoother = BlockJacobi(
         diag_blocks, tag=f"{tag}.smooth", precision=prec, backend=bk
     )
     omega = estimate_smoothing_omega(A_csr, smoother._inv)
     return TwoGrid(
-        A, masked, smoother, coarse, omega,
-        n_smooth=n_smooth, tag=tag, precision=prec, backend=bk,
+        A, masked, smoother, DirectCoarseSolve(A_c, tag=f"{tag}.coarse"),
+        omega, n_smooth=n_smooth, tag=tag, precision=prec, backend=bk,
     )

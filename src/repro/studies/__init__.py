@@ -45,7 +45,10 @@ guess worth its history?") would read::
                         ratio=("iterations_per_step", "row/anchor"))),
     )
 
-The other studies run their own executors and keep their own modules:
+The other studies run in process over an already-built problem and
+keep their own modules (a *cached* ablation, when one is wanted, is a
+``Sweep`` row over method cells like the one above, not a cell kind of
+its own):
 
 * :mod:`~repro.studies.sensitivity` — the paper's stated future work
   (§4): "understand sensitivities to the relevant architectural
@@ -59,11 +62,6 @@ The other studies run their own executors and keep their own modules:
   of one long scenario run through the bounded ring/spill logs
   (throughput, peak growth between two long runs, checkpoint bytes per
   flush), with the pass/fail gates the nightly benchmark enforces.
-
-The first two are also expressible as *campaigns* (see
-:mod:`repro.campaign`): ``ablation_cells`` / ``sensitivity_cells``
-emit the same work as content-hashed cells that the shared
-``CampaignRunner`` caches and parallelizes.
 """
 
 from repro.studies.sensitivity import (  # isort: skip
@@ -71,15 +69,11 @@ from repro.studies.sensitivity import (  # isort: skip
     StepProfile,
     characterize_pipeline,
     modeled_step_time,
-    run_sensitivity_campaign,
     scaled_module,
-    sensitivity_cells,
     sweep_parameter,
 )
 from repro.studies.ablation import (
     PredictorAblation,
-    ablation_cells,
-    run_ablation_campaign,
     run_predictor_ablation,
 )
 from repro.studies.sweeps import SWEEP, SWEEPS, Column, Sweep
@@ -97,12 +91,8 @@ __all__ = [
     "modeled_step_time",
     "scaled_module",
     "sweep_parameter",
-    "sensitivity_cells",
-    "run_sensitivity_campaign",
     "PredictorAblation",
     "run_predictor_ablation",
-    "ablation_cells",
-    "run_ablation_campaign",
     "Column",
     "Sweep",
     "SWEEPS",

@@ -9,12 +9,8 @@ real workload:
 * ``dd-noforce`` — subdomains but without the Eq. 3 force input;
 * ``dd-full`` — subdomains + force input (the shipped configuration).
 
-The sweep is expressed as a *campaign*: each variant is one
-:class:`~repro.campaign.spec.CampaignCell` (kind ``"ablation"``)
-executed through the shared :class:`~repro.campaign.runner.\
-CampaignRunner`, so ablations get content-hash caching and process-
-pool parallelism for free.  :func:`run_predictor_ablation` remains the
-in-process API over an already-built problem.
+:func:`run_predictor_ablation` runs the arms in process over an
+already-built problem.
 """
 
 from __future__ import annotations
@@ -23,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.campaign.runner import register_executor
-from repro.campaign.spec import CampaignCell, derive_seed
 from repro.core.pipeline import CaseSet
 from repro.predictor.adams_bashforth import AdamsBashforth
 from repro.predictor.datadriven import DataDrivenPredictor
@@ -33,8 +27,6 @@ __all__ = [
     "PredictorAblation",
     "run_predictor_ablation",
     "ABLATION_VARIANTS",
-    "ablation_cells",
-    "run_ablation_campaign",
 ]
 
 ABLATION_VARIANTS = ("ab-only", "dd-global", "dd-noforce", "dd-full")
@@ -89,8 +81,7 @@ def _run_variant(
     n_regions: int,
     eps: float,
 ) -> PredictorAblation:
-    """One ablation arm on one case: the shared loop body behind both
-    the in-process API and the campaign executor."""
+    """One ablation arm on one case."""
     pred = _make_predictor(variant, problem.n_dofs, problem.dt, s, n_regions)
     cs = CaseSet(problem, forces=[force], predictors=[pred],
                  op_kind="ebe", eps=eps)
@@ -122,78 +113,3 @@ def run_predictor_ablation(
         variant: _run_variant(problem, force, variant, nt, s, n_regions, eps)
         for variant in variants
     }
-
-
-# -- campaign expression ----------------------------------------------
-def ablation_cells(
-    model: str = "stratified",
-    resolution: tuple[int, int, int] = (3, 3, 2),
-    nt: int = 32,
-    s: int = 8,
-    n_regions: int = 8,
-    seed: int = 0,
-    amplitude: float = 1e6,
-    variants: tuple[str, ...] = ABLATION_VARIANTS,
-    eps: float = 1e-8,
-) -> list[CampaignCell]:
-    """The ablation sweep as campaign cells (one per variant)."""
-    return [
-        CampaignCell(
-            kind="ablation",
-            params={
-                "model": model,
-                "resolution": list(resolution),
-                "variant": variant,
-                "nt": nt,
-                "s": s,
-                "n_regions": n_regions,
-                "amplitude": amplitude,
-                "eps": eps,
-                # seed is variant-independent: every arm must see the
-                # identical force realization for a controlled comparison
-                "seed": derive_seed(seed, model, "ablation"),
-            },
-            label=f"ablation/{model}/{variant}",
-        )
-        for variant in variants
-    ]
-
-
-@register_executor("ablation")
-def _run_ablation_cell(params: dict) -> dict:
-    """Campaign executor: rebuild the workload from parameters, run one
-    variant, return the window aggregates plus the raw traces."""
-    from repro.analysis.waves import BandlimitedImpulse
-    from repro.workloads.ground import GROUND_MODELS, build_ground_problem
-
-    problem = build_ground_problem(
-        GROUND_MODELS[params["model"]](), resolution=tuple(params["resolution"])
-    )
-    force = BandlimitedImpulse.random(
-        problem.mesh, problem.dt, rng=params["seed"],
-        amplitude=params["amplitude"],
-    )
-    nt = params["nt"]
-    arm = _run_variant(
-        problem, force, params["variant"], nt,
-        params["s"], params["n_regions"], params["eps"],
-    )
-    window = slice(nt // 2, nt)
-    return {
-        "variant": arm.variant,
-        "mean_iterations": arm.mean_iterations(window),
-        "median_initial_relres": arm.median_initial_relres(window),
-        "iterations": arm.iterations.tolist(),
-        "initial_relres": arm.initial_relres.tolist(),
-    }
-
-
-def run_ablation_campaign(runner, **kwargs) -> dict[str, dict]:
-    """Run the ablation sweep through a
-    :class:`~repro.campaign.runner.CampaignRunner` (caching, optional
-    process pool); returns ``{variant: executor result}``."""
-    outcomes = runner.run_cells(ablation_cells(**kwargs))
-    bad = [o for o in outcomes if not o.ok]
-    if bad:
-        raise RuntimeError(f"ablation cells failed: {[o.error for o in bad]}")
-    return {o.result["variant"]: o.result for o in outcomes}

@@ -10,11 +10,6 @@ The study separates *workload characterization* (run the real
 algorithms once, collect per-phase flop/byte tallies) from *hardware
 evaluation* (replay those tallies against modified device models), so
 a full sweep over dozens of hypothetical machines costs milliseconds.
-
-Like the ablations, the sweep is also expressible as a campaign
-(kind ``"sensitivity"``, one cell per ``(param, factor)`` point):
-each cell re-characterizes from its declarative parameters, which the
-campaign store's content-hash cache then makes a one-time cost.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.campaign.runner import register_executor
 from repro.core.pipeline import CaseSet
 from repro.hardware.power import PowerModel
 from repro.hardware.roofline import DeviceModel
@@ -40,8 +34,6 @@ __all__ = [
     "scaled_module",
     "sweep_parameter",
     "SWEEPABLE_PARAMETERS",
-    "sensitivity_cells",
-    "run_sensitivity_campaign",
 ]
 
 #: Parameters :func:`scaled_module` understands.
@@ -217,100 +209,6 @@ class SensitivityPoint:
 
     def speedup_vs(self, baseline: "SensitivityPoint") -> float:
         return baseline.t_step / self.t_step
-
-
-# -- campaign expression ----------------------------------------------
-def sensitivity_cells(
-    params_and_factors: list[tuple[str, float]],
-    model: str = "stratified",
-    resolution: tuple[int, int, int] = (3, 3, 2),
-    module: str = "single-gh200",
-    n_cases: int = 4,
-    nt: int = 16,
-    window_start: int = 12,
-    s: int = 8,
-    n_regions: int = 8,
-    cpu_threads: int = 36,
-    seed: int = 0,
-    amplitude: float = 1e6,
-) -> list["CampaignCell"]:
-    """The architectural sweep as campaign cells, one per
-    ``(param, factor)`` sample."""
-    from repro.campaign.spec import CampaignCell, derive_seed
-
-    cells = []
-    for param, factor in params_and_factors:
-        if param not in SWEEPABLE_PARAMETERS:
-            raise ValueError(
-                f"unknown parameter {param!r}; see SWEEPABLE_PARAMETERS"
-            )
-        cells.append(
-            CampaignCell(
-                kind="sensitivity",
-                params={
-                    "model": model,
-                    "resolution": list(resolution),
-                    "module": module,
-                    "param": param,
-                    "factor": float(factor),
-                    "n_cases": n_cases,
-                    "nt": nt,
-                    "window_start": window_start,
-                    "s": s,
-                    "n_regions": n_regions,
-                    "cpu_threads": cpu_threads,
-                    "amplitude": amplitude,
-                    "seed": derive_seed(seed, model, "sensitivity"),
-                },
-                label=f"sensitivity/{model}/{param}@x{factor:g}",
-            )
-        )
-    return cells
-
-
-@register_executor("sensitivity")
-def _run_sensitivity_cell(params: dict) -> dict:
-    """Campaign executor: characterize the declared workload, replay it
-    on the scaled module, return the modeled point."""
-    from repro.analysis.waves import BandlimitedImpulse
-    from repro.hardware.specs import module_by_name
-    from repro.util.rng import spawn_rngs
-    from repro.workloads.ground import GROUND_MODELS, build_ground_problem
-
-    problem = build_ground_problem(
-        GROUND_MODELS[params["model"]](), resolution=tuple(params["resolution"])
-    )
-    forces = [
-        BandlimitedImpulse.random(
-            problem.mesh, problem.dt, rng=rng, amplitude=params["amplitude"]
-        )
-        for rng in spawn_rngs(params["seed"], params["n_cases"])
-    ]
-    profile = characterize_pipeline(
-        problem, forces, nt=params["nt"], window_start=params["window_start"],
-        s=params["s"], n_regions=params["n_regions"],
-    )
-    base = module_by_name(params["module"])
-    scaled = scaled_module(base, params["param"], params["factor"])
-    point = modeled_step_time(profile, scaled, cpu_threads=params["cpu_threads"])
-    return {
-        "param": params["param"],
-        "factor": params["factor"],
-        **{k: (bool(v) if k == "predictor_hidden" else float(v))
-           for k, v in point.items()},
-    }
-
-
-def run_sensitivity_campaign(
-    runner, params_and_factors: list[tuple[str, float]], **kwargs
-) -> list[dict]:
-    """Run the sweep through a campaign runner; returns one point dict
-    per ``(param, factor)`` sample, in input order."""
-    outcomes = runner.run_cells(sensitivity_cells(params_and_factors, **kwargs))
-    bad = [o for o in outcomes if not o.ok]
-    if bad:
-        raise RuntimeError(f"sensitivity cells failed: {[o.error for o in bad]}")
-    return [o.result for o in outcomes]
 
 
 def sweep_parameter(

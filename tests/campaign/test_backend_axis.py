@@ -137,17 +137,27 @@ def test_executor_treats_explicit_default_backend_identically():
 
 def test_executor_ignores_ambient_backend_env(monkeypatch):
     """The executor takes the backend from the cell params only: with
-    ``REPRO_BACKEND`` pointing elsewhere, a backend-less cell still
-    runs (and matches) the numpy reference — the environment cannot
-    change what a content hash means."""
-    spec = make_spec(models=("stratified",), waves=default_waves(1),
-                     cases=1, steps=3)
-    params = spec.cells()[0].params
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    reference = run_method_cell(dict(params))
-    monkeypatch.setenv("REPRO_BACKEND", "numpy-blocked")
-    ambient = run_method_cell(dict(params))
-    assert ambient == reference
+    ``REPRO_BACKEND`` naming an engine that does not exist, a
+    backend-less cell still runs and equals the unset-environment
+    result — the environment cannot change what a content hash means.
+    (A *registered* name would pass even if some operator of the run
+    resolved the ambient engine; an unknown one makes that a
+    ``ValueError``.)  One cell per operator family a run can build:
+    fused EBE, BCRS, the ``nparts`` partition, the two-grid cycle."""
+    hetero = dict(methods=("ebe-mcg@cpu-gpu",), cases=2)
+    for over in (
+        hetero,
+        dict(methods=("crs-cg@cpu",), cases=1),
+        dict(hetero, nparts=(2,)),
+        dict(hetero, preconditioners=("twogrid",)),
+    ):
+        spec = make_spec(models=("stratified",), waves=default_waves(1),
+                         steps=3, **over)
+        params = spec.cells()[0].params
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        reference = run_method_cell(dict(params))
+        monkeypatch.setenv("REPRO_BACKEND", "no-such-engine")
+        assert run_method_cell(dict(params)) == reference, spec.cells()[0].label
 
 
 def test_backend_cells_execute_and_agree(tmp_path):

@@ -183,15 +183,6 @@ def test_results_persisted_incrementally(tmp_path):
         CELL_EXECUTORS.pop("half-fails", None)
 
 
-def test_ablation_cells_share_one_force_seed():
-    """All ablation arms must see the identical force realization —
-    the sweep compares predictor designs, not input noise."""
-    from repro.studies import ablation_cells
-
-    seeds = {c.params["seed"] for c in ablation_cells(nt=4)}
-    assert len(seeds) == 1
-
-
 @pytest.mark.parametrize(
     "garbage",
     ['{"schema": 999}', '{"schema": 1, "key": "k", "trunc'],

@@ -383,3 +383,26 @@ def test_memory_estimate_per_part_rejected_for_baselines(ground_problem):
         estimate_memory(ground_problem, "crs-cg@gpu", 2, nparts=2)
     with pytest.raises(ValueError):
         estimate_memory(ground_problem, "ebe-mcg@cpu-gpu", 2, nparts=0)
+
+
+# ------------------------------------------- one engine, built once
+@pytest.mark.parametrize("nparts", [1, 2])
+def test_run_builds_every_operator_on_its_engine(ground_problem, nparts):
+    """A run's operators — solver, RHS, preconditioner, partition, and
+    what the memory estimate reads — all come from the problem on the
+    run's engine: one engine in the cache, nothing built twice."""
+    from dataclasses import replace
+
+    problem = replace(ground_problem, _cache={})  # same matrices, no operators
+    forces = [
+        BandlimitedImpulse.random(problem.mesh, problem.dt, rng=80 + i,
+                                  amplitude=1e6)
+        for i in range(2)
+    ]
+    run_method(problem, forces, nt=2, method="ebe-mcg@cpu-gpu",
+               s_range=(2, 4), nparts=nparts, backend="numpy-blocked")
+    solver = (["A_ebe", "precond"] if nparts == 1
+              else ["A_dist.2", "precond.parts.2"])
+    assert sorted(problem._cache) == sorted(
+        f"{base}#numpy-blocked" for base in [*solver, "M_ebe", "C_ebe"]
+    )

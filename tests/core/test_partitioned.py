@@ -151,19 +151,3 @@ def test_partitioned_precision_halo_and_solve(ground_problem, make_forces):
     res2, _ = ref.solve(1, g2)
     if res.loop_iterations == res2.loop_iterations:
         assert cs.comm_time(res) < ref.comm_time(res2)
-
-
-def test_shared_dist_precision_mismatch_rejected(ground_problem, make_forces):
-    from repro.cluster.halo import DistributedEBE
-    from repro.cluster.partition import PartitionInfo, partition_elements
-
-    info = PartitionInfo(
-        ground_problem.mesh, partition_elements(ground_problem.mesh, 2)
-    )
-    dist64 = DistributedEBE.from_elements(ground_problem.Ae, info)
-    with pytest.raises(ValueError, match="precision"):
-        PartitionedCaseSet(
-            ground_problem, forces=make_forces(ground_problem, 2),
-            predictors=make_predictors(ground_problem, 2),
-            op_kind="ebe", nparts=2, precision="fp21", dist=dist64,
-        )

@@ -7,10 +7,10 @@ import pytest
 
 from repro.core.results import RunResult, StepRecord
 from repro.io.results import (
+    append_campaign_checkpoint,
     atomic_write_text,
     load_campaign_checkpoint,
     load_result_summary,
-    save_campaign_checkpoint,
     save_result,
 )
 from repro.util.timeline import Timeline
@@ -124,8 +124,8 @@ def test_step_record_dict_roundtrip():
 
 def test_campaign_checkpoint_io_validation(tmp_path):
     with pytest.raises(ValueError):  # identity fields are mandatory
-        save_campaign_checkpoint({"key": "k", "state": {}}, tmp_path / "c.json")
-    p = save_campaign_checkpoint(
+        append_campaign_checkpoint({"key": "k", "state": {}}, tmp_path / "c.json")
+    p = append_campaign_checkpoint(
         {"key": "k", "kind": "method", "params": {"a": 1}, "step": 4,
          "state": {"x": 0.1}},
         tmp_path / "c.json",

@@ -247,3 +247,25 @@ def test_lint_detects_violations():
     )
     fn = _find_function(snippet, "f")
     assert _numpy_references(_while_body(fn)) == ["line 3: np"]
+
+
+def test_there_is_one_operator_factory():
+    """Keeps the construction copies from coming back: under ``core/``,
+    ``studies/`` and ``campaign/`` only ``core/problem.py`` turns
+    element matrices into operators — everything else asks the problem,
+    so an operator is built once, on the run's engine.  (``sparse/``
+    and ``cluster/`` compose their own parts and are out of scope.)"""
+    builders = {"EBEOperator", "BlockCRS", "BlockJacobi", "from_elements",
+                "part_block_jacobi", "apply_dirichlet_to_elements"}
+    src = Path(repro.__file__).parent
+    sites = set()
+    for layer in ("core", "studies", "campaign"):
+        for path in sorted((src / layer).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = (node.func.attr if isinstance(node.func, ast.Attribute)
+                          else getattr(node.func, "id", None))
+                if called in builders:
+                    sites.add(path.relative_to(src).as_posix())
+    assert sites == {"core/problem.py"}, sites

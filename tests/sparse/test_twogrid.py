@@ -79,7 +79,7 @@ def aggregation_transfer(nf: int) -> TransferOperators:
 def dense_twogrid(A, n_smooth=1, **kw):
     op = DenseOp(A)
     return build_twogrid(
-        op, sp.csr_matrix(A), [aggregation_transfer(A.shape[0] // 3)],
+        op, sp.csr_matrix(A), aggregation_transfer(A.shape[0] // 3),
         op.diagonal_blocks(), n_smooth=n_smooth, **kw
     )
 
@@ -171,17 +171,6 @@ def test_preconditioner_for_dispatch(ground_problem):
     assert pb.preconditioner_for("twogrid") is tg  # cached
     with pytest.raises(ValueError, match="unknown preconditioner"):
         pb.preconditioner_for("ilu")
-
-
-def test_v_cycle_recursion_converges(ground_problem):
-    pb = ground_problem
-    tg = pb.twogrid_preconditioner(levels=3)
-    assert isinstance(tg.coarse_solve, TwoGrid)  # genuinely recursed
-    rng = np.random.default_rng(8)
-    B = rng.standard_normal((pb.n_dofs, 2))
-    B[pb.fixed_dofs, :] = 0.0
-    res = pcg(pb.ebe_operator(), B, precond=tg, eps=1e-8)
-    assert res.converged.all()
 
 
 # -------------------------------------------- traffic and backends
