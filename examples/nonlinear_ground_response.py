@@ -46,7 +46,8 @@ for op_kind in ("ebe", "crs"):
               f"{drv.modulus_ratio.min():9.3f} "
               f"{drv.effective_strain.max():11.3e}")
 
-print("\nEBE's per-step cost is flat in update frequency; CRS pays a")
-print("re-assembly stream per update (tag 'assembly.crs') — the reason")
-print("the paper calls matrix-free 'another advantage ... over the")
-print("CRS-based method' for nonlinear problems.")
+print("\nEBE's per-step cost is flat in update frequency; CRS streams the")
+print("assembled matrix every CG iteration and pays a re-assembly stream")
+print("per update (tag 'assembly.crs') — the reason the paper calls")
+print("matrix-free 'another advantage ... over the CRS-based method' for")
+print("nonlinear problems.")

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.cluster.partition import PartitionInfo
-from repro.sparse.backend import ArrayBackend, as_backend
+from repro.sparse.backend import ArrayBackend, as_backend, check_out
 from repro.sparse.distributed import PartLocalOperator
 from repro.sparse.ebe import EBEOperator
 from repro.sparse.precision import FP64, Precision, as_precision
@@ -234,10 +234,6 @@ class DistributedEBE:
             out.append(remap)
         return out
 
-    def _local_node_index(self, p: int) -> np.ndarray:
-        """global node id -> local node index map of part ``p``."""
-        return self._node_index[p]
-
     @cached_property
     def local_global_dofs(self) -> list[np.ndarray]:
         """Per-part global dof ids of the local vector entries (the
@@ -311,8 +307,7 @@ class DistributedEBE:
         (aliasing the inputs is fine: pre-exchange surface values are
         staged first, exactly like MPI send buffers).  The wire traffic
         is charged to the ``halo.exchange`` counter — one exchange's
-        bytes per column — so `matvec_parts` callers (the literal MPI
-        path) account communication identically to :meth:`matvec`.
+        bytes per column, as :meth:`matvec` charges it.
         """
         nparts = self.nparts
         if len(local_values) != nparts:
@@ -342,30 +337,23 @@ class DistributedEBE:
         )
         return exchanged
 
-    def matvec_parts(self, x: np.ndarray) -> list[np.ndarray]:
-        """Per-part local results of one mat-vec *after* the halo
-        exchange (each part's view of the consistent global vector)."""
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Global mat-vec via per-part local sweeps + halo sum, into
+        ``out`` (``x``'s shape) when given."""
         x = np.asarray(x, dtype=float)
-        locals_ = [
-            op.matvec(x[ldof])
-            for op, ldof in zip(self.local_ops, self.local_global_dofs)
-        ]
-        return self.halo_exchange(locals_)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Global mat-vec via per-part local sweeps + halo sum."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = x[:, None] if single else x
-        Y = np.zeros_like(X)
+        check_out(out, x.shape)
+        if out is None:
+            out = np.zeros_like(x)
+        else:
+            out[...] = 0.0
+        X, Y = (x[:, None], out[:, None]) if x.ndim == 1 else (x, out)
         for op, ldof in zip(self.local_ops, self.local_global_dofs):
-            y_local = op.matvec(X[ldof])
             # halo sum: accumulating every part's shared contribution
             # into the global vector is exactly the pairwise exchange
             # result (addition is associative across neighbours).
-            Y[ldof] += y_local
+            Y[ldof] += op.matvec(X[ldof])
         counters.charge("halo.exchange", 0.0, self.comm_bytes_per_matvec * X.shape[1])
-        return Y[:, 0] if single else Y
+        return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)

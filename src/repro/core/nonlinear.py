@@ -1,14 +1,16 @@
 """Nonlinear (equivalent-linear) time evolution driver.
 
-Runs the same predictor + fused-CG machinery as the linear methods but
-re-evaluates the material every ``update_interval`` steps from the
-running strain field and rebuilds the effective operator:
+Steps one :class:`~repro.core.pipeline.CaseSet` — the linear methods'
+time step — but re-evaluates the material every ``update_interval``
+steps from the running strain field and hands the set the problem at
+the new secant state (:meth:`ElasticProblem.updated`):
 
 * **EBE path** — the modeled device kernel recomputes element matrices
   in-flight anyway, so an update costs only the strain evaluation and
   the (host-side) refresh of the element arrays; no extra device
   traffic is charged.  This is the paper's nonlinear advantage.
-* **CRS path** — every update additionally pays a global re-assembly,
+* **CRS path** — solves and builds its RHS on block CRS (memory-bound
+  SpMV), and every update additionally pays a global re-assembly,
   charged as writing all matrix blocks once (tag ``assembly.crs``),
   exactly what a device implementation must stream.
 
@@ -23,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.pipeline import CaseSet
 from repro.core.problem import ElasticProblem
 from repro.fem.newmark import NewmarkState
 from repro.fem.nonlinear import (
@@ -31,7 +34,6 @@ from repro.fem.nonlinear import (
     element_shear_strains,
 )
 from repro.predictor.datadriven import DataDrivenPredictor
-from repro.sparse.cg import pcg
 from repro.util import counters
 from repro.util.counters import KernelTally, tally_scope
 
@@ -128,39 +130,37 @@ class NonlinearDriver:
         nt: int,
         predictor: DataDrivenPredictor | None = None,
     ) -> tuple[NewmarkState, KernelTally]:
-        """Advance ``nt`` steps; returns the final state and the work
-        tally of the whole run."""
+        """Advance ``nt`` steps of one :class:`CaseSet` on the current
+        problem (swapped in after every material update); returns the
+        final state and the work tally of the whole run."""
         pb = self.problem
-        nm = pb.newmark
-        state = pb.zero_state()
         pred = predictor or DataDrivenPredictor(pb.n_dofs, pb.dt, s_max=8,
                                                 n_regions=4, s=8)
+        cs = CaseSet(self._current, forces=[force], predictors=[pred],
+                     op_kind=self.op_kind, eps=self.eps)
         tally = KernelTally()
-        with tally_scope(tally):
-            for it in range(1, nt + 1):
-                f = force(it)
-                guess = pred.predict(f_next=f)
-                cur = self._current
-                b = cur.rhs(f, state, kind="ebe")
-                res = pcg(cur.ebe_operator(), b, x0=guess,
-                          precond=cur.preconditioner(), eps=self.eps)
-                state = nm.advance(state, np.asarray(res.x))
-                pred.observe(state.u, state.v, f=f)
+        for it in range(1, nt + 1):
+            guesses, t_pred = cs.predict(it)
+            res, t_solve = cs.solve(it, guesses)
+            tally.merge(t_pred)
+            tally.merge(t_solve)
 
-                updated = False
-                max_gamma = self._gamma_eff.max()
-                if it % self.update_interval == 0:
-                    updated, max_gamma = self._rebuild(state.u)
-                self.records.append(
-                    NonlinearRunRecord(
-                        step=it,
-                        iterations=int(res.iterations[0]),
-                        updated=updated,
-                        min_modulus_ratio=float(self._ratio.min()),
-                        max_gamma=float(max_gamma),
-                    )
+            updated = False
+            max_gamma = self._gamma_eff.max()
+            if it % self.update_interval == 0:
+                with tally_scope(tally):
+                    updated, max_gamma = self._rebuild(cs.states[0].u)
+                cs.problem = self._current
+            self.records.append(
+                NonlinearRunRecord(
+                    step=it,
+                    iterations=int(res.iterations[0]),
+                    updated=updated,
+                    min_modulus_ratio=float(self._ratio.min()),
+                    max_gamma=float(max_gamma),
                 )
-        return state, tally
+            )
+        return cs.states[0], tally
 
     @property
     def modulus_ratio(self) -> np.ndarray:

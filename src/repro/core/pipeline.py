@@ -185,27 +185,23 @@ class CaseSet:
     def solve(self, it: int, guesses: np.ndarray) -> tuple[CGResult, KernelTally]:
         """RHS build + fused (M)CG refinement + state advance + predictor
         observation for time step ``it``; returns the solver work tally."""
-        pb = self.problem
-        nm = pb.newmark
+        nm = self.problem.newmark
         F_T = self.forces_at(it)
         with tally_scope() as t:
             # fused effective RHS (Eq. 5 right side) for all cases
-            U = np.column_stack([s.u for s in self.states])
-            V = np.column_stack([s.v for s in self.states])
-            Acc = np.column_stack([s.a for s in self.states])
-            F = F_T.T
-            UM = nm.c_mass * U + (4.0 / pb.dt) * V + Acc
-            UC = nm.c_damp * U + V
-            B = F + pb.mass_operator(self.op_kind, self.backend) @ UM
-            B += pb.damping_operator(self.op_kind, self.backend) @ UC
-            B[pb.fixed_dofs, :] = 0.0
-
+            B = self.problem.rhs(
+                F_T.T,
+                NewmarkState(np.column_stack([s.u for s in self.states]),
+                             np.column_stack([s.v for s in self.states]),
+                             np.column_stack([s.a for s in self.states])),
+                self.op_kind, self.backend,
+            )
             res = self._solve_system(B, guesses)
         X = res.x if res.x.ndim == 2 else res.x[:, None]
         for k in range(self.r):
             self.states[k] = nm.advance(self.states[k], X[:, k])
             self.predictors[k].observe(
-                self.states[k].u, self.states[k].v, f=F[:, k]
+                self.states[k].u, self.states[k].v, f=F_T[k]
             )
         return res, t
 

@@ -284,11 +284,17 @@ class ElasticProblem:
     def zero_state(self) -> NewmarkState:
         return NewmarkState.zeros(self.n_dofs)
 
-    def rhs(self, f_ext: np.ndarray, state: NewmarkState, kind: str = "crs") -> np.ndarray:
+    def rhs(
+        self, f_ext: np.ndarray, state: NewmarkState, kind: str = "crs",
+        backend: "ArrayBackend | str | None" = None,
+    ) -> np.ndarray:
         """Effective right-hand side for the next step, with Dirichlet
-        rows zeroed (fixed dofs then solve to exactly zero)."""
-        M = self.mass_operator(kind)
-        C = self.damping_operator(kind)
+        rows zeroed (fixed dofs then solve to exactly zero); ``f_ext``
+        and ``state`` may hold ``(n, r)`` blocks of ``r`` cases.  The
+        mass and damping products run as ``kind`` operators on
+        ``backend``."""
+        M = self.mass_operator(kind, backend)
+        C = self.damping_operator(kind, backend)
         b = self.newmark.rhs(M, C, f_ext, state)
         b[self.fixed_dofs] = 0.0
         return b

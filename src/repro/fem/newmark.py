@@ -65,16 +65,20 @@ class NewmarkBeta:
         return 2.0 / self.dt
 
     def rhs(self, M: Any, C: Any, f: np.ndarray, state: NewmarkState) -> np.ndarray:
-        """Right-hand side of the effective system for the next step.
+        """Right-hand side of the effective system for the next step —
+        the one place Eq. 5's right side is written.
 
         ``M`` and ``C`` may be any objects supporting ``@`` on vectors
         (scipy sparse matrices or the instrumented operators in
-        :mod:`repro.sparse`).
+        :mod:`repro.sparse`); ``f`` and the state may be ``(n,)``
+        vectors or ``(n, r)`` blocks of ``r`` cases.
         """
         dt = self.dt
         um = self.c_mass * state.u + (4.0 / dt) * state.v + state.a
         uc = self.c_damp * state.u + state.v
-        return f + (M @ um) + (C @ uc)
+        b = f + M @ um
+        b += C @ uc
+        return b
 
     def advance(self, state: NewmarkState, u_new: np.ndarray) -> NewmarkState:
         """Apply the Eq. 6-7 recurrences, returning the next state."""

@@ -70,6 +70,8 @@ __all__ = [
     "backend_names",
     "available_backend_names",
     "as_backend",
+    "apply_staged",
+    "check_out",
     "default_backend_name",
 ]
 
@@ -527,6 +529,35 @@ def as_backend(spec: "ArrayBackend | str | None" = None) -> ArrayBackend:
     if isinstance(spec, ArrayBackend):
         return spec
     return backend_by_name(spec)
+
+
+def check_out(out: np.ndarray | None, shape: tuple) -> None:
+    """Refuse a caller's result buffer the primitives cannot write:
+    ``out`` must have the operand's ``shape`` and be C-contiguous
+    (a strided block's reshaped view would be a lost copy).  Operators
+    call this before charging any work."""
+    if out is not None and (out.shape != shape or not out.flags.c_contiguous):
+        raise ValueError(
+            f"out must be a C-contiguous array of shape {shape}, got shape "
+            f"{out.shape}"
+        )
+
+
+def apply_staged(kernel, x: np.ndarray, out: np.ndarray | None,
+                 backend: ArrayBackend) -> np.ndarray:
+    """Run ``kernel(X, Y)`` — an operator's one primitive — on ``x`` as
+    a C-contiguous fp64 ``(n, r)`` block (a strided operand is staged
+    first), into ``out`` (validated by :func:`check_out`) or a fresh
+    ``backend`` buffer; returns ``out``, or the result in ``x``'s
+    shape."""
+    X = x[:, None] if x.ndim == 1 else x
+    if not X.flags.c_contiguous or X.dtype != np.float64:
+        X = np.ascontiguousarray(X, dtype=np.float64)
+    if out is not None:
+        kernel(X, out if out.ndim == 2 else out[:, None])
+        return out
+    Y = kernel(X, backend.empty(X.shape))
+    return Y[:, 0] if x.ndim == 1 else Y
 
 
 register_backend(NumpyBackend)

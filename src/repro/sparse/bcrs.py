@@ -1,15 +1,16 @@
 """3x3 block compressed row storage (the paper's "CRS" baseline).
 
-Thin instrumented wrapper over :class:`scipy.sparse.bsr_matrix`: the
-numerics are scipy's, but every application charges the analytic
-kernel work (:mod:`repro.sparse.traffic`) to the active
+Instrumented wrapper over a :class:`scipy.sparse.bsr_matrix` (the
+stored blocks, their footprint and diagonal): every application charges
+the analytic kernel work (:mod:`repro.sparse.traffic`) to the active
 :class:`~repro.util.counters.KernelTally`, which is how modeled device
 time is attributed (priced once per right-hand-side count).
 
-The ``out=`` path runs the backend's CSR SpMV over a scalar CSR twin:
-on ``numpy`` scipy's single-vector kernel for one right-hand side — the
-conventional method's operator — and the multi-vector one otherwise,
-both summing each row in stored order.
+There is one application path, solver and RHS products alike: the
+backend's CSR SpMV over a scalar CSR twin — on ``numpy`` scipy's
+single-vector kernel for one right-hand side (the conventional method's
+operator) and the multi-vector one otherwise, both summing each row in
+stored order, as scipy's BSR kernels do.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.sparse.backend import ArrayBackend, as_backend
+from repro.sparse.backend import ArrayBackend, apply_staged, as_backend, check_out
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import crs_traffic
 from repro.util import counters
@@ -36,7 +37,7 @@ class BlockCRS:
         quantized once at construction and the per-matvec traffic is
         charged at the policy's itemsize.  Default fp64 (bit-identical
         to the precision-unaware matrix).
-    backend : execution engine for the block ``out=`` SpMV path
+    backend : execution engine of every application
         (:class:`~repro.sparse.backend.ArrayBackend`, registry name,
         or ``None`` for the ambient default); the modeled traffic is
         backend-independent.
@@ -61,7 +62,7 @@ class BlockCRS:
             bsr = bsr.copy()
             self.precision.quantize_(bsr.data)
         self._m = bsr
-        self._csr = None  # lazy scalar CSR twin for the out= fast path
+        self._csr = None  # lazy scalar CSR twin, what every SpMV runs on
         self._charges: dict[int, tuple] = {}  # n_rhs -> (tag, flops, bytes)
         self.tag = tag
 
@@ -111,15 +112,18 @@ class BlockCRS:
         """Apply to one vector ``(n,)`` or a batch ``(n, r)``.
 
         Each case re-streams the matrix (the CRS kernel has no
-        multi-RHS fusion, matching the paper's baseline).  A block
-        ``out`` buffer is filled in place through scipy's C kernels, so
-        repeated applications allocate nothing.
+        multi-RHS fusion, matching the paper's baseline).  The result
+        lands in ``out`` (``x``'s shape, C-contiguous) — repeated
+        applications then allocate nothing — or in a fresh array; a
+        strided operand is staged first.  Sizes are checked before
+        anything is charged or run.
         """
         x = np.asarray(x)
-        n_rhs = 1 if x.ndim == 1 else x.shape[1]
         n = self.n
         if x.shape[0] != n:  # the C kernels would read past its end
             raise ValueError(f"operand size {x.shape[0]} != {n}")
+        check_out(out, x.shape)
+        n_rhs = 1 if x.ndim == 1 else x.shape[1]
         charge = self._charges.get(n_rhs)
         if charge is None:
             w = crs_traffic(self.nnz_blocks, self.n_block_rows,
@@ -127,22 +131,11 @@ class BlockCRS:
             charge = self._charges[n_rhs] = (
                 self.tag, w.flops * n_rhs, w.bytes * n_rhs)
         counters.charge(*charge)
-        if out is None:
-            return self._m @ x
-        if out.shape != (n, n_rhs) or x.ndim != 2:
-            raise ValueError(f"out must match block shape {(n, n_rhs)}")
-        if (
-            not x.flags.c_contiguous
-            or not out.flags.c_contiguous
-            or x.dtype != np.float64
-        ):
-            np.copyto(out, self._m @ x)
-            return out
-        return self._apply_block(x, out)
+        return apply_staged(self._apply_block, x, out, self.backend)
 
     def _apply_block(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The in-place multi-vector SpMV hot path, pure backend
-        primitives over the lazily-built scalar CSR twin."""
+        """The SpMV of every application, pure backend primitives over
+        the lazily-built scalar CSR twin."""
         if self._csr is None:
             self._csr = self._m.tocsr()
             self._csr.sort_indices()

@@ -14,9 +14,13 @@ time step").
 
 The loop body is allocation-free: all ``(n, r)`` working blocks live
 in a :class:`PCGWorkspace` (reusable across solves — the campaign
-runner and the pipeline hold one per case set), operators that accept
-``out=`` write into them directly, and the per-iteration vector
-updates run in place.
+runner and the pipeline hold one per case set), and the per-iteration
+vector updates run in place.  The operator and the preconditioner
+write into those blocks themselves: the loop calls
+``A.matvec(V, out=)`` and ``precond.apply(R, out=)`` directly, so
+every operator of the package — EBE, block CRS, distributed,
+block-Jacobi, two-grid — takes ``out=``, and nothing here inspects a
+signature or wraps a bare matrix.
 
 Every vector operation in the loop routes through an
 :class:`~repro.sparse.backend.ArrayBackend` (``backend=``): the
@@ -42,8 +46,6 @@ historical fp64-only implementation.
 
 from __future__ import annotations
 
-import functools
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,44 +115,6 @@ def _as_block(v: np.ndarray | None, n: int, r: int) -> np.ndarray:
     return v.copy()  # C-order copy regardless of input layout
 
 
-@functools.lru_cache(maxsize=256)
-def _accepts_out(fn) -> bool:
-    """Whether ``fn`` takes ``out=`` (by name, or through ``**kwargs``)."""
-    params = inspect.signature(fn).parameters.values()
-    return any(p.name == "out" or p.kind is p.VAR_KEYWORD for p in params)
-
-
-def _make_apply(op, method_name: str):
-    """Wrap an operator into ``apply(V, out) -> out``.
-
-    Prefers the operator's own ``out=`` support, decided from its
-    signature, never by trial; operators without it, and plain
-    matrices, go through ``np.copyto``.  Whatever the operator body
-    raises propagates — it is never run a second time.
-    """
-    bound = getattr(op, method_name, None)
-    if bound is None:  # plain ndarray / anything supporting @
-        def apply(V: np.ndarray, out: np.ndarray) -> np.ndarray:
-            try:
-                np.matmul(op, V, out=out)
-            except TypeError:
-                np.copyto(out, op @ V)
-            return out
-
-        return apply
-
-    if _accepts_out(getattr(bound, "__func__", bound)):
-        def apply(V: np.ndarray, out: np.ndarray) -> np.ndarray:
-            bound(V, out=out)
-            return out
-    else:
-        def apply(V: np.ndarray, out: np.ndarray) -> np.ndarray:
-            np.copyto(out, bound(V))
-            return out
-
-    return apply
-
-
 def _guarded_divide(num: np.ndarray, den: np.ndarray, out: np.ndarray,
                     done: np.ndarray | None) -> np.ndarray:
     """``out = num / den`` columnwise with the CG scalar guard:
@@ -213,16 +177,19 @@ def pcg(
 
     Parameters
     ----------
-    A : operator with ``matvec`` accepting ``(n, r)`` blocks
-        (``matvec(V, out=...)`` is used when supported).  One on the
-        stacked part-local layout of a partitioned solve
+    A : operator with ``matvec(V, out=)`` writing ``A V`` for an
+        ``(n, r)`` block into the C-contiguous ``(n, r)`` ``out`` — the
+        only way it is called (bare matrices are not operators: wrap
+        one in an object with that method).  One on the stacked
+        part-local layout of a partitioned solve
         (:class:`~repro.sparse.distributed.PartLocalOperator`) names
         its slice lengths in ``row_extents``: the modeled vector
         traffic is then charged once per slice, as each rank would.
     b : ``(n,)`` or ``(n, r)`` right-hand side(s).
     x0 : optional initial guess(es), same shape as ``b``.
-    precond : optional preconditioner with ``apply`` (block-capable);
-        identity when omitted.
+    precond : optional preconditioner with ``apply(R, out=)`` writing
+        ``M R`` into ``out`` (same contract as ``A.matvec``); identity
+        when omitted.
     eps : relative tolerance on ``||r||/||b||`` (paper uses 1e-8).
     record_history : keep the per-iteration relative residuals
         (used by the Fig. 3 reproduction).
@@ -265,14 +232,6 @@ def pcg(
     rho, rho_prev, alpha, beta = ws.rho, ws.rho_prev, ws.alpha, ws.beta
     relres, work = ws.relres, ws.work
 
-    apply_A = _make_apply(A, "matvec")
-    if precond is None:
-        apply_M = lambda V, out: np.copyto(out, V) or out  # noqa: E731
-    elif hasattr(precond, "apply"):
-        apply_M = _make_apply(precond, "apply")
-    else:
-        apply_M = _make_apply(precond, "__nonexistent__")  # matrix path
-
     if reduction is None:  # one contiguous sweep over all rows
         dot, norm = bk.colwise_dot, bk.colwise_norm
         norm_b = np.linalg.norm(B, axis=0)
@@ -286,7 +245,7 @@ def pcg(
     denom = np.where(zero_rhs, 1.0, norm_b)
 
     store = _store_fn(bk, prec)
-    apply_A(X, out=R)
+    A.matvec(X, out=R)
     bk.subtract(B, R, out=R)
     store(R)
     norm(R, out=relres)
@@ -305,7 +264,10 @@ def pcg(
     while n_open and loop_it < max_iter:
         loop_it += 1
         frozen = done if n_open < r else None
-        apply_M(R, out=Z)
+        if precond is None:  # identity
+            bk.copy(Z, R)
+        else:
+            precond.apply(R, out=Z)
         store(Z)
         dot(Z, R, out=rho)
         # beta = rho/rho_prev; converged/zero columns frozen at 0
@@ -315,7 +277,7 @@ def pcg(
             beta.fill(0.0)
         bk.xpay_cols(P, beta, Z)
         store(P)
-        apply_A(P, out=Q)
+        A.matvec(P, out=Q)
         store(Q)
         dot(P, Q, out=work)
         _guarded_divide(rho, work, alpha, frozen)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fem.assembly import element_dof_ids
-from repro.sparse.backend import ArrayBackend, as_backend
+from repro.sparse.backend import ArrayBackend, as_backend, check_out
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import ebe_traffic
 from repro.util import counters
@@ -162,12 +162,9 @@ class EBEOperator:
         if n != self.n:
             raise ValueError(f"operand size {n} != {self.n}")
 
+        check_out(out, X.shape)  # a strided block's node view would be a lost copy
         ws = self._workspace(r)
         Y = ws.y if out is None else out
-        if Y.shape != (n, r):
-            raise ValueError(f"out must have shape {(n, r)}, got {Y.shape}")
-        if not Y.flags.c_contiguous:  # its node view would be a lost copy
-            raise ValueError("out must be C-contiguous")
         self._sweep(X, Y, ws)
         counters.charge(*ws.charge)
         if single:

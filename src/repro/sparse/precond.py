@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.backend import ArrayBackend, as_backend
+from repro.sparse.backend import ArrayBackend, apply_staged, as_backend, check_out
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import block_jacobi_traffic
 from repro.util import counters
@@ -74,37 +74,27 @@ class BlockJacobi:
     def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``z = B^{-1} r`` for ``(n,)`` or ``(n, nrhs)`` inputs.
 
-        With a C-contiguous block ``out`` the batched 3x3 mat-vec
-        writes straight into it — no allocation on the solver hot path.
+        The batched 3x3 mat-vec writes into ``out`` (``r``'s shape,
+        C-contiguous) — no allocation on the solver hot path — or into
+        a fresh array; a strided operand is staged first.  Sizes are
+        checked before anything is charged or run.
         """
         r = np.asarray(r)
-        single = r.ndim == 1
-        R = r[:, None] if single else r
-        n_rhs = R.shape[1]
+        if r.shape[0] != self.n:
+            raise ValueError(f"operand size {r.shape[0]} != {self.n}")
+        check_out(out, r.shape)
+        n_rhs = 1 if r.ndim == 1 else r.shape[1]
         charge = self._charges.get(n_rhs)
         if charge is None:  # priced once per width, on first use
             w = block_jacobi_traffic(self.n, self.precision.itemsize)
             charge = self._charges[n_rhs] = (
                 self.tag, w.flops * n_rhs, w.bytes * n_rhs)
         counters.charge(*charge)
-        if (
-            out is not None
-            and not single
-            and out.shape == R.shape
-            and out.flags.c_contiguous
-            and R.flags.c_contiguous
-        ):
-            return self._apply_block(R, out)
-        nb = self._inv.shape[0]
-        Rb = np.ascontiguousarray(R).reshape(nb, 3, n_rhs)
-        Z = np.matmul(self._inv, Rb).reshape(3 * nb, n_rhs)
-        if out is not None:
-            np.copyto(out, Z[:, 0] if single and out.ndim == 1 else Z)
-            return out
-        return Z[:, 0] if single else Z
+        return apply_staged(self._apply_block, r, out, self.backend)
 
     def _apply_block(self, R: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The in-place batched 3x3 hot path, pure backend primitives."""
+        """The batched 3x3 mat-vec of every application, pure backend
+        primitives."""
         return self.backend.block_diag_matvec(self._inv, R, out)
 
     def __matmul__(self, r: np.ndarray) -> np.ndarray:

@@ -49,8 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.fem.transfer import TransferOperators
-from repro.sparse.backend import ArrayBackend, as_backend
-from repro.sparse.cg import _make_apply
+from repro.sparse.backend import ArrayBackend, apply_staged, as_backend, check_out
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.precond import BlockJacobi
 from repro.sparse.traffic import (
@@ -176,7 +175,6 @@ class TwoGrid:
         self._r_indptr = transfer.r_indptr
         self._r_indices = transfer.r_indices
         self._r_data = self.precision.quantize_(transfer.r_data.copy())
-        self._apply_A = _make_apply(A, "matvec")
         self._buffers: dict[int, tuple] = {}
 
     @property
@@ -216,29 +214,18 @@ class TwoGrid:
         counters.charge(f"{self.tag}.vec", wv.flops * n_rhs, wv.bytes * n_rhs)
 
     def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``z = M r`` for ``(n,)`` or ``(n, nrhs)`` inputs; with a
-        C-contiguous block ``out`` the cycle writes in place and the
-        hot path allocates nothing after the first call at each width.
+        """``z = M r`` for ``(n,)`` or ``(n, nrhs)`` inputs; the cycle
+        writes into ``out`` (``r``'s shape, C-contiguous) — the hot path
+        then allocates nothing after the first call at each width — or
+        into a fresh array.  Sizes are checked before anything is
+        charged or run.
         """
         r = np.asarray(r)
-        single = r.ndim == 1
-        R = r[:, None] if single else r
-        n_rhs = R.shape[1]
-        self._charge(n_rhs)
-        if not (R.flags.c_contiguous and R.dtype == np.float64):
-            R = np.ascontiguousarray(R, dtype=np.float64)
-        if (
-            out is not None
-            and not single
-            and out.shape == R.shape
-            and out.flags.c_contiguous
-        ):
-            return self._cycle(R, out)
-        Z = self._cycle(R, self.backend.empty(R.shape))
-        if out is not None:
-            np.copyto(out, Z[:, 0] if single and out.ndim == 1 else Z)
-            return out
-        return Z[:, 0] if single else Z
+        if r.shape[0] != self.n:
+            raise ValueError(f"operand size {r.shape[0]} != {self.n}")
+        check_out(out, r.shape)
+        self._charge(1 if r.ndim == 1 else r.shape[1])
+        return apply_staged(self._cycle, r, out, self.backend)
 
     # -- hot cycle (backend primitives only; AST-linted) --------------
     def _cycle(self, R, out):
@@ -267,7 +254,7 @@ class TwoGrid:
 
     def _residual(self, R, Z, D):
         """``D = R - A Z`` through the operator's own seam kernel."""
-        self._apply_A(Z, D)
+        self.A.matvec(Z, out=D)
         self.backend.subtract(R, D, D)
         return D
 
@@ -319,7 +306,7 @@ def build_twogrid(
 
     Parameters
     ----------
-    A : fine-level operator with ``matvec`` (EBE, BlockCRS, ...) —
+    A : fine-level operator with ``matvec(V, out=)`` (EBE, BlockCRS, ...) —
         what the cycle applies in its residuals, charging its own tag.
     A_csr : the same operator assembled as a dof-level scipy CSR; used
         host-side for the Galerkin product and the smoothing-weight

@@ -93,3 +93,29 @@ def test_validation(ground_problem):
         NonlinearDriver(ground_problem, update_interval=0)
     with pytest.raises(ValueError):
         NonlinearDriver(ground_problem, op_kind="dense")
+
+
+@pytest.mark.parametrize("op_kind", ["crs", "ebe"])
+def test_each_arm_solves_on_its_own_operator(ground_problem, op_kind):
+    """The CRS arm solves and builds its RHS on block CRS (its tally
+    holds ``spmv.crs`` and ``rhs.spmv``, no EBE sweep) and pays one
+    re-assembly per material update; the EBE arm the reverse."""
+    nt = 6
+    drv = NonlinearDriver(ground_problem,
+                          material=EquivalentLinearMaterial(gamma_ref=1e-7),
+                          update_interval=2, op_kind=op_kind)
+    _, tally = drv.run(_force(ground_problem, amplitude=1e7), nt=nt)
+    tags = set(tally.records)
+    ebe = {t for t in tags if t.startswith("spmv.ebe")}
+    crs = tags & {"spmv.crs", "rhs.spmv"}
+    n_updates = sum(r.updated for r in drv.records)
+    assert n_updates > 0
+    if op_kind == "crs":
+        assert crs == {"spmv.crs", "rhs.spmv"} and not ebe
+        assert tally.calls("rhs.spmv") == 2 * nt
+        assert tally.calls("spmv.crs") == sum(r.iterations + 1
+                                              for r in drv.records)
+        assert tally.calls("assembly.crs") == n_updates
+    else:
+        assert ebe == {"spmv.ebe1"} and not crs
+        assert tally.calls("assembly.crs") == 0

@@ -22,10 +22,10 @@ class _NaNOperator:
         self.n = n
         self.shape = (n, n)
 
-    def matvec(self, x):
-        y = np.asarray(x, dtype=float).copy()
-        y[0] = np.nan
-        return y
+    def matvec(self, x, out):
+        np.copyto(out, x)
+        out[0] = np.nan
+        return out
 
 
 def test_cg_does_not_report_convergence_on_nan():

@@ -71,8 +71,8 @@ class _DenseOp:
         self.A = A
         self.shape = A.shape
 
-    def matvec(self, x):
-        return self.A @ x
+    def matvec(self, x, out=None):
+        return np.matmul(self.A, x, out=out)
 
 
 # ------------------------------------------------------ solver parity

@@ -1,9 +1,12 @@
 """BlockCRS wrapper: numerics and instrumentation."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.sparse.backend import NumpyBackend
 from repro.sparse.bcrs import BlockCRS
 from repro.util.counters import tally_scope
 
@@ -103,3 +106,71 @@ def test_matvec_rejects_a_short_operand_before_the_c_kernel(matrix, r):
     # the full-size operand still goes through, on the same kernel
     X = np.random.default_rng(r).standard_normal((A.n, r))
     np.testing.assert_allclose(A.matvec(X, out=out), A.bsr @ X, rtol=1e-13)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_matvec_rejects_a_wrong_out_before_charging(matrix, r):
+    """Regression: a wrong ``out`` shape was refused only *after*
+    ``spmv.crs`` had been charged, so the tally held work for a call
+    that raised.  Both sizes are checked first, and a strided ``out``
+    (the kernel would write into a lost copy) is refused too."""
+    A, _ = matrix
+    X = np.ones((A.n, r))
+    with tally_scope() as tally:
+        for out in (np.empty((A.n, r + 1)), np.empty((A.n - 3, r)),
+                    np.empty((A.n, 2 * r))[:, ::2]):
+            with pytest.raises(ValueError, match=re.escape(f"shape {(A.n, r)}")):
+                A.matvec(X, out=out)
+        with pytest.raises(ValueError, match=re.escape(f"shape {(A.n,)}")):
+            A.matvec(X[:, 0], out=np.empty((A.n, 1)))
+    assert tally.records == {}
+
+
+class _CountingBackend(NumpyBackend):
+    """The reference engine, counting the CSR SpMV calls it runs."""
+
+    name = "numpy-counting"
+
+    def __init__(self) -> None:
+        self.spmv_calls = 0
+
+    def spmv_csr(self, indptr, indices, data, X, out):
+        self.spmv_calls += 1
+        return super().spmv_csr(indptr, indices, data, X, out)
+
+
+def test_every_application_runs_on_the_engine(matrix):
+    """``A @ x``, an out-less block ``matvec`` and a strided operand all
+    reach the engine's CSR SpMV — there is no side path past the
+    backend — with the bits of the ``out=`` path."""
+    A, dense = matrix
+    bk = _CountingBackend()
+    A_bk = BlockCRS(A.bsr, backend=bk)
+    wide = np.random.default_rng(3).standard_normal((A.n, 4))
+    x, X, strided = wide[:, 0].copy(), wide[:, :2].copy(), wide[:, ::2]
+    got = [A_bk @ x, A_bk.matvec(X), A_bk.matvec(strided)]
+    assert bk.spmv_calls == 3
+    for y, v in zip(got, (x, X, strided)):
+        V = np.ascontiguousarray(v.reshape(A.n, -1))
+        np.testing.assert_array_equal(
+            y.reshape(A.n, -1), A.matvec(V, out=np.empty_like(V)))
+        np.testing.assert_allclose(y, dense @ v, rtol=1e-12)
+
+
+def test_crs_run_builds_its_rhs_on_the_run_engine():
+    """A ``crs-cg@cpu`` run counts, on its engine, two RHS products per
+    step (M and C) on top of the solver's applications (the initial
+    residual and one per CG iteration)."""
+    from repro.analysis.waves import BandlimitedImpulse
+    from repro.core.methods import run_method
+    from repro.core.problem import build_problem
+    from repro.fem.mesh import structured_box
+
+    mesh = structured_box(2, 2, 1, 1.0, 1.0, 0.5)  # fresh: nothing cached
+    problem = build_problem(mesh, rho=2000.0, vp=400.0, vs=200.0, dt=0.002)
+    force = BandlimitedImpulse.random(mesh, problem.dt, rng=0, amplitude=1e6)
+    bk, nt = _CountingBackend(), 5
+    run = run_method(problem, [force], nt, "crs-cg@cpu", backend=bk)
+    solver = sum(int(rec.iterations[0]) + 1 for rec in run.records)
+    assert solver > nt
+    assert bk.spmv_calls == solver + 2 * nt

@@ -160,7 +160,7 @@ def test_there_is_one_step_loop():
     logs is probed inside ``StepDriver`` only, the pipeline schedule
     has no ``run`` of its own, and ``methods.py`` holds no driver class.
     (``core/nonlinear.py`` logs its own record type and is out of
-    scope.)"""
+    scope; its step body is ``CaseSet``'s, see the next test.)"""
     log_surface = {"tail", "last", "all", "replace", "stacked"}
     appenders, probes, classes = [], [], {}
     for mod in (methods, pipeline):
@@ -196,6 +196,44 @@ def test_there_is_one_step_loop():
         if isinstance(f, ast.FunctionDef)
     }
     assert "run" not in pipe_methods and "_step" in pipe_methods
+
+
+def test_there_is_one_step_body():
+    """Keeps a private time step from coming back (the nonlinear driver
+    had one that solved every arm on EBE): under ``src/repro`` outside
+    ``sparse/``, ``pcg`` is called and Newmark's ``advance`` runs in
+    ``core/pipeline.py`` only — every driver steps a ``CaseSet`` — the
+    RHS coefficients meet the displacement (``c_mass * u``, Eq. 5's
+    right side) in ``fem/newmark.py`` only, and ``cg.pcg`` serves
+    operators through their ``out=`` methods with no signature probe."""
+    src = Path(repro.__file__).parent
+    pcg_calls, advances, rhs_terms = set(), set(), set()
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        if rel.startswith("sparse/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if called == "pcg":
+                    pcg_calls.add(rel)
+                if called == "advance" and isinstance(f, ast.Attribute):
+                    advances.add(rel)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                sides = [ast.unparse(s).rsplit(".", 1)[-1]
+                         for s in (node.left, node.right)]
+                if {"c_mass", "c_damp"} & set(sides) and {"u", "U"} & set(sides):
+                    rhs_terms.add(rel)
+    assert pcg_calls == {"core/pipeline.py"}, pcg_calls
+    assert advances == {"core/pipeline.py"}, advances
+    assert rhs_terms == {"fem/newmark.py"}, rhs_terms
+    tree = _module_tree(cg)
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    imported = {a.name for n in ast.walk(tree)
+                if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    assert not {"_make_apply", "_accepts_out"} & defined, defined
+    assert "inspect" not in imported, imported
 
 
 def test_ebe_sweep_is_backend_pure():

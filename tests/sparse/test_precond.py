@@ -1,5 +1,7 @@
 """Block-Jacobi preconditioner."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,25 @@ def test_precision_quantizes_inverses_and_traffic():
         m21.apply(r)
     assert t21.total_bytes() == pytest.approx(t64.total_bytes() * 21.0 / 64.0)
     assert t21.total_flops() == t64.total_flops()
+
+
+def test_apply_rejects_wrong_sizes_before_charging():
+    """Regression: ``cg.precond`` was charged first and a wrong ``out``
+    then died in numpy's reshape ("cannot reshape array of size ...").
+    Operand rows and ``out`` shape are checked before anything is
+    charged or run, and the error names the sizes."""
+    from repro.util.counters import tally_scope
+
+    rng = np.random.default_rng(4)
+    B = BlockJacobi(rng.standard_normal((25, 3, 3)) + 4 * np.eye(3))
+    R = rng.standard_normal((75, 2))
+    with tally_scope() as tally:
+        with pytest.raises(ValueError, match="operand size 72 != 75"):
+            B.apply(R[:72])
+        for out in (np.empty((64, 7)), np.empty((75, 4))[:, ::2]):
+            with pytest.raises(ValueError, match=re.escape("shape (75, 2)")):
+                B.apply(R, out=out)
+    assert tally.records == {}
+    out = np.empty((75, 2))
+    assert B.apply(R, out=out) is out
+    np.testing.assert_array_equal(out, B.apply(R))

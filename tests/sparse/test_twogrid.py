@@ -42,8 +42,8 @@ class DenseOp:
         self.A = np.asarray(A)
         self.shape = self.A.shape
 
-    def matvec(self, x):
-        return self.A @ x
+    def matvec(self, x, out=None):
+        return np.matmul(self.A, x, out=out)
 
     def diagonal_blocks(self):
         nb = self.A.shape[0] // 3
@@ -135,6 +135,20 @@ def test_constructor_validation():
     with pytest.raises(ValueError, match="positive"):
         TwoGrid(DenseOp(A), aggregation_transfer(4), tg.smoother,
                 tg.coarse_solve, omega=-1.0)
+
+
+def test_apply_rejects_wrong_sizes_before_charging():
+    """Operand rows and ``out`` are checked before the cycle charges
+    its glue or runs (a wrong ``out`` used to fail in a numpy copy
+    after the charge)."""
+    tg = dense_twogrid(spd(12, seed=2))
+    R = np.ones((12, 2))
+    with tally_scope() as tally:
+        with pytest.raises(ValueError, match="operand size 9 != 12"):
+            tg.apply(R[:9])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            tg.apply(R, out=np.empty((12, 3)))
+    assert tally.records == {}
 
 
 # ------------------------------------------- real-problem behaviour

@@ -18,6 +18,16 @@ from repro.sparse.cg import PCGWorkspace, pcg
 from repro.util.timeline import Timeline
 
 
+class _DenseOp:
+    """A dense matrix as a ``pcg`` operator (``matvec(V, out=)``)."""
+
+    def __init__(self, A: np.ndarray) -> None:
+        self.A = A
+
+    def matvec(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.matmul(self.A, x, out=out)
+
+
 def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     """Well-conditioned random SPD matrix."""
     m = rng.standard_normal((n, n))
@@ -39,7 +49,7 @@ def test_pcg_converges_on_random_spd(n, r, seed):
     A = _random_spd(rng, n)
     B = rng.standard_normal((n, r))
     eps = 1e-10
-    res = pcg(A, B, eps=eps)
+    res = pcg(_DenseOp(A), B, eps=eps)
     assert bool(np.all(res.converged))
     assert np.all(res.final_relres < eps)
     true_rel = np.linalg.norm(B - A @ res.x.reshape(n, r), axis=0) / np.linalg.norm(
@@ -62,9 +72,9 @@ def test_fused_multirhs_matches_sequential(n, r, seed):
     A = _random_spd(rng, n)
     B = rng.standard_normal((n, r))
     X0 = rng.standard_normal((n, r)) * 0.1
-    fused = pcg(A, B, x0=X0, eps=1e-10, workspace=PCGWorkspace())
+    fused = pcg(_DenseOp(A), B, x0=X0, eps=1e-10, workspace=PCGWorkspace())
     for k in range(r):
-        single = pcg(A, B[:, k], x0=X0[:, k], eps=1e-10)
+        single = pcg(_DenseOp(A), B[:, k], x0=X0[:, k], eps=1e-10)
         # norm-scaled comparison: elementwise rtol would demand 1e-9
         # relative accuracy of near-zero entries, which mere flop
         # regrouping (block matmul vs single-column BLAS) does not owe
@@ -90,9 +100,9 @@ def test_pcg_workspace_reuse_is_transparent(n, seed):
     ws = PCGWorkspace()
     b1 = rng.standard_normal(n)
     b2 = rng.standard_normal((n, 2))
-    x1a = pcg(A, b1, eps=1e-10, workspace=ws).x
-    _ = pcg(A, b2, eps=1e-10, workspace=ws)  # reshapes the buffers
-    x1b = pcg(A, b1, eps=1e-10, workspace=ws).x
+    x1a = pcg(_DenseOp(A), b1, eps=1e-10, workspace=ws).x
+    _ = pcg(_DenseOp(A), b2, eps=1e-10, workspace=ws)  # reshapes the buffers
+    x1b = pcg(_DenseOp(A), b1, eps=1e-10, workspace=ws).x
     np.testing.assert_array_equal(x1a, x1b)
 
 
