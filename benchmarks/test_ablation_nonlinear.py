@@ -5,108 +5,171 @@ matrix-free, enabling the use of the proposed method for solving
 nonlinear problems" — because a changing matrix costs CRS a full
 re-assembly + re-store per update while EBE recomputes in-kernel.
 
-This bench runs the equivalent-linear driver with both operator
-strategies at several update frequencies and prints the modeled
-per-step device time on the single-GH200 GPU.  The CRS arm solves and
-builds its RHS on the assembled matrix (memory-bound SpMV every CG
-iteration) *and* pays a re-assembly per update, so its gap over EBE is
-mostly the per-iteration SpMV term; the update intervals run different
-iteration counts, which swamp the assembly term in the per-step gap.
-The gates therefore compare at equal work: the gap per CG iteration
-grows with update frequency, and the tally charges exactly one
-re-assembly per rebuild on the CRS arm and none on the EBE arm.
+This bench gives the bench problem an equivalent-linear law and runs
+the paper's two heterogeneous methods through ``run_method`` — the
+Algorithm 3/4 pipeline on the modeled ``Timeline`` — at several update
+frequencies.  ``crs-cg@cpu-gpu`` solves and builds its RHS on the
+assembled matrix (memory-bound SpMV every CG iteration) *and* pays a
+re-assembly per update; ``ebe-mcg@cpu-gpu`` pays neither.  The update
+intervals run different iteration counts, which swamp the assembly
+term in the per-step gap, so the gates compare at equal work: the gap
+per CG iteration grows with update frequency.  The amplitude keeps the
+material off its floor (``0.05 < min G/G0 < 0.9`` is asserted), so the
+"same physics" gate — the whole G/G0 field and the final displacements
+of every process set, compared between the arms — can fail.
+
+Two columns say what an update costs beyond the modeled kernels: mean
+CG iterations on the step after an update against the other steps (the
+data-driven history was learned on the old operator), and the measured
+host milliseconds of one ``ElasticProblem.updated`` (the lazy operator
+rebuild on the next solve not included).
 """
 
 from __future__ import annotations
+
+import contextlib
+import time
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import format_table, write_table
 from repro.analysis.waves import BandlimitedImpulse
-from repro.core.nonlinear import NonlinearDriver
+from repro.core.methods import run_method
+from repro.core.pipeline import CaseSet
+from repro.core.problem import ElasticProblem
 from repro.fem.nonlinear import EquivalentLinearMaterial
-from repro.hardware.roofline import DeviceModel
-from repro.hardware.specs import SINGLE_GH200
+from repro.workloads.ground import build_ground_problem, stratified_model
 
 NT = 24
 UPDATE_INTERVALS = (8, 4, 2, 1)
+ARMS = ("ebe-mcg@cpu-gpu", "crs-cg@cpu-gpu")
+GAMMA_REF = 1e-7
+AMPLITUDE = 1e5  # 1e7 saturates every element at the 0.05 floor
 
 
-def _run(problem, op_kind, update_interval, amplitude=1e7):
-    force = BandlimitedImpulse.random(
-        problem.mesh, problem.dt, rng=1, amplitude=amplitude,
-        f0=0.3 / (np.pi * problem.dt), cycles_to_onset=0.8,
+@contextlib.contextmanager
+def _watch_updates():
+    """Collect the steps whose solve swapped a set's problem, and the
+    host seconds of every secant-problem build."""
+    steps, host_s = [], []
+    solve, updated = CaseSet.solve, ElasticProblem.updated
+
+    def watched_solve(self, it, guesses):
+        before = self.problem
+        out = solve(self, it, guesses)
+        if self.problem is not before:
+            steps.append(it)
+        return out
+
+    def timed_updated(self, *args, **kwargs):
+        t0 = time.perf_counter()
+        out = updated(self, *args, **kwargs)
+        host_s.append(time.perf_counter() - t0)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CaseSet, "solve", watched_solve)
+        mp.setattr(ElasticProblem, "updated", timed_updated)
+        yield steps, host_s
+
+
+def _run(bench_problem, method, update_interval):
+    """One arm on the bench problem's model carrying the law; returns
+    ``(result, update steps, host seconds per update)``."""
+    problem = build_ground_problem(
+        stratified_model(), resolution=(6, 6, 3),
+        material=EquivalentLinearMaterial(
+            gamma_ref=GAMMA_REF, update_interval=update_interval),
     )
-    drv = NonlinearDriver(
-        problem,
-        material=EquivalentLinearMaterial(gamma_ref=1e-7),
-        update_interval=update_interval,
-        op_kind=op_kind,
-    )
-    _, tally = drv.run(force, nt=NT)
-    return drv, tally
+    assert problem.n_dofs == bench_problem.n_dofs
+    forces = [
+        BandlimitedImpulse.random(
+            problem.mesh, problem.dt, rng=seed, amplitude=AMPLITUDE,
+            f0=0.3 / (np.pi * problem.dt), cycles_to_onset=0.8,
+        )
+        for seed in (1, 2)
+    ]
+    with _watch_updates() as (steps, host_s):
+        result = run_method(problem, forces, nt=NT, method=method,
+                            backend="numpy")
+    return result, sorted(set(steps)), host_s
 
 
 @pytest.fixture(scope="module")
 def sweeps(bench_problem):
-    out = {}
-    for kind in ("ebe", "crs"):
-        for ui in UPDATE_INTERVALS:
-            out[(kind, ui)] = _run(bench_problem, kind, ui)
-    return out
+    return {(method, ui): _run(bench_problem, method, ui)
+            for method in ARMS for ui in UPDATE_INTERVALS}
+
+
+def _iters_around_updates(result, steps) -> tuple[str, str]:
+    after = set(s + 1 for s in steps)
+    post = [r.mean_iterations for r in result.records if r.step in after]
+    rest = [r.mean_iterations for r in result.records if r.step not in after]
+    return tuple(f"{np.mean(v):.1f}" if v else "-" for v in (post, rest))
 
 
 def test_nonlinear_ebe_vs_crs(benchmark, bench_problem, sweeps):
     benchmark.pedantic(
-        lambda: _run(bench_problem, "ebe", 8, amplitude=1e5),
+        lambda: _run(bench_problem, "ebe-mcg@cpu-gpu", 8),
         rounds=1, iterations=1,
     )
 
-    gpu = DeviceModel(SINGLE_GH200.gpu)
-    rows = []
-    times = {}
-    for (kind, ui), (drv, tally) in sweeps.items():
-        t = gpu.time_for_tally(tally) / NT
-        times[(kind, ui)] = t
+    rows, solver, elapsed, iters = [], {}, {}, {}
+    for (method, ui), (res, steps, host_s) in sweeps.items():
+        solver[(method, ui)] = res.solver_time_per_step_per_case()
+        elapsed[(method, ui)] = res.elapsed_per_step_per_case()
+        iters[(method, ui)] = res.iterations_per_step()
+        ratio = np.concatenate(res.modulus_ratio)
         rows.append([
-            kind,
+            method,
             f"every {ui}",
-            f"{t * 1e6:.2f} us",
-            f"{np.mean([r.iterations for r in drv.records]):.1f}",
-            f"{drv.modulus_ratio.min():.3f}",
+            f"{elapsed[(method, ui)] * 1e6:.2f} us",
+            f"{solver[(method, ui)] * 1e6:.2f} us",
+            f"{iters[(method, ui)]:.1f}",
+            *_iters_around_updates(res, steps),
+            f"{len(steps)}",
+            f"{np.mean(host_s) * 1e3:.1f} ms" if host_s else "-",
+            f"{ratio.min():.3f}",
+            f"{np.median(ratio):.3f}",
         ])
     write_table(
         "ablation_nonlinear",
         format_table(
-            "Nonlinear ablation — modeled GPU time per step vs operator "
-            f"strategy and update frequency ({bench_problem.n_dofs} dofs)",
-            ["operator", "update", "GPU time/step", "iters", "min G/G0"],
+            "Nonlinear ablation — modeled time per step per case vs method "
+            f"and update frequency ({bench_problem.n_dofs} dofs, 2 cases, "
+            f"{NT} steps; host ms: one secant-problem build)",
+            ["method", "update", "elapsed/step", "GPU solver/step", "iters",
+             "iters after update", "iters otherwise", "update steps",
+             "host ms/update", "min G/G0", "median G/G0"],
             rows,
         ),
     )
 
-    # both strategies solve the same physics
+    # the material is degraded but not saturated, on every arm
+    for key, (res, _, _) in sweeps.items():
+        ratio = np.concatenate(res.modulus_ratio)
+        assert 0.05 < ratio.min() < 0.9, (key, ratio.min())
+    # both arms solve the same physics, process set by process set (at
+    # 3549 dofs they agree to ~1e-14: same guesses, same iterations)
     for ui in UPDATE_INTERVALS:
-        d_e = sweeps[("ebe", ui)][0]
-        d_c = sweeps[("crs", ui)][0]
-        assert d_e.modulus_ratio.min() == pytest.approx(
-            d_c.modulus_ratio.min(), rel=1e-9
-        )
+        ebe, crs = (sweeps[(m, ui)][0] for m in ARMS)
+        for r_e, r_c in zip(ebe.modulus_ratio, crs.modulus_ratio):
+            np.testing.assert_allclose(r_c, r_e, rtol=1e-10, atol=0)
+        for s_e, s_c in zip(ebe.final_states, crs.final_states):
+            np.testing.assert_allclose(
+                s_c.u, s_e.u, rtol=0, atol=1e-10 * np.abs(s_e.u).max())
     # CRS pays for its SpMV and for re-assembly; EBE for neither — and
-    # at equal work (per CG iteration) the gap widens as updates become
-    # more frequent
-    gap = {ui: times[("crs", ui)] - times[("ebe", ui)] for ui in UPDATE_INTERVALS}
-    assert all(g > 0 for g in gap.values())
-    iters = {ui: np.mean([r.iterations for r in sweeps[("crs", ui)][0].records])
-             for ui in UPDATE_INTERVALS}
-    gap_per_iter = {ui: gap[ui] / iters[ui] for ui in UPDATE_INTERVALS}
+    # at equal work (per CG iteration) the GPU gap widens as updates
+    # become more frequent
+    ebe_arm, crs_arm = ARMS
+    gap = {ui: solver[(crs_arm, ui)] - solver[(ebe_arm, ui)]
+           for ui in UPDATE_INTERVALS}
+    assert all(g > 0 for g in gap.values()), gap
+    assert all(elapsed[(crs_arm, ui)] > elapsed[(ebe_arm, ui)]
+               for ui in UPDATE_INTERVALS)
+    gap_per_iter = {ui: gap[ui] / iters[(crs_arm, ui)] for ui in UPDATE_INTERVALS}
     assert gap_per_iter[1] > gap_per_iter[8], gap_per_iter
-    # one re-assembly charged per rebuild on the CRS arm, none on EBE
-    for (kind, ui), (drv, tally) in sweeps.items():
-        rebuilds = sum(r.updated for r in drv.records) if kind == "crs" else 0
-        assert tally.calls("assembly.crs") == rebuilds, (kind, ui)
-    assert sum(r.updated for r in sweeps[("crs", 1)][0].records) > sum(
-        r.updated for r in sweeps[("crs", 8)][0].records)
+    assert len(sweeps[(crs_arm, 1)][1]) > len(sweeps[(crs_arm, 8)][1])
     # EBE per-step cost is ~flat in update frequency
-    assert times[("ebe", 1)] < 1.25 * times[("ebe", 8)]
+    assert solver[(ebe_arm, 1)] < 1.25 * solver[(ebe_arm, 8)]

@@ -595,4 +595,6 @@ def run_method(
         final_states=[s for cs in driver.sets for s in cs.states],
         # a caller-supplied wave log is the caller's to reassemble
         waveforms=None if wave_log is not None else driver.waveforms(),
+        modulus_ratio=(None if problem.material is None
+                       else [cs.modulus_ratio for cs in driver.sets]),
     )

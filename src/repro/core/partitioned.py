@@ -68,7 +68,9 @@ class PartitionedCaseSet(CaseSet):
         full) — matching :func:`repro.cluster.weakscaling.weak_scaling_curve`.
 
     The partitioned operator (readable as ``dist``) and the per-part
-    block-Jacobi appliers are asked of the problem, never passed in.
+    block-Jacobi appliers are asked of the current problem at every
+    solve, never passed in or captured — a nonlinear material update
+    swaps the problem, and the next solve runs on its partition.
 
     With ``precond="twogrid"`` the per-part block-Jacobi appliers are
     replaced by one *global* geometric two-grid cycle: the distributed
@@ -96,28 +98,30 @@ class PartitionedCaseSet(CaseSet):
             from repro.hardware.specs import ALPS_MODULE
 
             self.link = TransferModel.nic(ALPS_MODULE)
-        run = (self.nparts, self.precision, self.backend)
-        self.dist = self.problem.distributed_operator(*run)
-        # None exactly when the family is global (one cycle on the
-        # aggregating device instead of per-part appliers)
-        self._preconds = (
-            self.problem.part_preconditioners(*run)
-            if self.precond == DEFAULT_PRECONDITIONER else None
-        )
         self._comm = CommCostModel(self.link)
+
+    @property
+    def dist(self):
+        """The current problem's partitioned operator."""
+        return self.problem.distributed_operator(
+            self.nparts, self.precision, self.backend)
 
     # -- solver ---------------------------------------------------------
     def _solve_system(self, B: np.ndarray, guesses: np.ndarray) -> CGResult:
-        # a global preconditioner is cached on the problem, so both
-        # pipeline sets share one factorization
-        global_precond = None if self._preconds is not None else (
-            self.problem.preconditioner_for(
-                self.precond, self.precision, self.backend, self.op_kind))
+        # per-part block-Jacobi appliers, or one global cycle on the
+        # aggregating device; either is cached on the problem, so both
+        # pipeline sets share it
+        if self.precond == DEFAULT_PRECONDITIONER:
+            local_preconds, global_precond = self.problem.part_preconditioners(
+                self.nparts, self.precision, self.backend), None
+        else:
+            local_preconds, global_precond = None, self.problem.preconditioner_for(
+                self.precond, self.precision, self.backend, self.op_kind)
         return distributed_pcg(
             self.dist,
             B,
             x0=guesses,
-            local_preconds=self._preconds,
+            local_preconds=local_preconds,
             precond=global_precond,
             eps=self.eps,
             workspace=self._pcg_ws,

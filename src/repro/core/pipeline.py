@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.problem import ElasticProblem
 from repro.core.results import StepRecord
 from repro.fem.newmark import NewmarkState
+from repro.fem.nonlinear import centroid_gradients, element_shear_strains
 from repro.hardware.power import PowerModel
 from repro.hardware.roofline import DeviceModel
 from repro.hardware.transfer import TransferModel
@@ -39,6 +40,7 @@ from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.cg import CGResult, PCGWorkspace, pcg
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
+from repro.util import counters
 from repro.util.counters import KernelTally, tally_scope
 from repro.util.timeline import Timeline
 
@@ -71,6 +73,12 @@ class CaseSet:
     (:data:`~repro.sparse.precond.PRECONDITIONERS`): ``"bj"`` is the
     paper's block-Jacobi, ``"twogrid"`` wraps it in the geometric
     two-grid cycle.
+
+    A problem with an equivalent-linear ``material`` is stepped on its
+    current secant state: every ``material.update_interval``-th
+    :meth:`solve` ends with a material update (:meth:`_update_material`)
+    that may swap ``problem`` for the secant problem, so every operator
+    of the next step is asked of the new state.
     """
 
     problem: ElasticProblem
@@ -101,6 +109,16 @@ class CaseSet:
         self.backend = as_backend(self.backend)
         if not self.states:
             self.states = [self.problem.zero_state() for _ in self.forces]
+        # the material state of a nonlinear problem: the small-strain
+        # problem every secant update scales, the running effective
+        # strain and the current secant G/G0 per element (public; None
+        # when the problem is linear)
+        self._base = self.problem
+        self._gamma_eff = self.modulus_ratio = None
+        if self.problem.material is not None:
+            ne = self.problem.n_elems
+            self._G = centroid_gradients(self.problem.mesh)
+            self._gamma_eff, self.modulus_ratio = np.zeros(ne), np.ones(ne)
         # late import: repro.workloads pulls in the scenario registry,
         # which builds on core.problem but not on this module
         from repro.workloads.sources import as_source
@@ -184,7 +202,9 @@ class CaseSet:
 
     def solve(self, it: int, guesses: np.ndarray) -> tuple[CGResult, KernelTally]:
         """RHS build + fused (M)CG refinement + state advance + predictor
-        observation for time step ``it``; returns the solver work tally."""
+        observation (+ the material update of a nonlinear problem, on
+        its steps) for time step ``it``; returns the solver work
+        tally."""
         nm = self.problem.newmark
         F_T = self.forces_at(it)
         with tally_scope() as t:
@@ -203,7 +223,41 @@ class CaseSet:
             self.predictors[k].observe(
                 self.states[k].u, self.states[k].v, f=F_T[k]
             )
+        law = self.problem.material
+        if law is not None and it % law.update_interval == 0:
+            with tally_scope(t):
+                self._update_material()
         return res, t
+
+    def _update_material(self) -> None:
+        """One equivalent-linear update from the set's strain envelope
+        (the element-wise maximum over its cases; exact for ``r = 1``).
+        A ratio field that barely moved keeps the current operators.
+        Otherwise the set steps on the new secant problem; an EBE kernel
+        recomputes element matrices in-flight anyway, while CRS pays the
+        re-assembly stream — every block of the set's own operator
+        written once."""
+        law, elems = self._base.material, self._base.mesh.elems
+        gamma = np.max([element_shear_strains(self._G, s.u, elems)
+                        for s in self.states], axis=0)
+        self._gamma_eff = np.maximum(law.strain_memory * self._gamma_eff,
+                                     0.65 * gamma)
+        ratio = law.modulus_ratio(self._gamma_eff)
+        if np.allclose(ratio, self.modulus_ratio, rtol=1e-3, atol=1e-6):
+            return
+        if self.op_kind == "crs":
+            counters.charge("assembly.crs", 1900.0 * self.problem.n_elems,
+                            76.0 * self._operator().nnz_blocks)
+        self.modulus_ratio = ratio
+        self.problem = self._secant_problem()
+
+    def _secant_problem(self) -> ElasticProblem:
+        """The small-strain problem at the current secant state: ``Ke``
+        scales per element by ``G/G0``, the mass is unchanged, and the
+        damping (whose Rayleigh part tracks ``Ke``) by ``sqrt(G/G0)``."""
+        base, ratio = self._base, self.modulus_ratio
+        return base.updated(Ce=base.Ce * np.sqrt(ratio)[:, None, None],
+                            Ke=base.Ke * ratio[:, None, None])
 
     def displacements(self) -> np.ndarray:
         return np.column_stack([s.u for s in self.states])
@@ -211,9 +265,10 @@ class CaseSet:
     # -- checkpoint/resume --------------------------------------------
     def state_dict(self) -> dict:
         """JSON-able snapshot of the set's numeric state: the Newmark
-        kinematics and each predictor's history.  Operators, the
-        preconditioner and the PCG workspace are rebuilt/reallocated —
-        they are pure functions of the problem, not state."""
+        kinematics, each predictor's history and, for a nonlinear
+        problem, the material state.  Operators, the preconditioner and
+        the PCG workspace are rebuilt/reallocated — they are pure
+        functions of the (secant) problem, not state."""
         doc = {
             "states": [
                 {"u": s.u, "v": s.v, "a": s.a, "step": int(s.step)}
@@ -227,6 +282,10 @@ class CaseSet:
         src_states = [f.state_dict() for f in self.forces]
         if any(src_states):
             doc["sources"] = src_states
+        # content addition too: only a problem with a material has one
+        if self.modulus_ratio is not None:
+            doc["gamma_eff"] = self._gamma_eff
+            doc["ratio"] = self.modulus_ratio
         return doc
 
     def load_state_dict(self, doc: dict) -> None:
@@ -234,6 +293,10 @@ class CaseSet:
         if len(doc["states"]) != self.r or len(doc["predictors"]) != self.r:
             raise ValueError(
                 f"state has {len(doc['states'])} cases, set has {self.r}"
+            )
+        if ("ratio" in doc) != (self.modulus_ratio is not None):
+            raise ValueError(
+                "state and set disagree on whether the problem has a material"
             )
         self.states = [
             NewmarkState(
@@ -254,6 +317,13 @@ class CaseSet:
                 )
             for f, d in zip(self.forces, doc["sources"]):
                 f.load_state_dict(d)
+        if self.modulus_ratio is not None:
+            self._gamma_eff = np.asarray(doc["gamma_eff"], dtype=float)
+            self.modulus_ratio = np.asarray(doc["ratio"], dtype=float)
+            # a ratio of exactly 1 everywhere is the small-strain state:
+            # no update has swapped the problem yet
+            self.problem = (self._secant_problem()
+                            if (self.modulus_ratio != 1.0).any() else self._base)
         # the cached step's forcing may belong to the abandoned future;
         # deterministic sources recompute it bit-identically
         self._F_step = None

@@ -27,6 +27,7 @@ from repro.fem.elements import (
 from repro.fem.material import lame_parameters, rayleigh_coefficients
 from repro.fem.mesh import Tet10Mesh
 from repro.fem.newmark import NewmarkBeta, NewmarkState
+from repro.fem.nonlinear import EquivalentLinearMaterial
 from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.bcrs import BlockCRS
 from repro.sparse.ebe import EBEOperator
@@ -42,7 +43,9 @@ class ElasticProblem:
 
     Use :func:`build_problem` to construct one from a mesh and
     materials; the attributes below are then consistent by
-    construction.
+    construction.  ``material`` is the equivalent-linear law of a
+    nonlinear model (``None``: linear); the step body
+    (:meth:`repro.core.pipeline.CaseSet.solve`) applies it.
     """
 
     mesh: Tet10Mesh
@@ -53,6 +56,7 @@ class ElasticProblem:
     Ke: np.ndarray  # (ne, 30, 30) unconstrained stiffness
     Ae: np.ndarray  # (ne, 30, 30) constrained effective matrix
     fixed_nodes: np.ndarray
+    material: EquivalentLinearMaterial | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -309,7 +313,8 @@ class ElasticProblem:
         changes under a nonlinear material): new damping and stiffness
         element matrices, the effective matrices rebuilt from them, and
         an empty operator cache — except the mass operators, which do
-        not depend on the material state and are carried over."""
+        not depend on the material state and are carried over, as is
+        the ``material`` law itself."""
         return replace(
             self, Ce=Ce, Ke=Ke,
             Ae=_effective_matrices(
@@ -340,6 +345,7 @@ def build_problem(
     damping_band: tuple[float, float] = (0.5, 5.0),
     absorbing_sides: bool = True,
     fix_bottom: bool = True,
+    material: EquivalentLinearMaterial | None = None,
 ) -> ElasticProblem:
     """Assemble an :class:`ElasticProblem` from mesh + materials.
 
@@ -352,6 +358,8 @@ def build_problem(
         vertical sides (the paper's semi-infinite-ground treatment).
     fix_bottom : clamp the bottom surface (paper: "displacement at the
         bottom is fixed").
+    material : equivalent-linear law of a nonlinear model (``None``:
+        linear); the element fields above are its small-strain state.
     """
     ne = mesh.n_elems
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (ne,)).copy()
@@ -383,4 +391,5 @@ def build_problem(
         Ke=Ke,
         Ae=_effective_matrices(nm, Me, Ce, Ke, mesh, fixed),
         fixed_nodes=np.asarray(fixed, dtype=np.int64),
+        material=material,
     )

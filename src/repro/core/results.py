@@ -86,6 +86,9 @@ class RunResult:
     power: dict[str, float] = field(default_factory=dict)
     final_states: list[NewmarkState] = field(default_factory=list)
     waveforms: np.ndarray | None = None  # (ncases, nt, nrec_dofs)
+    # each process set's final per-element secant G/G0; None when the
+    # problem has no equivalent-linear material
+    modulus_ratio: list[np.ndarray] | None = None
 
     # -- windowed summaries -------------------------------------------
     def _window(self, window: tuple[int, int] | None) -> list[StepRecord]:

@@ -11,8 +11,13 @@ model: the secant shear modulus degrades with effective shear strain
 
     G / G0 = 1 / (1 + gamma_eff / gamma_ref)            (hyperbolic)
 
-and hysteretic damping grows correspondingly.  Strains are evaluated
-at element centroids from the current displacement field.
+Strains are evaluated at element centroids from the current
+displacement field.  The law is data of the problem
+(``ElasticProblem.material``, passed to ``build_problem`` /
+``build_ground_problem``): every ``update_interval``-th step the one
+step body (:meth:`repro.core.pipeline.CaseSet.solve`) folds the strain
+into ``gamma_eff`` and steps on the secant problem — ``Ke`` scaled by
+``G/G0``, ``Ce`` by its square root.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ def element_shear_strains(G: np.ndarray, u: np.ndarray, elems: np.ndarray) -> np
     return gamma
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivalentLinearMaterial:
     """Strain-dependent secant stiffness for the ground materials.
 
@@ -77,35 +82,30 @@ class EquivalentLinearMaterial:
     ----------
     gamma_ref : reference strain of the hyperbolic modulus-reduction
         curve (typical soft soil: 1e-3).
-    h_max : damping ratio added at large strain.
     floor : lower bound on G/G0 (keeps the system well-posed).
+    update_interval : steps between strain evaluations / secant
+        updates (the classical equivalent-linear outer loop).
+    strain_memory : the running effective strain is
+        ``max(strain_memory * previous, 0.65 * current)`` — the
+        standard 65 % rule with slow forgetting.
     """
 
     gamma_ref: float = 1e-3
-    h_max: float = 0.20
     floor: float = 0.05
+    update_interval: int = 8
+    strain_memory: float = 0.98
 
     def __post_init__(self) -> None:
         if self.gamma_ref <= 0:
             raise ValueError("gamma_ref must be positive")
         if not 0 < self.floor <= 1:
             raise ValueError("floor must be in (0, 1]")
+        if self.update_interval < 1:
+            raise ValueError("update_interval must be >= 1")
+        if not 0 <= self.strain_memory <= 1:
+            raise ValueError("strain_memory must be in [0, 1]")
 
     def modulus_ratio(self, gamma_eff: np.ndarray) -> np.ndarray:
         """Secant ``G/G0`` per element (hyperbolic degradation)."""
         g = np.maximum(np.asarray(gamma_eff, dtype=float), 0.0)
         return np.maximum(self.floor, 1.0 / (1.0 + g / self.gamma_ref))
-
-    def damping_ratio(self, gamma_eff: np.ndarray) -> np.ndarray:
-        """Added hysteretic damping per element (Ishibashi-style:
-        grows as modulus degrades)."""
-        ratio = self.modulus_ratio(gamma_eff)
-        return self.h_max * (1.0 - ratio)
-
-    def degraded_moduli(
-        self, lam0: np.ndarray, mu0: np.ndarray, gamma_eff: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Scale the Lame parameters by the secant ratio (constant
-        Poisson ratio degradation — both moduli scale together)."""
-        r = self.modulus_ratio(gamma_eff)
-        return lam0 * r, mu0 * r

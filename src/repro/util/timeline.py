@@ -16,8 +16,7 @@ busy/count maps, the running makespan and the exact cpu/gpu overlap
 the power model integrates.  All aggregates are accumulated in append
 order — which, per lane, is also time order, since cursors are
 monotone — so they are bit-identical to what the retained-list
-implementation computed, and legacy ``{"intervals": ...}`` snapshots
-are restored by replaying them through the same fold.
+implementation computed.
 
 The overlap fold is the classic two-pointer sweep over the cpu and gpu
 lanes, run incrementally: head intervals of the two pending queues are
@@ -55,9 +54,6 @@ class Timeline:
 
     def __init__(self, track_overlap: bool = True) -> None:
         self.track_overlap = bool(track_overlap)
-        self._reset()
-
-    def _reset(self) -> None:
         self._cursors: dict[str, float] = {}
         self._busy: dict[str, float] = {}
         self._busy_label: dict[str, dict[str, float]] = {}
@@ -69,25 +65,6 @@ class Timeline:
 
     def now(self, resource: str) -> float:
         return self._cursors.get(resource, 0.0)
-
-    def _ingest(self, resource: str, label: str, start: float, end: float) -> None:
-        """Fold one interval into the aggregates (cursors untouched —
-        ``schedule`` owns those; legacy-snapshot replay restores them
-        from the snapshot)."""
-        self._busy[resource] = self._busy.get(resource, 0.0) + (end - start)
-        by = self._busy_label.setdefault(resource, {})
-        by[label] = by.get(label, 0.0) + (end - start)
-        cnt = self._counts.setdefault(resource, {})
-        cnt[label] = cnt.get(label, 0) + 1
-        if end > self._makespan:
-            self._makespan = end
-        if self.track_overlap:
-            if resource == "cpu":
-                self._pend_cpu.append((start, end))
-                self._drain_overlap()
-            elif resource == "gpu":
-                self._pend_gpu.append((start, end))
-                self._drain_overlap()
 
     def _drain_overlap(self) -> None:
         """Advance the incremental cpu/gpu two-pointer sweep as far as
@@ -116,10 +93,24 @@ class Timeline:
         if duration < 0:
             raise ValueError(f"negative duration for {label!r}: {duration}")
         start = max(self._cursors.get(resource, 0.0), not_before)
-        iv = Interval(resource, label, start, start + duration)
-        self._ingest(resource, label, iv.start, iv.end)
-        self._cursors[resource] = iv.end
-        return iv
+        end = start + duration
+        # fold the interval into the aggregates
+        self._busy[resource] = self._busy.get(resource, 0.0) + (end - start)
+        by = self._busy_label.setdefault(resource, {})
+        by[label] = by.get(label, 0.0) + (end - start)
+        cnt = self._counts.setdefault(resource, {})
+        cnt[label] = cnt.get(label, 0) + 1
+        if end > self._makespan:
+            self._makespan = end
+        if self.track_overlap:
+            if resource == "cpu":
+                self._pend_cpu.append((start, end))
+                self._drain_overlap()
+            elif resource == "gpu":
+                self._pend_gpu.append((start, end))
+                self._drain_overlap()
+        self._cursors[resource] = end
+        return Interval(resource, label, start, end)
 
     def barrier(self, resources: list[str], at_least: float = 0.0) -> float:
         """Align the cursors of ``resources`` to their common maximum.
@@ -198,18 +189,7 @@ class Timeline:
         }
 
     def load_state_dict(self, doc: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot in place.  Legacy
-        snapshots that carry the full ``intervals`` list are replayed
-        through the streaming fold — same order, same aggregates, bit
-        for bit."""
-        self._reset()
-        if "intervals" in doc:
-            for res, label, start, end in doc["intervals"]:
-                self._ingest(str(res), str(label), float(start), float(end))
-            self._cursors = {
-                str(k): float(v) for k, v in doc["cursors"].items()
-            }
-            return
+        """Restore a :meth:`state_dict` snapshot in place."""
         self._cursors = {str(k): float(v) for k, v in doc["cursors"].items()}
         self._busy = {str(k): float(v) for k, v in doc["busy"].items()}
         self._busy_label = {

@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.problem import ElasticProblem, build_problem
 from repro.fem.material import Material
 from repro.fem.mesh import Tet10Mesh, structured_box
+from repro.fem.nonlinear import EquivalentLinearMaterial
 
 __all__ = [
     "GroundModel",
@@ -146,6 +147,7 @@ def build_ground_problem(
     dt: float | None = None,
     courant: float = 2.0,
     dims: tuple[float, float, float] | None = None,
+    material: EquivalentLinearMaterial | None = None,
 ) -> ElasticProblem:
     """Mesh one ground model and assemble its :class:`ElasticProblem`.
 
@@ -154,6 +156,8 @@ def build_ground_problem(
     resolution : hexahedral cells per direction (x6 tets each).
     dt : explicit time step; default from :func:`suggested_dt`.
     dims : override the physical box (e.g. the doubled Alps domain).
+    material : equivalent-linear law of a nonlinear run (``None``:
+        linear), see :func:`~repro.core.problem.build_problem`.
     """
     lx, ly, lz = dims if dims is not None else model.dims
     nx, ny, nz = resolution
@@ -171,4 +175,5 @@ def build_ground_problem(
         damping_band=(0.25, 5.0),
         absorbing_sides=True,
         fix_bottom=True,
+        material=material,
     )

@@ -20,27 +20,15 @@ def test_modulus_reduction_monotone():
     assert r.min() >= m.floor
 
 
-def test_damping_grows_as_modulus_degrades():
-    m = EquivalentLinearMaterial(h_max=0.2)
-    g = np.array([0.0, 1e-3, 1e-1])
-    h = m.damping_ratio(g)
-    assert h[0] == 0.0
-    assert np.all(np.diff(h) >= 0)
-    assert h[-1] <= m.h_max
-
-
-def test_degraded_moduli_scale_together():
-    m = EquivalentLinearMaterial()
-    lam, mu = m.degraded_moduli(np.array([2.0]), np.array([1.0]),
-                                np.array([1e-3]))
-    assert lam[0] / 2.0 == pytest.approx(mu[0] / 1.0)
-
-
 def test_material_validation():
     with pytest.raises(ValueError):
         EquivalentLinearMaterial(gamma_ref=0)
     with pytest.raises(ValueError):
         EquivalentLinearMaterial(floor=0)
+    with pytest.raises(ValueError):
+        EquivalentLinearMaterial(update_interval=0)
+    with pytest.raises(ValueError):
+        EquivalentLinearMaterial(strain_memory=1.5)
 
 
 def test_strain_of_rigid_motion_is_zero(small_mesh):

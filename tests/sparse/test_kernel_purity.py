@@ -129,17 +129,35 @@ def test_distributed_precond_closures_are_backend_pure():
         _assert_pure(f"distributed.{cls}.apply", fn.body)
 
 
+def _src_modules():
+    """``(path relative to src/repro, parsed module)`` of every source
+    file, sorted."""
+    src = Path(repro.__file__).parent
+    return [(path.relative_to(src).as_posix(), ast.parse(path.read_text()))
+            for path in sorted(src.rglob("*.py"))]
+
+
+def _functions(tree: ast.Module):
+    """``(qualified name, def)`` of a module's functions and its
+    classes' methods."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+
+
 def test_there_is_one_cg_loop():
     """Keeps the second copy from coming back: outside the backends,
     the direction update ``xpay_cols`` is called from ``cg.pcg`` and
     nowhere else, and ``sparse/`` holds one ``while`` loop."""
-    src = Path(repro.__file__).parent
     callers, whiles = [], []
-    for path in sorted(src.rglob("*.py")):
-        if path.name.startswith("backend"):
+    for rel, tree in _src_modules():
+        if rel.rsplit("/", 1)[-1].startswith("backend"):
             continue
-        rel = path.relative_to(src).as_posix()
-        for fn in ast.walk(ast.parse(path.read_text())):
+        for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
             for node in ast.walk(fn):
@@ -154,15 +172,35 @@ def test_there_is_one_cg_loop():
 
 
 def test_there_is_one_step_loop():
-    """Keeps the second step driver from coming back: across
-    ``core/methods.py`` and ``core/pipeline.py`` a step record is
-    appended from one function, the optional surface of caller-supplied
-    logs is probed inside ``StepDriver`` only, the pipeline schedule
-    has no ``run`` of its own, and ``methods.py`` holds no driver class.
-    (``core/nonlinear.py`` logs its own record type and is out of
-    scope; its step body is ``CaseSet``'s, see the next test.)"""
+    """Keeps a second loop over time steps from coming back: under
+    ``src/repro`` a step record is appended in ``StepDriver.run`` and
+    nowhere else, and no class but ``StepRecord`` is a step record (a
+    dataclass-style body declaring both ``step`` and ``iterations``).
+    Within ``core/methods.py`` and ``core/pipeline.py`` the optional
+    surface of caller-supplied logs is probed inside ``StepDriver``
+    only, the pipeline schedule has no ``run`` of its own, and
+    ``methods.py`` holds no driver class."""
+    appenders, record_types = [], []
+    for rel, tree in _src_modules():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                declared = {n.target.id for n in cls.body
+                            if isinstance(n, ast.AnnAssign)
+                            and isinstance(n.target, ast.Name)}
+                if {"step", "iterations"} <= declared:
+                    record_types.append(f"{rel}:{cls.name}")
+        for name, fn in _functions(tree):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "append"
+                        and ast.unparse(node.func.value).endswith("records")):
+                    appenders.append(f"{rel}:{name}")
+    assert appenders == ["core/pipeline.py:StepDriver.run"], appenders
+    assert record_types == ["core/results.py:StepRecord"], record_types
+
     log_surface = {"tail", "last", "all", "replace", "stacked"}
-    appenders, probes, classes = [], [], {}
+    probes, classes = [], {}
     for mod in (methods, pipeline):
         name = mod.__name__.rsplit(".", 1)[1]
         tree = _module_tree(mod)
@@ -171,15 +209,6 @@ def test_there_is_one_step_loop():
         }
         shared = classes[name].get("StepDriver")
         in_step_driver = {id(n) for n in ast.walk(shared)} if shared else set()
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "append"
-                        and ast.unparse(node.func.value).endswith("records")):
-                    appenders.append(f"{name}:{fn.name}")
         for node in ast.walk(tree):
             # a probe is the name as a string (hasattr) or as an attribute
             probe = (node.value if isinstance(node, ast.Constant)
@@ -188,7 +217,6 @@ def test_there_is_one_step_loop():
             if (isinstance(probe, str) and probe in log_surface
                     and id(node) not in in_step_driver):
                 probes.append(f"{name}:{node.lineno}:{probe}")
-    assert appenders == ["pipeline:run"], appenders
     assert not probes, probes
     assert set(classes["methods"]) == {"RunConfig"}, set(classes["methods"])
     pipe_methods = {
@@ -196,6 +224,26 @@ def test_there_is_one_step_loop():
         if isinstance(f, ast.FunctionDef)
     }
     assert "run" not in pipe_methods and "_step" in pipe_methods
+
+
+def test_only_schedules_and_studies_step_a_case_set():
+    """A module that calls ``predict`` and ``solve`` on one receiver
+    steps a ``CaseSet`` by hand.  The schedules do, and so do the two
+    studies that measure one set's solves; a nonlinear driver did, with
+    its own loop, until the material became data of the problem."""
+    steppers = set()
+    for rel, tree in _src_modules():
+        called = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("predict", "solve")):
+                receiver = ast.unparse(node.func.value)
+                called.setdefault(receiver, set()).add(node.func.attr)
+        if any(attrs == {"predict", "solve"} for attrs in called.values()):
+            steppers.add(rel)
+    assert steppers == {"core/pipeline.py", "studies/ablation.py",
+                        "studies/sensitivity.py"}, steppers
 
 
 def test_there_is_one_step_body():
@@ -206,13 +254,11 @@ def test_there_is_one_step_body():
     RHS coefficients meet the displacement (``c_mass * u``, Eq. 5's
     right side) in ``fem/newmark.py`` only, and ``cg.pcg`` serves
     operators through their ``out=`` methods with no signature probe."""
-    src = Path(repro.__file__).parent
     pcg_calls, advances, rhs_terms = set(), set(), set()
-    for path in sorted(src.rglob("*.py")):
-        rel = path.relative_to(src).as_posix()
+    for rel, tree in _src_modules():
         if rel.startswith("sparse/"):
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
                 called = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)

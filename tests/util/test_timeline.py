@@ -192,22 +192,3 @@ def test_state_dict_is_o1_in_schedule_length():
         return len(json.dumps(tl.state_dict()))
 
     assert size(500) <= size(10) + 64  # cursors/floats may widen a bit
-
-
-def test_legacy_interval_snapshot_replays():
-    """Old checkpoints carried the full interval list; loading one must
-    reproduce the same aggregates the old implementation computed."""
-    tl = Timeline()
-    intervals = _random_schedule(tl, np.random.default_rng(17), n=60)
-    legacy = {
-        "intervals": [
-            [iv.resource, iv.label, iv.start, iv.end] for iv in intervals
-        ],
-        "cursors": {r: tl.now(r) for r in ("cpu", "gpu", "c2c")},
-    }
-    tl2 = Timeline.from_state(legacy)
-    assert tl2.makespan == tl.makespan
-    assert tl2.cpu_gpu_overlap() == tl.cpu_gpu_overlap()
-    for lane in ("cpu", "gpu", "c2c"):
-        assert tl2.busy_time(lane) == tl.busy_time(lane)
-        assert tl2.now(lane) == tl.now(lane)
