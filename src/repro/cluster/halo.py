@@ -167,8 +167,13 @@ class DistributedEBE:
         info: PartitionInfo,
         precision: Precision | str | None = None,
         backend: "ArrayBackend | str | None" = None,
+        classes: np.ndarray | None = None,
     ) -> "DistributedEBE":
         """Partition the constrained element matrices over ``info``.
+
+        ``classes`` are the elements' class labels; each part's local
+        operator groups by its own slice of them
+        (:class:`~repro.sparse.ebe.EBEOperator`).
 
         ``precision`` is the transprecision storage policy: the local
         EBE operators store/gather at the format, and the halo wire
@@ -197,6 +202,7 @@ class DistributedEBE:
                 EBEOperator(
                     elem_mats[eids], local_elems, nodes.size, tag="spmv.ebe",
                     precision=prec, backend=bk,
+                    classes=None if classes is None else classes[eids],
                 )
             )
             l2g.append(nodes)

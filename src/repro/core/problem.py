@@ -46,6 +46,10 @@ class ElasticProblem:
     construction.  ``material`` is the equivalent-linear law of a
     nonlinear model (``None``: linear); the step body
     (:meth:`repro.core.pipeline.CaseSet.solve`) applies it.
+    ``classes`` maps an operator family (``"M"``, ``"C"``, ``"A"``) to
+    ``(ne,)`` element class labels — elements of one class have equal
+    matrices of that family up to rounding — which its EBE operators
+    group by (:class:`~repro.sparse.ebe.EBEOperator`).
     """
 
     mesh: Tet10Mesh
@@ -57,6 +61,7 @@ class ElasticProblem:
     Ae: np.ndarray  # (ne, 30, 30) constrained effective matrix
     fixed_nodes: np.ndarray
     material: EquivalentLinearMaterial | None = None
+    classes: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -108,9 +113,10 @@ class ElasticProblem:
     ) -> BlockCRS | EBEOperator:
         """Element matrices ``mats`` as one operator: assembled into
         3x3 block CRS charging ``crs_tag`` (``kind="crs"``), or applied
-        matrix-free (Eq. 8/9; every EBE sweep charges ``spmv.ebe``).
-        Both come from the *same* element matrices, which is what makes
-        the CRS-vs-EBE comparisons apples-to-apples."""
+        matrix-free (Eq. 8/9; every EBE sweep charges ``spmv.ebe``)
+        over the family's element classes.  Both come from the *same*
+        element matrices, which is what makes the CRS-vs-EBE
+        comparisons apples-to-apples."""
         def build(prec, bk):
             if kind == "crs":
                 return BlockCRS(
@@ -119,7 +125,7 @@ class ElasticProblem:
                 )
             return EBEOperator(
                 mats, self.mesh.elems, self.n_nodes, tag="spmv.ebe",
-                precision=prec, backend=bk,
+                precision=prec, backend=bk, classes=self.classes.get(base),
             )
         return self._cached(f"{base}_{kind}", precision, backend, build)
 
@@ -180,7 +186,7 @@ class ElasticProblem:
             lambda prec, bk: DistributedEBE.from_elements(
                 self.Ae,
                 PartitionInfo(self.mesh, partition_elements(self.mesh, nparts)),
-                precision=prec, backend=bk,
+                precision=prec, backend=bk, classes=self.classes.get("A"),
             ),
         )
 
@@ -313,12 +319,15 @@ class ElasticProblem:
         changes under a nonlinear material): new damping and stiffness
         element matrices, the effective matrices rebuilt from them, and
         an empty operator cache — except the mass operators, which do
-        not depend on the material state and are carried over, as is
-        the ``material`` law itself."""
+        not depend on the material state and are carried over, as are
+        their element classes and the ``material`` law itself.  The
+        secant state is per element, so damping and effective matrices
+        lose their classes."""
         return replace(
             self, Ce=Ce, Ke=Ke,
             Ae=_effective_matrices(
                 self.newmark, self.Me, Ce, Ke, self.mesh, self.fixed_nodes),
+            classes={k: v for k, v in self.classes.items() if k == "M"},
             _cache={k: op for k, op in self._cache.items()
                     if k.startswith("M_")},
         )
@@ -365,23 +374,28 @@ def build_problem(
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (ne,)).copy()
     vp = np.broadcast_to(np.asarray(vp, dtype=float), (ne,)).copy()
     vs = np.broadcast_to(np.asarray(vs, dtype=float), (ne,)).copy()
-    lam, mu = lame_parameters(rho, vp, vs)
+    # The class labels live as long as the problem, so they are made
+    # before the element matrices' large temporaries: made after, they
+    # pin the heap top and cost up to one (ne, 30, 30) array of peak RSS.
+    fixed = mesh.bottom_nodes() if fix_bottom else np.empty(0, dtype=np.int64)
+    sides = mesh.side_faces() if absorbing_sides else None
+    dashpots = np.zeros((ne, 4), dtype=np.int64)  # by opposite corner
+    if sides is not None:
+        dashpots[sides[0], 6 - sides[1].sum(axis=1)] = 1
+    classes = _element_classes(mesh, rho, vp, vs, fixed, dashpots)
 
+    lam, mu = lame_parameters(rho, vp, vs)
     Me, Ke = element_mass_stiffness(mesh, rho, lam, mu)
     alpha, beta = rayleigh_coefficients(damping_ratio, *damping_band)
     Ce = alpha * Me + beta * Ke
-
-    if absorbing_sides:
-        f_elem, _f_loc, f_nodes = mesh.side_faces()
-        if f_nodes.shape[0]:
-            Cf = face_dashpot_matrices(
-                mesh, f_nodes, rho[f_elem], vp[f_elem], vs[f_elem]
-            )
-            fold_faces_into_elements(Ce, mesh, f_elem, f_nodes, Cf)
+    if sides is not None and sides[2].shape[0]:
+        f_elem, _f_loc, f_nodes = sides
+        Cf = face_dashpot_matrices(
+            mesh, f_nodes, rho[f_elem], vp[f_elem], vs[f_elem]
+        )
+        fold_faces_into_elements(Ce, mesh, f_elem, f_nodes, Cf)
 
     nm = NewmarkBeta(dt)
-    fixed = mesh.bottom_nodes() if fix_bottom else np.empty(0, dtype=np.int64)
-
     return ElasticProblem(
         mesh=mesh,
         dt=dt,
@@ -392,4 +406,33 @@ def build_problem(
         Ae=_effective_matrices(nm, Me, Ce, Ke, mesh, fixed),
         fixed_nodes=np.asarray(fixed, dtype=np.int64),
         material=material,
+        classes={"M": classes, "C": classes, "A": classes},
     )
+
+
+#: Element coordinates are compared in units of this fraction of the
+#: element's extent: exact keys would split a class by rounding.
+_CLASS_QUANTUM = 1e-12
+
+
+def _element_classes(mesh: Tet10Mesh, rho, vp, vs, fixed_nodes,
+                     dashpots: np.ndarray) -> np.ndarray:
+    """``(ne,)`` class labels from everything the element matrices are
+    a function of: node coordinates relative to node 0 (quantised at
+    ``_CLASS_QUANTUM`` of the element's extent), the exact
+    ``(rho, vp, vs)``, the 10-node fixed mask and the 4-face dashpot
+    mask — one integer key row per element, compared as raw bytes (a
+    row-wise ``np.unique(axis=0)`` sorts field by field, 20x slower)."""
+    ne = mesh.n_elems
+    rel = mesh.nodes[mesh.elems[:, 1:]] - mesh.nodes[mesh.elems[:, :1]]
+    rel /= _CLASS_QUANTUM * np.abs(rel).max(axis=(1, 2))[:, None, None]
+    is_fixed = np.zeros(mesh.n_nodes, dtype=np.int64)
+    is_fixed[np.asarray(fixed_nodes, dtype=np.int64)] = 1
+    key = np.concatenate([
+        np.rint(rel, out=rel).astype(np.int64).reshape(ne, -1),
+        np.stack([rho, vp, vs], axis=1).view(np.int64),
+        is_fixed[mesh.elems],
+        dashpots,
+    ], axis=1)
+    rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))
+    return np.unique(rows.reshape(-1), return_inverse=True)[1]

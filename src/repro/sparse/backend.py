@@ -97,7 +97,7 @@ class ArrayBackend(abc.ABC):
     buffers — the seam preserves the repo's allocation-free hot-loop
     discipline.  Blocked vector primitives treat ``(n, r)`` arrays as
     ``r`` independent columns (the fused multi-RHS layout).  The EBE
-    sweep is ``gather_rows`` / ``batched_matmul`` / ``spmv_csr`` on
+    sweep is ``gather_rows`` / ``grouped_matmul`` / ``spmv_csr`` on
     node views.
 
     Subclass contract: the reference :class:`NumpyBackend` reproduces
@@ -188,9 +188,14 @@ class ArrayBackend(abc.ABC):
         indices pre-validated in range by the caller)."""
 
     @abc.abstractmethod
-    def batched_matmul(self, A: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Batched dense mat-vec ``out[e] = A[e] @ X[e]`` over the
-        leading axis (the per-element 30x30 apply)."""
+    def grouped_matmul(
+        self, A: np.ndarray, offsets: np.ndarray, X: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """Grouped dense mat-vec ``out[e] = A[c] @ X[e]`` for
+        ``offsets[c] <= e < offsets[c + 1]`` (the 30x30 element apply,
+        one matrix per element class).  ``offsets`` is non-decreasing
+        from 0 to ``len(X)``; one group per row is the identity
+        grouping ``A[e] @ X[e]``."""
 
     # -- operator kernels ---------------------------------------------
     @abc.abstractmethod
@@ -401,8 +406,15 @@ class NumpyBackend(ArrayBackend):
         np.take(X, idx, axis=0, out=out, mode="clip")
         return out
 
-    def batched_matmul(self, A, X, out):
-        np.matmul(A, X, out=out)
+    def grouped_matmul(self, A, offsets, X, out):
+        if A.shape[0] == X.shape[0]:  # one matrix per row
+            np.matmul(A, X, out=out)
+            return out
+        # one broadcast product per group: each row makes the GEMM call
+        # it makes in the stacked product above, so the bits are equal
+        bounds = offsets.tolist()
+        for c, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+            np.matmul(A[c], X[s:e], out=out[s:e])
         return out
 
     # -- operator kernels ---------------------------------------------

@@ -16,7 +16,7 @@ consequences of that layout matter:
   column reductions stay sequential over rows — so results are
   deterministic run-to-run and agree with the reference backend to
   rounding (the parity tests' norm-scaled tolerance; sums regrouped
-  against einsum/BLAS in the reductions and the batched element apply
+  against einsum/BLAS in the reductions and the grouped element apply
   are the only difference sources).
 """
 
@@ -99,13 +99,15 @@ def py_gather_rows(X, idx, out):
             out[k, j] = X[src, j]
 
 
-def py_batched_matmul(A, X, out):
-    for e in prange(A.shape[0]):
+def py_grouped_matmul(A, offsets, X, out):
+    # row e applies the matrix of the group whose offsets bracket it
+    for e in prange(X.shape[0]):
+        c = np.searchsorted(offsets, e, side="right") - 1
         for i in range(A.shape[1]):
             for j in range(X.shape[2]):
                 acc = 0.0
                 for k in range(A.shape[2]):
-                    acc += A[e, i, k] * X[e, k, j]
+                    acc += A[c, i, k] * X[e, k, j]
                 out[e, i, j] = acc
 
 
@@ -153,7 +155,7 @@ def py_transfer3(indptr, indices, data, X, out):
 
 _KERNELS = (
     py_copy2, py_fill2, py_subtract2, py_xpay_cols, py_axpy_cols,
-    py_axmy_cols, py_colwise_dot, py_gather_rows, py_batched_matmul,
+    py_axmy_cols, py_colwise_dot, py_gather_rows, py_grouped_matmul,
     py_block_diag_matvec, py_spmv_csr, py_transfer3,
 )
 
@@ -241,8 +243,8 @@ class NumbaBackend(ArrayBackend):
         self._k["py_gather_rows"](X, idx.reshape(-1), flat)
         return out
 
-    def batched_matmul(self, A, X, out):
-        self._k["py_batched_matmul"](A, X, out)
+    def grouped_matmul(self, A, offsets, X, out):
+        self._k["py_grouped_matmul"](A, offsets, X, out)
         return out
 
     # -- operator kernels ---------------------------------------------

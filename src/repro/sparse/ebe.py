@@ -8,14 +8,29 @@ as long:
 
 1. gather  — row gather of ``x``'s node view by the ``(ne, 10)``
    connectivity into the element buffer;
-2. apply   — batched dense 30x30 mat-vec against the element matrices;
+2. apply   — dense 30x30 mat-vec per element
+   (:meth:`~repro.sparse.backend.ArrayBackend.grouped_matmul`);
 3. scatter — one CSR product of the 0/1 node-incidence matrix with the
    ``(10*ne, 3r)`` element results, straight into ``y``'s node view.
 
+Element classes: elements whose matrix inputs are equal (shape up to
+translation, material, fixed and dashpot masks — labelled by
+:func:`repro.core.problem.build_problem`) have equal matrices up to
+rounding.  When the classes hold at least :data:`MIN_MEAN_CLASS_SIZE`
+elements on average, the sweep runs in class order — elements sorted
+stably by class — and applies each class's one representative (its
+lowest-id member's own matrix) to all its members: a few dozen 30x30
+matrices stay in cache where ``ne`` of them used to stream from memory.
+Below that, one stored matrix per element (the identity grouping).  The
+constructor refuses labels whose members are not their representative
+to 1e-10 on a probe vector.
+
 Summation order: every node adds its element contributions from zero in
-ascending element order (incidence rows are a stable sort of the
-connectivity) — deterministic, no atomics; the numba kernel and
-:class:`~repro.sparse.distributed.DistributedEBE` keep the same order.
+ascending *original* element order (incidence rows are a stable sort of
+the connectivity, their slots remapped to the sweep order) —
+deterministic, no atomics, the same with or without classes; the numba
+kernel and :class:`~repro.cluster.halo.DistributedEBE` keep the same
+order.
 
 The fused multi-RHS path applies all ``r`` case vectors inside one
 sweep — the paper's Eq. 9, which cuts the random access per case to
@@ -23,12 +38,13 @@ sweep — the paper's Eq. 9, which cuts the random access per case to
 applications (every ``pcg`` iteration of a campaign cell) allocate
 nothing.
 
-The host execution stores ``A_e`` in memory and runs the sweep through
-:class:`~repro.sparse.backend.ArrayBackend` primitives (row gather /
-batched apply / CSR product); the *modeled* device kernel the tally is
-charged with recomputes element matrices on the fly like the paper's
-OpenACC kernel, per :func:`repro.sparse.traffic.ebe_traffic` —
-identically for every backend.
+The host execution stores ``A_e`` (per element or per class) in memory
+and runs the sweep through :class:`~repro.sparse.backend.ArrayBackend`
+primitives (row gather / grouped apply / CSR product); the *modeled*
+device kernel the tally is charged with recomputes element matrices on
+the fly like the paper's OpenACC kernel, per
+:func:`repro.sparse.traffic.ebe_traffic` — identically for every
+backend, with or without classes.
 """
 
 from __future__ import annotations
@@ -41,7 +57,34 @@ from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import ebe_traffic
 from repro.util import counters
 
-__all__ = ["EBEOperator"]
+__all__ = ["EBEOperator", "MIN_MEAN_CLASS_SIZE"]
+
+#: Fewest elements per class, on average, at which the sweep applies one
+#: matrix per class: the measured crossover of the per-class products
+#: against the stored stream (``benchmarks/results/ebe_classes.txt``).
+MIN_MEAN_CLASS_SIZE = 16
+
+#: A member may differ from its class representative by this much,
+#: relative, on the probe vector (rounding differs, inputs may not).
+_CLASS_RTOL = 1e-10
+
+
+def _check_classes(elem_mats: np.ndarray, labels: np.ndarray,
+                   rep: np.ndarray) -> None:
+    """Fail loud on a wrong label: every element's matrix against its
+    class representative's, on one fixed random probe vector."""
+    ne, nd, _ = elem_mats.shape
+    w = np.random.default_rng(0).standard_normal(nd)
+    y = (elem_mats.reshape(ne * nd, nd) @ w).reshape(ne, nd)
+    ref = y[rep][labels]
+    bad = np.flatnonzero(np.linalg.norm(y - ref, axis=1)
+                         > _CLASS_RTOL * np.linalg.norm(ref, axis=1))
+    if bad.size:
+        raise ValueError(
+            f"{bad.size} of {ne} elements differ from their class "
+            f"representative beyond {_CLASS_RTOL:g} (first: element "
+            f"{bad[0]}): the class labels do not describe these matrices"
+        )
 
 
 class _SweepWorkspace:
@@ -82,6 +125,18 @@ class EBEOperator:
         (:class:`~repro.sparse.backend.ArrayBackend`, registry name, or
         ``None`` for the ambient default); the modeled traffic is
         backend-independent.
+    classes : optional ``(ne,)`` element class labels (any integers):
+        elements of one class have equal matrices up to rounding.  The
+        sweep applies one matrix per class when the classes average at
+        least :data:`MIN_MEAN_CLASS_SIZE` elements; a member that is not
+        its representative to ``1e-10`` raises ``ValueError``.
+
+    Attributes
+    ----------
+    Ae : the matrices the sweep applies — ``(ne, 30, 30)``, or one per
+        class in class order when grouped.
+    classes : ``(ne,)`` class of each element (indexing ``Ae``) when
+        grouped, else ``None``.
     """
 
     def __init__(
@@ -92,6 +147,7 @@ class EBEOperator:
         tag: str = "spmv.ebe",
         precision: Precision | str | None = None,
         backend: "ArrayBackend | str | None" = None,
+        classes: np.ndarray | None = None,
     ) -> None:
         self.precision = as_precision(precision)
         self.backend = as_backend(backend)
@@ -99,9 +155,6 @@ class EBEOperator:
         ne, nd, nd2 = elem_mats.shape
         if nd != nd2 or nd != 3 * elems.shape[1]:
             raise ValueError("element matrices inconsistent with connectivity")
-        if not self.precision.is_fp64:
-            elem_mats = self.precision.quantize(elem_mats)
-        self.Ae = elem_mats
         self.elems = np.asarray(elems, dtype=np.int64)
         self.n_nodes = int(n_nodes)
         self.tag = tag
@@ -114,11 +167,37 @@ class EBEOperator:
         # Scatter plan, the 0/1 node-incidence matrix in CSR form: row i
         # lists the flat (element, local node) slots touching node i in
         # ascending element order (stable sort) — the summation order.
+        na = self.elems.shape[1]
         slots = self.elems.ravel()
         indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
         np.cumsum(np.bincount(slots, minlength=self.n_nodes), out=indptr[1:])
-        self._incidence = (indptr, np.argsort(slots, kind="stable"),
-                           np.ones(slots.size))  # indptr, indices, data
+        indices = np.argsort(slots, kind="stable")
+
+        self.classes = None
+        self._gather, self._offsets = self.elems, np.arange(ne + 1)
+        if classes is not None:
+            if np.shape(classes) != (ne,):
+                raise ValueError(f"expected one class label per element, got "
+                                 f"shape {np.shape(classes)}")
+            _, labels, counts = np.unique(
+                classes, return_inverse=True, return_counts=True)
+            if ne >= MIN_MEAN_CLASS_SIZE * counts.size:
+                order = np.argsort(labels, kind="stable")
+                self._offsets = np.concatenate(([0], np.cumsum(counts)))
+                rep = order[self._offsets[:-1]]  # each class's lowest id
+                _check_classes(elem_mats, labels, rep)
+                elem_mats = elem_mats[rep]
+                self.classes = labels
+                # the sweep runs in class order; the incidence keeps
+                # summing in original element order over the moved slots
+                self._gather = self.elems[order]
+                slot_of = np.empty(ne, dtype=np.int64)
+                slot_of[order] = na * np.arange(ne)
+                indices = slot_of[indices // na] + indices % na
+        if not self.precision.is_fp64:
+            elem_mats = self.precision.quantize(elem_mats)
+        self.Ae = elem_mats
+        self._incidence = (indptr, indices, np.ones(slots.size))
         self._ws: dict[int, _SweepWorkspace] = {}
 
     def _workspace(self, r: int) -> _SweepWorkspace:
@@ -182,9 +261,9 @@ class EBEOperator:
             if ws.x is None:
                 ws.x = bk.empty(X.shape)
             X = bk.copy(ws.x, X)
-        bk.gather_rows(X.reshape(nn, r3), self.elems, ws.xe.reshape(ne, 10, r3))
+        bk.gather_rows(X.reshape(nn, r3), self._gather, ws.xe.reshape(ne, 10, r3))
         bk.quantize_store(ws.xe, self.precision)  # storage-format gather
-        bk.batched_matmul(self.Ae, ws.xe, ws.ye)
+        bk.grouped_matmul(self.Ae, self._offsets, ws.xe, ws.ye)
         bk.spmv_csr(*self._incidence, ws.ye.reshape(10 * ne, r3),
                     Y.reshape(nn, r3))
         return Y
@@ -198,11 +277,14 @@ class EBEOperator:
         nb = self.n_nodes
         out = np.zeros((nb, 3, 3))
         ne, na = self.elems.shape
-        # element-local diagonal blocks: (ne, na, 3, 3)
+        # local diagonal blocks of the applied matrices, then per element
+        # in ascending element order
         idx = 3 * np.arange(na)
         for i in range(3):
             for j in range(3):
-                vals = self.Ae[:, idx + i, :][:, np.arange(na), idx + j]  # (ne, na)
+                vals = self.Ae[:, idx + i, :][:, np.arange(na), idx + j]  # (nA, na)
+                if self.classes is not None:
+                    vals = vals[self.classes]
                 np.add.at(out[:, i, j], self.elems.ravel(), vals.ravel())
         return out
 
@@ -210,6 +292,7 @@ class EBEOperator:
         """Assemble densely (tests only; small meshes)."""
         n = self.n
         A = np.zeros((n, n))
-        for d, Ae in zip(element_dof_ids(self.elems), self.Ae):
+        mats = self.Ae if self.classes is None else self.Ae[self.classes]
+        for d, Ae in zip(element_dof_ids(self.elems), mats):
             A[np.ix_(d, d)] += Ae
         return A

@@ -202,32 +202,49 @@ def test_gather_rows(bk):
     np.testing.assert_array_equal(out, X[idx])
 
 
-def test_batched_matmul(bk):
+@pytest.mark.parametrize("r", [1, 4, 8])
+@pytest.mark.parametrize("sizes", [
+    pytest.param((1,) * 7, id="identity"),
+    pytest.param((3, 1, 0, 2, 1), id="uneven"),
+    pytest.param((7,), id="single-class"),
+])
+def test_grouped_matmul(bk, sizes, r):
+    """``out[e] = A[c] @ X[e]`` for the rows of group ``c`` — one group
+    per row, groups of uneven size (an empty one included) and a single
+    group for every row."""
     rng = _rng(5)
-    A = rng.standard_normal((6, 30, 30))
-    X = rng.standard_normal((6, 30, 2))
-    out = np.empty((6, 30, 2))
-    bk.batched_matmul(A, X, out)
-    np.testing.assert_allclose(out, A @ X, rtol=1e-13)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    A = rng.standard_normal((len(sizes), 30, 30))
+    X = rng.standard_normal((offsets[-1], 30, r))
+    out = np.full_like(X, np.nan)
+    assert bk.grouped_matmul(A, offsets, X, out) is out
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    np.testing.assert_allclose(out, A[group] @ X, rtol=1e-13, atol=1e-13)
 
 
 def test_ebe_sweep_on_engine(bk, tiny_mesh):
-    """The whole node-layout sweep (gather by node, batched apply, CSR
+    """The whole node-layout sweep (gather by node, grouped apply, CSR
     incidence scatter, strided-operand staging) through each engine's
     own primitives — for numba's kernel logic also where the engine is
-    absent — against the reference backend."""
+    absent — against the reference backend; stored, and grouped as one
+    class of equal matrices."""
     from repro.sparse.ebe import EBEOperator
 
     rng = _rng(6)
-    Ae = rng.standard_normal((tiny_mesh.n_elems, 30, 30))
-    ref = EBEOperator(Ae, tiny_mesh.elems, tiny_mesh.n_nodes, backend="numpy")
-    op = EBEOperator(Ae, tiny_mesh.elems, tiny_mesh.n_nodes, backend=bk)
-    wide = rng.standard_normal((ref.n, 4))
-    for X in (np.ascontiguousarray(wide[:, :2]), wide[:, ::2]):
-        expect = ref.matvec(X)
-        np.testing.assert_allclose(
-            op.matvec(X), expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max()
-        )
+    ne = tiny_mesh.n_elems
+    wide = rng.standard_normal((3 * tiny_mesh.n_nodes, 4))
+    for Ae, classes in ((rng.standard_normal((ne, 30, 30)), None),
+                        (np.tile(rng.standard_normal((30, 30)), (ne, 1, 1)),
+                         np.zeros(ne))):
+        ref = EBEOperator(Ae, tiny_mesh.elems, tiny_mesh.n_nodes, backend="numpy")
+        op = EBEOperator(Ae, tiny_mesh.elems, tiny_mesh.n_nodes, backend=bk,
+                         classes=classes)
+        assert (op.classes is None) == (classes is None)
+        for X in (np.ascontiguousarray(wide[:, :2]), wide[:, ::2]):
+            expect = ref.matvec(X)
+            np.testing.assert_allclose(
+                op.matvec(X), expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max()
+            )
 
 
 def test_block_diag_matvec(bk):

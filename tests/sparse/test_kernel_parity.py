@@ -3,6 +3,8 @@ pick must never show in the bits.
 
 * ``spmv_csr`` hands one vector to scipy's single-vector kernel and a
   block to the multi-vector one: same rows, same summation order.
+* ``grouped_matmul`` takes one stacked product for one matrix per row
+  and one broadcast product per group otherwise: same GEMM per row.
 * The column-scaling primitives fold a large block into wide rows;
   every product is the one the plain broadcast makes.
 * Both stay *per column*: a fused solve with a poisoned case leaves its
@@ -70,6 +72,21 @@ def test_spmv_rejects_a_row_pointer_that_does_not_match_out():
         with pytest.raises(ValueError, match="indptr size"):
             bk.spmv_csr(indptr, indices, data, np.ones((n_cols, r)),
                         np.empty((n + 4, r)))
+
+
+# ------------------------------------------------- grouped apply
+@pytest.mark.parametrize("r", [1, 2, 4, 8])
+def test_grouped_matmul_is_bit_equal_to_the_stacked_product(r):
+    """One broadcast product per group makes, row for row, the GEMM
+    call the stacked product over the expanded matrices makes."""
+    bk = as_backend("numpy")
+    rng = np.random.default_rng(30 + r)
+    labels = np.sort(rng.integers(0, 9, size=200))
+    offsets = np.searchsorted(labels, np.arange(10))
+    A = rng.standard_normal((9, 30, 30))
+    X = rng.standard_normal((200, 30, r))
+    got = bk.grouped_matmul(A, offsets, X, np.empty_like(X))
+    assert got.tobytes() == np.matmul(A[labels], X).tobytes()
 
 
 # --------------------------------------------------- column scaling
