@@ -8,6 +8,7 @@ how hard is each *scenario* (ground model x wave) across methods.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -64,7 +65,16 @@ class CampaignReport:
 
     # -- flat rows ----------------------------------------------------
     def rows(self) -> list[dict]:
-        """One flat record per successful cell."""
+        """One flat record per successful cell.
+
+        Reduced once per report (every table of :meth:`render` groups
+        the same rows); each call returns a fresh list over the shared,
+        read-only records.
+        """
+        return list(self._rows)
+
+    @functools.cached_property
+    def _rows(self) -> tuple[dict, ...]:
         out = []
         for o in self.outcomes:
             if not o.ok:
@@ -91,12 +101,12 @@ class CampaignReport:
                     ),
                 }
             )
-        return out
+        return tuple(out)
 
     # -- cross-sections -----------------------------------------------
     def _grouped(self, key_fn) -> dict[tuple, list[dict]]:
         groups: dict[tuple, list[dict]] = {}
-        for row in self.rows():
+        for row in self._rows:
             groups.setdefault(key_fn(row), []).append(row)
         return groups
 

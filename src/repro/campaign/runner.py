@@ -3,9 +3,9 @@
 The runner turns a list of :class:`~repro.campaign.spec.CampaignCell`
 work items into results:
 
-1. probe the :class:`~repro.campaign.store.ResultStore` — cells whose
-   content hash already has an artifact are *cache hits* and are never
-   recomputed;
+1. probe the :class:`~repro.campaign.store.ResultStore` with one
+   ``load`` per cell — cells whose content hash already has a readable
+   artifact are *cache hits* and are never recomputed;
 2. dedupe the misses by content key — two cells with the same key are
    the same computation, so the work runs once and the result fans
    back out to every index;
@@ -331,17 +331,20 @@ class CampaignRunner:
     def run(self, spec: CampaignSpec, resume: bool = False) -> CampaignReport:
         """Run a grid campaign and maintain the store manifest.
 
-        The manifest is written twice, atomically: once when the
-        campaign starts (``in_progress: true``, every cell
-        ``"pending"``) and once at the end with each cell's final
-        status — so after a crash the store says exactly which
-        campaign died and what it still owed.  With ``resume=True``,
-        interrupted cells restart from their ``checkpoints/<key>.json``
-        state instead of step 0 (finished cells are ordinary cache
-        hits either way).
+        The store is probed first.  When at least one cell misses, the
+        manifest is written atomically before any cell computes
+        (``in_progress: true``, every cell ``"pending"``), so after a
+        crash the store says exactly which campaign died and what it
+        still owed.  At the end it is written with each cell's final
+        status — a no-op when that document is already on disk from
+        this store (a warm pass over an unchanged store writes
+        nothing).  With ``resume=True``, interrupted cells restart from
+        their ``checkpoints/<key>.json`` state instead of step 0
+        (finished cells are ordinary cache hits either way).
         """
         cells = spec.cells()
-        if self.store is not None:
+        hits = self._probe(cells)
+        if self.store is not None and len(hits) < len(cells):
             self.store.write_manifest(
                 {
                     "spec": spec.to_dict(),
@@ -352,7 +355,7 @@ class CampaignRunner:
                     ],
                 }
             )
-        outcomes = self.run_cells(cells, resume=resume)
+        outcomes = self._complete(cells, hits, resume)
         if self.store is not None:
             self.store.write_manifest(
                 {
@@ -377,18 +380,39 @@ class CampaignRunner:
         Returns outcomes in the input cell order regardless of worker
         completion order.
         """
-        outcomes: dict[int, CellOutcome] = {}
+        return self._complete(cells, self._probe(cells), resume)
+
+    def _probe(self, cells: Sequence[CampaignCell]) -> dict[int, dict]:
+        """``{index: cached result}`` of the cells the store already
+        holds — one :meth:`ResultStore.load` per cell; an absent or
+        corrupt artifact is a miss."""
+        hits: dict[int, dict] = {}
+        if self.store is None:
+            return hits
+        for i, cell in enumerate(cells):
+            try:
+                result = self.store.load(cell.key)["result"]
+            except (ValueError, KeyError, OSError):
+                continue  # absent or corrupt artifact -> compute
+            if result is not None:
+                hits[i] = result
+        return hits
+
+    def _complete(
+        self,
+        cells: Sequence[CampaignCell],
+        hits: dict[int, dict],
+        resume: bool,
+    ) -> list[CellOutcome]:
+        """Execute the cells :meth:`_probe` missed and assemble every
+        outcome."""
+        outcomes = {
+            i: CellOutcome(cell=cells[i], result=result, cached=True)
+            for i, result in hits.items()
+        }
         misses: dict[str, list[int]] = {}  # key -> duplicate-key indices
         for i, cell in enumerate(cells):
-            cached = None
-            if self.store is not None and self.store.has(cell.key):
-                try:
-                    cached = self.store.load(cell.key)["result"]
-                except (ValueError, KeyError, OSError):
-                    cached = None  # corrupt artifact -> recompute
-            if cached is not None:
-                outcomes[i] = CellOutcome(cell=cell, result=cached, cached=True)
-            else:
+            if i not in hits:
                 misses.setdefault(cell.key, []).append(i)
 
         store_root = None if self.store is None else str(self.store.root)

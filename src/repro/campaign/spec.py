@@ -15,12 +15,13 @@ what makes re-runs skip already-computed cells.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import math
 import pathlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.campaign.axes import AXES, AXIS
 from repro.core.methods import HETEROGENEOUS_METHODS, METHODS
@@ -75,7 +76,8 @@ class WaveSpec:
     cycles_to_onset: float = 1.0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # flat scalars: no deep copy (runs once per cell expanded)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "WaveSpec":
@@ -177,8 +179,10 @@ class CampaignCell:
     params: dict = field(hash=False)
     label: str = ""
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
+        """Content hash, computed on first use and kept: ``params`` is
+        read-only once the cell exists."""
         return cell_key(self.kind, self.params)
 
 
@@ -236,6 +240,17 @@ class CampaignSpec:
         )
         if not (self.models and self.waves and self.methods and self.resolutions):
             raise ValueError("campaign grid has an empty axis")
+        # a repeated entry would run one cell twice under one label (a
+        # wave name is its label and seed) and double-weight it in every
+        # aggregate
+        for noun, values in (
+            ("model", self.models),
+            ("wave name", tuple(w.name for w in self.waves)),
+            ("method", self.methods),
+            ("resolution", self.resolutions),
+        ):
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {noun} entries")
         for m in self.models:
             if m not in GROUND_MODELS:
                 raise ValueError(f"unknown ground model {m!r}")
@@ -295,7 +310,16 @@ class CampaignSpec:
         )
 
     def cells(self) -> list[CampaignCell]:
-        """Expand the grid in deterministic order."""
+        """Expand the grid in deterministic order.
+
+        The expansion is made once per spec; each call returns a fresh
+        list over the same (read-only) cells, so a cell's content hash
+        is computed once over the spec's lifetime.
+        """
+        return list(self._cells)
+
+    @functools.cached_property
+    def _cells(self) -> tuple[CampaignCell, ...]:
         fixed = dict(
             cases=self.cases, steps=self.steps, module=self.module,
             eps=self.eps, s_min=self.s_min, s_max=self.s_max, seed=self.seed,
@@ -316,11 +340,13 @@ class CampaignSpec:
                 out.append(
                     CampaignCell(kind="method", params=params, label=label)
                 )
-        return out
+        return tuple(out)
 
     # -- (de)serialization --------------------------------------------
     def to_dict(self) -> dict:
-        d = asdict(self)
+        # every other field is a scalar or a tuple of scalars: shared,
+        # not deep-copied (the manifest builds this once per pass)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["waves"] = [w.to_dict() for w in self.waves]
         d["resolutions"] = [list(r) for r in self.resolutions]
         return d

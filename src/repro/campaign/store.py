@@ -26,6 +26,22 @@ and :meth:`lock` serializes computation per key with an advisory
 double-compute a cell or tear each other's artifacts.  A worker killed
 at any instant leaves either the previous complete document or none —
 never a torn one.
+
+A store instance keeps an in-memory *index* of the artifacts it has
+read, ``{key: (signature, doc)}``, where the signature is the file's
+``(st_ino, st_size, st_mtime_ns)``.  :meth:`load` makes one ``os.stat``
+per call and serves the indexed document while the signature matches;
+otherwise it reads, parses, schema-checks and re-indexes the file.  An
+atomic replace by any process gives the path a new inode and an
+in-place truncation changes its size, so both are seen on the next
+probe.  The index is filled lazily — constructing a store reads
+nothing.  Loaded documents are *shared and read-only*: every
+:meth:`load` of an unchanged artifact returns the same object, so a
+caller that needs to modify one copies it first.
+
+:meth:`write_manifest` skips the write when the document equals the one
+this instance last wrote and the file still carries the signature that
+write left; a manifest rewritten by anyone else is rewritten.
 """
 
 from __future__ import annotations
@@ -51,6 +67,13 @@ from repro.io.results import (
 __all__ = ["ResultStore"]
 
 
+def _signature(path: pathlib.Path) -> tuple[int, int, int]:
+    """``(st_ino, st_size, st_mtime_ns)``; ``FileNotFoundError`` when
+    the file is absent."""
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
 class ResultStore:
     """Content-addressed JSON store for campaign cell results."""
 
@@ -60,6 +83,8 @@ class ResultStore:
         self.checkpoint_dir = self.root / "checkpoints"
         self.lock_dir = self.root / "locks"
         self.cell_dir.mkdir(parents=True, exist_ok=True)
+        self._index: dict[str, tuple[tuple[int, int, int], dict]] = {}
+        self._manifest: tuple[tuple[int, int, int], dict] | None = None
 
     def path_for(self, key: str) -> pathlib.Path:
         return self.cell_dir / f"{key}.json"
@@ -69,8 +94,20 @@ class ResultStore:
 
     def load(self, key: str) -> dict:
         """Load a cell artifact; raises ``FileNotFoundError`` if absent
-        and ``ValueError`` on a corrupt/mismatched document."""
-        return load_campaign_cell(self.path_for(key))
+        and ``ValueError`` on a corrupt/mismatched document.
+
+        One ``os.stat`` per call: an artifact whose signature matches
+        the index is served from memory (shared, read-only — see the
+        module docstring), anything else is read and re-indexed.
+        """
+        path = self.path_for(key)
+        sig = _signature(path)
+        hit = self._index.get(key)
+        if hit is not None and hit[0] == sig:
+            return hit[1]
+        doc = load_campaign_cell(path)
+        self._index[key] = (sig, doc)
+        return doc
 
     def save(self, cell: CampaignCell, result: dict) -> pathlib.Path:
         doc = {
@@ -164,10 +201,20 @@ class ResultStore:
     # -- manifest -----------------------------------------------------
     def write_manifest(self, doc: dict) -> pathlib.Path:
         """Atomically (re)write the campaign manifest — a kill mid-write
-        can never leave torn JSON that poisons the next resume."""
-        return atomic_write_text(
-            self.root / "manifest.json", json.dumps(doc, indent=1)
-        )
+        can never leave torn JSON that poisons the next resume.
+
+        A no-op when ``doc`` equals the document this instance last
+        wrote and the file still has the signature that write left.
+        The instance keeps ``doc`` for that comparison: pass a fresh
+        document each call and do not modify it afterwards.
+        """
+        path = self.root / "manifest.json"
+        with contextlib.suppress(FileNotFoundError):
+            if self._manifest == (_signature(path), doc):
+                return path
+        atomic_write_text(path, json.dumps(doc, indent=1))
+        self._manifest = (_signature(path), doc)
+        return path
 
     def load_manifest(self) -> dict | None:
         path = self.root / "manifest.json"

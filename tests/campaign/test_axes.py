@@ -120,6 +120,16 @@ def test_axes_compose_pairwise(a, b):
     assert len({(a.of(c.params), b.of(c.params)) for c in cells}) == 4
 
 
+def test_all_axes_compose_at_once():
+    spec = make_spec(**{k: v for ax in AXES for k, v in swept(ax).items()})
+    cells = spec.cells()
+    assert spec.n_cells == 2 * 2 ** len(AXES) == len(cells)
+    assert len({c.key for c in cells}) == len(cells)
+    assert len({tuple(ax.of(c.params) for ax in AXES) for c in cells}) == (
+        2 ** len(AXES)
+    )
+
+
 def test_axis_skipped_by_methods_it_does_not_apply_to():
     """A mixed grid fans an axis only over the methods it applies to;
     the others run once, at the default."""
@@ -143,6 +153,12 @@ def test_axis_validation(ax):
     value = SAMPLES[ax.key][0]
     with pytest.raises(ValueError, match=f"duplicate {ax.noun} entries"):
         make_spec(**{ax.field: (value, value)})
+
+
+def test_registered_but_unavailable_backend_is_a_valid_spec_entry():
+    """Availability is an execution-time concern: a spec naming the
+    registered numba engine validates wherever numba is absent."""
+    assert make_spec(backends=("numpy", "numba")).backends == ("numpy", "numba")
 
 
 @axes
@@ -217,6 +233,42 @@ def test_axis_cells_execute_and_cache(ax, tmp_path):
         assert variants == {METHOD}
     again = runner.run(spec)
     assert again.n_cached == 2 and again.n_computed == 0
+
+
+def test_executor_ignores_ambient_backend_env(monkeypatch):
+    """The executor takes the backend from the cell params only: with
+    ``REPRO_BACKEND`` naming an engine that does not exist, a
+    backend-less cell still runs and equals the unset-environment
+    result — the environment cannot change what a content hash means.
+    (A *registered* name would pass even if some operator of the run
+    resolved the ambient engine; an unknown one makes that a
+    ``ValueError``.)  One cell per operator family a run can build:
+    fused EBE, BCRS, the ``nparts`` partition, the two-grid cycle."""
+    for over in (
+        {},
+        dict(methods=("crs-cg@cpu",), cases=1),
+        dict(nparts=(2,)),
+        dict(preconditioners=("twogrid",)),
+    ):
+        spec = make_spec(waves=default_waves(1), steps=3, **over)
+        params = spec.cells()[0].params
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        reference = run_method_cell(dict(params))
+        monkeypatch.setenv("REPRO_BACKEND", "no-such-engine")
+        assert run_method_cell(dict(params)) == reference, spec.cells()[0].label
+
+
+def test_unavailable_backend_cell_fails_loudly_not_silently():
+    """A cell demanding an absent engine must fail (and say why), never
+    silently fall back to numpy and poison the cache."""
+    from repro.sparse.backend import available_backend_names
+
+    if "numba" in available_backend_names():  # pragma: no cover
+        pytest.skip("numba installed: unavailability cannot be staged")
+    spec = make_spec(waves=default_waves(1), steps=3, backends=("numba",))
+    rep = CampaignRunner(store=None, jobs=1).run(spec)
+    assert rep.n_failed == 1
+    assert "numba" in rep.outcomes[0].error
 
 
 # --------------------------------------------------- the parent's bytes

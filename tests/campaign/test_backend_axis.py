@@ -2,10 +2,10 @@
 
 Same content-addition discipline as the ``nparts`` / ``precision`` /
 ``scenarios`` axes: introducing the execution-backend axis must never
-re-key — and therefore never recompute — any previously cached cell,
-and a cell's backend must come from its params (never the
-``REPRO_BACKEND`` ambient default: a content-addressed cache cannot
-change meaning with the environment).
+re-key — and therefore never recompute — any previously cached cell.
+The axis-generic checks (composition, validation, the ambient
+``REPRO_BACKEND`` and unavailable-engine cases) are rows of
+``test_axes.py``; this module keeps the backend-specific spellings.
 """
 
 import pytest
@@ -63,35 +63,6 @@ def test_default_backend_keeps_pre_axis_cell_hash():
     assert len(seeds) == len(base.cells())
 
 
-def test_backend_axis_composes_with_other_axes():
-    spec = make_spec(
-        models=("stratified",), methods=("ebe-mcg@cpu-gpu",),
-        nparts=(1, 2), precision=("fp64", "fp21"),
-        backends=("numpy", "numpy-blocked"),
-    )
-    cells = spec.cells()
-    assert spec.n_cells == 2 * 2 * 2 * 2 == len(cells)  # waves x np x prec x bk
-    combos = {
-        (c.params.get("nparts", 1), c.params.get("precision", "fp64"),
-         c.params.get("backend", "numpy"))
-        for c in cells
-    }
-    assert len(combos) == 8
-
-
-def test_backend_validation():
-    """Registered-but-unavailable names (numba here) are *valid*
-    spec entries — availability is an execution-time concern — while
-    unknown names fail at spec time."""
-    make_spec(backends=("numpy", "numba"))  # registered though absent
-    with pytest.raises(ValueError, match="unknown backend"):
-        make_spec(backends=("numpy", "fortran"))
-    with pytest.raises(ValueError):
-        make_spec(backends=())
-    with pytest.raises(ValueError, match="duplicate"):
-        make_spec(backends=("numpy", "numpy"))
-
-
 def test_backend_roundtrips_through_json(tmp_path):
     spec = make_spec(models=("stratified",),
                      backends=("numpy", "numpy-blocked"))
@@ -135,31 +106,6 @@ def test_executor_treats_explicit_default_backend_identically():
     assert implicit == explicit
 
 
-def test_executor_ignores_ambient_backend_env(monkeypatch):
-    """The executor takes the backend from the cell params only: with
-    ``REPRO_BACKEND`` naming an engine that does not exist, a
-    backend-less cell still runs and equals the unset-environment
-    result — the environment cannot change what a content hash means.
-    (A *registered* name would pass even if some operator of the run
-    resolved the ambient engine; an unknown one makes that a
-    ``ValueError``.)  One cell per operator family a run can build:
-    fused EBE, BCRS, the ``nparts`` partition, the two-grid cycle."""
-    hetero = dict(methods=("ebe-mcg@cpu-gpu",), cases=2)
-    for over in (
-        hetero,
-        dict(methods=("crs-cg@cpu",), cases=1),
-        dict(hetero, nparts=(2,)),
-        dict(hetero, preconditioners=("twogrid",)),
-    ):
-        spec = make_spec(models=("stratified",), waves=default_waves(1),
-                         steps=3, **over)
-        params = spec.cells()[0].params
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        reference = run_method_cell(dict(params))
-        monkeypatch.setenv("REPRO_BACKEND", "no-such-engine")
-        assert run_method_cell(dict(params)) == reference, spec.cells()[0].label
-
-
 def test_backend_cells_execute_and_agree(tmp_path):
     """An axis campaign (numpy + numpy-blocked) runs end-to-end; on a
     sub-block-sized problem the modeled observables match exactly, and
@@ -176,17 +122,3 @@ def test_backend_cells_execute_and_agree(tmp_path):
     # re-run: both served from cache
     rep2 = runner.run(spec)
     assert rep2.n_cached == 2 and rep2.n_computed == 0
-
-
-def test_unavailable_backend_cell_fails_loudly_not_silently():
-    """A cell demanding an absent engine must fail (and say why), never
-    silently fall back to numpy and poison the cache."""
-    from repro.sparse.backend import available_backend_names
-
-    if "numba" in available_backend_names():  # pragma: no cover
-        pytest.skip("numba installed: unavailability cannot be staged")
-    spec = make_spec(models=("stratified",), waves=default_waves(1),
-                     cases=1, steps=3, backends=("numba",))
-    rep = CampaignRunner(store=None, jobs=1).run(spec)
-    assert rep.n_failed == 1
-    assert "numba" in rep.outcomes[0].error

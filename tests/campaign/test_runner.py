@@ -191,14 +191,17 @@ def test_results_persisted_incrementally(tmp_path):
 def test_corrupt_artifact_recomputed(tiny_spec, tmp_path, garbage):
     """A half-written (truncated) or schema-mismatched artifact is a
     cache miss, not a crash — the cell recomputes and the artifact
-    heals."""
+    heals.  One runner and store throughout: the store's index, warm
+    from the first cache hit, must not serve the overwritten artifact."""
     store = ResultStore(tmp_path)
-    first = CampaignRunner(store=store, jobs=1).run(tiny_spec)
+    runner = CampaignRunner(store=store, jobs=1)
+    first = runner.run(tiny_spec)
+    assert runner.run(tiny_spec).n_cached == 1  # now indexed
     key = tiny_spec.cells()[0].key
-    store.path_for(key).write_text(garbage)
-    rep = CampaignRunner(store=store, jobs=1).run(tiny_spec)
+    store.path_for(key).write_text(garbage)  # in place: same inode
+    rep = runner.run(tiny_spec)
     assert rep.n_computed == 1 and rep.n_cached == 0 and rep.n_failed == 0
-    healed = CampaignRunner(store=store, jobs=1).run(tiny_spec)
+    healed = runner.run(tiny_spec)
     assert healed.n_cached == 1
     assert healed.outcomes[0].result == first.outcomes[0].result
 

@@ -169,6 +169,31 @@ def test_validation_errors():
                                 "waves": [], "methods": [], "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "over, noun",
+    [
+        (dict(models=("stratified", "stratified")), "model"),
+        (dict(waves=(WaveSpec("w0", 1e6), WaveSpec("w0", 3e6))), "wave name"),
+        (dict(methods=("crs-cg@gpu", "crs-cg@gpu")), "method"),
+        (dict(resolutions=((2, 2, 1), [2, 2, 1])), "resolution"),
+    ],
+    ids=["models", "waves", "methods", "resolutions"],
+)
+def test_duplicate_grid_entries_rejected(over, noun):
+    """A repeated entry would run one cell twice under one label (two
+    waves named alike share label and seed, and merge into one
+    scenario row) or double-weight it in every aggregate."""
+    with pytest.raises(ValueError, match=f"duplicate {noun} entries"):
+        make_spec(**over)
+
+
+def test_distinct_waves_sharing_parameters_are_accepted():
+    """Wave identity is the name: two families that differ only in name
+    are a legitimate grid."""
+    spec = make_spec(waves=(WaveSpec("a"), WaveSpec("b")))
+    assert len({c.params["seed"] for c in spec.cells()}) == spec.n_cells
+
+
 def test_wavespec_roundtrip():
     w = WaveSpec(name="w9", amplitude=2e6, f0_factor=0.4)
     assert WaveSpec.from_dict(w.to_dict()) == w
