@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 from repro.campaign.aggregate import CampaignReport
 from repro.campaign.axes import AXES, axis_values
 from repro.campaign.spec import CampaignCell, CampaignSpec
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, resume_checkpoint
 
 __all__ = [
     "CELL_EXECUTORS",
@@ -159,10 +159,11 @@ def run_method_cell(params: dict, ctx: dict | None = None) -> dict:
 
     ``ctx`` (supplied by the runner when a store is attached) enables
     crash-safe execution: every ``ctx["checkpoint_every"]`` steps the
-    incremental solver-state tail since the previous flush is appended
-    to the journal at ``ctx["checkpoint_path"]`` (O(1) bytes per step),
-    and with ``ctx["resume"]`` a pending checkpoint journal restarts
-    the run from its merged saved step instead of step 0.
+    live solver state and the records since the previous flush are
+    appended as one line to the journal at ``ctx["checkpoint_path"]``,
+    and with ``ctx["resume"]`` a pending journal (read by
+    :func:`~repro.campaign.store.resume_checkpoint`) restarts the run
+    from its merged saved step instead of step 0.
     Checkpointed, resumed and uninterrupted executions of the same
     cell are bit-identical.
     """
@@ -172,8 +173,7 @@ def run_method_cell(params: dict, ctx: dict | None = None) -> dict:
     from repro.hardware.specs import module_by_name
     from repro.io.results import (
         append_campaign_checkpoint,
-        atomic_write_text,
-        load_campaign_checkpoint,
+        compact_campaign_checkpoint,
     )
     from repro.workloads.scenario import scenario_by_name
 
@@ -194,27 +194,11 @@ def run_method_cell(params: dict, ctx: dict | None = None) -> dict:
         path = ctx["checkpoint_path"]
         checkpoint_every = int(ctx.get("checkpoint_every", 0))
         if ctx.get("resume"):
-            import json as _json
-
-            try:
-                ck = load_campaign_checkpoint(path)
-            except (FileNotFoundError, _json.JSONDecodeError):
-                ck = None  # nothing (readable) to resume -> from step 0
+            ck = resume_checkpoint(path, ctx["key"], params)
             if ck is not None:
-                # schema passed; identity must match the cell exactly —
-                # anything else is a store integrity problem, fail loudly
-                if ck.get("params") != params:
-                    raise ValueError(
-                        "checkpoint params do not match cell "
-                        f"{ctx.get('key')!r}"
-                    )
                 start_state = ck["state"]
                 if checkpoint_every > 0:
-                    # Compact the journal to its merged document so
-                    # later flushes append after a guaranteed-clean
-                    # final newline (the old journal may end in the
-                    # torn line the crash left behind).
-                    atomic_write_text(path, _json.dumps(ck) + "\n")
+                    compact_campaign_checkpoint(ck, path)
         if start_state is None:
             # Fresh start (no resume requested, or nothing readable to
             # resume from): drop any stale journal so the appended tails

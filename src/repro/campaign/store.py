@@ -7,12 +7,13 @@ Layout under the store root::
     locks/<key>.lock        per-key advisory lock files
     manifest.json           last-run bookkeeping (spec + cell statuses)
 
-Checkpoints are append-only JSONL journals of incremental flushes
-(:func:`repro.io.results.append_campaign_checkpoint`): each line holds
-only the records/waves tail since the previous flush, so long cells
-checkpoint in O(1) bytes per step.  :meth:`load_checkpoint` returns the
-merged, self-contained resume document; legacy single-document
-checkpoint files read as one-line journals.
+Checkpoints are append-only JSONL journals, one line per flush
+(:func:`repro.io.results.append_campaign_checkpoint`).  Each line holds
+the full live numeric state, its arrays as raw little-endian bytes, and
+only the records/waves tail since the previous flush, so a line's size
+does not grow with the step index.  :func:`resume_checkpoint` is the one
+resume policy — :meth:`load_checkpoint` and the ``"method"`` executor
+both go through it — and returns the merged, self-contained document.
 
 The key is the cell's parameter content hash
 (:func:`repro.campaign.spec.cell_key`), so identical cells — across
@@ -64,7 +65,7 @@ from repro.io.results import (
     save_campaign_cell,
 )
 
-__all__ = ["ResultStore"]
+__all__ = ["ResultStore", "resume_checkpoint"]
 
 
 def _signature(path: pathlib.Path) -> tuple[int, int, int]:
@@ -72,6 +73,32 @@ def _signature(path: pathlib.Path) -> tuple[int, int, int]:
     the file is absent."""
     st = os.stat(path)
     return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def resume_checkpoint(
+    path: str | pathlib.Path, key: str, params: dict | None = None
+) -> dict | None:
+    """The merged checkpoint of cell ``key`` to resume from, or ``None``.
+
+    ``None`` means "start from step 0": there is no journal, it has no
+    line (a kill between its creation and its first write), or its only
+    line is torn.  Everything else that stops a resume raises
+    ``ValueError``, since it is a version or integrity problem that must
+    fail loudly rather than silently recompute: a schema this code does
+    not read, a tear before the final line, or a journal whose ``key``
+    (and ``params``, when given) is not this cell's.
+    """
+    try:
+        doc = load_campaign_checkpoint(path)
+    except (FileNotFoundError, json.JSONDecodeError):
+        return None
+    if doc.get("key") != key:
+        raise ValueError(
+            f"checkpoint key {doc.get('key')!r} does not match {key!r}"
+        )
+    if params is not None and doc.get("params") != params:
+        raise ValueError(f"checkpoint params do not match cell {key!r}")
+    return doc
 
 
 class ResultStore:
@@ -160,9 +187,6 @@ class ResultStore:
     def checkpoint_path(self, key: str) -> pathlib.Path:
         return self.checkpoint_dir / f"{key}.json"
 
-    def has_checkpoint(self, key: str) -> bool:
-        return self.checkpoint_path(key).exists()
-
     def checkpoint_keys(self) -> list[str]:
         """Keys with a pending checkpoint — the cells some campaign was
         computing when it died."""
@@ -171,28 +195,9 @@ class ResultStore:
         return sorted(p.stem for p in self.checkpoint_dir.glob("*.json"))
 
     def load_checkpoint(self, key: str) -> dict | None:
-        """Load a cell's resume checkpoint (merged across the journal).
-
-        Returns ``None`` when there is nothing (or nothing readable) to
-        resume from — no checkpoint, or a syntactically unreadable
-        file/torn final journal line, both of which mean "start from
-        step 0".  A checkpoint with the *wrong schema version or key*
-        (or a journal torn anywhere but its final line) raises
-        ``ValueError``: that is a version/integrity problem that must
-        fail loudly rather than silently recompute.
-        """
-        path = self.checkpoint_path(key)
-        try:
-            doc = load_campaign_checkpoint(path)
-        except FileNotFoundError:
-            return None
-        except json.JSONDecodeError:
-            return None  # unreadable -> disposable, recompute from 0
-        if doc.get("key") != key:
-            raise ValueError(
-                f"checkpoint key {doc.get('key')!r} does not match {key!r}"
-            )
-        return doc
+        """A cell's merged resume checkpoint, or ``None`` — see
+        :func:`resume_checkpoint`."""
+        return resume_checkpoint(self.checkpoint_path(key), key)
 
     def clear_checkpoint(self, key: str) -> None:
         with contextlib.suppress(FileNotFoundError):

@@ -15,14 +15,21 @@ single ``os.replace`` — concurrent writers of the same path cannot
 tear each other's documents, and a reader only ever sees a complete
 document or none.
 
-Checkpoints (:func:`save_pipeline_state` / campaign checkpoint docs)
-round-trip solver state exactly: ``json.dumps`` writes floats via
-``repr`` (shortest round-trip form), so a resumed run continues from
-bit-identical fp64 state.
+Checkpoints round-trip solver state exactly, in one of two encodings.
+A :func:`save_pipeline_state` snapshot writes arrays as JSON float
+lists (``json.dumps`` writes floats via ``repr``, the shortest
+round-trip form).  A campaign checkpoint *journal* line writes every
+``np.ndarray`` leaf as ``{"__nd__": dtype.str, "shape": [...], "b64":
+...}``, the base64 of the array's little-endian bytes, and everything
+else as JSON; reading it back yields owned, writable, C-contiguous
+arrays with the written bits.  Either way a resumed run continues from
+bit-identical state.  This module is the only code that encodes or
+decodes a journal line.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import os
@@ -42,6 +49,8 @@ __all__ = [
     "save_pipeline_state",
     "load_pipeline_state",
     "append_campaign_checkpoint",
+    "compact_campaign_checkpoint",
+    "read_campaign_journal",
     "load_campaign_checkpoint",
     "merge_checkpoint_docs",
 ]
@@ -49,7 +58,11 @@ __all__ = [
 _SCHEMA_VERSION = 1
 _CAMPAIGN_SCHEMA_VERSION = 1
 _STATE_SCHEMA_VERSION = 1
-_CHECKPOINT_SCHEMA_VERSION = 1
+#: Schema 2 writes array leaves as raw bytes; schema 1 (float lists)
+#: still reads, so a journal left pending by older code resumes.
+_CHECKPOINT_SCHEMA_VERSION = 2
+_CHECKPOINT_SCHEMAS_READ = (1, 2)
+_ND = "__nd__"  # the key that marks an encoded array leaf
 
 
 def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
@@ -172,24 +185,78 @@ def append_campaign_checkpoint(
     ``O_APPEND`` write per flush: each line is one complete checkpoint
     document — the cell identity (``key``, ``kind``, ``params``), the
     completed ``step`` count and the driver ``state``, stamped with the
-    checkpoint schema version — whose embedded driver state is the
-    incremental records/waves tail since the previous line.  A crash mid-append can only tear the
-    *last* line, which :func:`load_campaign_checkpoint` discards —
-    every earlier flush stays intact, and total checkpoint I/O is O(1)
-    per step instead of O(n²/k).
+    checkpoint schema version.  Array leaves are written as raw
+    little-endian bytes (see the module docstring).  A crash mid-append
+    can only tear the *last* line, which :func:`load_campaign_checkpoint`
+    discards — every earlier flush stays intact.
+
+    The records/waves in a line are the tail since the previous line,
+    so that part of a line is O(1) in the step index (O(n) in total
+    instead of O(n²/k)).  Every line also carries the *full* live
+    numeric state — Newmark ``u/v/a`` of every case and every predictor
+    history — so a line costs about 8 bytes x (4/3 for base64) per
+    state value, whatever the step.
     """
-    for required in ("key", "kind", "params", "step", "state"):
-        if required not in doc:
-            raise ValueError(f"campaign checkpoint doc missing {required!r}")
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps({**_jsonable(doc), "schema": _CHECKPOINT_SCHEMA_VERSION})
+    line = _journal_line(doc).encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     try:
-        os.write(fd, (line + "\n").encode())
+        os.write(fd, line)
     finally:
         os.close(fd)
     return path
+
+
+def compact_campaign_checkpoint(
+    doc: dict, path: str | pathlib.Path
+) -> pathlib.Path:
+    """Atomically replace a journal with one line holding ``doc``.
+
+    ``doc`` is the merged document :func:`load_campaign_checkpoint`
+    returned for the same journal.  A resumed cell compacts before it
+    appends again, so later flushes follow a clean final newline even
+    when the old journal ended in the torn line of a crash.
+    """
+    return atomic_write_text(path, _journal_line(doc))
+
+
+def _journal_line(doc: dict) -> str:
+    """``doc`` as one newline-terminated journal line."""
+    for required in ("key", "kind", "params", "step", "state"):
+        if required not in doc:
+            raise ValueError(f"campaign checkpoint doc missing {required!r}")
+    out = {**_jsonable(doc, _encode_array), "schema": _CHECKPOINT_SCHEMA_VERSION}
+    return json.dumps(out) + "\n"
+
+
+def _encode_array(a: np.ndarray) -> dict:
+    """An array as a journal leaf: dtype, shape, base64 of the
+    little-endian C-order bytes."""
+    le = a.astype(a.dtype.newbyteorder("<"), order="C", copy=False)
+    return {
+        _ND: le.dtype.str,
+        "shape": list(a.shape),
+        "b64": base64.b64encode(le).decode("ascii"),
+    }
+
+
+def _decode_arrays(obj):
+    """Replace every encoded leaf under a parsed journal document with
+    an owned, writable array, in place; returns the document."""
+    if isinstance(obj, dict):
+        if _ND in obj:
+            raw = base64.b64decode(obj["b64"], validate=True)
+            return np.frombuffer(raw, np.dtype(obj[_ND])).reshape(obj["shape"]).copy()
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return obj
+    for k, v in items:
+        if isinstance(v, (dict, list)):
+            obj[k] = _decode_arrays(v)
+    return obj
 
 
 def merge_checkpoint_docs(docs) -> dict:
@@ -246,25 +313,53 @@ def merge_checkpoint_docs(docs) -> dict:
 
 
 def load_campaign_checkpoint(path: str | pathlib.Path) -> dict:
-    """Read one campaign checkpoint (journal or legacy single-doc file).
+    """Read one campaign checkpoint journal as one resumable document.
 
-    A legacy single-document file (one whole checkpoint, written
-    before the journal existed) is read as a one-line journal.
-    Multi-line journals
+    A one-line journal is its own document; longer ones
     (:func:`append_campaign_checkpoint`) are merged into one
     self-contained document — the latest ``step``, the full records —
-    via :func:`merge_checkpoint_docs`.
+    via :func:`merge_checkpoint_docs`.  Array leaves are decoded after
+    the merge, so only the state that resumes is decoded.  Schema-1
+    lines (arrays as float lists) read through the same code.
 
-    Raises ``ValueError`` on a schema-version mismatch or a torn line
+    Raises ``ValueError`` on an unknown schema version or a torn line
     *before* the journal end — resuming from a checkpoint written by an
     incompatible version, or from a journal with holes, must fail
     loudly.  A torn *final* line (the only tear an ``O_APPEND`` crash
-    can produce) is discarded; if nothing parseable remains the
-    ``json.JSONDecodeError`` propagates, which callers may treat as
-    "no checkpoint" since checkpoints are disposable.
+    can produce) is discarded.  When no line remains — the only line
+    is torn, or the journal is empty because a kill came between its
+    creation and its first write — ``json.JSONDecodeError`` is raised,
+    which callers may treat as "no checkpoint" since checkpoints are
+    disposable.
     """
-    text = pathlib.Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    docs = [doc for _, doc in _parse_journal(path)]
+    if len(docs) == 1:
+        return _decode_arrays(docs[0])
+    for k in ("key", "kind"):
+        if any(d.get(k) != docs[0].get(k) for d in docs):
+            raise ValueError(f"checkpoint journal mixes {k} values")
+    merged_method = merge_checkpoint_docs([d["state"] for d in docs])
+    merged = dict(docs[-1])
+    merged["state"] = merged_method
+    return _decode_arrays(merged)
+
+
+def read_campaign_journal(path: str | pathlib.Path) -> list[tuple[int, dict]]:
+    """Every intact line of a checkpoint journal, in order, as ``(line
+    bytes, document)`` with the array leaves decoded — the journal as
+    written, for inspection; :func:`load_campaign_checkpoint` is what
+    resumes.  Same tear and schema rules as that function."""
+    return [(n, _decode_arrays(doc)) for n, doc in _parse_journal(path)]
+
+
+def _parse_journal(path: str | pathlib.Path) -> list[tuple[int, dict]]:
+    """``(line bytes, parsed line)`` of each intact journal line, array
+    leaves still encoded; the tear and schema rules of
+    :func:`load_campaign_checkpoint`."""
+    data = pathlib.Path(path).read_bytes()
+    lines = [ln for ln in data.splitlines(keepends=True) if ln.strip()]
+    if not lines:
+        raise json.JSONDecodeError(f"checkpoint journal {path} has no line", "", 0)
     docs = []
     for i, line in enumerate(lines):
         try:
@@ -278,31 +373,25 @@ def load_campaign_checkpoint(path: str | pathlib.Path) -> dict:
                 f"torn checkpoint journal line {i + 1} of {len(lines)} "
                 f"in {path}"
             ) from None
-        if doc.get("schema") != _CHECKPOINT_SCHEMA_VERSION:
+        if doc.get("schema") not in _CHECKPOINT_SCHEMAS_READ:
             raise ValueError(
                 f"unsupported campaign checkpoint schema "
-                f"{doc.get('schema')!r} (expected "
-                f"{_CHECKPOINT_SCHEMA_VERSION})"
+                f"{doc.get('schema')!r} (expected one of "
+                f"{list(_CHECKPOINT_SCHEMAS_READ)})"
             )
-        docs.append(doc)
-    if len(docs) == 1:
-        return docs[0]
-    for k in ("key", "kind"):
-        if any(d.get(k) != docs[0].get(k) for d in docs):
-            raise ValueError(f"checkpoint journal mixes {k} values")
-    merged_method = merge_checkpoint_docs([d["state"] for d in docs])
-    merged = dict(docs[-1])
-    merged["state"] = merged_method
-    return merged
+        docs.append((len(line), doc))
+    return docs
 
 
-def _jsonable(obj):
+def _jsonable(obj, array=np.ndarray.tolist):
+    """``obj`` with numpy scalars as Python scalars and each array
+    leaf as ``array(leaf)`` (nested lists by default)."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v, array) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, array) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return array(obj)
     return obj

@@ -3,16 +3,17 @@
 The streaming source engine exists so a record can run for hours of
 simulated time without the process growing: bounded ring/spill logs
 replace the in-memory record/waveform lists
-(:mod:`repro.io.spill`), checkpoints flush only incremental tails
-(O(1) bytes per step), and silent source steps cost a memset.  This
-study measures all three on one long scenario run:
+(:mod:`repro.io.spill`), checkpoint flushes carry only the records
+since the previous flush (bytes per flush flat in the step index), and
+silent source steps cost a memset.  This study measures all three on
+one long scenario run:
 
 * :func:`run_endurance` executes a *reference* run and a much longer
   run of the same cell under ``tracemalloc`` — both long enough to
   overflow the ring — through a :class:`~repro.io.spill.RecordLog`
   (and optionally a :class:`~repro.io.spill.WaveLog`), collecting
-  throughput, the peak traced memory of both runs, and the byte size
-  of every checkpoint flush.
+  throughput, the peak traced memory of both runs, and how many bytes
+  each checkpoint flush appends to a real campaign checkpoint journal.
 * :func:`endurance_gates` reduces a point to the pass/fail gates the
   nightly benchmark enforces (peak growth, checkpoint flatness).
 * :func:`render_endurance_report` prints the human-readable summary
@@ -22,12 +23,9 @@ study measures all three on one long scenario run:
 
 from __future__ import annotations
 
-import json
 import time
 import tracemalloc
 from dataclasses import asdict, dataclass
-
-from repro.io.golden import canonical
 
 __all__ = [
     "EndurancePoint",
@@ -89,10 +87,12 @@ def run_endurance(
        reference that never filled it, the difference measures the
        ring filling up, not a leak.
     3. ``steps`` again with ``checkpoint_every`` flushes, timed — the
-       throughput number and the byte size of every flush.
+       throughput number.  Each flush goes through
+       :func:`~repro.io.results.append_campaign_checkpoint` into
+       ``journal-long.jsonl``; its size is the journal's growth.
 
-    ``spill_dir`` receives the record (and wave) spill files; defaults
-    to a temporary directory.  ``keep`` must exceed
+    ``spill_dir`` receives the record (and wave) spill files and the
+    journal; defaults to a temporary directory.  ``keep`` must exceed
     ``checkpoint_every`` so incremental tails come from the ring.
     """
     import tempfile
@@ -100,6 +100,7 @@ def run_endurance(
     import numpy as np
 
     from repro.core.methods import HETEROGENEOUS_METHODS, run_method
+    from repro.io.results import append_campaign_checkpoint
     from repro.io.spill import RecordLog, WaveLog
     from repro.workloads.scenario import scenario_by_name
 
@@ -132,10 +133,19 @@ def run_endurance(
             kw["waveform_dofs"] = np.arange(0, problem.n_dofs, 50)
             kw["wave_log"] = wave_log
         if flush_sizes is not None:
+            journal = spill_dir / f"journal-{tag}.jsonl"
+            journal.unlink(missing_ok=True)
+
+            def flush(doc: dict) -> None:
+                append_campaign_checkpoint(
+                    {"key": f"endurance-{tag}", "kind": "method",
+                     "params": {}, "step": doc["step"], "state": doc},
+                    journal,
+                )
+                flush_sizes.append(journal.stat().st_size - sum(flush_sizes))
+
             kw["checkpoint_every"] = checkpoint_every
-            kw["on_checkpoint"] = lambda doc: flush_sizes.append(
-                len(json.dumps(canonical(doc)))
-            )
+            kw["on_checkpoint"] = flush
         if trace:
             tracemalloc.start()
         t0 = time.perf_counter()

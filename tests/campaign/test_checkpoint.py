@@ -13,6 +13,7 @@ import os
 import pytest
 
 import repro.core.methods as methods_mod
+import repro.io.results as results_io
 from repro.campaign import (
     CampaignCell,
     CampaignRunner,
@@ -23,6 +24,7 @@ from repro.campaign import (
 )
 from repro.campaign.runner import CELL_EXECUTORS
 from repro.io.golden import canonical, golden_diff
+from repro.io.results import _jsonable
 
 #: CI sets REPRO_TEST_START_METHOD=spawn to re-run this module with
 #: the pool on the spawn start method (workers re-import everything);
@@ -238,6 +240,54 @@ def test_resume_with_unreadable_checkpoint_recomputes(spec, tmp_path):
     store.checkpoint_path(key).write_text('{"schema": 1, "trunc')
     rep = CampaignRunner(store=store, jobs=1).run(spec, resume=True)
     assert rep.n_computed == 1 and rep.n_failed == 0
+
+
+def test_resume_over_empty_journal_starts_from_zero(spec, tmp_path):
+    """A kill between the journal's creation and its first write leaves
+    a zero-byte file: the cell restarts from step 0 instead of failing."""
+    store = ResultStore(tmp_path / "store")
+    key = spec.cells()[0].key
+    store.checkpoint_dir.mkdir(parents=True, exist_ok=True)
+    store.checkpoint_path(key).write_bytes(b"")
+    assert store.load_checkpoint(key) is None
+    rep = CampaignRunner(store=store, jobs=1, checkpoint_every=2).run(
+        spec, resume=True
+    )
+    assert rep.n_computed == 1 and rep.n_failed == 0
+    assert store.checkpoint_keys() == []
+
+
+def test_schema_1_journal_resumes_bit_identical(spec, tmp_path, monkeypatch):
+    """A journal left pending by the float-text encoding (schema 1)
+    resumes after the upgrade, under the pool, to the straight run's
+    bits."""
+    ref = CampaignRunner(store=ResultStore(tmp_path / "ref"), jobs=1).run(spec)
+    key = spec.cells()[0].key
+    store = ResultStore(tmp_path / "store")
+
+    def schema_1_append(doc, path):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "a") as fh:
+            fh.write(json.dumps({**_jsonable(doc), "schema": 1}) + "\n")
+
+    monkeypatch.setattr(results_io, "append_campaign_checkpoint", schema_1_append)
+    _kill_after_flush(monkeypatch, 2)
+    CampaignRunner(store=store, jobs=1, checkpoint_every=2).run(spec)
+    monkeypatch.undo()
+    text = store.checkpoint_path(key).read_text()
+    assert [json.loads(ln)["schema"] for ln in text.splitlines()] == [1, 1]
+    assert "__nd__" not in text
+    assert store.load_checkpoint(key)["step"] == 4
+
+    resumed = CampaignRunner(
+        store=store, jobs=2, checkpoint_every=2, mp_start_method=POOL_START,
+    ).run(spec, resume=True)
+    assert resumed.n_computed == 1 and resumed.n_failed == 0
+    assert golden_diff(
+        canonical(ref.outcomes[0].result),
+        canonical(resumed.outcomes[0].result),
+    ) == []
+    assert store.checkpoint_keys() == []
 
 
 def test_resume_with_schema_mismatch_fails_loudly(spec, tmp_path):

@@ -7,15 +7,35 @@ import dataclasses
 
 import pytest
 
+from repro.io.results import load_campaign_checkpoint
 from repro.studies import endurance_gates, render_endurance_report, run_endurance
 
 
 @pytest.fixture(scope="module")
-def point(tmp_path_factory):
+def spill_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("endurance")
+
+
+@pytest.fixture(scope="module")
+def point(spill_dir):
     return run_endurance(
         steps=64, ref_steps=32, keep=16, checkpoint_every=8,
-        spill_dir=tmp_path_factory.mktemp("endurance"),
+        spill_dir=spill_dir,
     )
+
+
+def test_checkpoint_bytes_are_the_journals(point, spill_dir):
+    """B/step and the flush sizes measure the journal a campaign cell
+    writes, not some other encoding of the same documents."""
+    journal = spill_dir / "journal-long.jsonl"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    assert len(lines) == point.n_flushes
+    assert point.first_flush_bytes == len(lines[0])
+    assert point.max_tail_bytes == max(len(ln) for ln in lines[1:])
+    assert point.checkpoint_bytes_per_step == pytest.approx(
+        journal.stat().st_size / point.steps, rel=1e-12
+    )
+    assert load_campaign_checkpoint(journal)["step"] == 56
 
 
 def test_profile_of_a_ring_overflowing_run(point):
