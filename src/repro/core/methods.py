@@ -419,8 +419,9 @@ def _run_chunks(
     ``start_state`` and flushing a state document to ``on_checkpoint``
     every ``checkpoint_every`` completed steps.  Chunked execution is
     numerically invisible: ``run(k); run(nt-k)`` is bit-identical to
-    ``run(nt)`` (the PR-2 resume contract every schedule honors — they
-    share the loop).
+    ``run(nt)`` (every schedule shares the loop), and every schedule
+    snapshots through the same :meth:`StepDriver.state_dict` /
+    :meth:`StepDriver.load_state_dict` pair.
 
     Flushed state documents are *incremental*: each embeds only the
     records/waves produced since the previous flush (the first flush of

@@ -2,9 +2,10 @@
 
 A :class:`CaseSet` advances ``r`` cases one step: predict, solve,
 update.  :class:`StepDriver` is the one loop over time steps — it owns
-the per-step record log, the waveform frames and their share of a
-checkpoint — and a *schedule* is what one step of it does with the
-sets and the modeled devices:
+the per-step record log, the waveform frames and the one snapshot
+surface (``state_dict`` / ``load_state_dict``) every checkpoint goes
+through — and a *schedule* is what one step of it does with the sets
+and the modeled devices, plus its own keys of a snapshot:
 
 * :class:`SequentialSchedule` — Algorithm 2: every set predicts and
   solves in turn on a single device lane.
@@ -24,7 +25,7 @@ exists in the modeled :class:`~repro.util.timeline.Timeline`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.fem.nonlinear import centroid_gradients, element_shear_strains
 from repro.hardware.power import PowerModel
 from repro.hardware.roofline import DeviceModel
 from repro.hardware.transfer import TransferModel
+from repro.predictor.adaptive import AdaptiveSController
 from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.cg import CGResult, PCGWorkspace, pcg
 from repro.sparse.precision import Precision, as_precision
@@ -45,7 +47,7 @@ from repro.util.counters import KernelTally, tally_scope
 from repro.util.timeline import Timeline
 
 __all__ = ["CaseSet", "StepDriver", "SequentialSchedule",
-           "HeterogeneousPipeline", "PipelineState"]
+           "HeterogeneousPipeline"]
 
 
 def _s_effective(cs: "CaseSet") -> int | None:
@@ -334,13 +336,17 @@ class StepDriver:
     """The loop over time steps, and what every schedule of it shares.
 
     A schedule provides ``sets`` — its :class:`CaseSet` objects, in case
-    order — and ``_step(it)``, which advances them all by one time step
-    and returns the step's record (built by :meth:`_record`).  The
-    driver owns the two per-step logs and their share of a checkpoint,
-    so a step ends in exactly one place.  The logs may be the caller's
-    (:class:`repro.io.spill.RecordLog` / :class:`~repro.io.spill.WaveLog`,
-    or any ``list``): the probes of their optional surface live here
-    and nowhere else.
+    order — a ``timeline``, and ``_step(it)``, which advances them all
+    by one time step and returns the step's record (built by
+    :meth:`_record`).  For checkpoints it provides only its own keys:
+    ``_STATE_KEYS``, ``save_state()`` returning them in that (on-disk)
+    order, and ``load_state(doc)`` reading them back.  The driver owns
+    the two per-step logs and the snapshot built around those keys
+    (:meth:`state_dict` / :meth:`load_state_dict`), so a step ends and
+    a snapshot is built in exactly one place.  The logs may be the
+    caller's (:class:`repro.io.spill.RecordLog` /
+    :class:`~repro.io.spill.WaveLog`, or any ``list``): the probes of
+    their optional surface live here and nowhere else.
     """
 
     records: list[StepRecord] = field(default_factory=list)
@@ -385,13 +391,17 @@ class StepDriver:
             return self._waves.stacked()
         return np.stack(self._waves, axis=1)
 
-    # -- the logs' share of a snapshot ----------------------------------
-    def _logs_doc(self, since_step: int | None) -> dict:
-        """``records`` and ``waves`` of a snapshot.  With ``since_step``
-        (> 0) only the tail after that step is embedded and
-        ``tail_from`` marks the cut, so a periodic checkpointer writes
-        O(1) bytes per step instead of re-serializing the whole
-        history; ``None`` or ``0`` means the full logs."""
+    # -- checkpoint/resume --------------------------------------------
+    def state_dict(self, since_step: int | None = None) -> dict:
+        """Snapshot between steps (i.e. between ``run`` calls): the
+        schedule's own keys, the timeline, then the logs — the on-disk
+        key order.  With ``since_step`` (> 0) only the logs' tail after
+        that step is embedded and ``tail_from`` marks the cut, so a
+        periodic checkpointer writes O(1) bytes per step; ``None`` or
+        ``0`` means the full logs.  Array leaves are the live state's
+        own, not copies: a step replaces each state array instead of
+        writing into it, so a flushed document keeps its values while
+        the run goes on."""
         records, waves = self.records, self._waves
         if since_step:
             recs = (
@@ -409,40 +419,52 @@ class StepDriver:
         else:
             recs = list(records)
             frames = waves.all() if hasattr(waves, "all") else list(waves)
-        doc = {"records": [r.to_dict() for r in recs], "waves": frames}
+        doc = {
+            **self.save_state(),
+            "timeline": self.timeline.state_dict(),
+            "records": [r.to_dict() for r in recs],
+            "waves": frames,
+        }
         if since_step:
             doc["tail_from"] = int(since_step)
         return doc
 
-    def _load_logs(self, records: list, waves: list, tail_from=None) -> None:
-        """Reset both logs to a full snapshot's; a tail is refused."""
-        if tail_from:
+    def load_state_dict(self, doc: dict) -> None:
+        """Restore a full :meth:`state_dict` snapshot in place (arrays
+        may be JSON float lists); unknown keys and a tail are refused.
+        Resuming from it and finishing the remaining steps is
+        bit-identical to an uninterrupted run — records, summaries,
+        timeline and energy numbers included."""
+        unknown = set(doc) - {*self._STATE_KEYS, "timeline", "records",
+                              "waves", "tail_from"}
+        if unknown:
+            raise ValueError(f"unknown schedule state keys {sorted(unknown)}")
+        if doc.get("tail_from"):
             raise ValueError(
                 f"cannot resume from an incremental checkpoint tail "
-                f"(tail_from={tail_from}); merge the checkpoint "
+                f"(tail_from={doc['tail_from']}); merge the checkpoint "
                 "sequence with repro.io.results.merge_checkpoint_docs "
                 "first"
             )
-        recs = [StepRecord.from_dict(d) for d in records]
+        recs = [StepRecord.from_dict(d) for d in doc["records"]]
         if hasattr(self.records, "replace"):
             self.records.replace(recs)
         else:
             self.records = recs
-        frames = [np.asarray(w, dtype=float) for w in waves]
+        frames = [np.asarray(w, dtype=float) for w in doc["waves"]]
         if hasattr(self._waves, "replace"):
             self._waves.replace(frames)
         else:
             self._waves = frames
+        self.load_state(doc)
+        self.timeline.load_state_dict(doc["timeline"])
 
 
 @dataclass
 class SequentialSchedule(StepDriver):
     """Algorithm 2 on one device: each set (the baselines run one case
-    per set) predicts and solves in turn on the ``device`` lane.  The
-    full numeric state (case sets, timeline, logs) snapshots through
-    ``state_dict`` / ``load_state_dict``, so a checkpointed run resumes
-    bit-identically — same contract as :class:`HeterogeneousPipeline`.
-    """
+    per set) predicts and solves in turn on the ``device`` lane.  Its
+    own share of a snapshot is the case sets (``sets``)."""
 
     sets: list[CaseSet]
     device: str  # the timeline lane: "cpu" or "gpu"
@@ -476,18 +498,13 @@ class SequentialSchedule(StepDriver):
             s_used=max((v for v in s_vals if v is not None), default=None),
         )
 
-    # -- checkpoint/resume --------------------------------------------
-    def state_dict(self, since_step: int | None = None) -> dict:
-        """Snapshot between steps; ``since_step`` as in
-        :meth:`StepDriver._logs_doc`."""
-        return {
-            "sets": [cs.state_dict() for cs in self.sets],
-            "timeline": self.timeline.state_dict(),
-            **self._logs_doc(since_step),
-        }
+    # -- the schedule's own share of a snapshot -------------------------
+    _STATE_KEYS = ("sets",)
 
-    def load_state_dict(self, doc: dict) -> None:
-        self._load_logs(doc["records"], doc["waves"], doc.get("tail_from"))
+    def save_state(self) -> dict:
+        return {"sets": [cs.state_dict() for cs in self.sets]}
+
+    def load_state(self, doc: dict) -> None:
         if len(doc["sets"]) != len(self.sets):
             raise ValueError(
                 f"state has {len(doc['sets'])} cases, driver has "
@@ -495,53 +512,6 @@ class SequentialSchedule(StepDriver):
             )
         for cs, d in zip(self.sets, doc["sets"]):
             cs.load_state_dict(d)
-        self.timeline.load_state_dict(doc["timeline"])
-
-
-@dataclass
-class PipelineState:
-    """Mid-run snapshot of a :class:`HeterogeneousPipeline`.
-
-    Captures everything the pipeline's step reads across step
-    boundaries — the step index, both sets' Newmark/predictor
-    state, set B's carried prediction (``_next_guesses_b`` /
-    ``_next_s_b``), the adaptive controller, the full timeline and the
-    per-step records — so a pipeline restored from a snapshot
-    continues *bit-identically* to one that never stopped.  All fields
-    are JSON-able (arrays as nested float lists, which round-trip
-    exactly); :mod:`repro.io.results` persists snapshots to disk.
-
-    ``tail_from`` marks an *incremental* snapshot: ``records``/``waves``
-    hold only the steps after that index (the live numeric state is
-    always complete).  Tails keep periodic checkpointing O(1) bytes per
-    step; :func:`repro.io.results.merge_checkpoint_docs` reassembles a
-    full snapshot from a contiguous run of them before resume.
-    """
-
-    step: int
-    set_a: dict
-    set_b: dict
-    next_guesses_b: list | None
-    next_s_b: int | None
-    controller: dict | None
-    timeline: dict
-    records: list
-    waves: list
-    tail_from: int | None = None
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        if doc.get("tail_from") is None:
-            # content addition: full snapshots keep the legacy schema
-            del doc["tail_from"]
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PipelineState":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown pipeline state keys {sorted(unknown)}")
-        return cls(**doc)
 
 
 @dataclass
@@ -554,8 +524,8 @@ class HeterogeneousPipeline(StepDriver):
         per-process thread count).
     power : module power model (provides cap throttling).
     c2c : the strongly-connected CPU<->GPU transfer model.
-    controller : optional :class:`~repro.predictor.adaptive.AdaptiveSController`;
-        when given, every predictor with a ``set_s`` method follows it.
+    controller : optional adaptive-``s`` controller; when given, every
+        predictor with a ``set_s`` method follows it.
     """
 
     set_a: CaseSet
@@ -564,7 +534,7 @@ class HeterogeneousPipeline(StepDriver):
     gpu: DeviceModel
     power: PowerModel
     c2c: TransferModel
-    controller: object | None = None
+    controller: AdaptiveSController | None = None
     timeline: Timeline = field(default_factory=Timeline)
     # set B's prediction for the next step, carried across steps (and
     # run() calls, so resumed runs continue instead of re-bootstrapping)
@@ -668,61 +638,40 @@ class HeterogeneousPipeline(StepDriver):
             t_halo=t_nic_a + t_nic_b,
         )
 
-    # -- checkpoint/resume --------------------------------------------
-    def save_state(self, since_step: int | None = None) -> PipelineState:
-        """Snapshot the pipeline between steps (i.e. between ``run``
-        calls) for later :meth:`load_state`.  Resuming from the
-        snapshot and finishing the remaining steps is bit-identical to
-        an uninterrupted run — records, summaries, timeline and energy
-        numbers included.  ``since_step`` (> 0) makes the snapshot an
-        incremental tail (see :meth:`StepDriver._logs_doc`).
-        """
-        return PipelineState(
-            step=self.records[-1].step if len(self.records) else 0,
-            set_a=self.set_a.state_dict(),
-            set_b=self.set_b.state_dict(),
-            next_guesses_b=self._next_guesses_b,
-            next_s_b=None if self._next_s_b is None else int(self._next_s_b),
-            controller=(
-                self.controller.state_dict()
-                if self.controller is not None
-                and hasattr(self.controller, "state_dict")
-                else None
-            ),
-            timeline=self.timeline.state_dict(),
-            **self._logs_doc(since_step),
-        )
+    # -- the schedule's own share of a snapshot -------------------------
+    _STATE_KEYS = ("step", "set_a", "set_b", "next_guesses_b", "next_s_b",
+                   "controller")
 
-    def load_state(self, state: PipelineState | dict) -> None:
-        """Restore a :meth:`save_state` snapshot (accepts the dataclass
-        or its :meth:`PipelineState.to_dict`/JSON-loaded dict form)."""
-        if isinstance(state, dict):
-            state = PipelineState.from_dict(state)
-        self._load_logs(state.records, state.waves, state.tail_from)
-        if state.step != (self.records[-1].step if self.records else 0):
+    def save_state(self) -> dict:
+        """Everything the step reads across step boundaries besides the
+        timeline and the logs: the step index, both sets' state, set
+        B's carried prediction and the adaptive controller's history."""
+        return {
+            "step": self.records[-1].step if len(self.records) else 0,
+            "set_a": self.set_a.state_dict(),
+            "set_b": self.set_b.state_dict(),
+            "next_guesses_b": self._next_guesses_b,
+            "next_s_b": None if self._next_s_b is None else int(self._next_s_b),
+            "controller": (None if self.controller is None
+                           else self.controller.state_dict()),
+        }
+
+    def load_state(self, doc: dict) -> None:
+        if doc["step"] != (self.records[-1].step if self.records else 0):
             raise ValueError(
-                f"state step {state.step} does not match its records"
+                f"state step {doc['step']} does not match its records"
             )
-        self.set_a.load_state_dict(state.set_a)
-        self.set_b.load_state_dict(state.set_b)
-        guesses, s_b = state.next_guesses_b, state.next_s_b
+        self.set_a.load_state_dict(doc["set_a"])
+        self.set_b.load_state_dict(doc["set_b"])
+        guesses, s_b = doc["next_guesses_b"], doc["next_s_b"]
         self._next_guesses_b = (
             None if guesses is None else np.asarray(guesses, dtype=float)
         )
         self._next_s_b = None if s_b is None else int(s_b)
-        if state.controller is not None:
-            if self.controller is None or not hasattr(
-                self.controller, "load_state_dict"
-            ):
+        if doc["controller"] is not None:
+            if self.controller is None:
                 raise ValueError(
                     "state has controller history but this pipeline "
-                    "has no compatible controller"
+                    "has no controller"
                 )
-            self.controller.load_state_dict(state.controller)
-        self.timeline.load_state_dict(state.timeline)
-
-    # the snapshot surface every schedule offers ``run_method``
-    def state_dict(self, since_step: int | None = None) -> dict:
-        return self.save_state(since_step).to_dict()
-
-    load_state_dict = load_state
+            self.controller.load_state_dict(doc["controller"])

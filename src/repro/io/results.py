@@ -152,10 +152,8 @@ def save_pipeline_state(
     """Atomically write one mid-run solver state snapshot.
 
     ``state`` is the document :func:`repro.core.methods.run_method`
-    hands to ``on_checkpoint``: the run's header around the
-    ``state_dict`` of its schedule
-    (:class:`~repro.core.pipeline.SequentialSchedule` or
-    :class:`~repro.core.pipeline.HeterogeneousPipeline`); floats survive
+    hands to ``on_checkpoint``: the run's header around its schedule's
+    :meth:`~repro.core.pipeline.StepDriver.state_dict`; floats survive
     the JSON round trip bit-exactly, so resuming from the loaded state
     is numerically indistinguishable from never having stopped.
     """
@@ -268,24 +266,24 @@ def merge_checkpoint_docs(docs) -> dict:
     the incremental tail continuing exactly where its predecessor
     stopped (``state["tail_from"] == previous step``) — gaps or
     reordered flushes raise, since a silently mis-stitched history
-    would corrupt summaries.  The merged document is the last one with
+    would corrupt summaries.  Every header key but ``step`` and
+    ``state`` — the run's identity, whatever keys it has — must agree
+    across the documents.  The merged document is the last one with
     the concatenated records/waves and no ``tail_from`` mark.
     """
     docs = list(docs)
     if not docs:
         raise ValueError("no checkpoint documents to merge")
-    head = {
-        k: docs[0].get(k) for k in ("method", "nparts", "precision")
-    }
+    head = {k: v for k, v in docs[0].items() if k not in ("step", "state")}
     records: list = []
     waves: list = []
     prev_step = None
     for doc in docs:
-        for k, want in head.items():
-            if doc.get(k) != want:
+        for k in sorted((head.keys() | doc.keys()) - {"step", "state"}):
+            if doc.get(k) != head.get(k):
                 raise ValueError(
                     f"checkpoint {k} changed mid-journal: "
-                    f"{doc.get(k)!r} != {want!r}"
+                    f"{doc.get(k)!r} != {head.get(k)!r}"
                 )
         state = doc["state"]
         tail_from = int(state.get("tail_from") or 0)

@@ -95,11 +95,11 @@ def test_force_cache_survives_resume(ground_problem, make_forces):
     counting = [CountingSource(f) for f in make_forces(ground_problem, 4)]
     pipe = _make_pipeline(ground_problem, counting)
     pipe.run(3)
-    state = pipe.save_state()
+    state = pipe.state_dict()
     pipe2 = _make_pipeline(ground_problem, counting)
     for src in counting:
         src.calls.clear()
-    pipe2.load_state(state)
+    pipe2.load_state_dict(state)
     pipe2.run(2)
     for src in counting:
         assert all(n == 1 for n in src.calls.values()), src.calls

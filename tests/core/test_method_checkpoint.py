@@ -15,10 +15,10 @@ campaign journal reader does.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.methods import HETEROGENEOUS_METHODS, run_method
-from repro.core.pipeline import PipelineState
 from repro.io.golden import canonical, golden_diff
 from repro.io.results import (
     load_pipeline_state,
@@ -231,9 +231,50 @@ def test_state_schema_mismatch_fails_loudly(tmp_path):
         load_pipeline_state(path)
 
 
-def test_pipeline_state_rejects_unknown_keys():
+@pytest.mark.parametrize("method", ["crs-cg@cpu", "ebe-mcg@cpu-gpu"])
+def test_resume_rejects_unknown_state_keys(method, ground_problem, make_forces):
+    """Both schedules read a snapshot through one surface, which refuses
+    a key it does not know instead of resuming past it."""
+    forces = _forces_for(method, ground_problem, make_forces)
+    kw = dict(method=method, s_range=(2, 4))
+    flushes = []
+    run_method(
+        ground_problem, forces, nt=4, checkpoint_every=2,
+        on_checkpoint=flushes.append, **kw
+    )
+    (doc,) = flushes
+    bogus = {**doc, "state": {**doc["state"], "bogus": 2}}
     with pytest.raises(ValueError, match="unknown"):
-        PipelineState.from_dict({"step": 1, "bogus": 2})
+        run_method(ground_problem, forces, nt=4, start_state=bogus, **kw)
+
+
+@pytest.mark.parametrize("method", ["crs-cg@cpu", "ebe-mcg@cpu-gpu"])
+def test_flush_is_a_snapshot_not_a_view(
+    method, ground_problem, make_forces, tmp_path
+):
+    """A flushed document holds the live state's arrays, not copies:
+    its bytes must not change while the run goes on, or a consumer that
+    keeps the documents (the merge of a journal in memory) would persist
+    state from a later step under an earlier step's header."""
+    forces = _forces_for(method, ground_problem, make_forces)
+    flushes, at_emit = [], []
+
+    def keep(doc):
+        flushes.append(doc)
+        at_emit.append(save_pipeline_state(doc, tmp_path / "f.json").read_bytes())
+
+    run_method(
+        ground_problem, forces, nt=NT, method=method, s_range=(2, 4),
+        waveform_dofs=np.arange(0, ground_problem.n_dofs, 37),
+        checkpoint_every=2, on_checkpoint=keep,
+    )
+    assert [doc["step"] for doc in flushes] == [2, 4, 6]
+    assert all(doc["state"]["waves"] for doc in flushes)
+    after = [
+        save_pipeline_state(doc, tmp_path / "f.json").read_bytes()
+        for doc in flushes
+    ]
+    assert after == at_emit
 
 
 def test_bare_tail_refuses_direct_resume(ground_problem, make_forces):
@@ -274,6 +315,28 @@ def test_merge_rejects_gaps_and_missing_head(ground_problem, make_forces):
         merge_checkpoint_docs([flushes[0], flushes[2]])  # hole at step 4
     with pytest.raises(ValueError, match="no checkpoint"):
         merge_checkpoint_docs([])
+
+
+@pytest.mark.parametrize(
+    "key,value", [("predictor", "aitken"), ("precond", "twogrid")],
+    ids=["predictor-aitken", "precond-twogrid"],
+)
+def test_merge_rejects_identity_change_mid_journal(
+    key, value, ground_problem, make_forces
+):
+    """Every identity key of the header guards the merge — including
+    the optional ones a default-configured run does not write."""
+    forces = make_forces(ground_problem, 2)
+    flushes = []
+    run_method(
+        ground_problem, forces, nt=NT, method="crs-cg@cpu-gpu",
+        s_range=(2, 4), checkpoint_every=2,
+        on_checkpoint=flushes.append,
+    )
+    assert key not in flushes[1]
+    tampered = {**flushes[1], key: value}
+    with pytest.raises(ValueError, match=f"{key} changed mid-journal"):
+        merge_checkpoint_docs([flushes[0], tampered, flushes[2]])
 
 
 def test_checkpoint_bytes_per_flush_bounded(ground_problem, make_forces):
