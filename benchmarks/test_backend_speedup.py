@@ -46,7 +46,7 @@ CRS_RESOLUTION = (3, 3, 2)  # the campaign grid's cells: 735 dofs
 
 
 def _ebe(problem, backend):
-    return EBEOperator(problem.Ae, problem.mesh.elems, problem.n_nodes,
+    return EBEOperator(problem.element_matrices("A"), problem.mesh.elems, problem.n_nodes,
                        tag="spmv.ebe", backend=backend)
 
 

@@ -8,7 +8,7 @@ classes are large.  For each ground model and mesh from ``(2, 2, 1)``
 to ``(10, 10, 5)`` this bench reports:
 
 * ``ne``, the class count ``build_problem`` labels, their mean size and
-  the path :class:`~repro.sparse.ebe.EBEOperator` picks at
+  the path it stores the problem for at
   :data:`~repro.sparse.ebe.MIN_MEAN_CLASS_SIZE`;
 * the wall time of one warm sweep (``matvec`` into ``out``) with stored
   matrices against one with the grouping forced on at every size, at
@@ -80,22 +80,24 @@ def test_ebe_classes(monkeypatch):
     rows, speedup = [], {}
     for model, counts in CLASS_COUNTS.items():
         for res, n_classes in zip(RESOLUTIONS, counts):
-            p = build_ground_problem(GROUND_MODELS[model](), resolution=res)
+            with monkeypatch.context() as m:  # class-stored at every size
+                m.setattr(ebe, "MIN_MEAN_CLASS_SIZE", 1)
+                p = build_ground_problem(GROUND_MODELS[model](), resolution=res)
             labels = p.classes["A"]
             ne, nc = p.n_elems, int(labels.max()) + 1
             assert nc == n_classes, (model, res, nc)
-            grouped = p.ebe_operator().classes is not None
-            assert grouped == (ne >= MIN_MEAN_CLASS_SIZE * nc)
+            grouped = ne >= MIN_MEAN_CLASS_SIZE * nc
+            unforced = build_ground_problem(GROUND_MODELS[model](), resolution=res)
+            assert (unforced.ebe_operator().classes is not None) == grouped
+            del unforced
 
             row = [model, "x".join(map(str, res)), f"{ne}", f"{nc}",
                    f"{ne / nc:.1f}", "grouped" if grouped else "stored"]
-            mats = (p.Me, p.Ce, p.Ae)
             for r in WIDTHS:  # fresh operators: one width's workspaces at a time
-                with monkeypatch.context() as m:
-                    m.setattr(ebe, "MIN_MEAN_CLASS_SIZE", 1)
-                    forced = [EBEOperator(a, p.mesh.elems, p.n_nodes,
-                                          classes=labels) for a in mats]
-                stored = [EBEOperator(a, p.mesh.elems, p.n_nodes) for a in mats]
+                forced = [EBEOperator(p.matrices[f], p.mesh.elems, p.n_nodes,
+                                      classes=labels) for f in "MCA"]
+                stored = [EBEOperator(p.element_matrices(f), p.mesh.elems, p.n_nodes)
+                          for f in "MCA"]
                 t_s, t_g = _sweep_us([stored, forced], r)
                 speedup[model, res, r] = t_s / t_g
                 row += [f"{t_s:.0f}", f"{t_g:.0f}", f"{t_s / t_g:.2f}x"]

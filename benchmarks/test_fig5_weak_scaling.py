@@ -126,7 +126,7 @@ def test_fig5_halo_volume_consistent(benchmark, bench_problem):
     face_nodes = int((np.abs(mesh.nodes[:, 0]) < 1e-9).sum())
     info = PartitionInfo(mesh, partition_elements(mesh, 2))
     dist = benchmark.pedantic(
-        lambda: DistributedEBE.from_elements(bench_problem.Ae, info),
+        lambda: DistributedEBE.from_elements(bench_problem.element_matrices("A"), info),
         rounds=1, iterations=1,
     )
     real_bytes = dist.plan.max_bytes_per_exchange()  # one neighbour, r=1

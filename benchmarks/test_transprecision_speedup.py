@@ -69,7 +69,7 @@ def test_transprecision_modeled_speedup(benchmark, kernel_problem):
     B[p.fixed_dofs, :] = 0.0
     solves = {}
     for name in ("fp64", "fp32", "fp21"):
-        A = EBEOperator(p.Ae, p.mesh.elems, p.n_nodes, precision=name)
+        A = EBEOperator(p.element_matrices("A"), p.mesh.elems, p.n_nodes, precision=name)
         M = BlockJacobi(A.diagonal_blocks(), precision=name)
         with tally_scope() as t:
             res = pcg(A, B, precond=M, eps=1e-8, precision=name)

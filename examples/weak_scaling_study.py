@@ -23,7 +23,7 @@ dt = problem.dt
 
 # --- sanity: the partitioned solver is exact -------------------------
 info = PartitionInfo(problem.mesh, partition_elements(problem.mesh, 4))
-dist = DistributedEBE.from_elements(problem.Ae, info)
+dist = DistributedEBE.from_elements(problem.element_matrices("A"), info)
 x = np.random.default_rng(0).standard_normal(problem.n_dofs)
 err = np.abs(dist @ x - problem.ebe_operator() @ x).max()
 print(f"partitioned vs global EBE matvec: max diff {err:.2e}")

@@ -25,7 +25,7 @@ import numpy as np
 from repro.cluster.partition import PartitionInfo
 from repro.sparse.backend import ArrayBackend, as_backend, check_out
 from repro.sparse.distributed import PartLocalOperator
-from repro.sparse.ebe import EBEOperator
+from repro.sparse.ebe import EBEOperator, class_groups
 from repro.sparse.precision import FP64, Precision, as_precision
 from repro.util import counters
 
@@ -169,11 +169,12 @@ class DistributedEBE:
         backend: "ArrayBackend | str | None" = None,
         classes: np.ndarray | None = None,
     ) -> "DistributedEBE":
-        """Partition the constrained element matrices over ``info``.
+        """Partition the constrained ``(ne, 30, 30)`` element matrices
+        over ``info``.
 
-        ``classes`` are the elements' class labels; each part's local
-        operator groups by its own slice of them
-        (:class:`~repro.sparse.ebe.EBEOperator`).
+        ``classes`` are the elements' class labels; a part whose own
+        slice of them groups (:func:`~repro.sparse.ebe.class_groups`)
+        keeps one matrix per class, its members' lowest-id one.
 
         ``precision`` is the transprecision storage policy: the local
         EBE operators store/gather at the format, and the halo wire
@@ -198,11 +199,12 @@ class DistributedEBE:
             remap = -np.ones(mesh.n_nodes, dtype=np.int64)
             remap[nodes] = np.arange(nodes.size)
             local_elems = remap[mesh.elems[eids]]
+            groups = None if classes is None else class_groups(classes[eids])
+            pick, labels = (eids, None) if groups is None else (eids[groups[0]], groups[1])
             local_ops.append(
                 EBEOperator(
-                    elem_mats[eids], local_elems, nodes.size, tag="spmv.ebe",
-                    precision=prec, backend=bk,
-                    classes=None if classes is None else classes[eids],
+                    elem_mats[pick], local_elems, nodes.size, tag="spmv.ebe",
+                    precision=prec, backend=bk, classes=labels,
                 )
             )
             l2g.append(nodes)

@@ -258,8 +258,9 @@ class CaseSet:
         scales per element by ``G/G0``, the mass is unchanged, and the
         damping (whose Rayleigh part tracks ``Ke``) by ``sqrt(G/G0)``."""
         base, ratio = self._base, self.modulus_ratio
-        return base.updated(Ce=base.Ce * np.sqrt(ratio)[:, None, None],
-                            Ke=base.Ke * ratio[:, None, None])
+        return base.updated(
+            Ce=base.element_matrices("C") * np.sqrt(ratio)[:, None, None],
+            Ke=base.element_matrices("K") * ratio[:, None, None])
 
     def displacements(self) -> np.ndarray:
         return np.column_stack([s.u for s in self.states])

@@ -3,12 +3,17 @@
 Bundles the element matrices, constrained effective operator, Newmark
 coefficients and boundary data so the method drivers
 (:mod:`repro.core.methods`) can be written purely in terms of
-operators.  Both matrix representations (block-CRS and EBE) are built
-lazily from the *same* constrained element matrices, which is what
-makes the CRS-vs-EBE comparisons apples-to-apples and lets tests assert
-exact agreement.  The problem is also the one place a run's operators
-come from: solver, RHS, preconditioners and the mesh partition are each
-built once per (storage precision, engine) pair and cached here.
+operators.  Each element family is stored the way its EBE operator
+applies it: one matrix per element class where the classes group
+(:func:`~repro.sparse.ebe.class_groups`), else one per element.  Every
+representation (block-CRS, EBE, the partitioned parts, the two-grid
+Galerkin matrix) is built lazily from those *same* matrices —
+per-element readers through :meth:`ElasticProblem.element_matrices` —
+which is what makes the CRS-vs-EBE comparisons apples-to-apples and
+lets tests assert agreement to rounding.  The problem is also the one
+place a run's operators come from: solver, RHS, preconditioners and the
+mesh partition are each built once per (storage precision, engine) pair
+and cached here.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from repro.fem.newmark import NewmarkBeta, NewmarkState
 from repro.fem.nonlinear import EquivalentLinearMaterial
 from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.bcrs import BlockCRS
-from repro.sparse.ebe import EBEOperator
+from repro.sparse.ebe import EBEOperator, class_groups
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.precond import BlockJacobi
 
@@ -46,19 +51,20 @@ class ElasticProblem:
     construction.  ``material`` is the equivalent-linear law of a
     nonlinear model (``None``: linear); the step body
     (:meth:`repro.core.pipeline.CaseSet.solve`) applies it.
-    ``classes`` maps an operator family (``"M"``, ``"C"``, ``"A"``) to
-    ``(ne,)`` element class labels — elements of one class have equal
-    matrices of that family up to rounding — which its EBE operators
-    group by (:class:`~repro.sparse.ebe.EBEOperator`).
+    ``matrices`` maps each element family — unconstrained mass
+    ``"M"``, damping ``"C"`` (Rayleigh + dashpots) and stiffness
+    ``"K"``, constrained effective ``"A"`` — to its stored matrices.  A
+    family in ``classes`` is stored as classes: ``(n_classes, 30, 30)``
+    representatives (each class's lowest-id member's matrix) indexed by
+    the ``(ne,)`` labels there; any other family as ``(ne, 30, 30)``,
+    one matrix per element.  :meth:`element_matrices` is the one
+    per-element view.
     """
 
     mesh: Tet10Mesh
     dt: float
     newmark: NewmarkBeta
-    Me: np.ndarray  # (ne, 30, 30) unconstrained mass
-    Ce: np.ndarray  # (ne, 30, 30) unconstrained damping (Rayleigh + dashpots)
-    Ke: np.ndarray  # (ne, 30, 30) unconstrained stiffness
-    Ae: np.ndarray  # (ne, 30, 30) constrained effective matrix
+    matrices: dict[str, np.ndarray] = field(repr=False)
     fixed_nodes: np.ndarray
     material: EquivalentLinearMaterial | None = None
     classes: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
@@ -79,6 +85,15 @@ class ElasticProblem:
     @cached_property
     def fixed_dofs(self) -> np.ndarray:
         return (3 * self.fixed_nodes[:, None] + np.arange(3)[None, :]).ravel()
+
+    def element_matrices(self, family: str) -> np.ndarray:
+        """``(ne, 30, 30)`` matrices of ``family`` (``"M"``, ``"C"``,
+        ``"K"``, ``"A"``): a class-stored family expanded from its
+        representatives into a fresh array, a per-element one as stored
+        (not to be written into)."""
+        labels = self.classes.get(family)
+        mats = self.matrices[family]
+        return mats if labels is None else mats[labels]
 
     # -- operators (lazy, cached) -------------------------------------
     # Every operator of a run is a pure function of this problem and a
@@ -108,10 +123,10 @@ class ElasticProblem:
         return self._cache[key]
 
     def _element_operator(
-        self, base: str, mats: np.ndarray, kind: str,
+        self, family: str, kind: str,
         precision=None, backend=None, crs_tag: str = "spmv.crs",
     ) -> BlockCRS | EBEOperator:
-        """Element matrices ``mats`` as one operator: assembled into
+        """Element family ``family`` as one operator: assembled into
         3x3 block CRS charging ``crs_tag`` (``kind="crs"``), or applied
         matrix-free (Eq. 8/9; every EBE sweep charges ``spmv.ebe``)
         over the family's element classes.  Both come from the *same*
@@ -120,14 +135,16 @@ class ElasticProblem:
         def build(prec, bk):
             if kind == "crs":
                 return BlockCRS(
-                    assemble_bsr(mats, self.mesh.elems, self.n_nodes),
+                    assemble_bsr(self.element_matrices(family),
+                                 self.mesh.elems, self.n_nodes),
                     tag=crs_tag, precision=prec, backend=bk,
                 )
             return EBEOperator(
-                mats, self.mesh.elems, self.n_nodes, tag="spmv.ebe",
-                precision=prec, backend=bk, classes=self.classes.get(base),
+                self.matrices[family], self.mesh.elems, self.n_nodes,
+                tag="spmv.ebe", precision=prec, backend=bk,
+                classes=self.classes.get(family),
             )
-        return self._cached(f"{base}_{kind}", precision, backend, build)
+        return self._cached(f"{family}_{kind}", precision, backend, build)
 
     def crs_operator(
         self,
@@ -137,8 +154,7 @@ class ElasticProblem:
         """Effective matrix in 3x3 block CRS (the baseline storage),
         optionally held at a transprecision storage policy and executed
         by a non-default backend."""
-        return self._element_operator(
-            "A", self.Ae, "crs", precision, backend)
+        return self._element_operator("A", "crs", precision, backend)
 
     def ebe_operator(
         self,
@@ -148,8 +164,7 @@ class ElasticProblem:
         """Effective matrix applied matrix-free (Eq. 8/9), optionally
         held at a transprecision storage policy and executed by a
         non-default backend."""
-        return self._element_operator(
-            "A", self.Ae, "ebe", precision, backend)
+        return self._element_operator("A", "ebe", precision, backend)
 
     def mass_operator(
         self, kind: str = "crs",
@@ -158,7 +173,7 @@ class ElasticProblem:
         """Mass matrix of the RHS build (always fp64: the outer loop is
         FP64-accurate), executed by the run's ``backend``."""
         return self._element_operator(
-            "M", self.Me, kind, backend=backend, crs_tag="rhs.spmv")
+            "M", kind, backend=backend, crs_tag="rhs.spmv")
 
     def damping_operator(
         self, kind: str = "crs",
@@ -166,7 +181,7 @@ class ElasticProblem:
     ) -> BlockCRS | EBEOperator:
         """Damping matrix of the RHS build; see :meth:`mass_operator`."""
         return self._element_operator(
-            "C", self.Ce, kind, backend=backend, crs_tag="rhs.spmv")
+            "C", kind, backend=backend, crs_tag="rhs.spmv")
 
     def distributed_operator(
         self,
@@ -184,7 +199,7 @@ class ElasticProblem:
         return self._cached(
             f"A_dist.{nparts}", precision, backend,
             lambda prec, bk: DistributedEBE.from_elements(
-                self.Ae,
+                self.element_matrices("A"),
                 PartitionInfo(self.mesh, partition_elements(self.mesh, nparts)),
                 precision=prec, backend=bk, classes=self.classes.get("A"),
             ),
@@ -261,7 +276,7 @@ class ElasticProblem:
             op = (self.crs_operator(prec, bk) if op_kind == "crs"
                   else self.ebe_operator(prec, bk))
             A_csr = assemble_bsr(
-                self.Ae, self.mesh.elems, self.n_nodes
+                self.element_matrices("A"), self.mesh.elems, self.n_nodes
             ).tocsr()
             return build_twogrid(
                 op, A_csr, build_transfer(*meshes), op.diagonal_blocks(),
@@ -316,17 +331,20 @@ class ElasticProblem:
 
     def updated(self, Ce: np.ndarray, Ke: np.ndarray) -> "ElasticProblem":
         """This model at a new material state (paper §2.2: the matrix
-        changes under a nonlinear material): new damping and stiffness
-        element matrices, the effective matrices rebuilt from them, and
-        an empty operator cache — except the mass operators, which do
-        not depend on the material state and are carried over, as are
-        their element classes and the ``material`` law itself.  The
-        secant state is per element, so damping and effective matrices
-        lose their classes."""
+        changes under a nonlinear material): new ``(ne, 30, 30)``
+        damping and stiffness element matrices, the effective matrices
+        rebuilt from them, and an empty operator cache — except the mass
+        operators, which do not depend on the material state and are
+        carried over, as are the mass matrices and their element classes
+        and the ``material`` law itself.  The secant state is per
+        element, so damping, stiffness and effective matrices are stored
+        per element."""
         return replace(
-            self, Ce=Ce, Ke=Ke,
-            Ae=_effective_matrices(
-                self.newmark, self.Me, Ce, Ke, self.mesh, self.fixed_nodes),
+            self,
+            matrices={"M": self.matrices["M"], "C": Ce, "K": Ke,
+                      "A": _effective_matrices(
+                          self.newmark, self.element_matrices("M"), Ce, Ke,
+                          self.mesh, self.fixed_nodes)},
             classes={k: v for k, v in self.classes.items() if k == "M"},
             _cache={k: op for k, op in self._cache.items()
                     if k.startswith("M_")},
@@ -382,7 +400,7 @@ def build_problem(
     dashpots = np.zeros((ne, 4), dtype=np.int64)  # by opposite corner
     if sides is not None:
         dashpots[sides[0], 6 - sides[1].sum(axis=1)] = 1
-    classes = _element_classes(mesh, rho, vp, vs, fixed, dashpots)
+    groups = class_groups(_element_classes(mesh, rho, vp, vs, fixed, dashpots))
 
     lam, mu = lame_parameters(rho, vp, vs)
     Me, Ke = element_mass_stiffness(mesh, rho, lam, mu)
@@ -396,18 +414,48 @@ def build_problem(
         fold_faces_into_elements(Ce, mesh, f_elem, f_nodes, Cf)
 
     nm = NewmarkBeta(dt)
+    matrices = {"M": Me, "C": Ce, "K": Ke,
+                "A": _effective_matrices(nm, Me, Ce, Ke, mesh, fixed)}
+    del Me, Ce, Ke  # the dict holds the one reference to each full array
+    if groups is not None:
+        rep, labels = groups
+        for family, mats in matrices.items():
+            _check_classes(family, mats, labels, rep)
+            matrices[family] = mats[rep]
     return ElasticProblem(
         mesh=mesh,
         dt=dt,
         newmark=nm,
-        Me=Me,
-        Ce=Ce,
-        Ke=Ke,
-        Ae=_effective_matrices(nm, Me, Ce, Ke, mesh, fixed),
+        matrices=matrices,
         fixed_nodes=np.asarray(fixed, dtype=np.int64),
         material=material,
-        classes={"M": classes, "C": classes, "A": classes},
+        classes={} if groups is None else dict.fromkeys(matrices, groups[1]),
     )
+
+
+#: A member may differ from its class representative by this much,
+#: relative, on the probe vector (rounding differs, inputs may not).
+_CLASS_RTOL = 1e-10
+
+
+def _check_classes(family: str, elem_mats: np.ndarray, labels: np.ndarray,
+                   rep: np.ndarray) -> None:
+    """Fail loud on a wrong label: every element's matrix of ``family``
+    against its class representative's, on one fixed random probe
+    vector."""
+    ne, nd, _ = elem_mats.shape
+    w = np.random.default_rng(0).standard_normal(nd)
+    y = (elem_mats.reshape(ne * nd, nd) @ w).reshape(ne, nd)
+    ref = y[rep][labels]
+    bad = np.flatnonzero(np.linalg.norm(y - ref, axis=1)
+                         > _CLASS_RTOL * np.linalg.norm(ref, axis=1))
+    if bad.size:
+        raise ValueError(
+            f"{bad.size} of {ne} elements differ from their class "
+            f"representative in family {family} beyond {_CLASS_RTOL:g} "
+            f"(first: element {bad[0]}): the class labels do not describe "
+            f"these matrices"
+        )
 
 
 #: Element coordinates are compared in units of this fraction of the

@@ -17,13 +17,15 @@ Element classes: elements whose matrix inputs are equal (shape up to
 translation, material, fixed and dashpot masks — labelled by
 :func:`repro.core.problem.build_problem`) have equal matrices up to
 rounding.  When the classes hold at least :data:`MIN_MEAN_CLASS_SIZE`
-elements on average, the sweep runs in class order — elements sorted
-stably by class — and applies each class's one representative (its
-lowest-id member's own matrix) to all its members: a few dozen 30x30
-matrices stay in cache where ``ne`` of them used to stream from memory.
-Below that, one stored matrix per element (the identity grouping).  The
-constructor refuses labels whose members are not their representative
-to 1e-10 on a probe vector.
+elements on average (:func:`class_groups`), the problem stores only each
+class's representative — its lowest-id member's own matrix — and the
+``(ne,)`` labels; given those, the sweep runs in class order (elements
+sorted stably by class) and applies each representative to all its
+members: a few dozen 30x30 matrices stay in cache where ``ne`` of them
+used to stream from memory, and a ``(10, 10, 5)`` problem holds about
+1.4 MB of class matrices (4 families x 48 x 900 floats) where its
+per-element arrays took 86 MB.  Without labels, one stored matrix per
+element.
 
 Summation order: every node adds its element contributions from zero in
 ascending *original* element order (incidence rows are a stable sort of
@@ -57,34 +59,22 @@ from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import ebe_traffic
 from repro.util import counters
 
-__all__ = ["EBEOperator", "MIN_MEAN_CLASS_SIZE"]
+__all__ = ["EBEOperator", "MIN_MEAN_CLASS_SIZE", "class_groups"]
 
 #: Fewest elements per class, on average, at which the sweep applies one
 #: matrix per class: the measured crossover of the per-class products
 #: against the stored stream (``benchmarks/results/ebe_classes.txt``).
 MIN_MEAN_CLASS_SIZE = 16
 
-#: A member may differ from its class representative by this much,
-#: relative, on the probe vector (rounding differs, inputs may not).
-_CLASS_RTOL = 1e-10
 
-
-def _check_classes(elem_mats: np.ndarray, labels: np.ndarray,
-                   rep: np.ndarray) -> None:
-    """Fail loud on a wrong label: every element's matrix against its
-    class representative's, on one fixed random probe vector."""
-    ne, nd, _ = elem_mats.shape
-    w = np.random.default_rng(0).standard_normal(nd)
-    y = (elem_mats.reshape(ne * nd, nd) @ w).reshape(ne, nd)
-    ref = y[rep][labels]
-    bad = np.flatnonzero(np.linalg.norm(y - ref, axis=1)
-                         > _CLASS_RTOL * np.linalg.norm(ref, axis=1))
-    if bad.size:
-        raise ValueError(
-            f"{bad.size} of {ne} elements differ from their class "
-            f"representative beyond {_CLASS_RTOL:g} (first: element "
-            f"{bad[0]}): the class labels do not describe these matrices"
-        )
+def class_groups(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The class form of elements labelled ``classes`` (any integers):
+    ``(rep, labels)`` — each class's lowest-id member and every element's
+    class in ``0..len(rep)-1`` — when the classes average at least
+    :data:`MIN_MEAN_CLASS_SIZE` elements, else ``None`` (one matrix per
+    element)."""
+    _, rep, labels = np.unique(classes, return_index=True, return_inverse=True)
+    return (rep, labels) if labels.size >= MIN_MEAN_CLASS_SIZE * rep.size else None
 
 
 class _SweepWorkspace:
@@ -110,7 +100,8 @@ class EBEOperator:
     ----------
     elem_mats : (ne, 30, 30) effective element matrices (already
         Dirichlet-constrained; see
-        :func:`repro.fem.assembly.apply_dirichlet_to_elements`).
+        :func:`repro.fem.assembly.apply_dirichlet_to_elements`), or one
+        per class when ``classes`` labels the elements.
     elems : (ne, 10) TET10 connectivity.
     n_nodes : global node count.
     tag : base kernel tag; the actual charge is ``f"{tag}{r}"`` so
@@ -125,16 +116,14 @@ class EBEOperator:
         (:class:`~repro.sparse.backend.ArrayBackend`, registry name, or
         ``None`` for the ambient default); the modeled traffic is
         backend-independent.
-    classes : optional ``(ne,)`` element class labels (any integers):
-        elements of one class have equal matrices up to rounding.  The
-        sweep applies one matrix per class when the classes average at
-        least :data:`MIN_MEAN_CLASS_SIZE` elements; a member that is not
-        its representative to ``1e-10`` raises ``ValueError``.
+    classes : optional ``(ne,)`` labels indexing ``elem_mats``: the
+        sweep applies ``elem_mats[classes[e]]`` to element ``e``, one
+        matrix per class (see :func:`class_groups`).
 
     Attributes
     ----------
     Ae : the matrices the sweep applies — ``(ne, 30, 30)``, or one per
-        class in class order when grouped.
+        class when grouped.
     classes : ``(ne,)`` class of each element (indexing ``Ae``) when
         grouped, else ``None``.
     """
@@ -152,8 +141,9 @@ class EBEOperator:
         self.precision = as_precision(precision)
         self.backend = as_backend(backend)
         elem_mats = np.asarray(elem_mats, dtype=float)
-        ne, nd, nd2 = elem_mats.shape
-        if nd != nd2 or nd != 3 * elems.shape[1]:
+        nm, nd, nd2 = elem_mats.shape
+        ne = elems.shape[0]
+        if nd != nd2 or nd != 3 * elems.shape[1] or (classes is None and nm != ne):
             raise ValueError("element matrices inconsistent with connectivity")
         self.elems = np.asarray(elems, dtype=np.int64)
         self.n_nodes = int(n_nodes)
@@ -176,24 +166,20 @@ class EBEOperator:
         self.classes = None
         self._gather, self._offsets = self.elems, np.arange(ne + 1)
         if classes is not None:
-            if np.shape(classes) != (ne,):
-                raise ValueError(f"expected one class label per element, got "
-                                 f"shape {np.shape(classes)}")
-            _, labels, counts = np.unique(
-                classes, return_inverse=True, return_counts=True)
-            if ne >= MIN_MEAN_CLASS_SIZE * counts.size:
-                order = np.argsort(labels, kind="stable")
-                self._offsets = np.concatenate(([0], np.cumsum(counts)))
-                rep = order[self._offsets[:-1]]  # each class's lowest id
-                _check_classes(elem_mats, labels, rep)
-                elem_mats = elem_mats[rep]
-                self.classes = labels
-                # the sweep runs in class order; the incidence keeps
-                # summing in original element order over the moved slots
-                self._gather = self.elems[order]
-                slot_of = np.empty(ne, dtype=np.int64)
-                slot_of[order] = na * np.arange(ne)
-                indices = slot_of[indices // na] + indices % na
+            labels = np.asarray(classes, dtype=np.int64)
+            if labels.shape != (ne,) or not (0 <= labels.min() <= labels.max() < nm):
+                raise ValueError(f"expected one class label per element in "
+                                 f"[0, {nm}), got shape {labels.shape}")
+            order = np.argsort(labels, kind="stable")
+            self._offsets = np.concatenate(
+                ([0], np.cumsum(np.bincount(labels, minlength=nm))))
+            self.classes = labels
+            # the sweep runs in class order; the incidence keeps summing
+            # in original element order over the moved slots
+            self._gather = self.elems[order]
+            slot_of = np.empty(ne, dtype=np.int64)
+            slot_of[order] = na * np.arange(ne)
+            indices = slot_of[indices // na] + indices % na
         if not self.precision.is_fp64:
             elem_mats = self.precision.quantize(elem_mats)
         self.Ae = elem_mats

@@ -22,7 +22,8 @@ def dist(ground_problem):
     info = PartitionInfo(
         ground_problem.mesh, partition_elements(ground_problem.mesh, 4)
     )
-    return ground_problem, info, DistributedEBE.from_elements(ground_problem.Ae, info)
+    Ae = ground_problem.element_matrices("A")
+    return ground_problem, info, DistributedEBE.from_elements(Ae, info)
 
 
 def test_matvec_exact(dist, rng):
@@ -131,7 +132,7 @@ def test_single_part_no_comm(ground_problem):
     info = PartitionInfo(
         ground_problem.mesh, partition_elements(ground_problem.mesh, 1)
     )
-    d = DistributedEBE.from_elements(ground_problem.Ae, info)
+    d = DistributedEBE.from_elements(ground_problem.element_matrices("A"), info)
     assert d.comm_bytes_per_matvec == 0.0
     plan = build_halo_plan(info)
     assert plan.max_bytes_per_exchange() == 0.0
@@ -203,6 +204,7 @@ def test_more_parts_more_comm(ground_problem):
         info = PartitionInfo(
             ground_problem.mesh, partition_elements(ground_problem.mesh, nparts)
         )
-        return DistributedEBE.from_elements(ground_problem.Ae, info).comm_bytes_per_matvec
+        Ae = ground_problem.element_matrices("A")
+        return DistributedEBE.from_elements(Ae, info).comm_bytes_per_matvec
 
     assert comm(2) < comm(8)

@@ -104,8 +104,8 @@ def test_traffic_shrinks_with_storage_word(ground_problem, rhs):
 
 def test_quantized_operators_store_quantized_values(small_problem):
     p = small_problem
-    ebe = EBEOperator(p.Ae, p.mesh.elems, p.n_nodes, precision="fp21")
-    assert np.array_equal(ebe.Ae, FP21.quantize(p.Ae))
+    ebe = EBEOperator(p.element_matrices("A"), p.mesh.elems, p.n_nodes, precision="fp21")
+    assert np.array_equal(ebe.Ae, FP21.quantize(p.element_matrices("A")))
     crs64 = p.crs_operator()
     crs21 = BlockCRS(crs64.bsr.copy(), precision="fp21")
     assert np.array_equal(crs21.bsr.data, FP21.quantize(crs64.bsr.data))
@@ -126,8 +126,9 @@ def test_distributed_fp21_converges(ground_problem, rhs, nparts):
     info = PartitionInfo(
         ground_problem.mesh, partition_elements(ground_problem.mesh, nparts)
     )
-    d64 = DistributedEBE.from_elements(ground_problem.Ae, info)
-    d21 = DistributedEBE.from_elements(ground_problem.Ae, info, precision="fp21")
+    d64 = DistributedEBE.from_elements(ground_problem.element_matrices("A"), info)
+    d21 = DistributedEBE.from_elements(ground_problem.element_matrices("A"), info,
+                                       precision="fp21")
     assert d21.comm_bytes_per_matvec == pytest.approx(
         d64.comm_bytes_per_matvec * 21.0 / 64.0
     )
@@ -143,7 +144,7 @@ def test_distributed_fp64_unchanged_by_precision_plumbing(ground_problem, rhs):
     info = PartitionInfo(
         ground_problem.mesh, partition_elements(ground_problem.mesh, 4)
     )
-    dist = DistributedEBE.from_elements(ground_problem.Ae, info)
+    dist = DistributedEBE.from_elements(ground_problem.element_matrices("A"), info)
     assert dist.precision is FP64
     got = distributed_pcg(dist, rhs, eps=EPS, precision="fp64")
     ref = distributed_pcg(dist, rhs, eps=EPS)

@@ -34,7 +34,7 @@ def rhs(ground_problem):
 
 def make_dist(problem, nparts):
     info = PartitionInfo(problem.mesh, partition_elements(problem.mesh, nparts))
-    return DistributedEBE.from_elements(problem.Ae, info)
+    return DistributedEBE.from_elements(problem.element_matrices("A"), info)
 
 
 @pytest.mark.parametrize(

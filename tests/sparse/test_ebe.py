@@ -64,7 +64,7 @@ def test_sweep_matches_dense(small_problem, rng, r, precision, backend):
     """The node-layout sweep against the densely assembled operator:
     element matrices and gathered operand both held at the storage
     format, the arithmetic in fp64."""
-    op = EBEOperator(small_problem.Ae, small_problem.mesh.elems,
+    op = EBEOperator(small_problem.element_matrices("A"), small_problem.mesh.elems,
                      small_problem.n_nodes, precision=precision,
                      backend=backend)
     X = rng.standard_normal((op.n, r))

@@ -1,13 +1,14 @@
 """The EBE sweep over element classes.
 
-Above :data:`~repro.sparse.ebe.MIN_MEAN_CLASS_SIZE` the operator sorts
-elements by class, applies one representative matrix per class (its
-lowest-id member's) and scatters in original element order.  So it is,
-bit for bit, the stored operator over the representatives' values: same
-results, same diagonal blocks, same tally.  Against the problem's own
-per-element matrices it agrees to rounding.  Run at the smallest ground
-mesh above the crossover, ``(6, 6, 3)``; the partitioned case needs
-``(8, 8, 4)`` for its parts to group.
+Above :data:`~repro.sparse.ebe.MIN_MEAN_CLASS_SIZE` the problem stores one
+representative matrix per class (its lowest-id member's), and the
+operator sorts elements by class, applies each representative to its
+members and scatters in original element order.  So it is, bit for bit,
+the stored operator over the expanded representatives
+(``problem.element_matrices``): same results, same diagonal blocks, same
+tally.  CRS and the partitioned parts read those same matrices.  Run at
+the smallest ground mesh above the crossover, ``(6, 6, 3)``; the
+partitioned solve needs ``(8, 8, 4)`` for its parts to group.
 """
 
 from dataclasses import replace
@@ -15,6 +16,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.cluster.halo import DistributedEBE
+from repro.cluster.partition import PartitionInfo, partition_elements
+from repro.core import problem as problem_module
 from repro.core.methods import run_method
 from repro.io.golden import canonical, golden_diff
 from repro.io.results import (
@@ -38,13 +42,6 @@ def problem():
     return p
 
 
-def _representatives(problem) -> np.ndarray:
-    """Each element's class representative: its lowest-id member."""
-    labels = problem.classes["A"]
-    _, first = np.unique(labels, return_index=True)
-    return first[labels]
-
-
 def _block(problem, r, seed=0):
     return np.random.default_rng(seed).standard_normal((problem.n_dofs, r))
 
@@ -55,7 +52,7 @@ def test_grouped_is_the_stored_sweep_over_representatives(problem, r, precision)
     grouped = problem.ebe_operator(precision)
     assert grouped.classes is not None
     assert grouped.Ae.shape[0] == problem.classes["A"].max() + 1
-    stored = EBEOperator(problem.Ae[_representatives(problem)], problem.mesh.elems,
+    stored = EBEOperator(problem.element_matrices("A"), problem.mesh.elems,
                          problem.n_nodes, precision=precision)
     assert stored.classes is None
     X = _block(problem, r)
@@ -64,15 +61,23 @@ def test_grouped_is_the_stored_sweep_over_representatives(problem, r, precision)
             == stored.diagonal_blocks().tobytes())
 
 
-def test_grouped_agrees_with_crs(problem):
+def test_readers_agree_on_a_grouped_mesh(problem):
+    """CRS, the grouped sweep and two mesh parts (too small to group)
+    apply the same matrices, so they agree to summation order."""
     X = _block(problem, 4)
-    y, ref = problem.ebe_operator().matvec(X), problem.crs_operator().matvec(X)
-    assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
+    info = PartitionInfo(problem.mesh, partition_elements(problem.mesh, 2))
+    parts = DistributedEBE.from_elements(
+        problem.element_matrices("A"), info, classes=problem.classes["A"])
+    assert all(op.classes is None for op in parts.local_ops)
+    ref = problem.crs_operator().matvec(X)
+    for y in (problem.ebe_operator().matvec(X), parts.matvec(X)):
+        assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_grouped_charges_what_the_stored_operator_charges(problem):
     grouped = problem.ebe_operator()
-    stored = EBEOperator(problem.Ae, problem.mesh.elems, problem.n_nodes)
+    stored = EBEOperator(problem.element_matrices("A"), problem.mesh.elems,
+                         problem.n_nodes)
     assert grouped.memory_bytes() == stored.memory_bytes()
     tallies = []
     for op in (grouped, stored):
@@ -102,18 +107,21 @@ def test_two_parts_agree_with_the_fused_solve():
 
 
 def test_a_secant_update_keeps_only_the_mass_classes(problem):
-    """The G/G0 ratio is per element: after an update the damping and
-    effective operators take the stored path, while the mass operator
-    stays grouped — carried over when built before, grouped when built
-    after."""
+    """The G/G0 ratio is per element: after an update the damping,
+    stiffness and effective matrices are stored per element and their
+    operators take the stored path, while the mass stays grouped — its
+    operator carried over when built before, grouped when built after."""
     ratio = np.linspace(0.5, 1.0, problem.n_elems)[:, None, None]
+    C, K = problem.element_matrices("C"), problem.element_matrices("K")
     built = problem.mass_operator("ebe")
     for base in (problem, replace(problem, _cache={})):
-        secant = base.updated(Ce=base.Ce * np.sqrt(ratio), Ke=base.Ke * ratio)
+        secant = base.updated(Ce=C * np.sqrt(ratio), Ke=K * ratio)
+        assert list(secant.classes) == ["M"]
+        assert secant.matrices["A"].shape == (problem.n_elems, 30, 30)
         assert secant.ebe_operator().classes is None
         assert secant.damping_operator("ebe").classes is None
         assert secant.mass_operator("ebe").classes is not None
-    assert problem.updated(Ce=problem.Ce, Ke=problem.Ke).mass_operator("ebe") is built
+    assert problem.updated(Ce=C, Ke=K).mass_operator("ebe") is built
 
 
 @pytest.mark.parametrize("method", ["crs-cg@cpu", "ebe-mcg@cpu-gpu"])
@@ -138,16 +146,26 @@ def test_resume_is_bit_identical(problem, make_forces, method, tmp_path):
 
 
 @pytest.mark.parametrize("member", ["representative", "member"])
-def test_a_wrong_label_fails_loud(problem, member):
+def test_a_wrong_label_fails_loud(problem, member, monkeypatch):
+    """``build_problem`` checks every family against its labels and
+    names the first element off its representative: a member forged
+    into another class is that element; an element forged into a class
+    as its lowest id becomes the representative, so the class's first
+    true member is named."""
     labels = problem.classes["A"]
-    rep = _representatives(problem)
     c = np.bincount(labels).argmax()
     members = np.flatnonzero(labels == c)
-    e = rep[members[0]] if member == "representative" else members[-1]
-    Ae = problem.Ae.copy()
-    Ae[e] *= 1.0 + 1e-8
-    with pytest.raises(ValueError, match="class representative"):
-        EBEOperator(Ae, problem.mesh.elems, problem.n_nodes, classes=labels)
-    with pytest.raises(ValueError, match="one class label per element"):
-        EBEOperator(problem.Ae, problem.mesh.elems, problem.n_nodes,
-                    classes=labels[:-1])
+    assert labels[0] != c
+    forged = labels.copy()
+    if member == "representative":
+        forged[0], named = c, members[0]
+    else:
+        forged[members[-1]], named = labels[0], members[-1]
+    monkeypatch.setattr(problem_module, "_element_classes", lambda *a: forged)
+    with pytest.raises(ValueError,
+                       match=rf"class representative .*\(first: element {named}\)"):
+        build_ground_problem(stratified_model(), resolution=(6, 6, 3))
+    for bad in (labels[:-1], labels + 1):
+        with pytest.raises(ValueError, match="one class label per element"):
+            EBEOperator(problem.matrices["A"], problem.mesh.elems, problem.n_nodes,
+                        classes=bad)

@@ -181,7 +181,7 @@ def test_a_nan_case_leaves_its_fused_neighbours_untouched(ground_problem, kind):
     assert problem.n_dofs >= WIDE
     if kind == "part-local":
         info = PartitionInfo(problem.mesh, partition_elements(problem.mesh, 2))
-        dist = DistributedEBE.from_elements(problem.Ae, info)
+        dist = DistributedEBE.from_elements(problem.element_matrices("A"), info)
 
         def solve(B):
             return distributed_pcg(dist, B, eps=1e-8, max_iter=400)

@@ -69,7 +69,8 @@ def _pcg_case(problem, kind, r, precision=None, **kwargs):
 
 def _dist_case(problem, nparts, precision=None, twogrid=False, **kwargs):
     info = PartitionInfo(problem.mesh, partition_elements(problem.mesh, nparts))
-    dist = DistributedEBE.from_elements(problem.Ae, info, precision=precision)
+    dist = DistributedEBE.from_elements(problem.element_matrices("A"), info,
+                                        precision=precision)
     B = _rhs(problem, 3)
     if twogrid:
         kwargs["precond"] = problem.twogrid_preconditioner()

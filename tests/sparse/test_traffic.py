@@ -116,7 +116,7 @@ def test_modeled_iteration_bytes_are_what_a_solve_is_charged(
     from repro.util.counters import tally_scope
 
     p, r = small_problem, 4
-    A = EBEOperator(p.Ae, p.mesh.elems, p.n_nodes, precision=precision)
+    A = EBEOperator(p.element_matrices("A"), p.mesh.elems, p.n_nodes, precision=precision)
     M = BlockJacobi(A.diagonal_blocks(), precision=precision)
     B = np.random.default_rng(3).standard_normal((p.n_dofs, r))
     B[p.fixed_dofs, :] = 0.0

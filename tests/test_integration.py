@@ -72,7 +72,7 @@ def test_partitioned_solver_reaches_same_solution(workflow):
     the global one — the multi-node solver is the single-node solver."""
     problem, forces, _ = workflow
     info = PartitionInfo(problem.mesh, partition_elements(problem.mesh, 4))
-    dist = DistributedEBE.from_elements(problem.Ae, info)
+    dist = DistributedEBE.from_elements(problem.element_matrices("A"), info)
     rng = np.random.default_rng(5)
     b = rng.standard_normal(problem.n_dofs)
     b[problem.fixed_dofs] = 0.0
