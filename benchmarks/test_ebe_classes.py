@@ -2,10 +2,14 @@
 
 The EBE sweep's dense apply either streams one stored 30x30 matrix per
 element or, over element classes (:mod:`repro.sparse.ebe`), applies
-each class's one representative to all its members from cache.  The
-per-class products cost a call each, so grouping pays only when the
-classes are large.  For each ground model and mesh from ``(2, 2, 1)``
-to ``(10, 10, 5)`` this bench reports:
+each class's one representative to all its members in a single GEMM
+over the class's ``(30, k r)`` block.  That trades ``ne`` streamed
+matrices and ``ne`` small products for a few dozen BLAS-3 calls, but
+the grouped buffers are laid out by dof, not by node, so its gather
+and scatter move three times as many (shorter) rows: grouping pays
+once the GEMMs' savings cover that, which is a matter of class size
+and width ``r``.  For each ground model and mesh from ``(2, 2, 1)`` to
+``(10, 10, 5)`` this bench reports:
 
 * ``ne``, the class count ``build_problem`` labels, their mean size and
   the path it stores the problem for at
@@ -19,9 +23,15 @@ to ``(10, 10, 5)`` this bench reports:
   last-level cache, which a run does not.
 
 The table is what sets ``MIN_MEAN_CLASS_SIZE``: the smallest mean class
-size from which grouping wins at every width.  Asserted: the class
-counts, the path choice, and a grouped sweep at least 1.5x the stored
-one at ``(10, 10, 5)``, r = 4.
+size from which grouping wins at every width.  With one GEMM per class
+that is about 13 (the ``(6, 6, 3)`` meshes; the ``(5, 5, 3)`` ones, at
+9-12, win at r = 1 and 4 and tie at r = 8, the ``(4, 4, 2)`` ones
+lose); the constant stays 16, set when every member
+cost its own product, because lowering it regroups meshes whose
+committed tables would move.  Asserted: the class counts, the path
+choice, and a grouped sweep at least 1.6x the stored one at
+``(10, 10, 5)``, r = 4 (1.6-2.7x measured on a shared 2-vCPU box, where
+the per-element GEMMs measured 1.75x).
 """
 
 from __future__ import annotations
@@ -114,4 +124,4 @@ def test_ebe_classes(monkeypatch):
     ))
 
     for model in CLASS_COUNTS:
-        assert speedup[model, (10, 10, 5), 4] >= 1.5, speedup
+        assert speedup[model, (10, 10, 5), 4] >= 1.6, speedup

@@ -21,10 +21,12 @@ names like ``scenario_by_name``).  Contracts:
 
 * ``numpy`` — the reference.  Every primitive makes the roundings the
   pre-seam hot loops made, in the same order, so the default execution
-  is **bit-identical** to the historical code (the committed golden
-  fixtures pin this).  *Which* kernel makes them is chosen by the
-  operand's shape: one vector takes scipy's single-vector SpMV, a
-  large block is scaled through a wide view.
+  is **bit-identical** to the historical code on every path a golden
+  reaches (the committed golden fixtures pin this).  *Which* kernel
+  makes them is chosen by the operand's shape: one vector takes scipy's
+  single-vector SpMV, a large block is scaled through a wide view.  The
+  grouped EBE apply (one GEMM per element class; no golden groups)
+  agrees with the stored sweep to rounding.
 * ``numpy-blocked`` — always-available variant that runs the column
   reductions in cache-sized row blocks.  Elementwise primitives stay
   bit-identical; dot products regroup their summation, so this backend
@@ -97,11 +99,12 @@ class ArrayBackend(abc.ABC):
     buffers — the seam preserves the repo's allocation-free hot-loop
     discipline.  Blocked vector primitives treat ``(n, r)`` arrays as
     ``r`` independent columns (the fused multi-RHS layout).  The EBE
-    sweep is ``gather_rows`` / ``grouped_matmul`` / ``spmv_csr`` on
-    node views.
+    sweep is ``gather_rows`` / ``grouped_matmul`` / ``spmv_csr`` over
+    element buffers (:mod:`repro.sparse.ebe`).
 
     Subclass contract: the reference :class:`NumpyBackend` reproduces
-    the pre-seam code's results bit for bit; accelerated backends may
+    the pre-seam code's results bit for bit on every path a golden
+    reaches (the grouped apply agrees to rounding); accelerated backends may
     regroup/parallelize arithmetic and are held to norm-scaled-tolerance
     parity, never bit parity.  Every backend keeps the columns of a
     block independent: a non-finite case must not reach its neighbours.
@@ -185,17 +188,20 @@ class ArrayBackend(abc.ABC):
     @abc.abstractmethod
     def gather_rows(self, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = X[idx]`` row gather (``idx`` may be multi-dim; all
-        indices pre-validated in range by the caller)."""
+        indices pre-validated in range by the caller — the EBE sweep's is
+        flat, by node or by class-blocked dof)."""
 
     @abc.abstractmethod
     def grouped_matmul(
         self, A: np.ndarray, offsets: np.ndarray, X: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """Grouped dense mat-vec ``out[e] = A[c] @ X[e]`` for
-        ``offsets[c] <= e < offsets[c + 1]`` (the 30x30 element apply,
-        one matrix per element class).  ``offsets`` is non-decreasing
-        from 0 to ``len(X)``; one group per row is the identity
-        grouping ``A[e] @ X[e]``."""
+        """Grouped dense apply of ``A`` (``(m, d, d)``, the 30x30 element
+        matrices) to ``X`` / ``out`` (``(d N, r)``, ``N = offsets[-1]``
+        members, class-blocked): group ``c``'s ``k_c`` members (offsets
+        non-decreasing from 0) are the ``(d, k_c r)`` matrix at rows
+        ``d offsets[c]``, member by member, and ``out``'s block is
+        ``A[c]`` times it.  ``m == N`` is one group per member: the
+        ``(N, d, r)`` stack and ``A[e] @ X[e]``."""
 
     # -- operator kernels ---------------------------------------------
     @abc.abstractmethod
@@ -326,7 +332,8 @@ class NumpyBackend(ArrayBackend):
     """Reference backend: the roundings the pre-seam hot loops made, in
     the same order — bit-identical to the historical implementation
     (asserted by the golden fixtures) — from whichever NumPy/scipy
-    kernel makes them fastest for the operand's shape."""
+    kernel makes them fastest for the operand's shape; the grouped
+    apply takes one GEMM per class instead (equal to rounding)."""
 
     name = "numpy"
     description = "reference NumPy execution (bit-exact default)"
@@ -334,6 +341,8 @@ class NumpyBackend(ArrayBackend):
     def __init__(self) -> None:
         # r -> ((_TILE, r), (_TILE * r,)) views of one scale scratch
         self._tiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # the last grouped product's (A, X, out), offsets and GEMM views
+        self._groups: tuple = ((None,) * 3, None, [])
 
     # -- blocked streaming primitives ---------------------------------
     def copy(self, dst, src):
@@ -407,14 +416,22 @@ class NumpyBackend(ArrayBackend):
         return out
 
     def grouped_matmul(self, A, offsets, X, out):
-        if A.shape[0] == X.shape[0]:  # one matrix per row
-            np.matmul(A, X, out=out)
+        m, d = A.shape[0], A.shape[-1]
+        if m * d == X.shape[0]:  # one matrix per member: the stacked product
+            np.matmul(A, X.reshape(m, d, -1), out=out.reshape(m, d, -1))
             return out
-        # one broadcast product per group: each row makes the GEMM call
-        # it makes in the stacked product above, so the bits are equal
-        bounds = offsets.tolist()
-        for c, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
-            np.matmul(A[c], X[s:e], out=out[s:e])
+        # one GEMM per group; its operand views are kept for the next
+        # call on the same arrays (a sweep's, every pcg iteration)
+        arrays, bounds, gemms = self._groups
+        if not (all(a is b for a, b in zip(arrays, (A, X, out)))
+                and np.array_equal(bounds, offsets)):
+            bounds = offsets.copy()
+            rows = (d * bounds).tolist()
+            gemms = [(a, X[s:e].reshape(d, -1), out[s:e].reshape(d, -1))
+                     for a, s, e in zip(A, rows, rows[1:])]
+            self._groups = ((A, X, out), bounds, gemms)
+        for a, x, y in gemms:
+            np.matmul(a, x, out=y)
         return out
 
     # -- operator kernels ---------------------------------------------

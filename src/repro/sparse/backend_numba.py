@@ -92,7 +92,7 @@ def py_colwise_dot(V, W, out):
 
 
 def py_gather_rows(X, idx, out):
-    # idx/out are the flattened row views of possibly multi-dim gathers
+    # idx/out are flat row views (the EBE sweep's index already is flat)
     for k in prange(idx.shape[0]):
         src = idx[k]
         for j in range(X.shape[1]):
@@ -100,15 +100,20 @@ def py_gather_rows(X, idx, out):
 
 
 def py_grouped_matmul(A, offsets, X, out):
-    # row e applies the matrix of the group whose offsets bracket it
-    for e in prange(X.shape[0]):
+    # member e applies the matrix of the group whose offsets bracket it;
+    # group c is the (d, k r) block at rows d * offsets[c], so member
+    # e's local dof i is row base + i * k
+    d = A.shape[2]
+    for e in prange(offsets[-1]):
         c = np.searchsorted(offsets, e, side="right") - 1
+        k = offsets[c + 1] - offsets[c]
+        base = d * offsets[c] + e - offsets[c]
         for i in range(A.shape[1]):
-            for j in range(X.shape[2]):
+            for j in range(X.shape[1]):
                 acc = 0.0
-                for k in range(A.shape[2]):
-                    acc += A[c, i, k] * X[e, k, j]
-                out[e, i, j] = acc
+                for m in range(d):
+                    acc += A[c, i, m] * X[base + m * k, j]
+                out[base + i * k, j] = acc
 
 
 def py_block_diag_matvec(inv, Rb, outb):

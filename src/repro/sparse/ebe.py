@@ -1,17 +1,13 @@
 """Matrix-free Element-by-Element (EBE) operator (paper Eqs. 2, 8, 9).
 
-Applies ``sum_e P_e^T (A_e (P_e x))`` without a global matrix.  The
-sweep is laid out on **nodes**, not dofs — a C-contiguous ``(3*n_nodes,
-r)`` block *is* ``(n_nodes, 3r)`` and ``(ne, 30, r)`` *is* ``(ne, 10,
-3r)`` — so the index work touches a third of the rows, each three times
-as long:
+Applies ``sum_e P_e^T (A_e (P_e x))`` without a global matrix, in
+three backend primitives over ``(30*ne, r)`` element buffers:
 
-1. gather  — row gather of ``x``'s node view by the ``(ne, 10)``
-   connectivity into the element buffer;
-2. apply   — dense 30x30 mat-vec per element
+1. gather  — row gather of ``x`` into the element buffer;
+2. apply   — the 30x30 element matrices
    (:meth:`~repro.sparse.backend.ArrayBackend.grouped_matmul`);
-3. scatter — one CSR product of the 0/1 node-incidence matrix with the
-   ``(10*ne, 3r)`` element results, straight into ``y``'s node view.
+3. scatter — one CSR product of a 0/1 incidence matrix with the element
+   results, straight into ``y``.
 
 Element classes: elements whose matrix inputs are equal (shape up to
 translation, material, fixed and dashpot masks — labelled by
@@ -19,20 +15,23 @@ translation, material, fixed and dashpot masks — labelled by
 rounding.  When the classes hold at least :data:`MIN_MEAN_CLASS_SIZE`
 elements on average (:func:`class_groups`), the problem stores only each
 class's representative — its lowest-id member's own matrix — and the
-``(ne,)`` labels; given those, the sweep runs in class order (elements
-sorted stably by class) and applies each representative to all its
-members: a few dozen 30x30 matrices stay in cache where ``ne`` of them
-used to stream from memory, and a ``(10, 10, 5)`` problem holds about
-1.4 MB of class matrices (4 families x 48 x 900 floats) where its
-per-element arrays took 86 MB.  Without labels, one stored matrix per
-element.
+``(ne,)`` labels (1.4 MB of class matrices at ``(10, 10, 5)`` where the
+per-element arrays took 86 MB).  Given labels, the buffers are
+**class-blocked at dof level** — class by class, local dof by local
+dof, member by member — so the ``k_c`` members of class ``c`` form one
+``(30, k_c r)`` matrix at rows ``30 offsets[c]`` and the apply is one
+GEMM per class.  Without labels the same layout is the ``(ne, 30, r)``
+stack, swept on **nodes** — a C-contiguous ``(3*n_nodes, r)`` block
+*is* ``(n_nodes, 3r)`` — so gather and scatter move a third of the rows.
 
-Summation order: every node adds its element contributions from zero in
-ascending *original* element order (incidence rows are a stable sort of
-the connectivity, their slots remapped to the sweep order) —
-deterministic, no atomics, the same with or without classes; the numba
-kernel and :class:`~repro.cluster.halo.DistributedEBE` keep the same
-order.
+Summation order: every node (dof) adds its element contributions from
+zero in ascending *original* element order (incidence rows are a stable
+sort of the element-major ids) — deterministic, no atomics, the same
+with or without classes; the numba kernel and
+:class:`~repro.cluster.halo.DistributedEBE` keep it.  The goldens pin
+the stored sweep's bits; a grouped one agrees with the stored sweep
+over the expanded representatives to rounding (the class GEMM blocks
+its sums differently).
 
 The fused multi-RHS path applies all ``r`` case vectors inside one
 sweep — the paper's Eq. 9, which cuts the random access per case to
@@ -51,6 +50,8 @@ backend, with or without classes.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.fem.assembly import element_dof_ids
@@ -62,8 +63,8 @@ from repro.util import counters
 __all__ = ["EBEOperator", "MIN_MEAN_CLASS_SIZE", "class_groups"]
 
 #: Fewest elements per class, on average, at which the sweep applies one
-#: matrix per class: the measured crossover of the per-class products
-#: against the stored stream (``benchmarks/results/ebe_classes.txt``).
+#: matrix per class, set when each member cost its own product; one GEMM
+#: per class wins from about 10-13 (``benchmarks/results/ebe_classes.txt``).
 MIN_MEAN_CLASS_SIZE = 16
 
 
@@ -84,8 +85,8 @@ class _SweepWorkspace:
 
     def __init__(self, op: "EBEOperator", r: int) -> None:
         bk = op.backend
-        self.xe = bk.empty((op.n_elems, 30, r))
-        self.ye = bk.empty((op.n_elems, 30, r))
+        self.xe = bk.empty((30 * op.n_elems, r))
+        self.ye = bk.empty((30 * op.n_elems, r))
         self.y = bk.empty((op.n, r))
         self.x = None  # staging for strided operands, made on first use
         w = ebe_traffic(op.n_elems, op.n_nodes, n_rhs=r,
@@ -154,37 +155,51 @@ class EBEOperator:
             # the clip-mode gather and the CSR scatter rely on validated
             # indices; negatives would silently wrap instead of raising
             raise ValueError("connectivity references negative node ids")
-        # Scatter plan, the 0/1 node-incidence matrix in CSR form: row i
-        # lists the flat (element, local node) slots touching node i in
-        # ascending element order (stable sort) — the summation order.
-        na = self.elems.shape[1]
-        slots = self.elems.ravel()
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(slots, minlength=self.n_nodes), out=indptr[1:])
-        indices = np.argsort(slots, kind="stable")
-
         self.classes = None
-        self._gather, self._offsets = self.elems, np.arange(ne + 1)
         if classes is not None:
             labels = np.asarray(classes, dtype=np.int64)
             if labels.shape != (ne,) or not (0 <= labels.min() <= labels.max() < nm):
                 raise ValueError(f"expected one class label per element in "
                                  f"[0, {nm}), got shape {labels.shape}")
-            order = np.argsort(labels, kind="stable")
-            self._offsets = np.concatenate(
-                ([0], np.cumsum(np.bincount(labels, minlength=nm))))
             self.classes = labels
-            # the sweep runs in class order; the incidence keeps summing
-            # in original element order over the moved slots
-            self._gather = self.elems[order]
-            slot_of = np.empty(ne, dtype=np.int64)
-            slot_of[order] = na * np.arange(ne)
-            indices = slot_of[indices // na] + indices % na
         if not self.precision.is_fp64:
             elem_mats = self.precision.quantize(elem_mats)
         self.Ae = elem_mats
-        self._incidence = (indptr, indices, np.ones(slots.size))
         self._ws: dict[int, _SweepWorkspace] = {}
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """``(gather index, class offsets, incidence)`` of the sweep, made
+        on first application: an operator read only for its diagonal
+        blocks never holds them."""
+        ne = self.n_elems
+        rows = self.elems  # buffer rows per element: its nodes, or its dofs
+        labels, sizes = np.arange(ne), np.ones(ne, dtype=np.int64)
+        if self.classes is not None:
+            labels, sizes = self.classes, np.bincount(self.classes,
+                                                      minlength=len(self.Ae))
+            rows = (3 * rows[:, :, None] + np.arange(3)).reshape(ne, 30)
+        # row q of member j (stable order) of class c is slot
+        # q_e offsets[c] + q k_c + j, so class c's members form one
+        # (30, k_c r) matrix; with one matrix per element, (ne, 30, r)
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        q_e = rows.shape[1]
+        first = offsets[labels]
+        member = np.empty(ne, dtype=np.int64)
+        member[np.argsort(labels, kind="stable")] = np.arange(ne)
+        slots = (q_e * first[:, None] + sizes[labels][:, None] * np.arange(q_e)
+                 + (member - first)[:, None]).ravel()
+        rows = rows.ravel()
+        gather = np.empty_like(rows)
+        gather[slots] = rows
+        # the scatter, a 0/1 incidence matrix in CSR form: row i lists the
+        # slots of node (dof) i in ascending element order (stable sort)
+        # — the summation order
+        n_rows = self.n * q_e // 30
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        return gather, offsets, (indptr, slots[np.argsort(rows, kind="stable")],
+                                 np.ones(rows.size))
 
     def _workspace(self, r: int) -> _SweepWorkspace:
         ws = self._ws.get(r)
@@ -227,7 +242,7 @@ class EBEOperator:
         if n != self.n:
             raise ValueError(f"operand size {n} != {self.n}")
 
-        check_out(out, X.shape)  # a strided block's node view would be a lost copy
+        check_out(out, X.shape)  # a strided block's row view would be a lost copy
         ws = self._workspace(r)
         Y = ws.y if out is None else out
         self._sweep(X, Y, ws)
@@ -238,20 +253,21 @@ class EBEOperator:
 
     def _sweep(self, X: np.ndarray, Y: np.ndarray,
                ws: _SweepWorkspace) -> np.ndarray:
-        """The gather/apply/scatter hot path on the node views, pure
-        backend primitives (the connectivity is validated in-range at
-        construction, so the gather needs no bounds re-checks)."""
+        """The gather/apply/scatter hot path over rows of ``w`` values
+        (a node's or a dof's), pure backend primitives (the connectivity
+        is validated in-range at construction, so the gather needs no
+        bounds re-checks)."""
         bk = self.backend
-        ne, nn, r3 = self.n_elems, self.n_nodes, 3 * X.shape[1]
-        if not X.flags.c_contiguous:  # a strided operand has no node view
+        if not X.flags.c_contiguous:  # the primitives take C-contiguous blocks
             if ws.x is None:
                 ws.x = bk.empty(X.shape)
             X = bk.copy(ws.x, X)
-        bk.gather_rows(X.reshape(nn, r3), self._gather, ws.xe.reshape(ne, 10, r3))
+        gather, offsets, incidence = self._plan
+        w = X.shape[1] * (1 if self.classes is not None else 3)  # row width
+        bk.gather_rows(X.reshape(-1, w), gather, ws.xe.reshape(-1, w))
         bk.quantize_store(ws.xe, self.precision)  # storage-format gather
-        bk.grouped_matmul(self.Ae, self._offsets, ws.xe, ws.ye)
-        bk.spmv_csr(*self._incidence, ws.ye.reshape(10 * ne, r3),
-                    Y.reshape(nn, r3))
+        bk.grouped_matmul(self.Ae, offsets, ws.xe, ws.ye)
+        bk.spmv_csr(*incidence, ws.ye.reshape(-1, w), Y.reshape(-1, w))
         return Y
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

@@ -209,32 +209,42 @@ def test_gather_rows(bk):
     pytest.param((7,), id="single-class"),
 ])
 def test_grouped_matmul(bk, sizes, r):
-    """``out[e] = A[c] @ X[e]`` for the rows of group ``c`` — one group
-    per row, groups of uneven size (an empty one included) and a single
-    group for every row."""
+    """``A[c] @ x_e`` for the members ``e`` of group ``c``, laid out
+    class-blocked: group ``c`` is the ``(30, k_c r)`` matrix at rows
+    ``30 offsets[c]``, its members side by side — one group per member
+    (the ``(N, 30, r)`` stack), groups of uneven size (an empty one
+    included) and a single group for every member."""
     rng = _rng(5)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     A = rng.standard_normal((len(sizes), 30, 30))
-    X = rng.standard_normal((offsets[-1], 30, r))
+    members = rng.standard_normal((offsets[-1], 30, r))  # x_e, member by member
+
+    def blocked(Z):  # (N, 30, r) members -> the class-blocked (30 N, r)
+        return np.concatenate([Z[s:e].transpose(1, 0, 2).reshape(-1, r)
+                               for s, e in zip(offsets[:-1], offsets[1:])])
+
+    X = blocked(members)
     out = np.full_like(X, np.nan)
     assert bk.grouped_matmul(A, offsets, X, out) is out
     group = np.repeat(np.arange(len(sizes)), sizes)
-    np.testing.assert_allclose(out, A[group] @ X, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(out, blocked(A[group] @ members),
+                               rtol=1e-13, atol=1e-13)
 
 
 def test_ebe_sweep_on_engine(bk, tiny_mesh):
-    """The whole node-layout sweep (gather by node, grouped apply, CSR
-    incidence scatter, strided-operand staging) through each engine's
-    own primitives — for numba's kernel logic also where the engine is
-    absent — against the reference backend; stored, and grouped as one
-    class of equal matrices."""
+    """The whole sweep (gather, grouped apply, CSR incidence scatter,
+    strided-operand staging) through each engine's own primitives — for
+    numba's kernel logic also where the engine is absent — against the
+    reference backend over the expanded matrices: stored (by node), and
+    grouped (class-blocked by dof) as one class and as three."""
     from repro.sparse.ebe import EBEOperator
 
     rng = _rng(6)
     ne = tiny_mesh.n_elems
     wide = rng.standard_normal((3 * tiny_mesh.n_nodes, 4))
     for Ae, classes in ((rng.standard_normal((ne, 30, 30)), None),
-                        (rng.standard_normal((1, 30, 30)), np.zeros(ne, dtype=int))):
+                        (rng.standard_normal((1, 30, 30)), np.zeros(ne, dtype=int)),
+                        (rng.standard_normal((3, 30, 30)), rng.integers(0, 3, ne))):
         ref = EBEOperator(Ae if classes is None else Ae[classes],
                           tiny_mesh.elems, tiny_mesh.n_nodes, backend="numpy")
         op = EBEOperator(Ae, tiny_mesh.elems, tiny_mesh.n_nodes, backend=bk,

@@ -74,6 +74,24 @@ def test_sweep_matches_dense(small_problem, rng, r, precision, backend):
     )
 
 
+def _ascending_element_sums(op, X, order=None):
+    """Each node's element contributions added one by one in ascending
+    element order (or in ``order``), starting from the first."""
+    mats = op.Ae if op.classes is None else op.Ae[op.classes]
+    ye = mats @ X[element_dof_ids(op.elems)]  # (ne, 30, r)
+    expect = np.zeros((op.n_nodes, 3, X.shape[1]))
+    seen = np.zeros(op.n_nodes, dtype=bool)
+    for e in range(op.n_elems) if order is None else order:
+        for a, node in enumerate(op.elems[e]):
+            contrib = ye[e, 3 * a:3 * a + 3]
+            if seen[node]:
+                expect[node] += contrib
+            else:
+                expect[node] = contrib
+                seen[node] = True
+    return expect.reshape(op.n, X.shape[1])
+
+
 def test_summation_order_is_ascending_element_order(ops, rng):
     """Pin of the scatter's summation order: each node's value is, bit
     for bit, its element contributions added one by one in ascending
@@ -82,18 +100,25 @@ def test_summation_order_is_ascending_element_order(ops, rng):
     reduction swapped in for the incidence product fails here."""
     A_ebe, _ = ops
     X = rng.standard_normal((A_ebe.n, 4))
-    ye = A_ebe.Ae @ X[element_dof_ids(A_ebe.elems)]  # (ne, 30, r)
-    expect = np.zeros((A_ebe.n_nodes, 3, 4))
-    seen = np.zeros(A_ebe.n_nodes, dtype=bool)
-    for e, nodes in enumerate(A_ebe.elems):
-        for a, node in enumerate(nodes):
-            contrib = ye[e, 3 * a:3 * a + 3]
-            if seen[node]:
-                expect[node] += contrib
-            else:
-                expect[node] = contrib
-                seen[node] = True
-    np.testing.assert_array_equal(A_ebe.matvec(X), expect.reshape(A_ebe.n, 4))
+    np.testing.assert_array_equal(A_ebe.matvec(X), _ascending_element_sums(A_ebe, X))
+
+
+def test_grouped_summation_order_is_ascending_element_order(small_mesh, rng):
+    """The same pin on a grouped operator, whose sweep runs class by
+    class: the incidence must still add in *original* element order.
+    Small-integer class matrices and operand make every GEMM exact; one
+    class's matrix is scaled by 2**53, so a node adds contributions near
+    2**53 beside ones near 1.0 and its rounding depends on their order."""
+    ne = small_mesh.n_elems
+    classes = rng.permutation(np.arange(ne) % 3)
+    A = rng.integers(-3, 4, size=(3, 30, 30)).astype(float)
+    A[1] *= 2.0 ** 53
+    op = EBEOperator(A, small_mesh.elems, small_mesh.n_nodes, classes=classes)
+    X = rng.integers(-3, 4, size=(op.n, 4)).astype(float)
+    expect = _ascending_element_sums(op, X)
+    in_sweep_order = _ascending_element_sums(op, X, np.argsort(classes, kind="stable"))
+    assert not np.array_equal(in_sweep_order, expect)  # the order shows
+    np.testing.assert_array_equal(op.matvec(X), expect)
 
 
 def _traced_peak(fn) -> int:

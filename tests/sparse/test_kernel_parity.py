@@ -3,8 +3,8 @@ pick must never show in the bits.
 
 * ``spmv_csr`` hands one vector to scipy's single-vector kernel and a
   block to the multi-vector one: same rows, same summation order.
-* ``grouped_matmul`` takes one stacked product for one matrix per row
-  and one broadcast product per group otherwise: same GEMM per row.
+* ``grouped_matmul`` takes one stacked product for one matrix per
+  member, and one GEMM per group's ``(30, k r)`` block otherwise.
 * The column-scaling primitives fold a large block into wide rows;
   every product is the one the plain broadcast makes.
 * Both stay *per column*: a fused solve with a poisoned case leaves its
@@ -77,16 +77,22 @@ def test_spmv_rejects_a_row_pointer_that_does_not_match_out():
 # ------------------------------------------------- grouped apply
 @pytest.mark.parametrize("r", [1, 2, 4, 8])
 def test_grouped_matmul_is_bit_equal_to_the_stacked_product(r):
-    """One broadcast product per group makes, row for row, the GEMM
-    call the stacked product over the expanded matrices makes."""
+    """One matrix per member — the stored operator every golden pins —
+    is the stacked product over the ``(N, 30, r)`` view; and each group
+    of a grouping is its own single GEMM over the ``(30, k r)`` block
+    at rows ``30 offsets[c]``, nothing more."""
     bk = as_backend("numpy")
     rng = np.random.default_rng(30 + r)
-    labels = np.sort(rng.integers(0, 9, size=200))
-    offsets = np.searchsorted(labels, np.arange(10))
-    A = rng.standard_normal((9, 30, 30))
-    X = rng.standard_normal((200, 30, r))
-    got = bk.grouped_matmul(A, offsets, X, np.empty_like(X))
-    assert got.tobytes() == np.matmul(A[labels], X).tobytes()
+    A = rng.standard_normal((200, 30, 30))
+    X = rng.standard_normal((30 * 200, r))
+    got = bk.grouped_matmul(A, np.arange(201), X, np.empty_like(X))
+    assert got.tobytes() == np.matmul(A, X.reshape(200, 30, r)).tobytes()
+
+    offsets = np.searchsorted(np.sort(rng.integers(0, 9, size=200)), np.arange(10))
+    got = bk.grouped_matmul(A[:9], offsets, X, np.full_like(X, np.nan))
+    for c, (s, e) in enumerate(zip(30 * offsets[:-1], 30 * offsets[1:])):
+        block = X[s:e].reshape(30, -1)
+        assert got[s:e].tobytes() == (A[c] @ block).tobytes()
 
 
 # --------------------------------------------------- column scaling
