@@ -344,7 +344,7 @@ class ElasticProblem:
             matrices={"M": self.matrices["M"], "C": Ce, "K": Ke,
                       "A": _effective_matrices(
                           self.newmark, self.element_matrices("M"), Ce, Ke,
-                          self.mesh, self.fixed_nodes)},
+                          self.mesh.elems, self.n_nodes, self.fixed_nodes)},
             classes={k: v for k, v in self.classes.items() if k == "M"},
             _cache={k: op for k, op in self._cache.items()
                     if k.startswith("M_")},
@@ -352,14 +352,25 @@ class ElasticProblem:
 
 
 def _effective_matrices(
-    newmark: NewmarkBeta, Me, Ce, Ke, mesh: Tet10Mesh, fixed_nodes
+    newmark: NewmarkBeta, Me, Ce, Ke, elems: np.ndarray, n_nodes: int, fixed_nodes
 ) -> np.ndarray:
-    """Constrained effective element matrices (Eq. 5 left side): the
-    Newmark combination of mass, damping and stiffness with the
-    Dirichlet rows/columns of ``fixed_nodes`` replaced by identity."""
+    """Constrained effective element matrices (Eq. 5 left side) of the
+    elements ``elems``: the Newmark combination of mass, damping and
+    stiffness with the Dirichlet rows/columns of ``fixed_nodes``
+    replaced by identity."""
     Ae_raw = newmark.c_mass * Me + newmark.c_damp * Ce + Ke
-    return apply_dirichlet_to_elements(
-        Ae_raw, mesh.elems, fixed_nodes, mesh.n_nodes)
+    return apply_dirichlet_to_elements(Ae_raw, elems, fixed_nodes, n_nodes)
+
+
+#: Elements integrated at once by :func:`build_problem`: its transient
+#: memory is a few blocks' families, not a few whole-mesh families.
+#: Blocks are near-equal, so none falls under 256 elements (a small
+#: einsum picks another contraction path and moves the bits).
+_BLOCK = 512
+
+#: A member may differ from its class representative by this much,
+#: relative, on the probe vector (rounding differs, inputs may not).
+_CLASS_RTOL = 1e-10
 
 
 def build_problem(
@@ -375,6 +386,15 @@ def build_problem(
     material: EquivalentLinearMaterial | None = None,
 ) -> ElasticProblem:
     """Assemble an :class:`ElasticProblem` from mesh + materials.
+
+    The element families are integrated over contiguous blocks of at
+    most :data:`_BLOCK` elements; each block's M, C, K and A are copied
+    into the stored arrays and dropped before the next block starts.  A
+    grouped problem keeps only the class representatives (each class's
+    lowest id, so met no later than its members) and checks every
+    member against its representative on a fixed probe vector: a wrong
+    label fails loud, naming the first element off.  So the build never
+    holds a grouped problem's per-element families.
 
     Parameters
     ----------
@@ -392,36 +412,57 @@ def build_problem(
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (ne,)).copy()
     vp = np.broadcast_to(np.asarray(vp, dtype=float), (ne,)).copy()
     vs = np.broadcast_to(np.asarray(vs, dtype=float), (ne,)).copy()
-    # The class labels live as long as the problem, so they are made
-    # before the element matrices' large temporaries: made after, they
-    # pin the heap top and cost up to one (ne, 30, 30) array of peak RSS.
     fixed = mesh.bottom_nodes() if fix_bottom else np.empty(0, dtype=np.int64)
-    sides = mesh.side_faces() if absorbing_sides else None
+    f_elem, f_loc, f_nodes = (a if absorbing_sides else a[:0]
+                              for a in mesh.side_faces())
     dashpots = np.zeros((ne, 4), dtype=np.int64)  # by opposite corner
-    if sides is not None:
-        dashpots[sides[0], 6 - sides[1].sum(axis=1)] = 1
+    dashpots[f_elem, 6 - f_loc.sum(axis=1)] = 1
     groups = class_groups(_element_classes(mesh, rho, vp, vs, fixed, dashpots))
+    rep, labels = (np.arange(ne), None) if groups is None else groups
 
     lam, mu = lame_parameters(rho, vp, vs)
-    Me, Ke = element_mass_stiffness(mesh, rho, lam, mu)
     alpha, beta = rayleigh_coefficients(damping_ratio, *damping_band)
-    Ce = alpha * Me + beta * Ke
-    if sides is not None and sides[2].shape[0]:
-        f_elem, _f_loc, f_nodes = sides
-        Cf = face_dashpot_matrices(
-            mesh, f_nodes, rho[f_elem], vp[f_elem], vs[f_elem]
-        )
-        fold_faces_into_elements(Ce, mesh, f_elem, f_nodes, Cf)
-
+    # the face matrices are made once: a block owning few faces would
+    # take another einsum path and round them differently
+    Cf = face_dashpot_matrices(mesh, f_nodes, rho[f_elem], vp[f_elem], vs[f_elem])
     nm = NewmarkBeta(dt)
-    matrices = {"M": Me, "C": Ce, "K": Ke,
-                "A": _effective_matrices(nm, Me, Ce, Ke, mesh, fixed)}
-    del Me, Ce, Ke  # the dict holds the one reference to each full array
-    if groups is not None:
-        rep, labels = groups
-        for family, mats in matrices.items():
-            _check_classes(family, mats, labels, rep)
-            matrices[family] = mats[rep]
+    matrices = {f: np.empty((rep.size, 30, 30)) for f in "MCKA"}
+    probe = np.random.default_rng(0).standard_normal(30)
+    rep_probes = {f: np.empty((rep.size, 30)) for f in matrices}
+    off = {f: [] for f in matrices}
+    for block in np.array_split(np.arange(ne), -(-ne // _BLOCK)):
+        lo, hi, elems = block[0], block[-1] + 1, mesh.elems[block]
+        Me, Ke = element_mass_stiffness(mesh.nodes[elems], rho[block],
+                                        lam[block], mu[block])
+        Ce = alpha * Me + beta * Ke
+        own = (f_elem >= lo) & (f_elem < hi)
+        fold_faces_into_elements(Ce, elems, f_elem[own] - lo, f_nodes[own], Cf[own])
+        fams = {"M": Me, "C": Ce, "K": Ke,
+                "A": _effective_matrices(nm, Me, Ce, Ke, elems, mesh.n_nodes, fixed)}
+        if labels is None:
+            # a one-block mesh keeps its arrays: a copy would cost four families
+            for f, mats in fams.items():
+                if block.size == ne:
+                    matrices[f] = mats
+                else:
+                    matrices[f][block] = mats
+            continue
+        cls = np.flatnonzero((rep >= lo) & (rep < hi))
+        for f, mats in fams.items():
+            matrices[f][cls] = mats[rep[cls] - lo]
+            y = (mats.reshape(-1, 30) @ probe).reshape(-1, 30)
+            rep_probes[f][cls] = y[rep[cls] - lo]
+            ref = rep_probes[f][labels[block]]
+            off[f].extend(lo + np.flatnonzero(np.linalg.norm(y - ref, axis=1)
+                                              > _CLASS_RTOL * np.linalg.norm(ref, axis=1)))
+    for family, bad in off.items():
+        if bad:
+            raise ValueError(
+                f"{len(bad)} of {ne} elements differ from their class "
+                f"representative in family {family} beyond {_CLASS_RTOL:g} "
+                f"(first: element {bad[0]}): the class labels do not describe "
+                f"these matrices"
+            )
     return ElasticProblem(
         mesh=mesh,
         dt=dt,
@@ -429,33 +470,8 @@ def build_problem(
         matrices=matrices,
         fixed_nodes=np.asarray(fixed, dtype=np.int64),
         material=material,
-        classes={} if groups is None else dict.fromkeys(matrices, groups[1]),
+        classes={} if labels is None else dict.fromkeys(matrices, labels),
     )
-
-
-#: A member may differ from its class representative by this much,
-#: relative, on the probe vector (rounding differs, inputs may not).
-_CLASS_RTOL = 1e-10
-
-
-def _check_classes(family: str, elem_mats: np.ndarray, labels: np.ndarray,
-                   rep: np.ndarray) -> None:
-    """Fail loud on a wrong label: every element's matrix of ``family``
-    against its class representative's, on one fixed random probe
-    vector."""
-    ne, nd, _ = elem_mats.shape
-    w = np.random.default_rng(0).standard_normal(nd)
-    y = (elem_mats.reshape(ne * nd, nd) @ w).reshape(ne, nd)
-    ref = y[rep][labels]
-    bad = np.flatnonzero(np.linalg.norm(y - ref, axis=1)
-                         > _CLASS_RTOL * np.linalg.norm(ref, axis=1))
-    if bad.size:
-        raise ValueError(
-            f"{bad.size} of {ne} elements differ from their class "
-            f"representative in family {family} beyond {_CLASS_RTOL:g} "
-            f"(first: element {bad[0]}): the class labels do not describe "
-            f"these matrices"
-        )
 
 
 #: Element coordinates are compared in units of this fraction of the

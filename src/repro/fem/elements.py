@@ -1,9 +1,12 @@
 """Vectorized TET10 element matrices.
 
-Every routine operates on *all* elements at once with einsum-batched
-quadrature — no per-element Python loop — following the vectorization
-idioms the library is built on.  Element matrices are kept as dense
-``(ne, 30, 30)`` arrays: they are exactly the operand of the paper's
+Every routine operates on a batch of elements (or faces) at once with
+einsum-batched quadrature — no per-element Python loop — following the
+vectorization idioms the library is built on.  The batch is whatever
+the caller passes: :func:`repro.core.problem.build_problem` integrates
+a mesh block by block, so it never holds more than one block's
+matrices and temporaries.  Element matrices are dense
+``(nb, 30, 30)`` arrays: they are exactly the operand of the paper's
 matrix-free EBE SpMV (Eq. 8), and also the source for global assembly.
 """
 
@@ -46,16 +49,17 @@ def _jacobians(dN: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def element_mass_stiffness(
-    mesh: Tet10Mesh,
+    X: np.ndarray,
     rho: np.ndarray,
     lam: np.ndarray,
     mu: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Consistent mass and stiffness matrices for every element.
+    """Consistent mass and stiffness matrices of a batch of elements.
 
     Parameters
     ----------
-    mesh : the TET10 mesh.
+    X : (ne, 10, 3) node coordinates of each element
+        (``mesh.nodes[mesh.elems]`` for a whole mesh).
     rho, lam, mu : (ne,) per-element density and Lame parameters.
 
     Returns
@@ -64,14 +68,13 @@ def element_mass_stiffness(
         DOF ordering interleaves components: local dof ``3*a + i`` is
         component ``i`` of local node ``a``.
     """
-    ne = mesh.n_elems
+    ne = X.shape[0]
     rho = np.broadcast_to(np.asarray(rho, dtype=float), (ne,))
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (ne,))
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (ne,))
 
     pts, w = tet_rule(4)
     N, dN = tet10_shape(pts)
-    X = mesh.nodes[mesh.elems]  # (ne, 10, 3)
     detJ, G = _jacobians(dN, X)
     wdet = w[None, :] * detJ  # (ne, nq)
 
@@ -155,7 +158,7 @@ def face_dashpot_matrices(
 
 def fold_faces_into_elements(
     Ce: np.ndarray,
-    mesh: Tet10Mesh,
+    elems: np.ndarray,
     face_elem: np.ndarray,
     face_nodes: np.ndarray,
     Cf: np.ndarray,
@@ -163,13 +166,14 @@ def fold_faces_into_elements(
     """Accumulate face dashpot matrices into their owning elements' 30x30
     damping matrices (in place).
 
-    Keeping boundary terms element-local means the EBE operator (Eq. 8)
-    sees exactly the same physics as the assembled matrix.
+    ``Ce`` and ``elems`` are one batch of elements (matrices and
+    connectivity), ``face_elem`` indexes into that batch.  Faces are
+    added in face order, so an element owning two faces sums them as a
+    loop over the faces would.  Keeping boundary terms element-local
+    means the EBE operator (Eq. 8) sees exactly the same physics as the
+    assembled matrix.
     """
-    for f in range(face_nodes.shape[0]):
-        e = int(face_elem[f])
-        enodes = mesh.elems[e]
-        # local index of each face node within the element
-        loc = np.array([int(np.where(enodes == g)[0][0]) for g in face_nodes[f]])
-        dof = (3 * loc[:, None] + np.arange(3)[None, :]).ravel()  # (18,)
-        Ce[e][np.ix_(dof, dof)] += Cf[f]
+    # local index of each face node within its element
+    loc = np.argmax(elems[face_elem][:, None, :] == face_nodes[:, :, None], axis=2)
+    dof = (3 * loc[:, :, None] + np.arange(3)).reshape(-1, 18)
+    np.add.at(Ce, (face_elem[:, None, None], dof[:, :, None], dof[:, None, :]), Cf)

@@ -65,8 +65,7 @@ class Tet10Mesh:
     n_corner_nodes : int
         Nodes ``[0, n_corner_nodes)`` are tet corners.
     edge_mid : dict[(int, int), int]
-        Sorted corner pair -> midside node id (used to resolve the
-        midside nodes of boundary faces).
+        Sorted corner pair -> midside node id.
     """
 
     nodes: np.ndarray
@@ -117,53 +116,33 @@ class Tet10Mesh:
         face_nodes : (nf, 6) global node ids (3 corners + 3 midsides in
             edge order (0,1), (1,2), (0,2) of the face corners).
         """
-        ne = self.n_elems
-        corners = self.elems[:, :4]
-        seen: dict[tuple[int, int, int], tuple[int, int]] = {}
-        dup: set[tuple[int, int, int]] = set()
-        for e in range(ne):
-            for fi, (a, b, c) in enumerate(TET_FACES):
-                key = tuple(sorted((int(corners[e, a]), int(corners[e, b]), int(corners[e, c]))))
-                if key in seen:
-                    dup.add(key)
-                else:
-                    seen[key] = (e, fi)
-        face_elem, face_local, face_nodes = [], [], []
-        for key, (e, fi) in seen.items():
-            if key in dup:
-                continue
-            loc = TET_FACES[fi]
-            g = [int(corners[e, loc[0]]), int(corners[e, loc[1]]), int(corners[e, loc[2]])]
-            mids = []
-            for pa, pb in ((0, 1), (1, 2), (0, 2)):
-                ek = (min(g[pa], g[pb]), max(g[pa], g[pb]))
-                mids.append(self.edge_mid[ek])
-            face_elem.append(e)
-            face_local.append(loc)
-            face_nodes.append(g + mids)
-        return (
-            np.asarray(face_elem, dtype=np.int64),
-            np.asarray(face_local, dtype=np.int64),
-            np.asarray(face_nodes, dtype=np.int64),
-        )
+        # every element's four faces in (element, face) order, keyed by
+        # their sorted corners; a face seen once is exterior
+        local = np.asarray(TET_FACES, dtype=np.int64)
+        faces = self.elems[:, local].reshape(-1, 3)
+        _, first, count = np.unique(
+            np.sort(faces, axis=1), axis=0, return_index=True, return_counts=True)
+        ext = np.sort(first[count == 1])  # first-occurrence order
+        face_elem = ext // 4
+        face_local = local[ext % 4]
+        # the midsides of face edges (0,1), (1,2), (0,2) are element columns
+        mid_col = np.zeros((4, 4), dtype=np.int64)
+        for m, (a, b) in enumerate(TET10_EDGES):
+            mid_col[a, b] = mid_col[b, a] = 4 + m
+        cols = np.concatenate(
+            [face_local, mid_col[face_local[:, [0, 1, 0]], face_local[:, [1, 2, 2]]]],
+            axis=1)
+        return face_elem, face_local, self.elems[face_elem[:, None], cols]
 
     def side_faces(self, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exterior faces lying on the four vertical sides of the box
         (the paper's absorbing boundaries)."""
         fe, fl, fn = self.boundary_faces()
         lo, hi = self.bounds()
-        out = []
-        for i in range(fn.shape[0]):
-            xyz = self.nodes[fn[i]]
-            on_side = False
-            for axis in (0, 1):
-                if np.all(xyz[:, axis] <= lo[axis] + tol) or np.all(
-                    xyz[:, axis] >= hi[axis] - tol
-                ):
-                    on_side = True
-            out.append(on_side)
-        mask = np.asarray(out, dtype=bool)
-        return fe[mask], fl[mask], fn[mask]
+        xy = self.nodes[fn][:, :, :2]  # (nf, 6, 2)
+        on_side = (np.all(xy <= lo[:2] + tol, axis=1)
+                   | np.all(xy >= hi[:2] - tol, axis=1)).any(axis=1)
+        return fe[on_side], fl[on_side], fn[on_side]
 
 
 def box_tet4(

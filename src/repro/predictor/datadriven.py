@@ -41,9 +41,7 @@ from repro.util import counters
 __all__ = ["DataDrivenPredictor", "mgs_estimate"]
 
 
-def mgs_estimate(
-    X: np.ndarray, Y: np.ndarray, x: np.ndarray, rtol: float = 1e-12
-) -> np.ndarray:
+def mgs_estimate(Z: np.ndarray, Y: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     """Batched history estimate ``y = Y U U^T X^T x`` per region.
 
     Named for the paper's kernel (MGS on the CPU); the host executes it
@@ -54,11 +52,11 @@ def mgs_estimate(
 
     Parameters
     ----------
-    X : (nreg, m_in, s) input history per region (``m_in`` may differ
-        from the output length, e.g. correction rows stacked with
-        force rows).
+    Z : (nreg, m_in, s + 1) ``[X | x]`` per region: the input history
+        ``X`` as the first ``s`` columns (``m_in`` may differ from the
+        output length, e.g. correction rows stacked with force rows),
+        the new input ``x`` as the last.
     Y : (nreg, m_out, s) output history per region.
-    x : (nreg, m_in) new input per region.
     rtol : columns whose residual norm falls below ``rtol`` times the
         largest column norm are treated as linearly dependent and
         dropped (their coefficient is zeroed).
@@ -67,7 +65,7 @@ def mgs_estimate(
     -------
     y : (nreg, m_out) estimated outputs.
     """
-    return backend_by_name(DEFAULT_BACKEND).qr_estimate(X, Y, x, rtol)
+    return backend_by_name(DEFAULT_BACKEND).qr_estimate(Z, Y, rtol)
 
 
 @register_predictor
@@ -245,26 +243,28 @@ class DataDrivenPredictor(Predictor):
         use_force = scale_f > 0.0 and scale_d > 0.0
         rows = 2 if use_force else 1
 
-        # W[j] = [d_{it-s-1+j} ; w_f f_{it-s+j}] per region: inputs X are
-        # columns 0..s-1, outputs Y the correction rows of columns 1..s,
-        # the new input x is column s with w_f f_it
-        W = np.empty((s + 1, nreg, rows, m))
+        # W[r, j] = [d_{it-s-1+j} ; w_f f_{it-s+j}] of region r: inputs X
+        # are columns 0..s-1, outputs Y the correction rows of columns
+        # 1..s, the new input x is column s with w_f f_it.  Region-major
+        # with each column contiguous, [X | x] is a view the QR factors
+        # as it is, so a step stacks its history once
+        W = np.empty((nreg, s + 1, rows, m))
         for dst, src in spans:
-            W[dst, :, 0] = self._hist[0, src].reshape(-1, nreg, m)
+            W[:, dst, 0] = self._hist[0, src].reshape(-1, nreg, m).transpose(1, 0, 2)
         if use_force:
             w_f = scale_d / scale_f
             for dst, src in self._spans(s):
                 np.multiply(
-                    self._hist[1, src].reshape(-1, nreg, m), w_f, out=W[dst, :, 1]
+                    self._hist[1, src].reshape(-1, nreg, m).transpose(1, 0, 2), w_f,
+                    out=W[:, dst, 1],
                 )
             f_in = np.zeros(nreg * m)
             if f_next is not None:
                 f_in[: self.n] = f_next
-            np.multiply(f_in.reshape(nreg, m), w_f, out=W[s, :, 1])
+            np.multiply(f_in.reshape(nreg, m), w_f, out=W[:, s, 1])
         yr = mgs_estimate(
-            W[:s].reshape(s, nreg, rows * m).transpose(1, 2, 0),
-            W[1:, :, 0].transpose(1, 2, 0),
-            W[s].reshape(nreg, rows * m),
+            W.reshape(nreg, s + 1, rows * m).transpose(0, 2, 1),
+            W[:, 1:, 0].transpose(0, 2, 1),
         )
         d_hat = yr.reshape(-1)[: self.n]
 

@@ -256,38 +256,37 @@ class ArrayBackend(abc.ABC):
         return out
 
     # -- history regression (the data-driven predictor) ---------------
-    def qr_estimate(
-        self, X: np.ndarray, Y: np.ndarray, x: np.ndarray, rtol: float
-    ) -> np.ndarray:
+    def qr_estimate(self, Z: np.ndarray, Y: np.ndarray, rtol: float) -> np.ndarray:
         """Batched least-squares history estimate ``y = Y w`` with
         ``w = argmin ||x - X w||`` per region (the paper's Eq. 3).
 
-        ``X`` is ``(nreg, m_in, s)``, ``Y`` ``(nreg, m_out, s)``, ``x``
-        ``(nreg, m_in)``; returns a fresh ``(nreg, m_out)`` array
-        rather than filling a caller's: LAPACK factors a copy anyway.
+        ``Z = [X | x]`` is ``(nreg, m_in, s + 1)``: the inputs ``X`` as
+        its first ``s`` columns, the new input ``x`` as its last.  It is
+        factored as given — a caller holding its history with each
+        column contiguous (the predictor) passes a view and nothing is
+        stacked here.  ``Y`` is ``(nreg, m_out, s)``; returns a fresh
+        ``(nreg, m_out)`` array rather than filling a caller's: LAPACK
+        factors a copy anyway.
 
-        One stacked Householder QR of ``[X | x]`` per call: the last
-        column of ``R`` is ``Q^T x``, so ``Q`` is never formed.  Column
-        ``j`` is *dead* — linearly dependent, coefficient exactly 0 —
-        when its residual against the alive columns before it is at
-        most ``rtol`` times the region's largest column norm; the
-        alive columns are always fitted by exact least squares.
+        One stacked Householder QR of ``Z`` per call: the last column of
+        ``R`` is ``Q^T x``, so ``Q`` is never formed.  Column ``j`` is
+        *dead* — linearly dependent, coefficient exactly 0 — when its
+        residual against the alive columns before it is at most
+        ``rtol`` times the region's largest column norm; the alive
+        columns are always fitted by exact least squares.
         """
-        X = np.asarray(X, dtype=float)
+        Z = np.asarray(Z, dtype=float)
         Y = np.asarray(Y, dtype=float)
-        x = np.asarray(x, dtype=float)
-        nreg, m, s = X.shape
-        # [X | x] transposed: one Fortran-ordered matrix per region,
-        # zero rows added when a region has fewer rows than columns
-        A = np.empty((nreg, s + 1, max(m, s + 1)))
-        A[:, :s, :m] = X.transpose(0, 2, 1)
-        A[:, s, :m] = x
-        A[:, :, m:] = 0.0
+        nreg, m, s = Z.shape[0], Z.shape[1], Z.shape[2] - 1
+        if m < s + 1:  # zero rows, so a region has as many rows as columns
+            A = np.zeros((nreg, s + 1, s + 1))
+            A[:, :, :m] = Z.transpose(0, 2, 1)
+            Z = A.transpose(0, 2, 1)
         col_scale = np.sqrt(
-            np.einsum("rsm,rsm->rs", A[:, :s], A[:, :s]).max(axis=1)
+            np.einsum("rms,rms->rs", Z[:, :, :s], Z[:, :, :s]).max(axis=1)
         )
         tol = rtol * np.where(col_scale == 0.0, 1.0, col_scale)
-        R = np.linalg.qr(A.transpose(0, 2, 1), mode="r")
+        R = np.linalg.qr(Z, mode="r")
         small = (np.abs(np.einsum("rjj->rj", R)[:, :s]) <= tol[:, None]).any(axis=0)
         if small.any():
             _skip_dead_columns(R, tol, int(small.argmax()))

@@ -18,7 +18,7 @@ def setup(tiny_mesh):
     ne = tiny_mesh.n_elems
     rho = np.full(ne, 1500.0)
     lam, mu = lame_parameters(rho, np.full(ne, 300.0), np.full(ne, 150.0))
-    Me, Ke = element_mass_stiffness(tiny_mesh, rho, lam, mu)
+    Me, Ke = element_mass_stiffness(tiny_mesh.nodes[tiny_mesh.elems], rho, lam, mu)
     return tiny_mesh, Me, Ke
 
 

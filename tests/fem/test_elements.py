@@ -9,6 +9,7 @@ from repro.fem.elements import (
     fold_faces_into_elements,
 )
 from repro.fem.material import Material, lame_parameters
+from repro.fem.mesh import structured_box
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +17,7 @@ def mats(small_mesh):
     ne = small_mesh.n_elems
     rho = np.full(ne, 2000.0)
     lam, mu = lame_parameters(rho, np.full(ne, 400.0), np.full(ne, 200.0))
-    Me, Ke = element_mass_stiffness(small_mesh, rho, lam, mu)
+    Me, Ke = element_mass_stiffness(small_mesh.nodes[small_mesh.elems], rho, lam, mu)
     return Me, Ke
 
 
@@ -64,8 +65,8 @@ def test_stiffness_scales_with_modulus(small_mesh):
     ne = small_mesh.n_elems
     rho = np.full(ne, 2000.0)
     lam, mu = lame_parameters(rho, np.full(ne, 400.0), np.full(ne, 200.0))
-    _, K1 = element_mass_stiffness(small_mesh, rho, lam, mu)
-    _, K2 = element_mass_stiffness(small_mesh, rho, 2 * lam, 2 * mu)
+    _, K1 = element_mass_stiffness(small_mesh.nodes[small_mesh.elems], rho, lam, mu)
+    _, K2 = element_mass_stiffness(small_mesh.nodes[small_mesh.elems], rho, 2 * lam, 2 * mu)
     np.testing.assert_allclose(K2, 2 * K1, rtol=1e-12)
 
 
@@ -124,10 +125,36 @@ def test_fold_faces_adds_symmetrically(small_mesh):
         small_mesh, fn, np.full(len(fe), 1.0), np.full(len(fe), 2.0), np.full(len(fe), 1.0)
     )
     Ce = np.zeros((small_mesh.n_elems, 30, 30))
-    fold_faces_into_elements(Ce, small_mesh, fe, fn, Cf)
+    fold_faces_into_elements(Ce, small_mesh.elems, fe, fn, Cf)
     np.testing.assert_allclose(Ce, Ce.transpose(0, 2, 1), atol=1e-12)
     # total energy content preserved
     assert Ce.sum() == pytest.approx(Cf.sum(), rel=1e-12)
+
+
+def _fold_faces_loop(Ce, elems, face_elem, face_nodes, Cf):
+    """The per-face loop ``fold_faces_into_elements`` replaced: the
+    byte oracle of its summation order."""
+    for f in range(face_nodes.shape[0]):
+        e = int(face_elem[f])
+        loc = np.array([int(np.where(elems[e] == g)[0][0]) for g in face_nodes[f]])
+        dof = (3 * loc[:, None] + np.arange(3)[None, :]).ravel()
+        Ce[e][np.ix_(dof, dof)] += Cf[f]
+
+
+@pytest.mark.parametrize("res", [(1, 1, 1), (3, 3, 2), (4, 2, 3)])
+def test_fold_faces_sums_in_the_face_loop_order(res):
+    mesh = structured_box(*res, 950.0, 950.0, 120.0)
+    fe, _, fn = mesh.side_faces()
+    assert np.bincount(fe).max() == 2  # corner elements own two side faces
+    rng = np.random.default_rng(1)
+    nf, ne = len(fe), mesh.n_elems
+    Cf = face_dashpot_matrices(mesh, fn, rng.uniform(1.5e3, 2e3, nf),
+                               rng.uniform(8e2, 1e3, nf), rng.uniform(2e2, 4e2, nf))
+    Ce = rng.standard_normal((ne, 30, 30))
+    ref = Ce.copy()
+    fold_faces_into_elements(Ce, mesh.elems, fe, fn, Cf)
+    _fold_faces_loop(ref, mesh.elems, fe, fn, Cf)
+    assert Ce.tobytes() == ref.tobytes()
 
 
 def test_material_validation():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fem.mesh import Tet10Mesh, box_tet4, structured_box
+from repro.fem.mesh import TET_FACES, Tet10Mesh, box_tet4, structured_box
 
 
 def test_box_tet4_counts():
@@ -90,6 +90,55 @@ def test_face_nodes_belong_to_owner(small_mesh: Tet10Mesh):
     for f in range(0, fn.shape[0], 7):
         owner_nodes = set(small_mesh.elems[fe[f]])
         assert set(fn[f]) <= owner_nodes
+
+
+def _boundary_faces_loop(mesh: Tet10Mesh):
+    """The per-face loop ``boundary_faces`` replaced: the oracle of its
+    arrays and their order."""
+    corners = mesh.elems[:, :4]
+    seen, dup = {}, set()
+    for e in range(mesh.n_elems):
+        for fi, (a, b, c) in enumerate(TET_FACES):
+            key = tuple(sorted((int(corners[e, a]), int(corners[e, b]), int(corners[e, c]))))
+            if key in seen:
+                dup.add(key)
+            else:
+                seen[key] = (e, fi)
+    face_elem, face_local, face_nodes = [], [], []
+    for key, (e, fi) in seen.items():
+        if key in dup:
+            continue
+        loc = TET_FACES[fi]
+        g = [int(corners[e, i]) for i in loc]
+        mids = [mesh.edge_mid[(min(g[a], g[b]), max(g[a], g[b]))]
+                for a, b in ((0, 1), (1, 2), (0, 2))]
+        face_elem.append(e)
+        face_local.append(loc)
+        face_nodes.append(g + mids)
+    return (np.asarray(face_elem, dtype=np.int64),
+            np.asarray(face_local, dtype=np.int64),
+            np.asarray(face_nodes, dtype=np.int64))
+
+
+def _side_mask_loop(mesh: Tet10Mesh, fn: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    lo, hi = mesh.bounds()
+    return np.array([
+        any(np.all(mesh.nodes[face, axis] <= lo[axis] + tol)
+            or np.all(mesh.nodes[face, axis] >= hi[axis] - tol) for axis in (0, 1))
+        for face in fn], dtype=bool)
+
+
+@pytest.mark.parametrize("res", [(1, 1, 1), (3, 3, 2), (5, 2, 4)])
+def test_boundary_and_side_faces_match_the_face_loop(res):
+    mesh = structured_box(*res, 950.0, 950.0, 120.0)
+    ref = _boundary_faces_loop(mesh)
+    got = mesh.boundary_faces()
+    mask = _side_mask_loop(mesh, ref[2])
+    for a, b in zip(got, ref):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    for a, b in zip(mesh.side_faces(), ref):
+        assert (a.dtype, a.tobytes()) == (b.dtype, b[mask].tobytes())
+    assert 0 < mask.sum() < mask.size
 
 
 def test_element_centroids(small_mesh: Tet10Mesh):

@@ -48,3 +48,13 @@ def mgs_estimate_reference(
         w[:, j] = np.where(alive[:, j], acc / R[:, j, j], 0.0)
 
     return np.einsum("rms,rs->rm", Y, w)
+
+
+def stacked(X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``[X | x]``, the one input of ``mgs_estimate``, laid out as the
+    predictor passes it: region by region, each column contiguous."""
+    nreg, m, s = np.shape(X)
+    Z = np.empty((nreg, s + 1, m))
+    Z[:, :s] = np.transpose(X, (0, 2, 1))
+    Z[:, s] = x
+    return Z.transpose(0, 2, 1)

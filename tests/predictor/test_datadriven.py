@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mgs_reference import stacked
 
 from repro.predictor.datadriven import DataDrivenPredictor, mgs_estimate
 
@@ -19,7 +20,7 @@ def test_mgs_recovers_exact_linear_map():
     Y = np.einsum("ij,rjs->ris", L, X)
     coeffs = rng.standard_normal(s)
     x_new = np.einsum("rms,s->rm", X, coeffs)
-    y_hat = mgs_estimate(X, Y, x_new)
+    y_hat = mgs_estimate(stacked(X, x_new), Y)
     np.testing.assert_allclose(y_hat, np.einsum("ij,rj->ri", L, x_new), rtol=1e-8)
 
 
@@ -34,7 +35,7 @@ def test_mgs_orthogonal_component_maps_to_zero():
     Q, _ = np.linalg.qr(X[0])
     x = rng.standard_normal(m)
     x -= Q @ (Q.T @ x)
-    y_hat = mgs_estimate(X, Y, x[None])
+    y_hat = mgs_estimate(stacked(X, x[None]), Y)
     assert np.abs(y_hat).max() < 1e-8 * np.abs(Y).max()
 
 
@@ -45,7 +46,7 @@ def test_mgs_handles_rank_deficiency():
     X = rng.standard_normal((1, m, s))
     X[0, :, 3] = X[0, :, 1]  # exact repeat
     Y = rng.standard_normal((1, m, s))
-    y_hat = mgs_estimate(X, Y, X[0, :, 1][None])
+    y_hat = mgs_estimate(stacked(X, X[0, :, 1][None]), Y)
     assert np.all(np.isfinite(y_hat))
 
 
@@ -56,9 +57,9 @@ def test_mgs_batched_regions_independent():
     X = rng.standard_normal((nreg, m, s))
     Y = rng.standard_normal((nreg, m, s))
     x = rng.standard_normal((nreg, m))
-    batched = mgs_estimate(X, Y, x)
+    batched = mgs_estimate(stacked(X, x), Y)
     for r in range(nreg):
-        solo = mgs_estimate(X[r : r + 1], Y[r : r + 1], x[r : r + 1])
+        solo = mgs_estimate(stacked(X[r : r + 1], x[r : r + 1]), Y[r : r + 1])
         np.testing.assert_allclose(batched[r], solo[0], rtol=1e-10, atol=1e-12)
 
 
@@ -75,7 +76,7 @@ def test_property_mgs_exact_on_span(seed, s):
     c = rng.standard_normal(s)
     x = np.einsum("rms,s->rm", X, c)
     y_ref = np.einsum("rms,s->rm", Y, c)
-    y_hat = mgs_estimate(X, Y, x)
+    y_hat = mgs_estimate(stacked(X, x), Y)
     np.testing.assert_allclose(y_hat, y_ref, rtol=1e-6, atol=1e-8)
 
 

@@ -13,7 +13,7 @@ identity as ``Y``.
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mgs_reference import mgs_estimate_reference
+from mgs_reference import mgs_estimate_reference, stacked
 
 from repro.predictor.datadriven import mgs_estimate
 
@@ -23,7 +23,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def coefficients(X, x, rtol=1e-12):
     """``w`` with ``y = Y w``, per region: the estimate of ``Y = I``."""
     nreg, _, s = X.shape
-    return mgs_estimate(X, np.broadcast_to(np.eye(s), (nreg, s, s)), x, rtol)
+    return mgs_estimate(stacked(X, x), np.broadcast_to(np.eye(s), (nreg, s, s)), rtol)
 
 
 def random_problem(rng, nreg, m, s, m_out=None):
@@ -35,7 +35,7 @@ def random_problem(rng, nreg, m, s, m_out=None):
 
 def assert_close_to_oracle(X, Y, x, tol=1e-10):
     want = mgs_estimate_reference(X, Y, x)
-    got = mgs_estimate(X, Y, x)
+    got = mgs_estimate(stacked(X, x), Y)
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(got, want, rtol=0, atol=tol * max(np.abs(want).max(), 1.0))
 
@@ -97,7 +97,7 @@ def test_ill_conditioned_history_is_least_squares_on_alive_columns(seed, nreg, s
     X, Y, x = smooth_history(rng, nreg, 12 * s, s, noise)
     assert np.linalg.cond(X).min() >= 1e10  # the regime real runs are in
     w = coefficients(X, x)
-    y = mgs_estimate(X, Y, x)
+    y = mgs_estimate(stacked(X, x), Y)
     assert np.all(np.isfinite(w)) and np.all(np.isfinite(y))
     eps = np.finfo(float).eps
     for r in range(nreg):
@@ -214,12 +214,12 @@ def test_all_zero_region_estimates_zero():
     rng = np.random.default_rng(6)
     X, Y, x = random_problem(rng, 3, 20, 4)
     X[1] = 0.0
-    y = mgs_estimate(X, Y, x)
+    y = mgs_estimate(stacked(X, x), Y)
     np.testing.assert_array_equal(y[1], 0.0)
     np.testing.assert_array_equal(coefficients(X, x)[1], 0.0)
     assert_close_to_oracle(X, Y, x)
     # nothing at all to learn from: every region dead
-    np.testing.assert_array_equal(mgs_estimate(np.zeros_like(X), Y, x), 0.0)
+    np.testing.assert_array_equal(mgs_estimate(stacked(np.zeros_like(X), x), Y), 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -241,9 +241,9 @@ def test_batched_equals_per_region(seed, nreg, s, dead):
     X, Y, x = random_problem(rng, nreg, 5 * s + 3, s)
     if dead:  # one region takes the dead-column path, the batch with it
         X[0, :, s - 1] = 0.0
-    batched = mgs_estimate(X, Y, x)
+    batched = mgs_estimate(stacked(X, x), Y)
     for r in range(nreg):
-        solo = mgs_estimate(X[r : r + 1], Y[r : r + 1], x[r : r + 1])
+        solo = mgs_estimate(stacked(X[r : r + 1], x[r : r + 1]), Y[r : r + 1])
         np.testing.assert_allclose(batched[r], solo[0], rtol=1e-12, atol=1e-13)
 
 
@@ -252,6 +252,6 @@ def test_estimate_does_not_read_the_ambient_backend(monkeypatch):
     engine named there that is missing must not reach the predictor."""
     rng = np.random.default_rng(8)
     X, Y, x = random_problem(rng, 2, 20, 3)
-    want = mgs_estimate(X, Y, x)
+    want = mgs_estimate(stacked(X, x), Y)
     monkeypatch.setenv("REPRO_BACKEND", "no-such-engine")
-    np.testing.assert_array_equal(mgs_estimate(X, Y, x), want)
+    np.testing.assert_array_equal(mgs_estimate(stacked(X, x), Y), want)

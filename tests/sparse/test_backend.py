@@ -311,25 +311,25 @@ def test_qr_estimate(bk):
     a dead column in the batch."""
     rng = _rng(13)
     nreg, m, m_out, s = 3, 40, 17, 5
-    W = rng.standard_normal((s, nreg, m))
-    X = W.transpose(1, 2, 0)  # one Fortran-ordered matrix per region
+    W = rng.standard_normal((nreg, s + 1, m))
+    Z = W.transpose(0, 2, 1)  # [X | x], one Fortran-ordered matrix per region
+    X, x = Z[:, :, :s], Z[:, :, s]
     Y = rng.standard_normal((nreg, m_out, s))
-    x = rng.standard_normal((nreg, m))
     ref = backend_by_name("numpy")
-    for Xk in (X, np.ascontiguousarray(X)):
-        y = bk.qr_estimate(Xk, Y, x, 1e-12)
+    for Zk in (Z, np.ascontiguousarray(Z)):
+        y = bk.qr_estimate(Zk, Y, 1e-12)
         assert y.shape == (nreg, m_out)
-        np.testing.assert_array_equal(y, ref.qr_estimate(Xk, Y, x, 1e-12))
+        np.testing.assert_array_equal(y, ref.qr_estimate(Zk, Y, 1e-12))
         for r in range(nreg):
             w = np.linalg.lstsq(X[r], x[r], rcond=None)[0]
             np.testing.assert_allclose(y[r], Y[r] @ w, rtol=1e-10, atol=1e-12)
-    Xd = X.copy()
-    Xd[1, :, 3] = Xd[1, :, 0]  # exact repeat: column 3 of region 1 is dead
-    yd = bk.qr_estimate(Xd, Y, x, 1e-12)
-    np.testing.assert_array_equal(yd, ref.qr_estimate(Xd, Y, x, 1e-12))
+    Zd = Z.copy()
+    Zd[1, :, 3] = Zd[1, :, 0]  # exact repeat: column 3 of region 1 is dead
+    yd = bk.qr_estimate(Zd, Y, 1e-12)
+    np.testing.assert_array_equal(yd, ref.qr_estimate(Zd, Y, 1e-12))
     np.testing.assert_allclose(yd[[0, 2]], y[[0, 2]], rtol=1e-12)
     keep = [0, 1, 2, 4]
-    w = np.linalg.lstsq(Xd[1][:, keep], x[1], rcond=None)[0]
+    w = np.linalg.lstsq(Zd[1][:, keep], x[1], rcond=None)[0]
     np.testing.assert_allclose(yd[1], Y[1][:, keep] @ w, rtol=1e-10, atol=1e-12)
 
 

@@ -50,7 +50,7 @@ def test_to_dense_matches(small_problem):
     mesh = structured_box(1, 1, 1)
     ne = mesh.n_elems
     lam, mu = lame_parameters(np.full(ne, 1.0), np.full(ne, 2.0), np.full(ne, 1.0))
-    _, Ke = element_mass_stiffness(mesh, np.full(ne, 1.0), lam, mu)
+    _, Ke = element_mass_stiffness(mesh.nodes[mesh.elems], np.full(ne, 1.0), lam, mu)
     op = EBEOperator(Ke, mesh.elems, mesh.n_nodes)
     dense = op.to_dense()
     ref = assemble_bsr(Ke, mesh.elems, mesh.n_nodes).toarray()

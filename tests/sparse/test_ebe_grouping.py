@@ -150,13 +150,19 @@ def test_resume_is_bit_identical(problem, make_forces, method, tmp_path):
                for a, b in zip(straight.final_states, resumed.final_states))
 
 
-@pytest.mark.parametrize("member", ["representative", "member"])
-def test_a_wrong_label_fails_loud(problem, member, monkeypatch):
+@pytest.mark.parametrize(
+    "member, block",
+    [("representative", None), ("member", None), ("representative", 64), ("member", 64)],
+    ids=["representative", "member", "representative-block64", "member-block64"])
+def test_a_wrong_label_fails_loud(problem, member, block, monkeypatch):
     """``build_problem`` checks every family against its labels and
     names the first element off its representative: a member forged
     into another class is that element; an element forged into a class
     as its lowest id becomes the representative, so the class's first
-    true member is named."""
+    true member is named — also when the two sit in different blocks
+    of the build."""
+    if block is not None:
+        monkeypatch.setattr(problem_module, "_BLOCK", block)
     labels = problem.classes["A"]
     c = np.bincount(labels).argmax()
     members = np.flatnonzero(labels == c)
