@@ -16,15 +16,19 @@ and the modeled devices, plus its own keys of a snapshot:
   time <= solver time, the predictor is completely hidden — the paper's
   central scheduling claim.
 
-Numerically the sets are executed sequentially on the host under
-either schedule — the dependency order is exactly that of Algorithm 2,
-so results match a sequential per-case run to rounding (the fused
-multi-RHS kernels order flops differently, nothing more); concurrency
-exists in the modeled :class:`~repro.util.timeline.Timeline`.
+On the host the heterogeneous schedule overlaps the sets too: from
+:data:`MIN_LANE_WORK` on, set B's chain runs on a second thread while
+set A's runs on the caller's, joined once per step.  Every buffer both
+sets reach is per thread (:class:`~repro.util.lanes.LaneLocal`), so
+records, states and checkpoints are byte-identical to one thread, and
+results match a sequential per-case run to rounding (the fused
+multi-RHS kernels order flops differently, nothing more).
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -47,7 +51,15 @@ from repro.util.counters import KernelTally, tally_scope
 from repro.util.timeline import Timeline
 
 __all__ = ["CaseSet", "StepDriver", "SequentialSchedule",
-           "HeterogeneousPipeline"]
+           "HeterogeneousPipeline", "MIN_LANE_WORK"]
+
+#: Fewest ``n_dofs * r`` per case set at which a heterogeneous step runs
+#: its sets on two threads: above the ``(6, 6, 3)`` mesh at 8 cases
+#: (14 196; 0.97-1.11x, its 36 small class GEMMs hand the GIL over per
+#: call), below ``(8, 8, 4)`` (31 212; 1.39-1.45x).  One-lane against
+#: two-lane host time per step: ``benchmarks/results/two_lane.txt``,
+#: written by ``benchmarks/test_two_lane.py``.
+MIN_LANE_WORK = 16384
 
 
 def _s_effective(cs: "CaseSet") -> int | None:
@@ -337,8 +349,9 @@ class StepDriver:
     """The loop over time steps, and what every schedule of it shares.
 
     A schedule provides ``sets`` — its :class:`CaseSet` objects, in case
-    order — a ``timeline``, and ``_step(it)``, which advances them all
-    by one time step and returns the step's record (built by
+    order — a ``timeline``, and ``_step(it, lane)``, which advances them
+    all by one time step, with ``lane`` (an executor, or ``None``) as a
+    second thread it may use, and returns the step's record (built by
     :meth:`_record`).  For checkpoints it provides only its own keys:
     ``_STATE_KEYS``, ``save_state()`` returning them in that (on-disk)
     order, and ``load_state(doc)`` reading them back.  The driver owns
@@ -359,15 +372,25 @@ class StepDriver:
 
         Calling ``run`` again continues seamlessly: ``run(nt); run(nt)``
         produces the same records and makespan as ``run(2 * nt)``.
+
+        If :meth:`_two_lanes`, a second thread lives for this call and
+        every step but its first gets it as ``lane``: the first builds
+        every operator and plan the sets share on one thread.
         """
         start_step = self.records[-1].step + 1 if self.records else 1
         dofs = self.waveform_dofs
-        for it in range(start_step, start_step + nt):
-            self.records.append(self._step(it))
-            if dofs is not None:
-                self._waves.append(
-                    np.concatenate([cs.displacements()[dofs].T for cs in self.sets])
-                )
+        with ThreadPoolExecutor(1, "lane") if self._two_lanes() else nullcontext() as lane:
+            for it in range(start_step, start_step + nt):
+                self.records.append(
+                    self._step(it, lane if it > start_step else None))
+                if dofs is not None:
+                    self._waves.append(np.concatenate(
+                        [cs.displacements()[dofs].T for cs in self.sets]))
+
+    def _two_lanes(self) -> bool:
+        """Whether steps run on two threads (only the heterogeneous
+        schedule's may)."""
+        return False
 
     @staticmethod
     def _record(it: int, results: Sequence[CGResult], **costs) -> StepRecord:
@@ -474,7 +497,7 @@ class SequentialSchedule(StepDriver):
     # skip the overlap queues (keeps long runs O(1))
     timeline: Timeline = field(default_factory=lambda: Timeline(track_overlap=False))
 
-    def _step(self, it: int) -> StepRecord:
+    def _step(self, it: int, lane: Executor | None = None) -> StepRecord:
         tl = self.timeline
         t0 = tl.makespan
         results, s_vals = [], []
@@ -563,7 +586,11 @@ class HeterogeneousPipeline(StepDriver):
         nbytes = 8.0 * self.set_a.problem.n_dofs * n_vectors
         return self.c2c.time(nbytes)
 
-    def _step(self, it: int) -> StepRecord:
+    def _two_lanes(self) -> bool:
+        return all(cs.backend.lane_safe for cs in self.sets) and (
+            self.set_b.problem.n_dofs * self.set_b.r >= MIN_LANE_WORK)
+
+    def _step(self, it: int, lane: Executor | None = None) -> StepRecord:
         tl = self.timeline
         lanes = ["cpu", "gpu", "c2c", "nic"]
 
@@ -582,10 +609,32 @@ class HeterogeneousPipeline(StepDriver):
 
         t0 = tl.makespan
 
+        # The sets share no state, so each runs its chain on its own
+        # thread: set A predicts then solves, set B solves then predicts
+        # the next step.  Phase A pairs predictor(A) with solver(B),
+        # phase B solver(A) with predictor(B); in one address space the
+        # mid-step C2C exchange moves nothing, so the lanes join once.
+        def chain_a():
+            guesses, tp = self.set_a.predict(it)
+            return (tp, _s_effective(self.set_a), *self.set_a.solve(it, guesses))
+
+        def chain_b():
+            res, ts = self.set_b.solve(it, guesses_b)
+            guesses, tp = self.set_b.predict(it + 1)
+            return res, ts, guesses, tp, _s_effective(self.set_b)
+
+        future = None if lane is None else lane.submit(chain_b)
+        try:
+            tp_a, s_used_a, res_a, ts_a = chain_a()
+        finally:
+            # set B's lane ends before any error leaves; set A's wins
+            if future is not None:
+                future.exception()
+        res_b, ts_b, self._next_guesses_b, tp_b, self._next_s_b = (
+            chain_b() if future is None else future.result())
+
+        # the modeled devices, in Algorithm 3's order
         # ---- phase A: predictor(A)@CPU || solver(B)@GPU ----
-        guesses_a, tp_a = self.set_a.predict(it)
-        s_used_a = _s_effective(self.set_a)
-        res_b, ts_b = self.set_b.solve(it, guesses_b)
         t_cpu_a = self.set_a.predictor_time(self.cpu, tp_a)
         t_gpu_a = self.set_b.solver_time(self._gpu_concurrent(), ts_b)
         t_nic_a = self.set_b.comm_time(res_b)
@@ -601,9 +650,6 @@ class HeterogeneousPipeline(StepDriver):
         tl.barrier(lanes)
 
         # ---- phase B: solver(A)@GPU || predictor(B)@CPU ----
-        res_a, ts_a = self.set_a.solve(it, guesses_a)
-        self._next_guesses_b, tp_b = self.set_b.predict(it + 1)
-        self._next_s_b = _s_effective(self.set_b)
         t_gpu_b = self.set_a.solver_time(self._gpu_concurrent(), ts_a)
         t_nic_b = self.set_a.comm_time(res_a)
         t_cpu_b = self.set_b.predictor_time(self.cpu, tp_b)

@@ -53,6 +53,8 @@ import os
 
 import numpy as np
 
+from repro.util.lanes import LaneLocal
+
 try:  # scipy's C kernels that accumulate A @ X into a caller buffer
     from scipy.sparse import _sparsetools as _spt
 
@@ -114,6 +116,9 @@ class ArrayBackend(abc.ABC):
     name: str = ""
     #: one-line human description for ``repro backends``.
     description: str = ""
+    #: whether two threads may run the primitives at once (the two-lane
+    #: step of :class:`~repro.core.pipeline.HeterogeneousPipeline`)
+    lane_safe: bool = True
 
     @classmethod
     def available(cls) -> bool:
@@ -338,10 +343,11 @@ class NumpyBackend(ArrayBackend):
     description = "reference NumPy execution (bit-exact default)"
 
     def __init__(self) -> None:
-        # r -> ((_TILE, r), (_TILE * r,)) views of one scale scratch
-        self._tiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # the last grouped product's (A, X, out), offsets and GEMM views
-        self._groups: tuple = ((None,) * 3, None, [])
+        # per lane (thread): r -> ((_TILE, r), (_TILE * r,)) views of one
+        # scale scratch, and the last grouped product's (A, X, out),
+        # offsets and GEMM views
+        self._lane = LaneLocal(tiles=dict,
+                               groups=lambda: ((None,) * 3, None, []))
 
     # -- blocked streaming primitives ---------------------------------
     def copy(self, dst, src):
@@ -388,10 +394,11 @@ class NumpyBackend(ArrayBackend):
         if r == 1 or m < k or not (V.flags.c_contiguous
                                    and out.flags.c_contiguous):
             return np.multiply(V, s, out=out)
-        tile = self._tiles.get(r)
+        tiles = self._lane.tiles
+        tile = tiles.get(r)
         if tile is None:
             flat = np.empty(k * r)
-            tile = self._tiles[r] = (flat.reshape(k, r), flat)
+            tile = tiles[r] = (flat.reshape(k, r), flat)
         np.copyto(tile[0], s)
         mk = m * k
         np.multiply(V[:mk].reshape(m, k * r), tile[1],
@@ -421,14 +428,14 @@ class NumpyBackend(ArrayBackend):
             return out
         # one GEMM per group; its operand views are kept for the next
         # call on the same arrays (a sweep's, every pcg iteration)
-        arrays, bounds, gemms = self._groups
+        arrays, bounds, gemms = self._lane.groups
         if not (all(a is b for a, b in zip(arrays, (A, X, out)))
                 and np.array_equal(bounds, offsets)):
             bounds = offsets.copy()
             rows = (d * bounds).tolist()
             gemms = [(a, X[s:e].reshape(d, -1), out[s:e].reshape(d, -1))
                      for a, s, e in zip(A, rows, rows[1:])]
-            self._groups = ((A, X, out), bounds, gemms)
+            self._lane.groups = ((A, X, out), bounds, gemms)
         for a, x, y in gemms:
             np.matmul(a, x, out=y)
         return out

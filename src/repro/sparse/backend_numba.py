@@ -189,6 +189,10 @@ class NumbaBackend(ArrayBackend):
 
     name = "numba"
     description = "numba-jitted parallel host kernels (pip install numba)"
+    # numba's default workqueue threading layer aborts when two threads
+    # launch parallel kernels at once, and every kernel already spans
+    # the cores: a second lane could only contend
+    lane_safe = False
 
     @classmethod
     def available(cls) -> bool:

@@ -52,6 +52,7 @@ from repro.sparse.cg import CGResult, PCGWorkspace, pcg
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.precond import BlockJacobi
 from repro.util import counters
+from repro.util.lanes import LaneLocal
 
 __all__ = ["PartitionedReduction", "PartLocalOperator", "part_block_jacobi",
            "distributed_pcg"]
@@ -72,21 +73,23 @@ class PartitionedReduction:
                  backend: "ArrayBackend | str | None" = None) -> None:
         self.groups = [np.asarray(g, dtype=np.int64) for g in groups]
         self.backend = as_backend(backend)
-        self._partial: np.ndarray | None = None
+        # per lane: partial sum and per-group gather buffers, held
+        # across calls (re-made only when the column count changes)
+        self._lane = LaneLocal(buffers=lambda: (None, []))
 
     def dot(self, V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
         bk = self.backend
-        if self._partial is None or self._partial.shape != out.shape:
-            # per-group gather buffers, held across calls (re-made only
-            # when the column count changes)
-            self._partial = bk.empty(out.shape)
-            self._owned = [(bk.empty((g.size, out.size)),
-                            bk.empty((g.size, out.size))) for g in self.groups]
+        partial, owned = self._lane.buffers
+        if partial is None or partial.shape != out.shape:
+            partial = bk.empty(out.shape)
+            owned = [(bk.empty((g.size, out.size)),
+                      bk.empty((g.size, out.size))) for g in self.groups]
+            self._lane.buffers = (partial, owned)
         out[...] = 0.0
-        for g, (VO, WO) in zip(self.groups, self._owned):
+        for g, (VO, WO) in zip(self.groups, owned):
             bk.gather_rows(V, g, VO)
             bk.gather_rows(W, g, WO)
-            out += bk.colwise_dot(VO, WO, self._partial)
+            out += bk.colwise_dot(VO, WO, partial)
         return out
 
     def norm(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -138,7 +141,8 @@ class PartLocalOperator:
         self.owner_rows = np.empty(dist.n, dtype=np.int64)
         self.owner_rows[np.concatenate(dist.owned_global_dofs)] = (
             np.concatenate(owned))
-        self._global: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # per lane (thread): r -> the global staging blocks
+        self._lane = LaneLocal(blocks=dict)
 
     def split(self, V: np.ndarray) -> list[np.ndarray]:
         """The per-part blocks of a stacked array, as views."""
@@ -157,10 +161,10 @@ class PartLocalOperator:
     def global_blocks(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         """Full-vector ``(n, r)`` staging of a *global* preconditioner
         (assembled residual, corrected block), made on first use."""
-        blocks = self._global.get(r)
+        blocks = self._lane.blocks.get(r)
         if blocks is None:
             shape = (self.dist.n, r)
-            blocks = self._global[r] = (
+            blocks = self._lane.blocks[r] = (
                 self.backend.empty(shape), self.backend.empty(shape))
         return blocks
 

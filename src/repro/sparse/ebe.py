@@ -35,9 +35,10 @@ its sums differently).
 
 The fused multi-RHS path applies all ``r`` case vectors inside one
 sweep — the paper's Eq. 9, which cuts the random access per case to
-``1/r`` — within preallocated per-``r`` workspaces, so steady-state
-applications (every ``pcg`` iteration of a campaign cell) allocate
-nothing.
+``1/r`` — within element buffers made once per width and thread (each
+lane of a two-lane step has its own pair, shared by all its operators),
+so steady-state applications (every ``pcg`` iteration of a campaign
+cell) allocate nothing.
 
 The host execution stores ``A_e`` (per element or per class) in memory
 and runs the sweep through :class:`~repro.sparse.backend.ArrayBackend`
@@ -59,6 +60,7 @@ from repro.sparse.backend import ArrayBackend, as_backend, check_out
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import ebe_traffic
 from repro.util import counters
+from repro.util.lanes import LaneLocal
 
 __all__ = ["EBEOperator", "MIN_MEAN_CLASS_SIZE", "class_groups"]
 
@@ -78,20 +80,17 @@ def class_groups(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return (rep, labels) if labels.size >= MIN_MEAN_CLASS_SIZE * rep.size else None
 
 
-class _SweepWorkspace:
-    """Buffers and the tally charge of one fused sweep width ``r``."""
+# per lane (thread): the sweep buffers by (kind, shape) — one ``xe`` /
+# ``ye`` pair of each ``(30 ne, r)`` shared by every operator the lane
+# applies (A, M and C alike), plus staging for strided operands
+_LANE = LaneLocal(buffers=dict)
 
-    __slots__ = ("xe", "ye", "y", "x", "charge")
 
-    def __init__(self, op: "EBEOperator", r: int) -> None:
-        bk = op.backend
-        self.xe = bk.empty((30 * op.n_elems, r))
-        self.ye = bk.empty((30 * op.n_elems, r))
-        self.y = bk.empty((op.n, r))
-        self.x = None  # staging for strided operands, made on first use
-        w = ebe_traffic(op.n_elems, op.n_nodes, n_rhs=r,
-                        value_bytes=op.precision.itemsize)
-        self.charge = (f"{op.tag}{r}", w.flops * r, w.bytes * r)
+def _lane_buffer(kind: str, shape: tuple[int, int]) -> np.ndarray:
+    buf = _LANE.buffers.get((kind, shape))
+    if buf is None:
+        buf = _LANE.buffers[kind, shape] = np.empty(shape)
+    return buf
 
 
 class EBEOperator:
@@ -165,7 +164,7 @@ class EBEOperator:
         if not self.precision.is_fp64:
             elem_mats = self.precision.quantize(elem_mats)
         self.Ae = elem_mats
-        self._ws: dict[int, _SweepWorkspace] = {}
+        self._charges: dict[int, tuple] = {}  # r -> (tag, flops, bytes)
 
     @cached_property
     def _plan(self) -> tuple:
@@ -201,11 +200,15 @@ class EBEOperator:
         return gather, offsets, (indptr, slots[np.argsort(rows, kind="stable")],
                                  np.ones(rows.size))
 
-    def _workspace(self, r: int) -> _SweepWorkspace:
-        ws = self._ws.get(r)
-        if ws is None:
-            ws = self._ws[r] = _SweepWorkspace(self, r)
-        return ws
+    def _charge(self, r: int) -> tuple:
+        """The tally charge of one fused sweep of width ``r``."""
+        charge = self._charges.get(r)
+        if charge is None:
+            w = ebe_traffic(self.n_elems, self.n_nodes, n_rhs=r,
+                            value_bytes=self.precision.itemsize)
+            charge = self._charges[r] = (f"{self.tag}{r}", w.flops * r,
+                                         w.bytes * r)
+        return charge
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -232,8 +235,8 @@ class EBEOperator:
 
         ``out`` (block shape ``(n, r)``, C-contiguous, else
         ``ValueError``) receives the result without allocating;
-        otherwise a fresh copy is returned (the sweep itself still runs
-        in the workspace buffers, so callers may hold several results).
+        otherwise a fresh array is returned (the sweep itself runs in
+        the calling lane's element buffers).
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -243,31 +246,27 @@ class EBEOperator:
             raise ValueError(f"operand size {n} != {self.n}")
 
         check_out(out, X.shape)  # a strided block's row view would be a lost copy
-        ws = self._workspace(r)
-        Y = ws.y if out is None else out
-        self._sweep(X, Y, ws)
-        counters.charge(*ws.charge)
-        if single:
-            return Y[:, 0].copy() if out is None else Y[:, 0]
-        return Y.copy() if out is None else Y
+        Y = self.backend.empty(X.shape) if out is None else out
+        self._sweep(X, Y)
+        counters.charge(*self._charge(r))
+        return Y[:, 0] if single else Y
 
-    def _sweep(self, X: np.ndarray, Y: np.ndarray,
-               ws: _SweepWorkspace) -> np.ndarray:
+    def _sweep(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """The gather/apply/scatter hot path over rows of ``w`` values
         (a node's or a dof's), pure backend primitives (the connectivity
         is validated in-range at construction, so the gather needs no
         bounds re-checks)."""
         bk = self.backend
         if not X.flags.c_contiguous:  # the primitives take C-contiguous blocks
-            if ws.x is None:
-                ws.x = bk.empty(X.shape)
-            X = bk.copy(ws.x, X)
+            X = bk.copy(_lane_buffer("x", X.shape), X)
         gather, offsets, incidence = self._plan
+        shape = (30 * self.n_elems, X.shape[1])
+        xe, ye = _lane_buffer("xe", shape), _lane_buffer("ye", shape)
         w = X.shape[1] * (1 if self.classes is not None else 3)  # row width
-        bk.gather_rows(X.reshape(-1, w), gather, ws.xe.reshape(-1, w))
-        bk.quantize_store(ws.xe, self.precision)  # storage-format gather
-        bk.grouped_matmul(self.Ae, offsets, ws.xe, ws.ye)
-        bk.spmv_csr(*incidence, ws.ye.reshape(-1, w), Y.reshape(-1, w))
+        bk.gather_rows(X.reshape(-1, w), gather, xe.reshape(-1, w))
+        bk.quantize_store(xe, self.precision)  # storage-format gather
+        bk.grouped_matmul(self.Ae, offsets, xe, ye)
+        bk.spmv_csr(*incidence, ye.reshape(-1, w), Y.reshape(-1, w))
         return Y
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

@@ -58,6 +58,7 @@ from repro.sparse.traffic import (
     vector_traffic,
 )
 from repro.util import counters
+from repro.util.lanes import LaneLocal
 
 __all__ = [
     "DirectCoarseSolve",
@@ -175,14 +176,16 @@ class TwoGrid:
         self._r_indptr = transfer.r_indptr
         self._r_indices = transfer.r_indices
         self._r_data = self.precision.quantize_(transfer.r_data.copy())
-        self._buffers: dict[int, tuple] = {}
+        # per lane (thread): n_rhs -> the cycle's working blocks
+        self._lane = LaneLocal(buffers=dict)
 
     @property
     def n(self) -> int:
         return 3 * self.n_fine_nodes
 
     def _ensure(self, n_rhs: int) -> tuple:
-        buf = self._buffers.get(n_rhs)
+        buffers = self._lane.buffers
+        buf = buffers.get(n_rhs)
         if buf is None:
             bk = self.backend
             buf = (
@@ -193,7 +196,7 @@ class TwoGrid:
                 np.full(n_rhs, self.omega),  # host fp64 column weights
                 np.ones(n_rhs),
             )
-            self._buffers[n_rhs] = buf
+            buffers[n_rhs] = buf
         return buf
 
     def _charge(self, n_rhs: int) -> None:

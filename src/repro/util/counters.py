@@ -27,6 +27,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.util.lanes import LaneLocal
+
 
 @dataclass
 class KernelRecord:
@@ -100,26 +102,29 @@ class KernelTally:
         return out
 
 
-_ACTIVE: list[KernelTally] = []
+# the open scopes, per thread: each lane of a two-lane step charges its
+# own set's tallies
+_ACTIVE = LaneLocal(stack=list)
 
 
 def active_tally() -> KernelTally | None:
-    """The innermost tally opened by :func:`tally_scope`, if any."""
-    return _ACTIVE[-1] if _ACTIVE else None
+    """The innermost tally this thread opened by :func:`tally_scope`, if any."""
+    return _ACTIVE.stack[-1] if _ACTIVE.stack else None
 
 
 def charge(tag: str, flops: float, bytes_: float, calls: int = 1) -> None:
     """Charge work to the active tally (no-op when none is active)."""
-    if _ACTIVE:
-        _ACTIVE[-1].charge(tag, flops, bytes_, calls)
+    stack = _ACTIVE.stack
+    if stack:
+        stack[-1].charge(tag, flops, bytes_, calls)
 
 
 @contextlib.contextmanager
 def tally_scope(tally: KernelTally | None = None) -> Iterator[KernelTally]:
-    """Route :func:`charge` calls to ``tally`` for the duration of the scope."""
+    """Route this thread's :func:`charge` calls to ``tally`` for the scope."""
     t = tally if tally is not None else KernelTally()
-    _ACTIVE.append(t)
+    _ACTIVE.stack.append(t)
     try:
         yield t
     finally:
-        _ACTIVE.pop()
+        _ACTIVE.stack.pop()
