@@ -15,11 +15,14 @@ step and the median of the pairs' ratios (a shared box drifts between
 fast and slow spells lasting seconds; a pair sits within one).  The
 table is what sets :data:`repro.core.pipeline.MIN_LANE_WORK`: above
 the largest ``n_dofs * r`` at par, below the smallest winning one above
-it.  The grouped ``(6, 6, 3)`` mesh reads at par (0.97-1.11x over four
-runs on a shared 2-vCPU box) although the stored ``(5, 5, 3)`` wins
-(1.18-1.69x): its class GEMMs are 36 calls of ~10 us, each handing the
-GIL over.  Asserted: at least 1.15x on every mesh the gate puts on two
-lanes (1.39-1.45x at ``(8, 8, 4)``, 1.22-1.74x at ``(10, 10, 5)`` measured).
+it.  Over six runs on a shared 2-vCPU box the ``(4, 4, 2)`` mesh read
+0.81-1.17x, the stored ``(5, 5, 3)`` 1.08-1.47x and the grouped
+``(6, 6, 3)`` 0.98-1.33x (1.15x or more in four of the six; the box
+drifts, and in the slowest run ``(10, 10, 5)`` too fell to 1.20x).  Its
+class products are 10 stacked calls per sweep, one per class size; as
+36 GEMMs, each handing the GIL over, it read 0.97-1.11x.
+Asserted: at least 1.15x on every mesh the gate puts on two lanes
+(1.35-1.68x at ``(8, 8, 4)``, 1.20-1.68x at ``(10, 10, 5)`` measured).
 Run it with ``OPENBLAS_NUM_THREADS=1`` like the perf harness: a BLAS
 that threads every call on its own competes with the second lane for
 the cores.

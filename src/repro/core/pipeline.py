@@ -54,12 +54,13 @@ __all__ = ["CaseSet", "StepDriver", "SequentialSchedule",
            "HeterogeneousPipeline", "MIN_LANE_WORK"]
 
 #: Fewest ``n_dofs * r`` per case set at which a heterogeneous step runs
-#: its sets on two threads: above the ``(6, 6, 3)`` mesh at 8 cases
-#: (14 196; 0.97-1.11x, its 36 small class GEMMs hand the GIL over per
-#: call), below ``(8, 8, 4)`` (31 212; 1.39-1.45x).  One-lane against
-#: two-lane host time per step: ``benchmarks/results/two_lane.txt``,
-#: written by ``benchmarks/test_two_lane.py``.
-MIN_LANE_WORK = 16384
+#: its sets on two threads: above the ``(4, 4, 2)`` mesh at 8 cases
+#: (4 860; 0.81-1.17x), below ``(5, 5, 3)`` (10 164; 1.08-1.47x) and the
+#: grouped ``(6, 6, 3)`` (14 196; 0.98-1.33x, six runs on a shared
+#: 2-vCPU box).  One-lane against two-lane host time per step:
+#: ``benchmarks/results/two_lane.txt``, written by
+#: ``benchmarks/test_two_lane.py``.
+MIN_LANE_WORK = 8192
 
 
 def _s_effective(cs: "CaseSet") -> int | None:

@@ -206,7 +206,10 @@ class ArrayBackend(abc.ABC):
         non-decreasing from 0) are the ``(d, k_c r)`` matrix at rows
         ``d offsets[c]``, member by member, and ``out``'s block is
         ``A[c]`` times it.  ``m == N`` is one group per member: the
-        ``(N, d, r)`` stack and ``A[e] @ X[e]``."""
+        ``(N, d, r)`` stack and ``A[e] @ X[e]``.  A run of adjacent
+        equal-size groups is one ``(g, d, k r)`` stack, which an engine
+        may apply in one batched call; the EBE sweep orders its classes
+        by size, so each distinct size is one run."""
 
     # -- operator kernels ---------------------------------------------
     @abc.abstractmethod
@@ -344,10 +347,9 @@ class NumpyBackend(ArrayBackend):
 
     def __init__(self) -> None:
         # per lane (thread): r -> ((_TILE, r), (_TILE * r,)) views of one
-        # scale scratch, and the last grouped product's (A, X, out),
-        # offsets and GEMM views
-        self._lane = LaneLocal(tiles=dict,
-                               groups=lambda: ((None,) * 3, None, []))
+        # scale scratch, and the last grouped product's (A, offsets, X,
+        # out) and stacked GEMM views
+        self._lane = LaneLocal(tiles=dict, groups=lambda: ((None,) * 4, []))
 
     # -- blocked streaming primitives ---------------------------------
     def copy(self, dst, src):
@@ -426,16 +428,21 @@ class NumpyBackend(ArrayBackend):
         if m * d == X.shape[0]:  # one matrix per member: the stacked product
             np.matmul(A, X.reshape(m, d, -1), out=out.reshape(m, d, -1))
             return out
-        # one GEMM per group; its operand views are kept for the next
-        # call on the same arrays (a sweep's, every pcg iteration)
-        arrays, bounds, gemms = self._lane.groups
-        if not (all(a is b for a, b in zip(arrays, (A, X, out)))
-                and np.array_equal(bounds, offsets)):
-            bounds = offsets.copy()
-            rows = (d * bounds).tolist()
-            gemms = [(a, X[s:e].reshape(d, -1), out[s:e].reshape(d, -1))
-                     for a, s, e in zip(A, rows, rows[1:])]
-            self._lane.groups = ((A, X, out), bounds, gemms)
+        # one stacked product per run of adjacent equal-size groups (one
+        # GEMM per item: the bits of one GEMM per group); its views are
+        # kept for the next call on the same arrays (a sweep's, every pcg
+        # iteration), compared by identity: the cache holds the arrays,
+        # so no id is reused while they are kept
+        arrays, gemms = self._lane.groups
+        if not all(a is b for a, b in zip(arrays, (A, offsets, X, out))):
+            r, sizes, rows = X.shape[1], np.diff(offsets), (d * offsets).tolist()
+            runs = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), m]
+            gemms = []
+            for c, e in zip(runs, runs[1:]):
+                shape = (e - c, d, int(sizes[c]) * r)
+                gemms.append((A[c:e], X[rows[c]:rows[e]].reshape(shape),
+                              out[rows[c]:rows[e]].reshape(shape)))
+            self._lane.groups = ((A, offsets, X, out), gemms)
         for a, x, y in gemms:
             np.matmul(a, x, out=y)
         return out

@@ -17,12 +17,15 @@ elements on average (:func:`class_groups`), the problem stores only each
 class's representative — its lowest-id member's own matrix — and the
 ``(ne,)`` labels (1.4 MB of class matrices at ``(10, 10, 5)`` where the
 per-element arrays took 86 MB).  Given labels, the buffers are
-**class-blocked at dof level** — class by class, local dof by local
-dof, member by member — so the ``k_c`` members of class ``c`` form one
-``(30, k_c r)`` matrix at rows ``30 offsets[c]`` and the apply is one
-GEMM per class.  Without labels the same layout is the ``(ne, 30, r)``
-stack, swept on **nodes** — a C-contiguous ``(3*n_nodes, r)`` block
-*is* ``(n_nodes, 3r)`` — so gather and scatter move a third of the rows.
+**class-blocked at dof level** — class by class in ascending size,
+local dof by local dof, member by member — so the ``k_c`` members of
+class ``c`` form one ``(30, k_c r)`` matrix at rows ``30 offsets[c]``,
+and the classes of one size are one stacked ``matmul``: one call per
+distinct size (10 at ``(6, 6, 3)`` for 36 classes), which still makes
+one GEMM per class, so the bits are the per-class GEMMs'.  Without
+labels the same layout is the ``(ne, 30, r)`` stack, swept on
+**nodes** — a C-contiguous ``(3*n_nodes, r)`` block *is*
+``(n_nodes, 3r)`` — so gather and scatter move a third of the rows.
 
 Summation order: every node (dof) adds its element contributions from
 zero in ascending *original* element order (incidence rows are a stable
@@ -65,8 +68,10 @@ from repro.util.lanes import LaneLocal
 __all__ = ["EBEOperator", "MIN_MEAN_CLASS_SIZE", "class_groups"]
 
 #: Fewest elements per class, on average, at which the sweep applies one
-#: matrix per class, set when each member cost its own product; one GEMM
-#: per class wins from about 10-13 (``benchmarks/results/ebe_classes.txt``).
+#: matrix per class, set when each member cost its own product.  With one
+#: stacked product per class size grouping wins from about 5-6 (r = 8 at
+#: par there) and by 1.15x at every width from about 9-10
+#: (``benchmarks/results/ebe_classes.txt``); moving it regroups meshes.
 MIN_MEAN_CLASS_SIZE = 16
 
 
@@ -168,15 +173,20 @@ class EBEOperator:
 
     @cached_property
     def _plan(self) -> tuple:
-        """``(gather index, class offsets, incidence)`` of the sweep, made
-        on first application: an operator read only for its diagonal
-        blocks never holds them."""
+        """``(gather index, applied matrices, class offsets, incidence)``
+        of the sweep, made on first application: an operator read only
+        for its diagonal blocks never holds them."""
         ne = self.n_elems
         rows = self.elems  # buffer rows per element: its nodes, or its dofs
-        labels, sizes = np.arange(ne), np.ones(ne, dtype=np.int64)
+        labels, sizes, mats = np.arange(ne), np.ones(ne, dtype=np.int64), self.Ae
         if self.classes is not None:
-            labels, sizes = self.classes, np.bincount(self.classes,
-                                                      minlength=len(self.Ae))
+            # class blocks in ascending size (stable), so equal-size
+            # classes sit side by side and take one stacked product
+            sizes = np.bincount(self.classes, minlength=len(self.Ae))
+            order = np.argsort(sizes, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            labels, sizes, mats = rank[self.classes], sizes[order], self.Ae[order]
             rows = (3 * rows[:, :, None] + np.arange(3)).reshape(ne, 30)
         # row q of member j (stable order) of class c is slot
         # q_e offsets[c] + q k_c + j, so class c's members form one
@@ -197,8 +207,8 @@ class EBEOperator:
         n_rows = self.n * q_e // 30
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        return gather, offsets, (indptr, slots[np.argsort(rows, kind="stable")],
-                                 np.ones(rows.size))
+        incidence = (indptr, slots[np.argsort(rows, kind="stable")], np.ones(rows.size))
+        return gather, mats, offsets, incidence
 
     def _charge(self, r: int) -> tuple:
         """The tally charge of one fused sweep of width ``r``."""
@@ -259,13 +269,13 @@ class EBEOperator:
         bk = self.backend
         if not X.flags.c_contiguous:  # the primitives take C-contiguous blocks
             X = bk.copy(_lane_buffer("x", X.shape), X)
-        gather, offsets, incidence = self._plan
+        gather, mats, offsets, incidence = self._plan
         shape = (30 * self.n_elems, X.shape[1])
         xe, ye = _lane_buffer("xe", shape), _lane_buffer("ye", shape)
         w = X.shape[1] * (1 if self.classes is not None else 3)  # row width
         bk.gather_rows(X.reshape(-1, w), gather, xe.reshape(-1, w))
         bk.quantize_store(xe, self.precision)  # storage-format gather
-        bk.grouped_matmul(self.Ae, offsets, xe, ye)
+        bk.grouped_matmul(mats, offsets, xe, ye)
         bk.spmv_csr(*incidence, ye.reshape(-1, w), Y.reshape(-1, w))
         return Y
 

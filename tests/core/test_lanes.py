@@ -67,16 +67,16 @@ def problems():
     }
 
 
-def _forces(problem, kind):
+def _forces(problem, kind, n_cases=4):
     if kind == "aftershocks":
         wave = {"amplitude": 1e6, "f0_factor": 0.3, "cycles_to_onset": 1.0}
         return scenario_by_name("aftershocks")().forces(problem, wave, seed=0,
-                                                        n_cases=4)
+                                                        n_cases=n_cases)
     return [BandlimitedImpulse.random(problem.mesh, problem.dt, rng=i,
                                       amplitude=1e6,
                                       f0=0.3 / (np.pi * problem.dt),
                                       cycles_to_onset=0.8)
-            for i in range(4)]
+            for i in range(n_cases)]
 
 
 def _journal(monkeypatch, tmp_path, gate, problem, forces, method, **kw):
@@ -106,11 +106,12 @@ def _journal(monkeypatch, tmp_path, gate, problem, forces, method, **kw):
     return path.read_bytes(), threads != {threading.main_thread()}
 
 
-def _assert_lanes_invisible(monkeypatch, tmp_path, problem, forces, method, **kw):
+def _assert_lanes_invisible(monkeypatch, tmp_path, problem, forces, method,
+                            gate=0, **kw):
     one, off_main = _journal(monkeypatch, tmp_path, NEVER, problem, forces,
                              method, **kw)
     assert not off_main
-    two, off_main = _journal(monkeypatch, tmp_path, 0, problem, forces,
+    two, off_main = _journal(monkeypatch, tmp_path, gate, problem, forces,
                              method, **kw)
     assert off_main  # the lanes did run
     assert two == one
@@ -134,6 +135,18 @@ def test_material_updates_sources_and_classes_under_two_lanes(
     problem = problems[kind]
     _assert_lanes_invisible(monkeypatch, tmp_path, problem,
                             _forces(problem, kind), "ebe-mcg@cpu-gpu")
+
+
+def test_the_headline_mesh_takes_two_lanes_at_the_default_gate(monkeypatch,
+                                                                tmp_path):
+    """``hetero-3k``'s shape — the grouped ``(6, 6, 3)`` mesh, 8 cases —
+    takes two lanes at the default ``MIN_LANE_WORK``, and they stay
+    invisible."""
+    problem = build_ground_problem(stratified_model(), resolution=(6, 6, 3))
+    assert problem.ebe_operator().classes is not None
+    _assert_lanes_invisible(monkeypatch, tmp_path, problem,
+                            _forces(problem, "linear", n_cases=8),
+                            "ebe-mcg@cpu-gpu", gate=pipeline.MIN_LANE_WORK)
 
 
 def _lane_run() -> bytes:

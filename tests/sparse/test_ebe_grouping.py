@@ -28,6 +28,7 @@ from repro.io.results import (
     merge_checkpoint_docs,
     save_pipeline_state,
 )
+from repro.sparse.backend import as_backend
 from repro.sparse.cg import pcg
 from repro.sparse.distributed import PartitionedReduction, distributed_pcg
 from repro.sparse.ebe import MIN_MEAN_CLASS_SIZE, EBEOperator
@@ -64,6 +65,58 @@ def test_grouped_is_the_stored_sweep_over_representatives(problem, r, precision)
     assert grouped.matvec(X).tobytes() == got.tobytes()  # through kept views
     assert (grouped.diagonal_blocks().tobytes()
             == stored.diagonal_blocks().tobytes())
+
+
+@pytest.mark.parametrize("r", [1, 4, 8])
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_groups_are_one_gemm_per_group_bit_for_bit(r, seed):
+    """Adjacent equal-size groups take one stacked product, whose items
+    are each the GEMM a group alone would get: class-size multisets with
+    repeats, laid out in ascending size as the sweep does and in the
+    order drawn (equal sizes then only partly adjacent)."""
+    rng = np.random.default_rng(seed)
+    drawn = rng.choice([0, 1, 1, 2, 3, 5, 8, 8, 13], size=24)
+    for sizes in (np.sort(drawn), drawn):
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        A = rng.standard_normal((sizes.size, 30, 30))
+        X = rng.standard_normal((30 * offsets[-1], r))
+        got = as_backend("numpy").grouped_matmul(A, offsets, X, np.full_like(X, np.nan))
+        ref = np.full_like(X, np.nan)
+        for c, (s, e) in enumerate(zip(30 * offsets[:-1], 30 * offsets[1:])):
+            ref[s:e] = (A[c] @ X[s:e].reshape(30, -1)).reshape(-1, r)
+        assert got.tobytes() == ref.tobytes()
+
+
+def _per_class_sweep(op, X):
+    """The grouped sweep as one GEMM per class in label order, scattered
+    element by element in ascending element order."""
+    r = X.shape[1]
+    dofs = (3 * op.elems[:, :, None] + np.arange(3)).reshape(-1, 30)
+    ye = np.empty((op.n_elems, 30, r))
+    for c, a in enumerate(op.Ae):
+        members = np.flatnonzero(op.classes == c)
+        xe = np.ascontiguousarray(X[dofs[members]].transpose(1, 0, 2)).reshape(30, -1)
+        ye[members] = (a @ xe).reshape(30, members.size, r).transpose(1, 0, 2)
+    Y = np.zeros_like(X)
+    np.add.at(Y, dofs.ravel(), ye.reshape(-1, r))
+    return Y
+
+
+@pytest.mark.parametrize("r", [1, 4, 8])
+def test_size_ordered_sweep_is_the_per_class_sweep_bit_for_bit(problem, r):
+    """The plan orders the class blocks by size, so the sweep makes one
+    product per distinct class size (10 at ``(6, 6, 3)``); A, M and C
+    give the bytes of one GEMM per class in label order (on the
+    reference engine, whatever the ambient one)."""
+    bk = as_backend("numpy")
+    for op in (problem.ebe_operator(backend=bk), problem.mass_operator("ebe", bk),
+               problem.damping_operator("ebe", bk)):
+        X = _block(problem, r)
+        assert op.matvec(X).tobytes() == _per_class_sweep(op, X).tobytes()
+        sizes = np.diff(op._plan[2])
+        assert (np.diff(sizes) >= 0).all()
+        assert len(bk._lane.groups[1]) == np.unique(sizes).size
+    assert np.unique(np.bincount(problem.classes["A"])).size == 10
 
 
 def test_readers_agree_on_a_grouped_mesh(problem):
