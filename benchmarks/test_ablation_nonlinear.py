@@ -91,8 +91,7 @@ def _run(bench_problem, method, update_interval):
         for seed in (1, 2)
     ]
     with _watch_updates() as (steps, host_s):
-        result = run_method(problem, forces, nt=NT, method=method,
-                            backend="numpy")
+        result = run_method(problem, forces, nt=NT, method=method)
     return result, sorted(set(steps)), host_s
 
 

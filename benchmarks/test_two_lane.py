@@ -48,7 +48,7 @@ SAMPLES = 5
 
 def _step_s(problem, forces, steps: int) -> float:
     t0 = time.perf_counter()
-    run_method(problem, forces, steps, "ebe-mcg@cpu-gpu", backend="numpy")
+    run_method(problem, forces, steps, "ebe-mcg@cpu-gpu")
     return (time.perf_counter() - t0) / steps
 
 

@@ -1,7 +1,7 @@
 """The campaign axes, declared once.
 
 Besides the plain grid (models x waves x methods x resolutions) a
-campaign sweeps six *axes*.  Each is one row of :data:`AXES`; the spec
+campaign sweeps five *axes*.  Each is one row of :data:`AXES`; the spec
 validation, grid expansion, cell schema, executor, report, study tables
 and CLI flags all iterate the table, so adding an axis is one row here
 plus one :class:`~repro.campaign.spec.CampaignSpec` field (plus a
@@ -30,7 +30,6 @@ from repro.predictor.registry import (
     predictor_by_name,
     predictor_names,
 )
-from repro.sparse.backend import DEFAULT_BACKEND, backend_names
 from repro.sparse.precision import FP64, PRECISIONS, as_precision
 from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
 from repro.workloads.scenario import (
@@ -80,11 +79,8 @@ class Axis:
 
 
 def _registered(noun: str, names: Callable[[], Sequence[str]]) -> Callable:
-    """Membership validator.  For backends this is deliberately weaker
-    than ``backend_by_name``: a name must be *registered* but need not
-    be *available* here — a spec is data and may be authored on a
-    machine without the accelerated engine; the executor enforces
-    availability."""
+    """Membership validator: ``ValueError`` unless ``value`` is one of
+    ``names()``."""
 
     def validate(value: str) -> str:
         if value not in names():
@@ -125,14 +121,6 @@ AXES: tuple[Axis, ...] = (
         validate=lambda v: as_precision(v).name,
         names=lambda: tuple(sorted(PRECISIONS)),
         help="transprecision storage policy of the solver's streamed data",
-    ),
-    Axis(
-        key="backend", field="backends", noun="backend",
-        default=DEFAULT_BACKEND, coerce=str,
-        validate=_registered("backend", backend_names), names=backend_names,
-        help="array backend executing the solver hot loops; moves measured "
-             "wall time only, never the numerics or the modeled times "
-             "(see `repro backends`)",
     ),
     Axis(
         key="precond", field="preconditioners", noun="preconditioner",

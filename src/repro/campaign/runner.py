@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.campaign.aggregate import CampaignReport
-from repro.campaign.axes import AXES, axis_values
-from repro.campaign.spec import CampaignCell, CampaignSpec
+from repro.campaign.axes import AXES, AXIS, axis_values
+from repro.campaign.spec import METHOD_CELL_KEYS, CampaignCell, CampaignSpec
 from repro.campaign.store import ResultStore, resume_checkpoint
 
 __all__ = [
@@ -152,10 +152,10 @@ def run_method_cell(params: dict, ctx: dict | None = None) -> dict:
     streams spawned off the cell's content-derived seed, so results are
     independent of worker placement and grid composition, and a sweep
     along any axis compares identical random draws; the other axes are
-    ``run_method`` keywords.  The backend in particular always comes
-    from the cell params, never the ``REPRO_BACKEND`` ambient default:
-    the result is cached under the cell's content hash, so the
-    environment must not influence what gets computed.
+    ``run_method`` keywords.  Any other key — a retired axis, a typo —
+    raises ``ValueError``: the result is cached under the cell's
+    content hash, so a key the executor would silently ignore would
+    cache a run under a key naming something it did not compute.
 
     ``ctx`` (supplied by the runner when a store is attached) enables
     crash-safe execution: every ``ctx["checkpoint_every"]`` steps the
@@ -177,6 +177,12 @@ def run_method_cell(params: dict, ctx: dict | None = None) -> dict:
     )
     from repro.workloads.scenario import scenario_by_name
 
+    unknown = params.keys() - METHOD_CELL_KEYS - AXIS.keys()
+    if unknown:
+        raise ValueError(
+            f"unknown method-cell params {sorted(unknown)}; known: "
+            f"{sorted(METHOD_CELL_KEYS | AXIS.keys())}"
+        )
     axes = axis_values(params)
     scenario = scenario_by_name(axes["scenario"])()
     problem = scenario.build_problem(

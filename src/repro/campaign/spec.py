@@ -36,6 +36,7 @@ __all__ = [
     "cell_key",
     "default_waves",
     "method_cell_params",
+    "METHOD_CELL_KEYS",
 ]
 
 
@@ -105,6 +106,13 @@ def default_waves(n: int) -> tuple[WaveSpec, ...]:
         )
         for i in range(n)
     )
+
+
+#: the keys every method cell's params hold besides its non-default axes
+METHOD_CELL_KEYS = frozenset({
+    "model", "wave", "method", "resolution", "cases", "steps", "module",
+    "eps", "s_min", "s_max", "seed",
+})
 
 
 def method_cell_params(
@@ -213,12 +221,10 @@ class CampaignSpec:
     #: there).  Methods an axis does not apply to — ``nparts`` fans out
     #: only over the partitionable ones — ignore it and run once, so a
     #: grid can compare the distributed solve against the baselines in
-    #: one campaign.  Backend names must be registered at spec time but
-    #: need only be importable at execution time.
+    #: one campaign.
     nparts: tuple[int, ...] = (AXIS["nparts"].default,)
     precision: tuple[str, ...] = (AXIS["precision"].default,)
     scenarios: tuple[str, ...] = (AXIS["scenario"].default,)
-    backends: tuple[str, ...] = (AXIS["backend"].default,)
     preconditioners: tuple[str, ...] = (AXIS["precond"].default,)
     predictors: tuple[str, ...] = (AXIS["predictor"].default,)
 

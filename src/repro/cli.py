@@ -7,9 +7,6 @@ Commands
 ``scenarios``
     List the registered workload scenarios (ground structure x source
     process bundles).
-``backends``
-    List the registered array backends (execution engines for the
-    solver hot loops) and whether each is importable here.
 ``predictors``
     List the registered initial-guess predictors (the zoo of
     :mod:`repro.predictor.registry`) plus the ``auto`` sentinel.
@@ -50,7 +47,6 @@ __all__ = ["main", "build_parser"]
 def build_parser() -> argparse.ArgumentParser:
     from repro.campaign.axes import AXES
     from repro.hardware.specs import MODULES
-    from repro.sparse.backend import default_backend_name
     from repro.workloads.scenario import scenario_names
 
     modules = sorted(MODULES)
@@ -62,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("models", help="list ground-structure workloads")
     sub.add_parser("scenarios", help="list registered workload scenarios")
-    sub.add_parser("backends", help="list registered array backends")
     sub.add_parser("predictors", help="list registered initial-guess predictors")
 
     info = sub.add_parser("info", help="print problem facts")
@@ -80,11 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="predictor CPU threads per process")
     run.add_argument("--s-min", type=int, default=8)
     run.add_argument("--s-max", type=int, default=32)
-    # a lone run honours the ambient $REPRO_BACKEND; campaign cells never do
-    ambient = {"backend": default_backend_name()}
     for ax in AXES:
-        run.add_argument(f"--{ax.key}", type=ax.coerce,
-                         default=ambient.get(ax.key, ax.default),
+        run.add_argument(f"--{ax.key}", type=ax.coerce, default=ax.default,
                          choices=ax.names and list(ax.names()), help=ax.help)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--json", default=None, help="save result JSON here")
@@ -267,16 +259,6 @@ def _cmd_scenarios(_args) -> int:
     return 0
 
 
-def _cmd_backends(_args) -> int:
-    from repro.sparse.backend import BACKENDS, backend_names
-
-    for name in backend_names():
-        cls = BACKENDS[name]
-        status = "available" if cls.available() else "unavailable (not installed)"
-        print(f"{name:14s} {cls.description}  [{status}]")
-    return 0
-
-
 def _cmd_predictors(_args) -> int:
     from repro.core.methods import NATIVE_PREDICTORS
     from repro.predictor.registry import (
@@ -315,16 +297,13 @@ def _cmd_info(args) -> int:
 def _cmd_run(args) -> int:
     from repro.campaign.axes import AXES
     from repro.core.methods import RunConfig, run_method
-    from repro.sparse.backend import BackendUnavailableError
     from repro.workloads.scenario import scenario_by_name
 
     solver_axes = {ax.key: getattr(args, ax.key) for ax in AXES if ax.solver}
     try:
-        # a bad method / axis combination or an absent engine fails
-        # here, before the problem is built
+        # a bad method / axis combination fails here, before the
+        # problem is built
         RunConfig(method=args.method, **solver_axes)
-    except BackendUnavailableError as exc:
-        raise SystemExit(f"backend unavailable: {exc}") from exc
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     scen = scenario_by_name(args.scenario)()
@@ -544,7 +523,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "models": _cmd_models,
         "scenarios": _cmd_scenarios,
-        "backends": _cmd_backends,
         "predictors": _cmd_predictors,
         "info": _cmd_info,
         "run": _cmd_run,

@@ -158,7 +158,7 @@ class DistributedEBE:
     precision: Precision = FP64
     backend: ArrayBackend | None = None
     _xplan: _ExchangePlan | None = field(default=None, repr=False)
-    _part_local: dict = field(default_factory=dict, repr=False)
+    _part_local: PartLocalOperator | None = field(default=None, repr=False)
 
     @classmethod
     def from_elements(
@@ -166,7 +166,7 @@ class DistributedEBE:
         elem_mats: np.ndarray,
         info: PartitionInfo,
         precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
+        backend: ArrayBackend | None = None,
         classes: np.ndarray | None = None,
     ) -> "DistributedEBE":
         """Partition the constrained ``(ne, 30, 30)`` element matrices
@@ -181,11 +181,10 @@ class DistributedEBE:
         moves storage-precision words, so ``comm_bytes_per_matvec``
         (and every ``halo.exchange`` charge) shrinks with the itemsize.
 
-        ``backend`` is the execution engine the local EBE sweeps (and a
-        ``distributed_pcg`` run on this operator, by default) use; the
-        halo staging itself stays host NumPy — it models the MPI wire,
-        not a device kernel — so exchange arithmetic is bit-identical
-        across backends.
+        ``backend`` is the array seam the local EBE sweeps and a
+        ``distributed_pcg`` run on this operator use; the halo staging
+        itself stays host NumPy — it models the MPI wire, not a device
+        kernel.
         """
         prec = as_precision(precision)
         bk = as_backend(backend)
@@ -285,14 +284,13 @@ class DistributedEBE:
             self._xplan = _ExchangePlan(self.plan, self._node_index)
         return self._xplan
 
-    def part_local(self, backend: ArrayBackend) -> PartLocalOperator:
+    def part_local(self) -> PartLocalOperator:
         """This operator on the stacked part-local layout of
-        ``distributed_pcg``, vector work on ``backend``: built on first
-        use and kept — a solve rebuilds no index array or staging."""
-        op = self._part_local.get(backend.name)
-        if op is None:
-            op = self._part_local[backend.name] = PartLocalOperator(self, backend)
-        return op
+        ``distributed_pcg``: built on first use and kept — a solve
+        rebuilds no index array or staging."""
+        if self._part_local is None:
+            self._part_local = PartLocalOperator(self, self.backend)
+        return self._part_local
 
     def halo_exchange(
         self,

@@ -47,7 +47,6 @@ from repro.predictor.registry import (
     build_predictor,
     predictor_by_name,
 )
-from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
 
@@ -124,7 +123,6 @@ def estimate_memory(
     *,
     precision: Precision | str | None = None,
     nparts: int = 1,
-    backend: "ArrayBackend | str | None" = None,
 ) -> tuple[float, float]:
     """Modeled (cpu_bytes, gpu_bytes) footprint of a method.
 
@@ -143,9 +141,8 @@ def estimate_memory(
     what one device must actually hold, not the fused global sum.
 
     The byte counts are read off the problem's operators at
-    ``precision`` on ``backend``: a run names its engine so the
-    estimate reads the operators it solved with rather than building a
-    second set.  The numbers themselves are backend-independent.
+    ``precision``: the estimate reads the operators a run solved with
+    rather than building a second set.
     """
     prec = as_precision(precision)
     n = problem.n_dofs
@@ -168,7 +165,7 @@ def estimate_memory(
 
     if method.startswith("crs"):
         # CRS storage: effective matrix + mass + damping (for the RHS)
-        crs_bytes = 3.0 * problem.crs_operator(prec, backend).memory_bytes()
+        crs_bytes = 3.0 * problem.crs_operator(prec).memory_bytes()
         if method == "crs-cg@cpu":
             return crs_bytes + precond + n_cases * (vec + ab_hist), 0.0
         if method == "crs-cg@gpu":
@@ -180,13 +177,13 @@ def estimate_memory(
         )
 
     if nparts == 1:
-        ebe_bytes = 3.0 * problem.ebe_operator(prec, backend).memory_bytes()
+        ebe_bytes = 3.0 * problem.ebe_operator(prec).memory_bytes()
         return (
             ebe_bytes + n_cases * dd_hist,
             ebe_bytes + precond + n_cases * vec,
         )
 
-    dist = problem.distributed_operator(nparts, prec, backend)
+    dist = problem.distributed_operator(nparts, prec)
     cpu = gpu = 0.0
     for p, (op, nodes) in enumerate(zip(dist.local_ops, dist.local_to_global)):
         ld = 3 * nodes.size  # local dofs: owned + halo ghosts
@@ -210,8 +207,7 @@ class RunConfig:
     """What a run computes, apart from its inputs (problem, forces,
     step count) and its I/O (waveform/record logs, checkpointing):
     exactly :func:`run_method`'s other keywords, validated and resolved
-    once — ``precision`` to a :class:`Precision`, ``backend`` to an
-    :class:`ArrayBackend`, ``predictor`` (``"auto"``/``None`` included)
+    once — ``precision`` to a :class:`Precision`, ``predictor`` (``"auto"``/``None`` included)
     to a registered name.  Built by :func:`run_method` and handed whole
     to the schedule builder and the checkpoint header, so a new run
     parameter is one field here plus its use.
@@ -225,7 +221,6 @@ class RunConfig:
     cpu_threads: int | None = None
     nparts: int = 1
     precision: "Precision | str | None" = None
-    backend: "ArrayBackend | str | None" = None
     precond: str = DEFAULT_PRECONDITIONER
     predictor: str | None = DEFAULT_PREDICTOR
 
@@ -245,7 +240,6 @@ class RunConfig:
         resolve = object.__setattr__  # frozen: each field is resolved once, here
         resolve(self, "nparts", int(self.nparts))
         resolve(self, "precision", as_precision(self.precision))
-        resolve(self, "backend", as_backend(self.backend))
         if self.predictor in (None, DEFAULT_PREDICTOR):
             resolve(self, "predictor", native)
         else:
@@ -267,10 +261,7 @@ class RunConfig:
         differs from it, so documents from before those keys existed
         stay byte-identical and still resume.  A native predictor named
         explicitly counts as ``"auto"`` (equivalent in every observable
-        way).  The execution *backend* is deliberately absent:
-        checkpoints hold only fp64 host state (Newmark kinematics,
-        predictor history), so a state saved under one backend resumes
-        under any other."""
+        way)."""
         native = self.predictor == native_predictor(self.method)
         return (
             ("method", self.method, None),
@@ -337,7 +328,6 @@ def _case_set(
         op_kind=cfg.op_kind,
         eps=cfg.eps,
         precision=cfg.precision,
-        backend=cfg.backend,
         precond=cfg.precond,
         **partition,
     )
@@ -468,7 +458,6 @@ def run_method(
     waveform_dofs: np.ndarray | None = None,
     nparts: int = 1,
     precision: Precision | str | None = None,
-    backend: "ArrayBackend | str | None" = None,
     precond: str = DEFAULT_PRECONDITIONER,
     predictor: str = DEFAULT_PREDICTOR,
     start_state: dict | None = None,
@@ -505,15 +494,6 @@ def run_method(
         modeled — at this width; the time integration, predictors and
         CG recurrences stay fp64.  The fp64 default is bit-identical
         to the precision-unaware driver.
-    backend : execution engine for the sparse hot paths
-        (:class:`~repro.sparse.backend.ArrayBackend`, registry name, or
-        ``None`` for the ambient default — ``REPRO_BACKEND`` env
-        override, else ``numpy``).  Changes *measured* wall time only:
-        the numpy backend is bit-identical to the pre-seam driver, and
-        modeled device/communication times, traffic tallies, memory
-        estimates and energy numbers are backend-independent.
-        Checkpoints are backend-agnostic: a state saved under one
-        backend resumes under any other.
     precond : preconditioner family
         (:data:`~repro.sparse.precond.PRECONDITIONERS`): ``"bj"`` is
         the paper's 3x3 block-Jacobi, ``"twogrid"`` the geometric
@@ -565,7 +545,7 @@ def run_method(
     cfg = RunConfig(
         method=method, module=module, eps=eps, s_range=s_range,
         n_regions=n_regions, cpu_threads=cpu_threads, nparts=nparts,
-        precision=precision, backend=backend, precond=precond,
+        precision=precision, precond=precond,
         predictor=predictor,
     )
     if nt < 1:
@@ -581,7 +561,7 @@ def run_method(
     _run_chunks(driver, cfg, nt, start_state, checkpoint_every, on_checkpoint)
     cpu_mem, gpu_mem = estimate_memory(
         problem, method, len(forces), s_max=cfg.s_range[1],
-        precision=cfg.precision, nparts=cfg.nparts, backend=cfg.backend,
+        precision=cfg.precision, nparts=cfg.nparts,
     )
     return RunResult(
         method=method,

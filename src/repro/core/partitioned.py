@@ -8,7 +8,7 @@ is a drop-in :class:`~repro.core.pipeline.CaseSet` whose solver is
 loop and workspace, on the stacked part-local layout of the problem's
 :class:`~repro.cluster.halo.DistributedEBE`
 (:meth:`~repro.core.problem.ElasticProblem.distributed_operator`, built
-once per (nparts, precision, engine) and shared by both sets of a
+once per (nparts, precision) and shared by both sets of a
 pipeline): the Newmark loop, the
 predictors, the RHS build and the per-step source-force cache
 (:meth:`~repro.core.pipeline.CaseSet.forces_at` — one evaluation per
@@ -103,8 +103,7 @@ class PartitionedCaseSet(CaseSet):
     @property
     def dist(self):
         """The current problem's partitioned operator."""
-        return self.problem.distributed_operator(
-            self.nparts, self.precision, self.backend)
+        return self.problem.distributed_operator(self.nparts, self.precision)
 
     # -- solver ---------------------------------------------------------
     def _solve_system(self, B: np.ndarray, guesses: np.ndarray) -> CGResult:
@@ -113,10 +112,10 @@ class PartitionedCaseSet(CaseSet):
         # pipeline sets share it
         if self.precond == DEFAULT_PRECONDITIONER:
             local_preconds, global_precond = self.problem.part_preconditioners(
-                self.nparts, self.precision, self.backend), None
+                self.nparts, self.precision), None
         else:
             local_preconds, global_precond = None, self.problem.preconditioner_for(
-                self.precond, self.precision, self.backend, self.op_kind)
+                self.precond, self.precision, self.op_kind)
         return distributed_pcg(
             self.dist,
             B,
@@ -126,7 +125,6 @@ class PartitionedCaseSet(CaseSet):
             eps=self.eps,
             workspace=self._pcg_ws,
             precision=self.precision,
-            backend=self.backend,
         )
 
     # -- cost model -----------------------------------------------------

@@ -42,7 +42,6 @@ from repro.hardware.power import PowerModel
 from repro.hardware.roofline import DeviceModel
 from repro.hardware.transfer import TransferModel
 from repro.predictor.adaptive import AdaptiveSController
-from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.cg import CGResult, PCGWorkspace, pcg
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
@@ -80,11 +79,7 @@ class CaseSet:
     storage policy of the solver (operator values, block-Jacobi
     inverses and CG working vectors); the Newmark states, the RHS
     build and the predictors stay fp64 — the FP64-accurate outer loop.
-    ``backend`` is the execution engine of the solver hot paths
-    (:class:`~repro.sparse.backend.ArrayBackend` or registry name;
-    ``None`` resolves the ambient default).  The ``numpy`` backend is
-    bit-identical to the pre-seam pipeline, and modeled times are
-    backend-independent.  ``precond`` names the preconditioner family
+    ``precond`` names the preconditioner family
     (:data:`~repro.sparse.precond.PRECONDITIONERS`): ``"bj"`` is the
     paper's block-Jacobi, ``"twogrid"`` wraps it in the geometric
     two-grid cycle.
@@ -102,7 +97,6 @@ class CaseSet:
     op_kind: str = "ebe"
     eps: float = 1e-8
     precision: Precision | str | None = None
-    backend: ArrayBackend | str | None = None
     precond: str = DEFAULT_PRECONDITIONER
     states: list[NewmarkState] = field(default_factory=list)
     _pcg_ws: PCGWorkspace = field(default_factory=PCGWorkspace, repr=False)
@@ -121,7 +115,6 @@ class CaseSet:
                 f"precond must be one of {PRECONDITIONERS}, got {self.precond!r}"
             )
         self.precision = as_precision(self.precision)
-        self.backend = as_backend(self.backend)
         if not self.states:
             self.states = [self.problem.zero_state() for _ in self.forces]
         # the material state of a nonlinear problem: the small-strain
@@ -146,9 +139,9 @@ class CaseSet:
 
     def _operator(self):
         return (
-            self.problem.ebe_operator(self.precision, self.backend)
+            self.problem.ebe_operator(self.precision)
             if self.op_kind == "ebe"
-            else self.problem.crs_operator(self.precision, self.backend)
+            else self.problem.crs_operator(self.precision)
         )
 
     def _solve_system(self, B: np.ndarray, guesses: np.ndarray) -> CGResult:
@@ -159,12 +152,11 @@ class CaseSet:
             B,
             x0=guesses,
             precond=self.problem.preconditioner_for(
-                self.precond, self.precision, self.backend, self.op_kind
+                self.precond, self.precision, self.op_kind
             ),
             eps=self.eps,
             workspace=self._pcg_ws,
             precision=self.precision,
-            backend=self.backend,
         )
 
     # -- timing hooks (overridden by PartitionedCaseSet) ---------------
@@ -229,7 +221,7 @@ class CaseSet:
                 NewmarkState(np.column_stack([s.u for s in self.states]),
                              np.column_stack([s.v for s in self.states]),
                              np.column_stack([s.a for s in self.states])),
-                self.op_kind, self.backend,
+                self.op_kind,
             )
             res = self._solve_system(B, guesses)
         X = res.x if res.x.ndim == 2 else res.x[:, None]
@@ -588,8 +580,7 @@ class HeterogeneousPipeline(StepDriver):
         return self.c2c.time(nbytes)
 
     def _two_lanes(self) -> bool:
-        return all(cs.backend.lane_safe for cs in self.sets) and (
-            self.set_b.problem.n_dofs * self.set_b.r >= MIN_LANE_WORK)
+        return self.set_b.problem.n_dofs * self.set_b.r >= MIN_LANE_WORK
 
     def _step(self, it: int, lane: Executor | None = None) -> StepRecord:
         tl = self.timeline

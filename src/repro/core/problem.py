@@ -12,7 +12,7 @@ per-element readers through :meth:`ElasticProblem.element_matrices` —
 which is what makes the CRS-vs-EBE comparisons apples-to-apples and
 lets tests assert agreement to rounding.  The problem is also the one
 place a run's operators come from: solver, RHS, preconditioners and the
-mesh partition are each built once per (storage precision, engine) pair
+mesh partition are each built once per storage precision
 and cached here.
 """
 
@@ -33,7 +33,6 @@ from repro.fem.material import lame_parameters, rayleigh_coefficients
 from repro.fem.mesh import Tet10Mesh
 from repro.fem.newmark import NewmarkBeta, NewmarkState
 from repro.fem.nonlinear import EquivalentLinearMaterial
-from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.bcrs import BlockCRS
 from repro.sparse.ebe import EBEOperator, class_groups
 from repro.sparse.precision import Precision, as_precision
@@ -97,34 +96,27 @@ class ElasticProblem:
 
     # -- operators (lazy, cached) -------------------------------------
     # Every operator of a run is a pure function of this problem and a
-    # (storage precision, engine) pair, built here and nowhere else
-    # under core/, studies/ or campaign/ (test_there_is_one_operator_factory).
+    # storage precision, built here and nowhere else under core/,
+    # studies/ or campaign/ (test_there_is_one_operator_factory).
     @staticmethod
-    def _op_key(base: str, prec: Precision,
-                backend: ArrayBackend | None = None) -> str:
-        """Cache key per (operator, storage precision, backend);
-        fp64 on the numpy backend keeps the historical bare key."""
-        key = base if prec.is_fp64 else f"{base}@{prec.name}"
-        if backend is not None and backend.name != "numpy":
-            key = f"{key}#{backend.name}"
-        return key
+    def _op_key(base: str, prec: Precision) -> str:
+        """Cache key per (operator, storage precision); fp64 keeps the
+        historical bare key."""
+        return base if prec.is_fp64 else f"{base}@{prec.name}"
 
-    def _cached(self, base: str, precision, backend, build):
-        """The one lazy-build site: resolve the (precision, backend)
-        pair once, look ``base`` up under :meth:`_op_key`, and call
-        ``build(prec, bk)`` on a miss.  ``backend=None`` is the ambient
-        default of a bare library call; a run always names its engine,
-        so what it builds and what it later looks up share one key."""
+    def _cached(self, base: str, precision, build):
+        """The one lazy-build site: resolve the precision once, look
+        ``base`` up under :meth:`_op_key`, and call ``build(prec)`` on a
+        miss."""
         prec = as_precision(precision)
-        bk = as_backend(backend)
-        key = self._op_key(base, prec, bk)
+        key = self._op_key(base, prec)
         if key not in self._cache:
-            self._cache[key] = build(prec, bk)
+            self._cache[key] = build(prec)
         return self._cache[key]
 
     def _element_operator(
         self, family: str, kind: str,
-        precision=None, backend=None, crs_tag: str = "spmv.crs",
+        precision=None, crs_tag: str = "spmv.crs",
     ) -> BlockCRS | EBEOperator:
         """Element family ``family`` as one operator: assembled into
         3x3 block CRS charging ``crs_tag`` (``kind="crs"``), or applied
@@ -132,62 +124,47 @@ class ElasticProblem:
         over the family's element classes.  Both come from the *same*
         element matrices, which is what makes the CRS-vs-EBE
         comparisons apples-to-apples."""
-        def build(prec, bk):
+        def build(prec):
             if kind == "crs":
                 return BlockCRS(
                     assemble_bsr(self.element_matrices(family),
                                  self.mesh.elems, self.n_nodes),
-                    tag=crs_tag, precision=prec, backend=bk,
+                    tag=crs_tag, precision=prec,
                 )
             return EBEOperator(
                 self.matrices[family], self.mesh.elems, self.n_nodes,
-                tag="spmv.ebe", precision=prec, backend=bk,
+                tag="spmv.ebe", precision=prec,
                 classes=self.classes.get(family),
             )
-        return self._cached(f"{family}_{kind}", precision, backend, build)
+        return self._cached(f"{family}_{kind}", precision, build)
 
     def crs_operator(
-        self,
-        precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
+        self, precision: Precision | str | None = None,
     ) -> BlockCRS:
         """Effective matrix in 3x3 block CRS (the baseline storage),
-        optionally held at a transprecision storage policy and executed
-        by a non-default backend."""
-        return self._element_operator("A", "crs", precision, backend)
+        optionally held at a transprecision storage policy."""
+        return self._element_operator("A", "crs", precision)
 
     def ebe_operator(
-        self,
-        precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
+        self, precision: Precision | str | None = None,
     ) -> EBEOperator:
         """Effective matrix applied matrix-free (Eq. 8/9), optionally
-        held at a transprecision storage policy and executed by a
-        non-default backend."""
-        return self._element_operator("A", "ebe", precision, backend)
+        held at a transprecision storage policy."""
+        return self._element_operator("A", "ebe", precision)
 
-    def mass_operator(
-        self, kind: str = "crs",
-        backend: "ArrayBackend | str | None" = None,
-    ) -> BlockCRS | EBEOperator:
+    def mass_operator(self, kind: str = "crs") -> BlockCRS | EBEOperator:
         """Mass matrix of the RHS build (always fp64: the outer loop is
-        FP64-accurate), executed by the run's ``backend``."""
-        return self._element_operator(
-            "M", kind, backend=backend, crs_tag="rhs.spmv")
+        FP64-accurate)."""
+        return self._element_operator("M", kind, crs_tag="rhs.spmv")
 
-    def damping_operator(
-        self, kind: str = "crs",
-        backend: "ArrayBackend | str | None" = None,
-    ) -> BlockCRS | EBEOperator:
+    def damping_operator(self, kind: str = "crs") -> BlockCRS | EBEOperator:
         """Damping matrix of the RHS build; see :meth:`mass_operator`."""
-        return self._element_operator(
-            "C", kind, backend=backend, crs_tag="rhs.spmv")
+        return self._element_operator("C", kind, crs_tag="rhs.spmv")
 
     def distributed_operator(
         self,
         nparts: int,
         precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
     ):
         """Effective matrix partitioned over ``nparts`` mesh parts
         (:class:`~repro.cluster.halo.DistributedEBE`).  Both sets of a
@@ -197,11 +174,11 @@ class ElasticProblem:
         from repro.cluster.partition import PartitionInfo, partition_elements
 
         return self._cached(
-            f"A_dist.{nparts}", precision, backend,
-            lambda prec, bk: DistributedEBE.from_elements(
+            f"A_dist.{nparts}", precision,
+            lambda prec: DistributedEBE.from_elements(
                 self.element_matrices("A"),
                 PartitionInfo(self.mesh, partition_elements(self.mesh, nparts)),
-                precision=prec, backend=bk, classes=self.classes.get("A"),
+                precision=prec, classes=self.classes.get("A"),
             ),
         )
 
@@ -209,42 +186,36 @@ class ElasticProblem:
         self,
         nparts: int,
         precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
     ) -> list[BlockJacobi]:
         """Per-part block-Jacobi appliers of :meth:`distributed_operator`
         (:func:`~repro.sparse.distributed.part_block_jacobi`)."""
         from repro.sparse.distributed import part_block_jacobi
 
         return self._cached(
-            f"precond.parts.{nparts}", precision, backend,
-            lambda prec, bk: part_block_jacobi(
-                self.distributed_operator(nparts, prec, bk)),
+            f"precond.parts.{nparts}", precision,
+            lambda prec: part_block_jacobi(
+                self.distributed_operator(nparts, prec)),
         )
 
     def preconditioner(
-        self,
-        precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
+        self, precision: Precision | str | None = None,
     ) -> BlockJacobi:
         """3x3 block-Jacobi of the constrained effective matrix, its
-        block inverses stored at the requested precision and applied
-        by the requested backend."""
+        block inverses stored at the requested precision."""
         # Diagonal blocks come matrix-free so the EBE path never
         # needs the assembled matrix; they are taken from the
         # matching-precision operator so the inverted blocks see
         # exactly the values the solver applies.
         return self._cached(
-            "precond", precision, backend,
-            lambda prec, bk: BlockJacobi(
-                self.ebe_operator(prec, bk).diagonal_blocks(),
-                precision=prec, backend=bk,
+            "precond", precision,
+            lambda prec: BlockJacobi(
+                self.ebe_operator(prec).diagonal_blocks(), precision=prec,
             ),
         )
 
     def twogrid_preconditioner(
         self,
         precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
         op_kind: str = "ebe",
         n_smooth: int = 2,
     ):
@@ -266,31 +237,30 @@ class ElasticProblem:
         from repro.fem.transfer import build_transfer
         from repro.sparse.twogrid import build_twogrid
 
-        def build(prec, bk):
+        def build(prec):
             meshes = mesh_hierarchy(self.mesh, 2)
             if len(meshes) < 2:
                 raise ValueError(
                     "mesh has no coarser companion: the two-grid "
                     "preconditioner needs a coarsenable resolution"
                 )
-            op = (self.crs_operator(prec, bk) if op_kind == "crs"
-                  else self.ebe_operator(prec, bk))
+            op = (self.crs_operator(prec) if op_kind == "crs"
+                  else self.ebe_operator(prec))
             A_csr = assemble_bsr(
                 self.element_matrices("A"), self.mesh.elems, self.n_nodes
             ).tocsr()
             return build_twogrid(
                 op, A_csr, build_transfer(*meshes), op.diagonal_blocks(),
                 fixed_nodes=self.fixed_nodes, n_smooth=n_smooth,
-                precision=prec, backend=bk,
+                precision=prec,
             )
         return self._cached(
-            f"precond.twogrid.{op_kind}.{n_smooth}", precision, backend, build)
+            f"precond.twogrid.{op_kind}.{n_smooth}", precision, build)
 
     def preconditioner_for(
         self,
         name: str,
         precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
         op_kind: str = "ebe",
     ):
         """Preconditioner by campaign-axis name (``"bj"``/``"twogrid"``,
@@ -298,9 +268,9 @@ class ElasticProblem:
         from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
 
         if name is None or name == DEFAULT_PRECONDITIONER:
-            return self.preconditioner(precision, backend)
+            return self.preconditioner(precision)
         if name == "twogrid":
-            return self.twogrid_preconditioner(precision, backend, op_kind)
+            return self.twogrid_preconditioner(precision, op_kind)
         raise ValueError(
             f"unknown preconditioner {name!r}; expected one of {PRECONDITIONERS}"
         )
@@ -311,15 +281,13 @@ class ElasticProblem:
 
     def rhs(
         self, f_ext: np.ndarray, state: NewmarkState, kind: str = "crs",
-        backend: "ArrayBackend | str | None" = None,
     ) -> np.ndarray:
         """Effective right-hand side for the next step, with Dirichlet
         rows zeroed (fixed dofs then solve to exactly zero); ``f_ext``
         and ``state`` may hold ``(n, r)`` blocks of ``r`` cases.  The
-        mass and damping products run as ``kind`` operators on
-        ``backend``."""
-        M = self.mass_operator(kind, backend)
-        C = self.damping_operator(kind, backend)
+        mass and damping products run as ``kind`` operators."""
+        M = self.mass_operator(kind)
+        C = self.damping_operator(kind)
         b = self.newmark.rhs(M, C, f_ext, state)
         b[self.fixed_dofs] = 0.0
         return b

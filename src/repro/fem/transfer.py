@@ -132,22 +132,20 @@ class TransferOperators:
         return self.restriction_matrix() @ np.asarray(values)
 
     # -- dof vectors --------------------------------------------------
-    def prolong(self, xc: np.ndarray, out: np.ndarray | None = None,
-                backend=None) -> np.ndarray:
+    def prolong(self, xc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply ``P x I3`` to dof vectors ``(3*n_coarse,)`` or
         ``(3*n_coarse, r)`` (node-major component layout)."""
-        return self._apply_dof(xc, out, backend, fine_to_coarse=False)
+        return self._apply_dof(xc, out, fine_to_coarse=False)
 
-    def restrict(self, xf: np.ndarray, out: np.ndarray | None = None,
-                 backend=None) -> np.ndarray:
+    def restrict(self, xf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply ``R x I3`` to dof vectors ``(3*n_fine,)`` or
         ``(3*n_fine, r)``."""
-        return self._apply_dof(xf, out, backend, fine_to_coarse=True)
+        return self._apply_dof(xf, out, fine_to_coarse=True)
 
-    def _apply_dof(self, x, out, backend, *, fine_to_coarse: bool):
+    def _apply_dof(self, x, out, *, fine_to_coarse: bool):
         from repro.sparse.backend import as_backend
 
-        bk = as_backend(backend)
+        bk = as_backend()
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         X = np.ascontiguousarray(x.reshape(x.shape[0], -1))

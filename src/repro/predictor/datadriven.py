@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.predictor.adams_bashforth import AdamsBashforth
 from repro.predictor.registry import Predictor, register_predictor
-from repro.sparse.backend import DEFAULT_BACKEND, backend_by_name
+from repro.sparse.backend import as_backend
 from repro.util import counters
 
 __all__ = ["DataDrivenPredictor", "mgs_estimate"]
@@ -45,10 +45,8 @@ def mgs_estimate(Z: np.ndarray, Y: np.ndarray, rtol: float = 1e-12) -> np.ndarra
     """Batched history estimate ``y = Y U U^T X^T x`` per region.
 
     Named for the paper's kernel (MGS on the CPU); the host executes it
-    as the array backend's orthogonal factorisation, Householder QR.
-    Predictors carry no backend of their own and every engine inherits
-    the one default primitive, so it is taken from the default engine
-    whatever backend the run was given.
+    as the array seam's orthogonal factorisation, Householder QR, on the
+    shared instance (predictors carry no backend of their own).
 
     Parameters
     ----------
@@ -65,7 +63,7 @@ def mgs_estimate(Z: np.ndarray, Y: np.ndarray, rtol: float = 1e-12) -> np.ndarra
     -------
     y : (nreg, m_out) estimated outputs.
     """
-    return backend_by_name(DEFAULT_BACKEND).qr_estimate(Z, Y, rtol)
+    return as_backend().qr_estimate(Z, Y, rtol)
 
 
 @register_predictor

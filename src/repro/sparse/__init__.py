@@ -15,16 +15,7 @@ FP64-accurate outer loop), and the analytic per-kernel flop/byte
 traffic models that feed the hardware roofline.
 """
 
-from repro.sparse.backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    as_backend,
-    available_backend_names,
-    backend_by_name,
-    backend_names,
-    default_backend_name,
-    register_backend,
-)
+from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.bcrs import BlockCRS
 from repro.sparse.precision import (
     FP21,
@@ -51,13 +42,7 @@ from repro.sparse.traffic import (
 
 __all__ = [
     "ArrayBackend",
-    "BackendUnavailableError",
     "as_backend",
-    "available_backend_names",
-    "backend_by_name",
-    "backend_names",
-    "default_backend_name",
-    "register_backend",
     "BlockCRS",
     "BlockJacobi",
     "CGResult",

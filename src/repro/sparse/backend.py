@@ -1,55 +1,32 @@
-"""Pluggable array-backend execution seam for the sparse hot paths.
+"""The array seam: the one primitive set the sparse hot paths run on.
 
 The reproduction executes every kernel in NumPy while device time is
 *modeled* from analytic traffic tallies.  This module is the seam that
 separates the two concerns: the solver hot loops (``cg``, ``ebe``,
 ``bcrs``, ``precond``, ``distributed``) and the data-driven
 predictor's history regression (``predictor.datadriven``) are written
-purely against the :class:`ArrayBackend` primitive set below, and a
-registered backend decides how those primitives execute — reference
-NumPy, cache-blocked NumPy or Numba-jitted parallel kernels.  The
-*modeled* flop/byte tallies (:mod:`repro.sparse.traffic`) are charged
-by the operator wrappers outside the seam, so they are identical for
-every backend: measured wall time moves with the backend, modeled
-device time does not — which is exactly the modeled-vs-measured
-validation axis the backends exist to open.
+purely against the :class:`ArrayBackend` primitives below, and no hot
+loop calls NumPy on a work array directly
+(``tests/sparse/test_kernel_purity.py``).  The *modeled* flop/byte
+tallies (:mod:`repro.sparse.traffic`) are charged by the operator
+wrappers outside the seam.
 
-Mirroring CoCoNuT's ``solver_wrappers/`` pattern (one interface,
-per-engine wrappers), backends register by name in a strict registry
-(:func:`register_backend` / :func:`backend_by_name`, loud on unknown
-names like ``scenario_by_name``).  Contracts:
+Every primitive makes the roundings the pre-seam hot loops made, in
+the same order, so execution is **bit-identical** to the historical
+code on every path a golden reaches (the committed golden fixtures pin
+this).  *Which* kernel makes them is chosen by the operand's shape: one
+vector takes scipy's single-vector SpMV, a large block is scaled
+through a wide view.  The grouped EBE apply (one GEMM per element
+class; no golden groups) agrees with the stored sweep to rounding.
 
-* ``numpy`` — the reference.  Every primitive makes the roundings the
-  pre-seam hot loops made, in the same order, so the default execution
-  is **bit-identical** to the historical code on every path a golden
-  reaches (the committed golden fixtures pin this).  *Which* kernel
-  makes them is chosen by the operand's shape: one vector takes scipy's
-  single-vector SpMV, a large block is scaled through a wide view.  The
-  grouped EBE apply (one GEMM per element class; no golden groups)
-  agrees with the stored sweep to rounding.
-* ``numpy-blocked`` — always-available variant that runs the column
-  reductions in cache-sized row blocks.  Elementwise primitives stay
-  bit-identical; dot products regroup their summation, so this backend
-  exercises the norm-scaled-tolerance parity contract accelerated
-  backends are held to, with no optional dependency.
-* ``numba`` — the accelerated engine, registered always but
-  *available* only when its import succeeds
-  (:meth:`ArrayBackend.available`); resolving an unavailable backend
-  raises :class:`BackendUnavailableError` so callers (and tests) can
-  skip cleanly instead of failing.
-
-The ambient default is ``numpy``; the ``REPRO_BACKEND`` environment
-variable overrides it wherever a backend is resolved from ``None``
-(library entry points, the CLI flags' defaults).  Campaign cells are
-the exception: their executor always receives an explicit backend name
-from the cell parameters, never the environment — a content-addressed
-cache must not change meaning with ambient state.
+There is one engine.  The seam stays a class because it owns the
+per-lane scratch (:class:`~repro.util.lanes.LaneLocal`) and because a
+test can hand any constructor (or ``pcg``) a subclass that counts or
+regroups its primitives; :func:`as_backend` resolves ``None`` to one
+shared instance.
 """
 
 from __future__ import annotations
-
-import abc
-import os
 
 import numpy as np
 
@@ -64,69 +41,37 @@ except ImportError:  # pragma: no cover - scipy always ships them today
     _csr_matvec = _csr_matvecs = None
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "ArrayBackend",
-    "BackendUnavailableError",
-    "NumpyBackend",
-    "BlockedNumpyBackend",
-    "register_backend",
-    "backend_by_name",
-    "backend_names",
-    "available_backend_names",
     "as_backend",
     "apply_staged",
     "check_out",
-    "default_backend_name",
 ]
 
-DEFAULT_BACKEND = "numpy"
 
-
-class BackendUnavailableError(RuntimeError):
-    """A registered backend's engine is not importable here.
-
-    Distinct from the ``ValueError`` an *unknown* name raises: the name
-    is valid, the environment just lacks the optional dependency —
-    callers (CI jobs, parity tests) catch this to skip, not fail.
-    """
-
-
-class ArrayBackend(abc.ABC):
+class ArrayBackend:
     """Primitive set every sparse hot loop is written against.
 
     All primitives operate on C-contiguous fp64 host ``numpy`` arrays
-    (accelerated backends may mirror to device storage internally; only
-    ``copy`` accepts a strided source, which is how a strided operand
-    gets staged) and write results **in place** into caller-owned
-    buffers — the seam preserves the repo's allocation-free hot-loop
-    discipline.  Blocked vector primitives treat ``(n, r)`` arrays as
-    ``r`` independent columns (the fused multi-RHS layout).  The EBE
-    sweep is ``gather_rows`` / ``grouped_matmul`` / ``spmv_csr`` over
-    element buffers (:mod:`repro.sparse.ebe`).
+    (only ``copy`` accepts a strided source, which is how a strided
+    operand gets staged) and write results **in place** into
+    caller-owned buffers — the seam preserves the repo's
+    allocation-free hot-loop discipline.  Blocked vector primitives
+    treat ``(n, r)`` arrays as ``r`` independent columns (the fused
+    multi-RHS layout): a non-finite case must not reach its
+    neighbours.  The EBE sweep is ``gather_rows`` / ``grouped_matmul``
+    / ``spmv_csr`` over element buffers (:mod:`repro.sparse.ebe`).
 
-    Subclass contract: the reference :class:`NumpyBackend` reproduces
-    the pre-seam code's results bit for bit on every path a golden
-    reaches (the grouped apply agrees to rounding); accelerated backends may
-    regroup/parallelize arithmetic and are held to norm-scaled-tolerance
-    parity, never bit parity.  Every backend keeps the columns of a
-    block independent: a non-finite case must not reach its neighbours.
+    The roundings are the pre-seam hot loops', in the same order — bit
+    for bit on every path a golden reaches (the grouped apply agrees to
+    rounding) — from whichever NumPy/scipy kernel makes them fastest
+    for the operand's shape.
     """
 
-    #: registry name (``backend_by_name`` key); subclasses override.
-    name: str = ""
-    #: one-line human description for ``repro backends``.
-    description: str = ""
-    #: whether two threads may run the primitives at once (the two-lane
-    #: step of :class:`~repro.core.pipeline.HeterogeneousPipeline`)
-    lane_safe: bool = True
-
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this backend's engine can execute here (its optional
-        dependency imports).  Registration is unconditional; resolution
-        of an unavailable backend raises
-        :class:`BackendUnavailableError`."""
-        return True
+    def __init__(self) -> None:
+        # per lane (thread): r -> ((_TILE, r), (_TILE * r,)) views of one
+        # scale scratch, and the last grouped product's (A, offsets, X,
+        # out) and stacked GEMM views
+        self._lane = LaneLocal(tiles=dict, groups=lambda: ((None,) * 4, []))
 
     # -- workspace allocation -----------------------------------------
     def empty(self, shape) -> np.ndarray:
@@ -138,50 +83,89 @@ class ArrayBackend(abc.ABC):
         return np.zeros(shape)
 
     # -- blocked streaming primitives ---------------------------------
-    @abc.abstractmethod
     def copy(self, dst: np.ndarray, src: np.ndarray) -> np.ndarray:
         """``dst[...] = src``; returns ``dst``."""
+        np.copyto(dst, src)
+        return dst
 
-    @abc.abstractmethod
     def fill(self, a: np.ndarray, value: float) -> np.ndarray:
         """``a[...] = value``; returns ``a``."""
+        a.fill(value)
+        return a
 
-    @abc.abstractmethod
     def subtract(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = a - b`` elementwise."""
+        np.subtract(a, b, out=out)
+        return out
 
-    @abc.abstractmethod
     def xpay_cols(self, P: np.ndarray, beta: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """``P = P * beta + Z`` with per-column scales ``beta`` —
         the CG search-direction update (two separately rounded ops,
         elementwise: column ``j`` sees ``beta[j]`` only)."""
+        self._scale_cols(P, beta, P)
+        P += Z
+        return P
 
-    @abc.abstractmethod
     def axpy_cols(
         self, Y: np.ndarray, s: np.ndarray, V: np.ndarray, work: np.ndarray
     ) -> np.ndarray:
         """``Y += s * V`` with per-column scales ``s``, using the
         caller's ``(n, r)`` scratch ``work`` (no allocation)."""
+        self._scale_cols(V, s, work)
+        Y += work
+        return Y
 
-    @abc.abstractmethod
     def axmy_cols(
         self, Y: np.ndarray, s: np.ndarray, V: np.ndarray, work: np.ndarray
     ) -> np.ndarray:
         """``Y -= s * V`` with per-column scales ``s`` (scratch as in
         :meth:`axpy_cols`)."""
+        self._scale_cols(V, s, work)
+        Y -= work
+        return Y
 
-    @abc.abstractmethod
+    #: rows folded into one wide row by the column scaling (measured:
+    #: 16-64 alike, 4 and 128 slower); under ``_TILE`` wide rows the
+    #: plain broadcast is as fast.
+    _TILE = 32
+
+    def _scale_cols(self, V, s, out):
+        """``out = V * s``, per-column scales (``out`` may be ``V``).
+        The broadcast's inner loop is only ``r`` long, so a large block
+        is scaled as its ``(n // k, k * r)`` view against a ``k``-tiled
+        copy of ``s``: the same products, elementwise (a diagonal GEMM
+        is faster still, but lets a NaN column into its neighbours)."""
+        n, r = V.shape
+        k = self._TILE
+        m = n // k
+        if r == 1 or m < k or not (V.flags.c_contiguous
+                                   and out.flags.c_contiguous):
+            return np.multiply(V, s, out=out)
+        tiles = self._lane.tiles
+        tile = tiles.get(r)
+        if tile is None:
+            flat = np.empty(k * r)
+            tile = tiles[r] = (flat.reshape(k, r), flat)
+        np.copyto(tile[0], s)
+        mk = m * k
+        np.multiply(V[:mk].reshape(m, k * r), tile[1],
+                    out=out[:mk].reshape(m, k * r))
+        if mk < n:
+            np.multiply(V[mk:], s, out=out[mk:])
+        return out
+
     def colwise_dot(self, V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-column dot products ``out[j] = sum_i V[i,j] W[i,j]``."""
+        return np.einsum("ij,ij->j", V, W, out=out)
 
     def colwise_norm(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-column 2-norms into ``out`` (dot then in-place sqrt)."""
         self.colwise_dot(V, V, out)
         return self.sqrt_(out)
 
-    @abc.abstractmethod
     def sqrt_(self, a: np.ndarray) -> np.ndarray:
         """In-place elementwise square root."""
+        return np.sqrt(a, out=a)
 
     def quantize_store(self, a: np.ndarray, precision) -> np.ndarray:
         """Round ``a`` to ``precision``'s storage format in place — the
@@ -190,13 +174,16 @@ class ArrayBackend(abc.ABC):
         return precision.quantize_(a)
 
     # -- gather / apply / scatter -------------------------------------
-    @abc.abstractmethod
     def gather_rows(self, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = X[idx]`` row gather (``idx`` may be multi-dim; all
         indices pre-validated in range by the caller — the EBE sweep's is
         flat, by node or by class-blocked dof)."""
+        # mode="clip" writes straight into `out` (mode="raise" rechecks
+        # the indices through a temporary); callers validate indices
+        # in-range at construction.
+        np.take(X, idx, axis=0, out=out, mode="clip")
+        return out
 
-    @abc.abstractmethod
     def grouped_matmul(
         self, A: np.ndarray, offsets: np.ndarray, X: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
@@ -207,19 +194,43 @@ class ArrayBackend(abc.ABC):
         ``d offsets[c]``, member by member, and ``out``'s block is
         ``A[c]`` times it.  ``m == N`` is one group per member: the
         ``(N, d, r)`` stack and ``A[e] @ X[e]``.  A run of adjacent
-        equal-size groups is one ``(g, d, k r)`` stack, which an engine
-        may apply in one batched call; the EBE sweep orders its classes
-        by size, so each distinct size is one run."""
+        equal-size groups is one ``(g, d, k r)`` stack, applied in one
+        batched ``np.matmul``; the EBE sweep orders its classes by size,
+        so each distinct size is one run."""
+        m, d = A.shape[0], A.shape[-1]
+        if m * d == X.shape[0]:  # one matrix per member: the stacked product
+            np.matmul(A, X.reshape(m, d, -1), out=out.reshape(m, d, -1))
+            return out
+        # one stacked product per run of adjacent equal-size groups (one
+        # GEMM per item: the bits of one GEMM per group); its views are
+        # kept for the next call on the same arrays (a sweep's, every pcg
+        # iteration), compared by identity: the cache holds the arrays,
+        # so no id is reused while they are kept
+        arrays, gemms = self._lane.groups
+        if not all(a is b for a, b in zip(arrays, (A, offsets, X, out))):
+            r, sizes, rows = X.shape[1], np.diff(offsets), (d * offsets).tolist()
+            runs = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), m]
+            gemms = []
+            for c, e in zip(runs, runs[1:]):
+                shape = (e - c, d, int(sizes[c]) * r)
+                gemms.append((A[c:e], X[rows[c]:rows[e]].reshape(shape),
+                              out[rows[c]:rows[e]].reshape(shape)))
+            self._lane.groups = ((A, offsets, X, out), gemms)
+        for a, x, y in gemms:
+            np.matmul(a, x, out=y)
+        return out
 
     # -- operator kernels ---------------------------------------------
-    @abc.abstractmethod
     def block_diag_matvec(
         self, inv: np.ndarray, R: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         """Apply ``(nb, 3, 3)`` diagonal blocks to ``(3 nb, r)`` columns
         (the block-Jacobi kernel); ``R``/``out`` C-contiguous."""
+        nb = inv.shape[0]
+        r = R.shape[-1]
+        np.matmul(inv, R.reshape(nb, 3, r), out=out.reshape(nb, 3, r))
+        return out
 
-    @abc.abstractmethod
     def spmv_csr(
         self,
         indptr: np.ndarray,
@@ -232,16 +243,37 @@ class ArrayBackend(abc.ABC):
         shaped ``(n, r)``, ``r >= 1``).  Every row accumulates from zero
         in ``indices`` order at every width — the EBE scatter (a 0/1
         incidence matrix) takes its summation order from this, and one
-        column alone gets the bits it gets inside a block, so an engine
-        may pick its kernel by ``r``."""
+        column alone gets the bits it gets inside a block, so the kernel
+        is picked by ``r``."""
+        n, r = out.shape
+        if indptr.size != n + 1:  # the C kernels would read past its end
+            raise ValueError(f"indptr size {indptr.size} != {n} rows + 1")
+        if (
+            _csr_matvecs is not None
+            and X.flags.c_contiguous
+            and out.flags.c_contiguous
+            and X.dtype == np.float64
+        ):
+            out.fill(0.0)  # both kernels accumulate: y += A @ x
+            if r == 1:  # same row-by-row order, no axpy call per entry
+                _csr_matvec(n, X.shape[0], indptr, indices, data,
+                            X.ravel(), out.ravel())
+            else:
+                _csr_matvecs(n, X.shape[0], r, indptr, indices, data,
+                             X.ravel(), out.ravel())
+            return out
+        import scipy.sparse as sp  # fallback: wrap without copying
+
+        m = sp.csr_matrix((data, indices, indptr), shape=(n, X.shape[0]))
+        np.copyto(out, m @ X)
+        return out
 
     # -- grid-transfer primitives -------------------------------------
     #
     # Node-level CSR operators applied to node-major dof vectors: a
     # C-contiguous ``(3*n, r)`` dof block viewed as ``(n, 3*r)`` turns
     # the 3-components-per-node application into a plain multi-vector
-    # SpMV, so every backend inherits a correct implementation from its
-    # own ``spmv_csr``; engines with bespoke kernels override.
+    # SpMV through ``spmv_csr``.
 
     def prolong(self, indptr, indices, data, X, out):
         """Coarse-to-fine transfer ``out = (P x I3) @ X``: node-level
@@ -335,242 +367,13 @@ def _skip_dead_columns(R: np.ndarray, tol: np.ndarray, j0: int) -> None:
     B[...] = N
 
 
-class NumpyBackend(ArrayBackend):
-    """Reference backend: the roundings the pre-seam hot loops made, in
-    the same order — bit-identical to the historical implementation
-    (asserted by the golden fixtures) — from whichever NumPy/scipy
-    kernel makes them fastest for the operand's shape; the grouped
-    apply takes one GEMM per class instead (equal to rounding)."""
-
-    name = "numpy"
-    description = "reference NumPy execution (bit-exact default)"
-
-    def __init__(self) -> None:
-        # per lane (thread): r -> ((_TILE, r), (_TILE * r,)) views of one
-        # scale scratch, and the last grouped product's (A, offsets, X,
-        # out) and stacked GEMM views
-        self._lane = LaneLocal(tiles=dict, groups=lambda: ((None,) * 4, []))
-
-    # -- blocked streaming primitives ---------------------------------
-    def copy(self, dst, src):
-        np.copyto(dst, src)
-        return dst
-
-    def fill(self, a, value):
-        a.fill(value)
-        return a
-
-    def subtract(self, a, b, out):
-        np.subtract(a, b, out=out)
-        return out
-
-    def xpay_cols(self, P, beta, Z):
-        self._scale_cols(P, beta, P)
-        P += Z
-        return P
-
-    def axpy_cols(self, Y, s, V, work):
-        self._scale_cols(V, s, work)
-        Y += work
-        return Y
-
-    def axmy_cols(self, Y, s, V, work):
-        self._scale_cols(V, s, work)
-        Y -= work
-        return Y
-
-    #: rows folded into one wide row by the column scaling (measured:
-    #: 16-64 alike, 4 and 128 slower); under ``_TILE`` wide rows the
-    #: plain broadcast is as fast.
-    _TILE = 32
-
-    def _scale_cols(self, V, s, out):
-        """``out = V * s``, per-column scales (``out`` may be ``V``).
-        The broadcast's inner loop is only ``r`` long, so a large block
-        is scaled as its ``(n // k, k * r)`` view against a ``k``-tiled
-        copy of ``s``: the same products, elementwise (a diagonal GEMM
-        is faster still, but lets a NaN column into its neighbours)."""
-        n, r = V.shape
-        k = self._TILE
-        m = n // k
-        if r == 1 or m < k or not (V.flags.c_contiguous
-                                   and out.flags.c_contiguous):
-            return np.multiply(V, s, out=out)
-        tiles = self._lane.tiles
-        tile = tiles.get(r)
-        if tile is None:
-            flat = np.empty(k * r)
-            tile = tiles[r] = (flat.reshape(k, r), flat)
-        np.copyto(tile[0], s)
-        mk = m * k
-        np.multiply(V[:mk].reshape(m, k * r), tile[1],
-                    out=out[:mk].reshape(m, k * r))
-        if mk < n:
-            np.multiply(V[mk:], s, out=out[mk:])
-        return out
-
-    def colwise_dot(self, V, W, out):
-        return np.einsum("ij,ij->j", V, W, out=out)
-
-    def sqrt_(self, a):
-        return np.sqrt(a, out=a)
-
-    # -- gather / apply / scatter -------------------------------------
-    def gather_rows(self, X, idx, out):
-        # mode="clip" writes straight into `out` (mode="raise" rechecks
-        # the indices through a temporary); callers validate indices
-        # in-range at construction.
-        np.take(X, idx, axis=0, out=out, mode="clip")
-        return out
-
-    def grouped_matmul(self, A, offsets, X, out):
-        m, d = A.shape[0], A.shape[-1]
-        if m * d == X.shape[0]:  # one matrix per member: the stacked product
-            np.matmul(A, X.reshape(m, d, -1), out=out.reshape(m, d, -1))
-            return out
-        # one stacked product per run of adjacent equal-size groups (one
-        # GEMM per item: the bits of one GEMM per group); its views are
-        # kept for the next call on the same arrays (a sweep's, every pcg
-        # iteration), compared by identity: the cache holds the arrays,
-        # so no id is reused while they are kept
-        arrays, gemms = self._lane.groups
-        if not all(a is b for a, b in zip(arrays, (A, offsets, X, out))):
-            r, sizes, rows = X.shape[1], np.diff(offsets), (d * offsets).tolist()
-            runs = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), m]
-            gemms = []
-            for c, e in zip(runs, runs[1:]):
-                shape = (e - c, d, int(sizes[c]) * r)
-                gemms.append((A[c:e], X[rows[c]:rows[e]].reshape(shape),
-                              out[rows[c]:rows[e]].reshape(shape)))
-            self._lane.groups = ((A, offsets, X, out), gemms)
-        for a, x, y in gemms:
-            np.matmul(a, x, out=y)
-        return out
-
-    # -- operator kernels ---------------------------------------------
-    def block_diag_matvec(self, inv, R, out):
-        nb = inv.shape[0]
-        r = R.shape[-1]
-        np.matmul(inv, R.reshape(nb, 3, r), out=out.reshape(nb, 3, r))
-        return out
-
-    def spmv_csr(self, indptr, indices, data, X, out):
-        n, r = out.shape
-        if indptr.size != n + 1:  # the C kernels would read past its end
-            raise ValueError(f"indptr size {indptr.size} != {n} rows + 1")
-        if (
-            _csr_matvecs is not None
-            and X.flags.c_contiguous
-            and out.flags.c_contiguous
-            and X.dtype == np.float64
-        ):
-            out.fill(0.0)  # both kernels accumulate: y += A @ x
-            if r == 1:  # same row-by-row order, no axpy call per entry
-                _csr_matvec(n, X.shape[0], indptr, indices, data,
-                            X.ravel(), out.ravel())
-            else:
-                _csr_matvecs(n, X.shape[0], r, indptr, indices, data,
-                             X.ravel(), out.ravel())
-            return out
-        import scipy.sparse as sp  # fallback: wrap without copying
-
-        m = sp.csr_matrix((data, indices, indptr), shape=(n, X.shape[0]))
-        np.copyto(out, m @ X)
-        return out
+#: the instance every constructor and ``pcg`` runs on unless handed one
+_SHARED = ArrayBackend()
 
 
-class BlockedNumpyBackend(NumpyBackend):
-    """Cache-blocked column reductions on the NumPy substrate.
-
-    Streams the dot/norm reductions in row blocks of
-    :attr:`block_rows`, accumulating per-block partial sums — a
-    different (but deterministic) summation grouping than the fused
-    einsum, so results agree with the reference to rounding only.
-    Elementwise primitives are inherited untouched and stay
-    bit-identical.  Always available: this is the backend the parity
-    harness uses to exercise the accelerated-backend tolerance
-    contract without optional dependencies.
-    """
-
-    name = "numpy-blocked"
-    description = "cache-blocked NumPy column reductions (parity reference)"
-    block_rows = 4096
-
-    def colwise_dot(self, V, W, out):
-        out[...] = 0.0
-        nb = self.block_rows
-        for lo in range(0, V.shape[0], nb):
-            out += np.einsum("ij,ij->j", V[lo:lo + nb], W[lo:lo + nb])
-        return out
-
-
-#: Strict registry: name -> backend class (instances cached lazily).
-BACKENDS: dict[str, type[ArrayBackend]] = {}
-_INSTANCES: dict[str, ArrayBackend] = {}
-
-
-def register_backend(cls: type[ArrayBackend]) -> type[ArrayBackend]:
-    """Register a backend class under ``cls.name`` (usable as a class
-    decorator).  Duplicate names fail loudly — silently shadowing an
-    execution engine is how wrong numbers get attributed."""
-    name = cls.name
-    if not name:
-        raise ValueError("backend class needs a non-empty `name`")
-    if name in BACKENDS and BACKENDS[name] is not cls:
-        raise ValueError(f"backend {name!r} already registered")
-    BACKENDS[name] = cls
-    return cls
-
-
-def backend_names() -> tuple[str, ...]:
-    """All registered backend names, sorted (available or not)."""
-    return tuple(sorted(BACKENDS))
-
-
-def available_backend_names() -> tuple[str, ...]:
-    """Registered backends whose engine imports here, sorted."""
-    return tuple(n for n in backend_names() if BACKENDS[n].available())
-
-
-def backend_by_name(name: str) -> ArrayBackend:
-    """Resolve a backend instance by registry name.
-
-    Unknown names raise ``ValueError`` (a typo'd backend must never
-    silently execute NumPy); known-but-unavailable engines raise
-    :class:`BackendUnavailableError` so callers can skip cleanly.
-    """
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {backend_names()}"
-        ) from None
-    if not cls.available():
-        raise BackendUnavailableError(
-            f"backend {name!r} is registered but its engine is not "
-            f"importable here (try `pip install {name}`); available: "
-            f"{available_backend_names()}"
-        )
-    inst = _INSTANCES.get(name)
-    if inst is None:
-        inst = _INSTANCES[name] = cls()
-    return inst
-
-
-def default_backend_name() -> str:
-    """The ambient default backend name: ``REPRO_BACKEND`` when set
-    (and non-empty), else ``"numpy"``."""
-    return os.environ.get("REPRO_BACKEND") or DEFAULT_BACKEND
-
-
-def as_backend(spec: "ArrayBackend | str | None" = None) -> ArrayBackend:
-    """Resolve a backend from an instance, a name, or ``None`` (the
-    ambient default — ``REPRO_BACKEND`` env override, else numpy)."""
-    if spec is None:
-        spec = default_backend_name()
-    if isinstance(spec, ArrayBackend):
-        return spec
-    return backend_by_name(spec)
+def as_backend(backend: ArrayBackend | None = None) -> ArrayBackend:
+    """``backend``, or the one shared instance when ``None``."""
+    return _SHARED if backend is None else backend
 
 
 def check_out(out: np.ndarray | None, shape: tuple) -> None:
@@ -600,14 +403,3 @@ def apply_staged(kernel, x: np.ndarray, out: np.ndarray | None,
         return out
     Y = kernel(X, backend.empty(X.shape))
     return Y[:, 0] if x.ndim == 1 else Y
-
-
-register_backend(NumpyBackend)
-register_backend(BlockedNumpyBackend)
-
-# The accelerated engine registers unconditionally (its *availability*
-# is probed at resolution time); the import is cheap because the
-# engine import itself happens lazily inside the module.
-from repro.sparse.backend_numba import NumbaBackend  # noqa: E402
-
-register_backend(NumbaBackend)

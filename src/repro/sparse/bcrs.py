@@ -7,7 +7,7 @@ the analytic kernel work (:mod:`repro.sparse.traffic`) to the active
 time is attributed (priced once per right-hand-side count).
 
 There is one application path, solver and RHS products alike: the
-backend's CSR SpMV over a scalar CSR twin — on ``numpy`` scipy's
+seam's CSR SpMV over a scalar CSR twin — scipy's
 single-vector kernel for one right-hand side (the conventional method's
 operator) and the multi-vector one otherwise, both summing each row in
 stored order, as scipy's BSR kernels do.
@@ -37,10 +37,8 @@ class BlockCRS:
         quantized once at construction and the per-matvec traffic is
         charged at the policy's itemsize.  Default fp64 (bit-identical
         to the precision-unaware matrix).
-    backend : execution engine of every application
-        (:class:`~repro.sparse.backend.ArrayBackend`, registry name,
-        or ``None`` for the ambient default); the modeled traffic is
-        backend-independent.
+    backend : the :class:`~repro.sparse.backend.ArrayBackend` every
+        application runs on (``None``: the shared instance).
     """
 
     def __init__(
@@ -48,7 +46,7 @@ class BlockCRS:
         bsr: sp.bsr_matrix,
         tag: str = "spmv.crs",
         precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
+        backend: ArrayBackend | None = None,
     ) -> None:
         if not sp.issparse(bsr):
             raise TypeError("expected a scipy sparse matrix")

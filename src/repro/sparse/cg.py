@@ -22,17 +22,16 @@ every operator of the package — EBE, block CRS, distributed,
 block-Jacobi, two-grid — takes ``out=``, and nothing here inspects a
 signature or wraps a bare matrix.
 
-Every vector operation in the loop routes through an
-:class:`~repro.sparse.backend.ArrayBackend` (``backend=``): the
-``numpy`` default is bit-identical to the historical solver
-(golden-pinned) — the same roundings in the same order, no longer the
-same call sequence: it picks its kernels by the operand's shape — and
-accelerated backends swap the execution engine without touching the
-algorithm.  The *modeled* vector traffic is charged here, outside the
-seam, so the roofline tally is identical for every backend: once per
-solve, after the loop, as ``loop_iterations`` calls of the
-per-iteration cost — to the last bit what charging it every iteration
-gave (see :mod:`repro.util.counters`).
+Every vector operation in the loop routes through the
+:class:`~repro.sparse.backend.ArrayBackend` seam, which is
+bit-identical to the historical solver (golden-pinned) — the same
+roundings in the same order, no longer the same call sequence: it
+picks its kernels by the operand's shape.  The *modeled* vector
+traffic is charged here, outside the seam, so the roofline tally does
+not depend on how the primitives execute: once per solve, after the
+loop, as ``loop_iterations`` calls of the per-iteration cost — to the
+last bit what charging it every iteration gave (see
+:mod:`repro.util.counters`).
 
 Transprecision storage (``precision=``): the CG *recurrences* — dot
 products, the scalar dance, the solution update — always run at fp64,
@@ -79,27 +78,25 @@ class PCGWorkspace:
     """Preallocated ``(n, r)`` blocks for :func:`pcg`.
 
     One instance serves any sequence of solves; buffers are
-    (re)allocated only when the problem shape (or the owning backend)
-    changes.  Holding one across time steps keeps the steady-state
-    solver loop free of heap traffic.
+    (re)allocated only when the problem shape changes.  Holding one
+    across time steps keeps the steady-state solver loop free of heap
+    traffic.
     """
 
-    __slots__ = ("n", "r", "backend_name", "R", "Z", "P", "Q", "T",
+    __slots__ = ("n", "r", "R", "Z", "P", "Q", "T",
                  "rho", "rho_prev", "alpha", "beta", "relres", "work")
 
     def __init__(self) -> None:
         self.n = self.r = -1
-        self.backend_name = ""
 
     def ensure(self, n: int, r: int,
-               backend: "ArrayBackend | None" = None) -> None:
-        bk = as_backend("numpy") if backend is None else backend
-        if (self.n, self.r, self.backend_name) == (n, r, bk.name):
+               backend: ArrayBackend | None = None) -> None:
+        if (self.n, self.r) == (n, r):
             return
-        self.n, self.r, self.backend_name = n, r, bk.name
+        self.n, self.r = n, r
+        bk = as_backend(backend)
         for name in ("R", "Z", "P", "Q", "T"):
             setattr(self, name, bk.empty((n, r)))
-        # CG scalars stay host-side fp64 regardless of backend
         for name in ("rho", "rho_prev", "alpha", "beta", "relres", "work"):
             setattr(self, name, np.empty(r))
 
@@ -154,7 +151,7 @@ def _store_fn(bk: ArrayBackend, prec: Precision):
 
 def _charge_vec_iters(n: int, r: int, prec: Precision, iters: int) -> None:
     """Modeled vector traffic of ``iters`` iterations, charged as that
-    many calls (backend-independent)."""
+    many calls."""
     if iters:
         w = cg_vector_traffic(n, prec.itemsize)
         counters.charge("cg.vec", w.flops * r, w.bytes * r, calls=iters)
@@ -171,7 +168,7 @@ def pcg(
     workspace: PCGWorkspace | None = None,
     reduction=None,
     precision: Precision | str | None = None,
-    backend: "ArrayBackend | str | None" = None,
+    backend: ArrayBackend | None = None,
 ) -> CGResult:
     """Solve ``A x = b`` (column-wise for block ``b``) by preconditioned CG.
 
@@ -212,11 +209,9 @@ def pcg(
         no-op — the solve is bit-identical to the fp64-only solver.
         The right-hand side, the solution and all CG scalars stay fp64
         (the FP64-accurate outer loop).
-    backend : execution engine (:class:`~repro.sparse.backend.ArrayBackend`,
-        registry name, or ``None`` for the ambient default — the
-        ``REPRO_BACKEND`` env override, else ``numpy``).  The ``numpy``
-        backend is bit-identical to the pre-seam solver; the modeled
-        traffic is the same for every backend.
+    backend : an :class:`~repro.sparse.backend.ArrayBackend` to run the
+        vector primitives on (a test's counting or regrouping
+        subclass); ``None`` is the shared instance.
     """
     bk = as_backend(backend)
     prec = as_precision(precision)

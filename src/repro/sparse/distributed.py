@@ -70,7 +70,7 @@ class PartitionedReduction:
     """
 
     def __init__(self, groups: list[np.ndarray],
-                 backend: "ArrayBackend | str | None" = None) -> None:
+                 backend: ArrayBackend | None = None) -> None:
         self.groups = [np.asarray(g, dtype=np.int64) for g in groups]
         self.backend = as_backend(backend)
         # per lane: partial sum and per-group gather buffers, held
@@ -120,8 +120,8 @@ class PartLocalOperator:
     """A :class:`~repro.cluster.halo.DistributedEBE` on the stacked
     part-local layout — what :func:`~repro.sparse.cg.pcg` iterates with
     in a partitioned solve.  Everything about the layout that is
-    constant across solves lives here, built once per partition and
-    vector ``backend`` (:meth:`DistributedEBE.part_local` keeps it)."""
+    constant across solves lives here, built once per partition
+    (:meth:`DistributedEBE.part_local` keeps it)."""
 
     def __init__(self, dist, backend: ArrayBackend) -> None:
         self.dist, self.backend = dist, backend
@@ -214,7 +214,6 @@ def distributed_pcg(
     record_history: bool = False,
     workspace: PCGWorkspace | None = None,
     precision: Precision | str | None = None,
-    backend: "ArrayBackend | str | None" = None,
 ) -> CGResult:
     """Solve ``A x = b`` by CG iterating on part-local vector blocks:
     :func:`~repro.sparse.cg.pcg` on the stacked layout of ``dist``.
@@ -245,16 +244,13 @@ def distributed_pcg(
         to the operator's own policy (``dist.precision``), so a
         distributed operator built at fp21 solves at fp21 without
         repeating the argument.  The bit-identity guarantee against
-        the fused reference holds at fp64 (the default).
-    backend : execution engine for the part-local vector loop (as in
-        :func:`~repro.sparse.cg.pcg`); defaults to the operator's own
-        (``dist.backend``), like ``precision``.
+        the fused reference holds at fp64 (the default).  The vector
+        loop runs on the operator's own seam (``dist.backend``).
 
     Returns the same :class:`~repro.sparse.cg.CGResult` as the fused
     solver; ``x`` is assembled from each part's owned dofs.
     """
     prec = as_precision(precision if precision is not None else dist.precision)
-    bk = as_backend(backend if backend is not None else dist.backend)
     b = np.asarray(b, dtype=float)
     n, r = (b[:, None] if b.ndim == 1 else b).shape
     if n != dist.n:
@@ -264,7 +260,7 @@ def distributed_pcg(
         if (x0[:, None] if x0.ndim == 1 else x0).shape != (n, r):
             raise ValueError(f"expected x0 shape {(n, r)}, got {x0.shape}")
 
-    op = dist.part_local(bk)
+    op = dist.part_local()
     if precond is not None:
         if local_preconds is not None:
             raise ValueError("pass local_preconds or a global precond, not both")
@@ -280,7 +276,8 @@ def distributed_pcg(
         op, b[op.local_rows],
         x0=None if x0 is None else x0[op.local_rows],
         precond=M, eps=eps, max_iter=max_iter, record_history=record_history,
-        workspace=workspace, reduction=op.reduction, precision=prec, backend=bk,
+        workspace=workspace, reduction=op.reduction, precision=prec,
+        backend=op.backend,
     )
     res.x = res.x[op.owner_rows]  # every dof from the part that owns it
     return res

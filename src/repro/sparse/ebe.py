@@ -30,8 +30,8 @@ labels the same layout is the ``(ne, 30, r)`` stack, swept on
 Summation order: every node (dof) adds its element contributions from
 zero in ascending *original* element order (incidence rows are a stable
 sort of the element-major ids) — deterministic, no atomics, the same
-with or without classes; the numba kernel and
-:class:`~repro.cluster.halo.DistributedEBE` keep it.  The goldens pin
+with or without classes; :class:`~repro.cluster.halo.DistributedEBE`
+keeps it.  The goldens pin
 the stored sweep's bits; a grouped one agrees with the stored sweep
 over the expanded representatives to rounding (the class GEMM blocks
 its sums differently).
@@ -48,8 +48,7 @@ and runs the sweep through :class:`~repro.sparse.backend.ArrayBackend`
 primitives (row gather / grouped apply / CSR product); the *modeled*
 device kernel the tally is charged with recomputes element matrices on
 the fly like the paper's OpenACC kernel, per
-:func:`repro.sparse.traffic.ebe_traffic` — identically for every
-backend, with or without classes.
+:func:`repro.sparse.traffic.ebe_traffic` — with or without classes.
 """
 
 from __future__ import annotations
@@ -117,10 +116,8 @@ class EBEOperator:
         quantized to the format and the modeled vector traffic is
         charged at its itemsize.  Default fp64 — bit-identical to the
         precision-unaware operator.
-    backend : execution engine for the sweep
-        (:class:`~repro.sparse.backend.ArrayBackend`, registry name, or
-        ``None`` for the ambient default); the modeled traffic is
-        backend-independent.
+    backend : the :class:`~repro.sparse.backend.ArrayBackend` the sweep
+        runs on (``None``: the shared instance).
     classes : optional ``(ne,)`` labels indexing ``elem_mats``: the
         sweep applies ``elem_mats[classes[e]]`` to element ``e``, one
         matrix per class (see :func:`class_groups`).
@@ -140,7 +137,7 @@ class EBEOperator:
         n_nodes: int,
         tag: str = "spmv.ebe",
         precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
+        backend: ArrayBackend | None = None,
         classes: np.ndarray | None = None,
     ) -> None:
         self.precision = as_precision(precision)

@@ -30,9 +30,8 @@ class BlockJacobi:
 
     Construction inverts all blocks at once (batched
     ``numpy.linalg.inv``); application is a batched 3x3 mat-vec run by
-    the ``backend``'s block-diagonal primitive (``numpy`` default is
-    bit-identical to the historical apply; modeled traffic is
-    backend-independent).  ``precision`` stores the block inverses in
+    the ``backend``'s block-diagonal primitive (bit-identical to the
+    historical apply).  ``precision`` stores the block inverses in
     the transprecision format (quantized once here, traffic charged at
     its itemsize).
     """
@@ -42,7 +41,7 @@ class BlockJacobi:
         diag_blocks: np.ndarray,
         tag: str = "cg.precond",
         precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
+        backend: ArrayBackend | None = None,
     ) -> None:
         blocks = np.asarray(diag_blocks, dtype=float)
         if blocks.ndim != 3 or blocks.shape[1:] != (3, 3):
@@ -62,7 +61,7 @@ class BlockJacobi:
         cls,
         A,
         precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
+        backend: ArrayBackend | None = None,
     ) -> "BlockJacobi":
         """Build from anything exposing ``diagonal_blocks()``."""
         return cls(A.diagonal_blocks(), precision=precision, backend=backend)

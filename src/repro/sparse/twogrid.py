@@ -36,8 +36,7 @@ direct solve runs host-side through a prefactorized SuperLU object
 small host work, and its modeled cost is still charged
 (:func:`~repro.sparse.traffic.coarse_solve_traffic`).
 
-Modeled traffic is charged from sizes only — identical under every
-backend — on dedicated tags: ``twogrid.smooth`` (smoother sweeps),
+Modeled traffic is charged from sizes only, on dedicated tags: ``twogrid.smooth`` (smoother sweeps),
 ``twogrid.transfer`` (restriction + prolongation),
 ``twogrid.coarse`` (direct solve), ``twogrid.vec`` (residual/update
 streams); fine-operator applications charge their own ``spmv.*`` tag.
@@ -151,7 +150,7 @@ class TwoGrid:
         n_smooth: int = 1,
         tag: str = "twogrid",
         precision: Precision | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
+        backend: ArrayBackend | None = None,
     ) -> None:
         if n_smooth < 1:
             raise ValueError("need at least one smoothing sweep per side")
@@ -298,7 +297,7 @@ def build_twogrid(
     n_smooth: int = 1,
     tag: str = "twogrid",
     precision: Precision | str | None = None,
-    backend: "ArrayBackend | str | None" = None,
+    backend: ArrayBackend | None = None,
 ) -> TwoGrid:
     """Assemble a two-grid preconditioner for ``A``.
 

@@ -13,6 +13,7 @@ import dataclasses
 import importlib.util
 import inspect
 import itertools
+import json
 import pathlib
 
 import pytest
@@ -25,7 +26,7 @@ from repro.campaign import (
 )
 from repro.campaign.axes import AXES, AXIS
 from repro.campaign.runner import run_method_cell
-from repro.campaign.spec import method_cell_params
+from repro.campaign.spec import METHOD_CELL_KEYS, CampaignCell, method_cell_params
 from repro.core.methods import NATIVE_PREDICTORS, RunConfig, run_method
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
@@ -39,7 +40,6 @@ SAMPLES = {
     "scenario": ("soft-soil", "marsquake", "unknown scenario"),
     "nparts": (2, 0, "nparts entries must be >= 1"),
     "precision": ("fp21", "fp8", "unknown precision"),
-    "backend": ("numpy-blocked", "fortran", "unknown backend"),
     "precond": ("twogrid", "ilu", "unknown preconditioner"),
     "predictor": ("aitken", "broyden", "unknown predictor"),
 }
@@ -155,12 +155,6 @@ def test_axis_validation(ax):
         make_spec(**{ax.field: (value, value)})
 
 
-def test_registered_but_unavailable_backend_is_a_valid_spec_entry():
-    """Availability is an execution-time concern: a spec naming the
-    registered numba engine validates wherever numba is absent."""
-    assert make_spec(backends=("numpy", "numba")).backends == ("numpy", "numba")
-
-
 @axes
 def test_axis_roundtrips_through_json(ax, tmp_path):
     spec = make_spec(**swept(ax))
@@ -235,50 +229,51 @@ def test_axis_cells_execute_and_cache(ax, tmp_path):
     assert again.n_cached == 2 and again.n_computed == 0
 
 
-def test_executor_ignores_ambient_backend_env(monkeypatch):
-    """The executor takes the backend from the cell params only: with
-    ``REPRO_BACKEND`` naming an engine that does not exist, a
-    backend-less cell still runs and equals the unset-environment
-    result — the environment cannot change what a content hash means.
-    (A *registered* name would pass even if some operator of the run
-    resolved the ambient engine; an unknown one makes that a
-    ``ValueError``.)  One cell per operator family a run can build:
-    fused EBE, BCRS, the ``nparts`` partition, the two-grid cycle."""
-    for over in (
-        {},
-        dict(methods=("crs-cg@cpu",), cases=1),
-        dict(nparts=(2,)),
-        dict(preconditioners=("twogrid",)),
-    ):
-        spec = make_spec(waves=default_waves(1), steps=3, **over)
-        params = spec.cells()[0].params
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        reference = run_method_cell(dict(params))
-        monkeypatch.setenv("REPRO_BACKEND", "no-such-engine")
-        assert run_method_cell(dict(params)) == reference, spec.cells()[0].label
+def _parent_fixture():
+    """The fixture tool, and the fixture it wrote, split into the cells
+    the axes still produce and the cells of the retired ``backend`` axis
+    (their params carry a key no axis reads any more)."""
+    spec = importlib.util.spec_from_file_location(
+        "axes_fixture", REPO / "tools" / "axes_fixture.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    text = tool.FIXTURE.read_text()
+    parent = json.loads(text)
+    retired = [c for c in parent["cells"]
+               if c[2].keys() - AXIS.keys() - METHOD_CELL_KEYS]
+    kept = [c for c in parent["cells"] if c not in retired]
+    return tool, text, parent, kept, retired
 
 
-def test_unavailable_backend_cell_fails_loudly_not_silently():
-    """A cell demanding an absent engine must fail (and say why), never
-    silently fall back to numpy and poison the cache."""
-    from repro.sparse.backend import available_backend_names
-
-    if "numba" in available_backend_names():  # pragma: no cover
-        pytest.skip("numba installed: unavailability cannot be staged")
-    spec = make_spec(waves=default_waves(1), steps=3, backends=("numba",))
-    rep = CampaignRunner(store=None, jobs=1).run(spec)
-    assert rep.n_failed == 1
-    assert "numba" in rep.outcomes[0].error
+def test_executor_refuses_params_it_does_not_know(tmp_path):
+    """A key outside the cell schema and the axis table — a retired
+    axis, a typo — is a loud ``ValueError``, never a run that ignores
+    it: through the runner the cell fails and nothing is cached under
+    a key that names what was not computed."""
+    *_, retired = _parent_fixture()
+    params = make_spec(waves=default_waves(1), steps=3).cells()[0].params
+    store = ResultStore(tmp_path / "store")
+    for bad in (retired[0][2], {**params, "precondition": "twogrid"}):
+        with pytest.raises(ValueError, match="unknown method-cell params"):
+            run_method_cell(bad)
+        cell = CampaignCell(kind="method", params=bad)
+        [outcome] = CampaignRunner(store=store, jobs=1).run_cells([cell])
+        assert not outcome.ok and "unknown method-cell params" in outcome.error
+        assert not store.has(cell.key)
 
 
 # --------------------------------------------------- the parent's bytes
 def test_cells_studies_and_headers_match_the_parent_commit():
     """Cell labels, keys, params (key order included), the study cell
     builders' output and the checkpoint headers (key order included)
-    are what the per-axis code before the table produced."""
-    spec = importlib.util.spec_from_file_location(
-        "axes_fixture", REPO / "tools" / "axes_fixture.py"
-    )
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert tool.dumps(tool.build()) == tool.FIXTURE.read_text()
+    are what the per-axis code before the table produced — byte for
+    byte, bar the cells of the retired ``backend`` axis, which the
+    executor refuses."""
+    tool, text, parent, kept, retired = _parent_fixture()
+    assert tool.dumps(parent) == text  # the layout round-trips the file
+    assert len(retired) == len(kept) == 80
+    assert tool.dumps(tool.build()) == tool.dumps({**parent, "cells": kept})
+    for _, _, params in retired:
+        with pytest.raises(ValueError, match="unknown method-cell params"):
+            run_method_cell(params)

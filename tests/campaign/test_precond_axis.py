@@ -1,6 +1,6 @@
 """Campaign ``preconditioners`` axis: hash stability, expansion, execution.
 
-Same content-addition discipline as the ``backends`` / ``precision``
+Same content-addition discipline as the ``nparts`` / ``precision``
 axes: introducing the preconditioner axis must never re-key — and
 therefore never recompute — any previously cached cell.  The default
 block-Jacobi family leaves cell params untouched; only ``twogrid``
@@ -62,13 +62,13 @@ def test_default_precond_keeps_pre_axis_cell_hash():
 
 def test_precond_axis_composes_with_other_axes():
     spec = make_spec(
-        nparts=(1, 2), backends=("numpy", "numpy-blocked"),
+        nparts=(1, 2), precision=("fp64", "fp21"),
         preconditioners=("bj", "twogrid"),
     )
     cells = spec.cells()
-    assert spec.n_cells == 2 * 2 * 2 * 2 == len(cells)  # waves x np x bk x pc
+    assert spec.n_cells == 2 * 2 * 2 * 2 == len(cells)  # waves x np x fp x pc
     combos = {
-        (c.params.get("nparts", 1), c.params.get("backend", "numpy"),
+        (c.params.get("nparts", 1), c.params.get("precision", "fp64"),
          c.params.get("precond", "bj"))
         for c in cells
     }

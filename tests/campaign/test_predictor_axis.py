@@ -1,6 +1,6 @@
 """Campaign ``predictors`` axis: hash stability, expansion, execution.
 
-Same content-addition discipline as the ``backends`` / ``precision`` /
+Same content-addition discipline as the ``nparts`` / ``precision`` /
 ``preconditioners`` axes: introducing the predictor axis must never
 re-key — and therefore never recompute — any previously cached cell.
 The default ``auto`` family (method-native pairing) leaves cell params

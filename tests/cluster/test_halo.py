@@ -12,7 +12,7 @@ def _parts_after_exchange(d, x):
     """Per-part local results of one mat-vec *after* the halo exchange
     (each part's view of the consistent global vector), taken from the
     stacked part-local operator ``distributed_pcg`` iterates with."""
-    op = d.part_local(d.backend)
+    op = d.part_local()
     X = x[op.local_rows][:, None]
     return [y[:, 0] for y in op.split(op.matvec(X, out=np.empty_like(X)))]
 

@@ -98,7 +98,7 @@ def _journal(monkeypatch, tmp_path, gate, problem, forces, method, **kw):
                                     "step": state["step"], "state": state}, path)
 
     result = run_method(problem, forces, STEPS, method, s_range=(2, 4),
-                        backend="numpy", checkpoint_every=EVERY,
+                        checkpoint_every=EVERY,
                         on_checkpoint=flush, **kw)
     flush({"step": STEPS, "records": [r.to_dict() for r in result.records],
            "timeline": result.timeline.state_dict(),
@@ -152,7 +152,7 @@ def test_the_headline_mesh_takes_two_lanes_at_the_default_gate(monkeypatch,
 def _lane_run() -> bytes:
     problem = _problem()
     result = run_method(problem, _forces(problem, "linear"), STEPS,
-                        "ebe-mcg@cpu-gpu", s_range=(2, 4), backend="numpy")
+                        "ebe-mcg@cpu-gpu", s_range=(2, 4))
     return b"".join(s.u.tobytes() for s in result.final_states)
 
 
@@ -182,5 +182,5 @@ def test_a_lane_error_reraises_after_both_lanes_end(monkeypatch):
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="step 3"):
         run_method(problem, [*forces[:3], failing], STEPS, "ebe-mcg@cpu-gpu",
-                   s_range=(2, 4), backend="numpy")
+                   s_range=(2, 4))
     assert threading.active_count() == baseline

@@ -279,7 +279,7 @@ def test_run_config_mirrors_run_method_keywords():
 @pytest.mark.parametrize("method", METHODS)
 def test_run_config_resolves_once(method):
     cfg = RunConfig(method=method)
-    assert cfg.precision.name == "fp64" and cfg.backend.name == "numpy"
+    assert cfg.precision.name == "fp64"
     assert cfg.predictor == NATIVE_PREDICTORS[method]
     assert RunConfig(method=method, predictor=None) == cfg
     assert RunConfig(method=method, predictor=cfg.predictor) == cfg
@@ -299,7 +299,6 @@ def test_run_config_rejects_bad_values():
         (dict(method="crs-cg@gpu", nparts=2), "requires one of"),
         (dict(method="crs-cg@gpu", precond="ilu"), "unknown precond"),
         (dict(method="crs-cg@gpu", precision="fp8"), "unknown precision"),
-        (dict(method="crs-cg@gpu", backend="fortran"), "unknown backend"),
         (dict(method="crs-cg@gpu", predictor="broyden"), "unknown predictor"),
     ]:
         with pytest.raises(ValueError, match=message):
@@ -385,12 +384,12 @@ def test_memory_estimate_per_part_rejected_for_baselines(ground_problem):
         estimate_memory(ground_problem, "ebe-mcg@cpu-gpu", 2, nparts=0)
 
 
-# ------------------------------------------- one engine, built once
+# ---------------------------------------------- every operator, built once
 @pytest.mark.parametrize("nparts", [1, 2])
 def test_run_builds_every_operator_on_its_engine(ground_problem, nparts):
     """A run's operators — solver, RHS, preconditioner, partition, and
-    what the memory estimate reads — all come from the problem on the
-    run's engine: one engine in the cache, nothing built twice."""
+    what the memory estimate reads — all come from the problem's one
+    cache: nothing built twice."""
     from dataclasses import replace
 
     problem = replace(ground_problem, _cache={})  # same matrices, no operators
@@ -400,9 +399,7 @@ def test_run_builds_every_operator_on_its_engine(ground_problem, nparts):
         for i in range(2)
     ]
     run_method(problem, forces, nt=2, method="ebe-mcg@cpu-gpu",
-               s_range=(2, 4), nparts=nparts, backend="numpy-blocked")
+               s_range=(2, 4), nparts=nparts)
     solver = (["A_ebe", "precond"] if nparts == 1
               else ["A_dist.2", "precond.parts.2"])
-    assert sorted(problem._cache) == sorted(
-        f"{base}#numpy-blocked" for base in [*solver, "M_ebe", "C_ebe"]
-    )
+    assert sorted(problem._cache) == sorted([*solver, "M_ebe", "C_ebe"])

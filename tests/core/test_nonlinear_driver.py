@@ -2,10 +2,7 @@
 
 The law is data of the problem (``ElasticProblem.material``) and the
 step body (``CaseSet.solve``) applies it, so ``run_method`` steps a
-nonlinear model under every method, schedule and checkpoint.  Every run
-here names its engine: CI re-runs this file with ``REPRO_BACKEND``
-naming one that does not exist, so an operator or charge resolved from
-the environment fails loudly.
+nonlinear model under every method, schedule and checkpoint.
 
 ``fixtures/nonlinear_parent.json`` was written once by the deleted
 ``NonlinearDriver`` of commit bd44695 (SHA-256 of its final
@@ -30,7 +27,6 @@ from repro.predictor.registry import build_predictor
 from repro.util.counters import KernelTally
 from repro.workloads.ground import build_ground_problem, stratified_model
 
-ENGINE = "numpy"
 PARENT = json.loads(
     (Path(__file__).parent / "fixtures" / "nonlinear_parent.json").read_text()
 )
@@ -59,7 +55,7 @@ def _case_set(problem, op_kind, forces, cls=CaseSet, **kw):
         predictors=[build_predictor("data-driven", problem.n_dofs, problem.dt,
                                     s_min=8, s_max=8, n_regions=4)
                     for _ in forces],
-        op_kind=op_kind, backend=ENGINE, **kw,
+        op_kind=op_kind, **kw,
     )
 
 
@@ -93,7 +89,7 @@ def test_reproduces_the_parent_driver(arm):
     res = run_method(
         pb, [_force(pb, cfg["amplitude"], s) for s in seeds], nt=cfg["nt"],
         method="ebe-mcg@cpu-gpu" if arm == "ebe" else "crs-cg@cpu",
-        backend=ENGINE, **PARENT_PREDICTOR,
+        **PARENT_PREDICTOR,
     )
     got = {
         "u": _sha(res.final_states[0].u, np.float64),
@@ -110,7 +106,7 @@ def test_small_amplitude_stays_linear(ground_problem):
     strain evaluations add modeled solver time."""
     pb = _problem(gamma_ref=1e-3, update_interval=4)
     forces = [_force(pb, 1e-4, seed) for seed in (0, 1)]
-    kw = dict(nt=12, method="ebe-mcg@cpu-gpu", backend=ENGINE)
+    kw = dict(nt=12, method="ebe-mcg@cpu-gpu")
     nonlinear = run_method(pb, forces, **kw)
     linear = run_method(ground_problem, forces, **kw)
     assert linear.modulus_ratio is None
@@ -141,7 +137,7 @@ def test_crs_path_charges_reassembly(ground_problem):
     cs = _case_set(pb, "crs", [_force(pb, 1e7)])
     tally, _, swaps = _step(cs, 6)
     assert swaps
-    nnzb = cs.problem.crs_operator(cs.precision, ENGINE).nnz_blocks
+    nnzb = cs.problem.crs_operator(cs.precision).nnz_blocks
     assert tally.calls("assembly.crs") == len(swaps)
     assert tally.total_bytes("assembly.crs") == 76.0 * nnzb * len(swaps)
 
@@ -157,7 +153,7 @@ def test_ebe_path_charges_no_reassembly():
 def test_records_complete():
     pb = _problem(gamma_ref=1e-7, update_interval=3)
     res = run_method(pb, [_force(pb, 1e5, seed) for seed in (0, 1)], nt=7,
-                     method="crs-cg@cpu-gpu", backend=ENGINE)
+                     method="crs-cg@cpu-gpu")
     assert [r.step for r in res.records] == list(range(1, 8))
     assert all((r.iterations > 0).all() for r in res.records)
     assert [r.shape for r in res.modulus_ratio] == [(pb.n_elems,)] * 2
@@ -208,7 +204,7 @@ def test_resume_is_bit_identical_across_an_update(method, tmp_path):
     pb = _problem(gamma_ref=1e-6, update_interval=4)
     forces = [_force(pb, 1e7, seed)
               for seed in ((0, 1) if "cpu-gpu" in method else (0,))]
-    kw = dict(nt=10, method=method, backend=ENGINE, s_range=(2, 4))
+    kw = dict(nt=10, method=method, s_range=(2, 4))
     straight = run_method(pb, forces, **kw)
     assert (straight.modulus_ratio[0] < 1.0).any()
     for every in (3, 5):
@@ -235,7 +231,7 @@ def test_partitioned_run_solves_on_the_swapped_partition():
     one to the partitioned solver's tolerance."""
     pb = _problem(gamma_ref=1e-6, update_interval=4)
     forces = [_force(pb, 1e7, seed) for seed in (0, 1)]
-    kw = dict(nt=8, method="ebe-mcg@cpu-gpu", backend=ENGINE)
+    kw = dict(nt=8, method="ebe-mcg@cpu-gpu")
     fused = run_method(pb, forces, **kw)
     parted = run_method(pb, forces, nparts=2, **kw)
     u_f = np.column_stack([s.u for s in fused.final_states])
@@ -246,5 +242,5 @@ def test_partitioned_run_solves_on_the_swapped_partition():
     first = cs.dist
     _, _, swaps = _step(cs, 4)
     assert swaps == [4]
-    assert cs.dist is cs.problem.distributed_operator(2, cs.precision, ENGINE)
+    assert cs.dist is cs.problem.distributed_operator(2, cs.precision)
     assert cs.dist is not first

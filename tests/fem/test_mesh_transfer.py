@@ -7,7 +7,7 @@ the geometric two-grid preconditioner stands on.
 * restriction is exactly the transpose of prolongation (the Galerkin
   pairing that keeps the coarse operator SPD);
 * the dof-level apply equals the node-level scipy product blocked by
-  components, on every available backend.
+  components.
 """
 
 import numpy as np
@@ -24,7 +24,6 @@ from repro.fem.mesh import (
     structured_box,
 )
 from repro.fem.transfer import build_transfer
-from repro.sparse.backend import available_backend_names, backend_by_name
 
 DIMS = (40.0, 40.0, 20.0)
 
@@ -114,11 +113,9 @@ def test_restriction_adjoint_identity(seed):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-# ------------------------------------------------ dof-level backends
-@pytest.mark.parametrize("name", available_backend_names())
-def test_dof_apply_matches_kron_product(name):
+# --------------------------------------------------------- dof level
+def test_dof_apply_matches_kron_product():
     fine, coarse, t = _pair()
-    bk = backend_by_name(name)
     rng = np.random.default_rng(7)
     r = 3
     XC = rng.standard_normal((3 * coarse.n_nodes, r))
@@ -126,23 +123,13 @@ def test_dof_apply_matches_kron_product(name):
 
     P_dof = sp.kron(t.prolongation_matrix(), sp.eye(3), format="csr")
     np.testing.assert_allclose(
-        t.prolong(XC, backend=bk), P_dof @ XC, rtol=1e-13, atol=1e-13
+        t.prolong(XC), P_dof @ XC, rtol=1e-13, atol=1e-13
     )
     np.testing.assert_allclose(
-        t.restrict(XF, backend=bk), P_dof.T @ XF, rtol=1e-13, atol=1e-13
+        t.restrict(XF), P_dof.T @ XF, rtol=1e-13, atol=1e-13
     )
     # single-vector form hits the same kernels
     np.testing.assert_allclose(
-        t.prolong(XC[:, 0], backend=bk), P_dof @ XC[:, 0],
+        t.prolong(XC[:, 0]), P_dof @ XC[:, 0],
         rtol=1e-13, atol=1e-13,
     )
-
-
-def test_numpy_backends_bit_identical():
-    fine, coarse, t = _pair()
-    rng = np.random.default_rng(11)
-    XC = rng.standard_normal((3 * coarse.n_nodes, 2))
-    ref = t.prolong(XC, backend=backend_by_name("numpy"))
-    for name in available_backend_names():
-        got = t.prolong(XC, backend=backend_by_name(name))
-        np.testing.assert_array_equal(got, ref)

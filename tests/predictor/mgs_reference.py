@@ -1,7 +1,7 @@
 """Reference oracle: the per-column modified Gram-Schmidt estimate.
 
 The body ``repro.predictor.datadriven.mgs_estimate`` had before the
-host kernel became a batched Householder QR behind the backend seam,
+host kernel became a batched Householder QR behind the array seam,
 moved here verbatim.  It pins the dead-column semantics the new kernel
 is tested against (``test_qr_estimate.py``): a column whose residual
 against the alive columns before it is at most ``rtol`` times the

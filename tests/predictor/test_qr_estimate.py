@@ -1,6 +1,6 @@
 """The batched QR estimate against the modified Gram-Schmidt oracle.
 
-``mgs_estimate`` now runs a stacked Householder QR behind the backend
+``mgs_estimate`` now runs a stacked Householder QR behind the array
 seam; ``mgs_reference.py`` keeps the per-column MGS it replaced.  The
 two round differently, so closeness is asserted only where the problem
 is well conditioned; on the smooth, nearly dependent histories real
@@ -245,13 +245,3 @@ def test_batched_equals_per_region(seed, nreg, s, dead):
     for r in range(nreg):
         solo = mgs_estimate(stacked(X[r : r + 1], x[r : r + 1]), Y[r : r + 1])
         np.testing.assert_allclose(batched[r], solo[0], rtol=1e-12, atol=1e-13)
-
-
-def test_estimate_does_not_read_the_ambient_backend(monkeypatch):
-    """Runs and campaign cells are independent of ``REPRO_BACKEND``; an
-    engine named there that is missing must not reach the predictor."""
-    rng = np.random.default_rng(8)
-    X, Y, x = random_problem(rng, 2, 20, 3)
-    want = mgs_estimate(stacked(X, x), Y)
-    monkeypatch.setenv("REPRO_BACKEND", "no-such-engine")
-    np.testing.assert_array_equal(mgs_estimate(stacked(X, x), Y), want)

@@ -1,101 +1,25 @@
-"""Array-backend seam: registry semantics and primitive contracts.
+"""The array seam: primitive contracts.
 
-Every primitive of every *available* backend is checked against a
-straightforward NumPy formulation; the numba backend's kernel logic is
-additionally exercised as plain Python (the un-jitted ``py_*``
-functions), so the kernel bodies stay tested even where numba itself
-is not installed.
+Every primitive of :class:`~repro.sparse.backend.ArrayBackend` is
+checked against a straightforward NumPy formulation.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from regrouped import RowBlockedBackend
 
-from repro.sparse import backend_numba
-from repro.sparse.backend import (
-    BACKENDS,
-    ArrayBackend,
-    BackendUnavailableError,
-    BlockedNumpyBackend,
-    NumpyBackend,
-    as_backend,
-    available_backend_names,
-    backend_by_name,
-    backend_names,
-    default_backend_name,
-    register_backend,
-)
+from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.precision import FP21, FP32, FP64
 
 
-# ------------------------------------------------------------ registry
-def test_registry_contains_all_engines():
-    assert set(backend_names()) >= {"numpy", "numpy-blocked", "numba"}
-    # reference backends are importable everywhere
-    assert {"numpy", "numpy-blocked"} <= set(available_backend_names())
-
-
-def test_backend_by_name_resolves_and_caches():
-    bk = backend_by_name("numpy")
-    assert isinstance(bk, NumpyBackend)
-    assert backend_by_name("numpy") is bk  # instance cache
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown backend"):
-        backend_by_name("fortran")
-
-
-def test_unavailable_backend_raises_distinct_error():
-    """Registered-but-unimportable engines raise
-    BackendUnavailableError (a RuntimeError), never ValueError — the
-    skip/fail distinction CI leans on."""
-    for name in backend_names():
-        if name in available_backend_names():
-            continue
-        with pytest.raises(BackendUnavailableError):
-            backend_by_name(name)
-
-
-def test_duplicate_registration_rejected():
-    class Imposter(NumpyBackend):
-        name = "numpy"
-
-    with pytest.raises(ValueError, match="already registered"):
-        register_backend(Imposter)
-    assert BACKENDS["numpy"] is NumpyBackend  # registry untouched
-
-
-def test_unnamed_backend_rejected():
-    class Nameless(NumpyBackend):
-        name = ""
-
-    with pytest.raises(ValueError, match="non-empty"):
-        register_backend(Nameless)
-
-
 def test_as_backend_resolution():
-    bk = backend_by_name("numpy")
-    assert as_backend(None) is bk
-    assert as_backend("numpy") is bk
-    assert as_backend(bk) is bk
-    assert as_backend("numpy-blocked") is backend_by_name("numpy-blocked")
-
-
-def test_repro_backend_env_override(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert default_backend_name() == "numpy"
-    monkeypatch.setenv("REPRO_BACKEND", "numpy-blocked")
-    assert default_backend_name() == "numpy-blocked"
-    assert isinstance(as_backend(None), BlockedNumpyBackend)
-    monkeypatch.setenv("REPRO_BACKEND", "")  # empty = unset
-    assert default_backend_name() == "numpy"
-
-
-def test_descriptions_nonempty():
-    for name in backend_names():
-        assert BACKENDS[name].description
+    bk = as_backend()
+    assert isinstance(bk, ArrayBackend)
+    assert as_backend(None) is bk  # one shared instance
+    mine = ArrayBackend()
+    assert as_backend(mine) is mine
 
 
 # ------------------------------------------------- primitive contracts
@@ -103,28 +27,9 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def _backends_under_test():
-    """Every available backend, plus the numba kernels run as plain
-    Python when numba is absent (logic coverage without the engine)."""
-    out = [backend_by_name(n) for n in available_backend_names()]
-    if "numba" not in available_backend_names():
-        out.append(_PyNumbaBackend())
-    return out
-
-
-class _PyNumbaBackend(backend_numba.NumbaBackend):
-    """NumbaBackend executing its kernels un-jitted (plain Python)."""
-
-    def __init__(self):  # skip the availability gate / compilation
-        self._k = {fn.__name__: fn for fn in backend_numba._KERNELS}
-
-
-def _ids(bk):
-    return type(bk).__name__
-
-
-@pytest.fixture(params=_backends_under_test(), ids=_ids)
+@pytest.fixture(params=[as_backend()], ids=["NumpyBackend"])
 def bk(request) -> ArrayBackend:
+    """The shared engine; its id names what it computes with."""
     return request.param
 
 
@@ -233,10 +138,9 @@ def test_grouped_matmul(bk, sizes, r):
 
 def test_ebe_sweep_on_engine(bk, tiny_mesh):
     """The whole sweep (gather, grouped apply, CSR incidence scatter,
-    strided-operand staging) through each engine's own primitives — for
-    numba's kernel logic also where the engine is absent — against the
-    reference backend over the expanded matrices: stored (by node), and
-    grouped (class-blocked by dof) as one class and as three."""
+    strided-operand staging) grouped (class-blocked by dof) as one
+    class and as three against the stored sweep (by node) over the
+    expanded matrices."""
     from repro.sparse.ebe import EBEOperator
 
     rng = _rng(6)
@@ -246,7 +150,7 @@ def test_ebe_sweep_on_engine(bk, tiny_mesh):
                         (rng.standard_normal((1, 30, 30)), np.zeros(ne, dtype=int)),
                         (rng.standard_normal((3, 30, 30)), rng.integers(0, 3, ne))):
         ref = EBEOperator(Ae if classes is None else Ae[classes],
-                          tiny_mesh.elems, tiny_mesh.n_nodes, backend="numpy")
+                          tiny_mesh.elems, tiny_mesh.n_nodes)
         op = EBEOperator(Ae, tiny_mesh.elems, tiny_mesh.n_nodes, backend=bk,
                          classes=classes)
         assert (op.classes is None) == (classes is None)
@@ -281,9 +185,7 @@ def test_spmv_csr(bk):
 
 
 def test_prolong_restrict(bk):
-    """Grid-transfer primitives equal the kron-expanded scipy product
-    (this matrix includes the un-jitted numba ``py_transfer3`` when the
-    engine is absent)."""
+    """Grid-transfer primitives equal the kron-expanded scipy product."""
     import scipy.sparse as sp
 
     rng = _rng(10)
@@ -304,29 +206,27 @@ def test_prolong_restrict(bk):
 
 
 def test_qr_estimate(bk):
-    """The history-regression primitive: every engine inherits the one
-    default, so each agrees with the ``numpy`` reference exactly and
-    with a per-region ``lstsq`` to rounding — on strided views (how the
-    predictor passes its work buffer) as on contiguous arrays, and with
-    a dead column in the batch."""
+    """The history-regression primitive agrees with a per-region
+    ``lstsq`` to rounding — on strided views (how the predictor passes
+    its work buffer) bit for bit as on contiguous arrays, and with a
+    dead column in the batch."""
     rng = _rng(13)
     nreg, m, m_out, s = 3, 40, 17, 5
     W = rng.standard_normal((nreg, s + 1, m))
     Z = W.transpose(0, 2, 1)  # [X | x], one Fortran-ordered matrix per region
     X, x = Z[:, :, :s], Z[:, :, s]
     Y = rng.standard_normal((nreg, m_out, s))
-    ref = backend_by_name("numpy")
+    y_strided = bk.qr_estimate(Z, Y, 1e-12)
     for Zk in (Z, np.ascontiguousarray(Z)):
         y = bk.qr_estimate(Zk, Y, 1e-12)
         assert y.shape == (nreg, m_out)
-        np.testing.assert_array_equal(y, ref.qr_estimate(Zk, Y, 1e-12))
+        np.testing.assert_array_equal(y, y_strided)
         for r in range(nreg):
             w = np.linalg.lstsq(X[r], x[r], rcond=None)[0]
             np.testing.assert_allclose(y[r], Y[r] @ w, rtol=1e-10, atol=1e-12)
     Zd = Z.copy()
     Zd[1, :, 3] = Zd[1, :, 0]  # exact repeat: column 3 of region 1 is dead
     yd = bk.qr_estimate(Zd, Y, 1e-12)
-    np.testing.assert_array_equal(yd, ref.qr_estimate(Zd, Y, 1e-12))
     np.testing.assert_allclose(yd[[0, 2]], y[[0, 2]], rtol=1e-12)
     keep = [0, 1, 2, 4]
     w = np.linalg.lstsq(Zd[1][:, keep], x[1], rcond=None)[0]
@@ -334,11 +234,11 @@ def test_qr_estimate(bk):
 
 
 def test_spmv_csr_noncontiguous_falls_back():
-    """The reference backend's fallback path (non-C-contiguous input)
-    must agree with the fast path."""
+    """The fallback path (non-C-contiguous input) must agree with the
+    fast path."""
     import scipy.sparse as sp
 
-    bk = backend_by_name("numpy")
+    bk = as_backend()
     A = sp.random(25, 25, density=0.3, random_state=4, format="csr")
     X = np.asfortranarray(_rng(10).standard_normal((25, 2)))
     out = np.empty((25, 2))
@@ -355,7 +255,7 @@ _vals = st.floats(min_value=-1e30, max_value=1e30,
 @settings(max_examples=50, deadline=None)
 @given(st.lists(_vals, min_size=1, max_size=16))
 def test_quantize_store_fp64_is_identity(xs):
-    bk = backend_by_name("numpy")
+    bk = as_backend()
     a = np.asarray(xs)
     before = a.copy()
     assert bk.quantize_store(a, FP64) is a
@@ -365,34 +265,34 @@ def test_quantize_store_fp64_is_identity(xs):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(_vals, min_size=1, max_size=16))
 def test_quantize_store_matches_precision_and_is_idempotent(xs):
+    bk = as_backend()
     for prec in (FP32, FP21):
-        for bk in _backends_under_test():
-            a = np.asarray(xs)
-            expect = prec.quantize(a.copy())
-            assert bk.quantize_store(a, prec) is a  # in place
-            np.testing.assert_array_equal(a, expect)
-            bk.quantize_store(a, prec)  # store twice = store once
-            np.testing.assert_array_equal(a, expect)
+        a = np.asarray(xs)
+        expect = prec.quantize(a.copy())
+        assert bk.quantize_store(a, prec) is a  # in place
+        np.testing.assert_array_equal(a, expect)
+        bk.quantize_store(a, prec)  # store twice = store once
+        np.testing.assert_array_equal(a, expect)
 
 
 def test_quantize_store_backend_independent():
-    """Quantization is storage semantics, not execution: every backend
-    stores bit-identical values."""
+    """Quantization is storage semantics, not execution: an engine
+    whose reductions regroup stores bit-identical values."""
     rng = _rng(11)
     ref = rng.standard_normal((64, 3))
     expect = FP21.quantize(ref.copy())
-    for bk in _backends_under_test():
+    for bk in (as_backend(), RowBlockedBackend()):
         a = ref.copy()
         bk.quantize_store(a, FP21)
         np.testing.assert_array_equal(a, expect)
 
 
-# ----------------------------------------------- blocked numpy backend
+# ------------------------------------------- regrouped reductions
 def test_blocked_dot_regroups_but_agrees():
-    """numpy-blocked differs from the reference only by summation
-    grouping: elementwise ops bit-match, reductions agree to rounding
-    (and bit-match below one block)."""
-    ref, blk = backend_by_name("numpy"), backend_by_name("numpy-blocked")
+    """The test-local row-blocked engine differs from the shared one
+    only by summation grouping: reductions agree to rounding (and
+    bit-match below one block)."""
+    ref, blk = as_backend(), RowBlockedBackend()
     rng = _rng(12)
     n = blk.block_rows * 2 + 37  # spans three blocks
     V, W = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
@@ -401,6 +301,6 @@ def test_blocked_dot_regroups_but_agrees():
     blk.colwise_dot(V, W, b)
     np.testing.assert_allclose(b, a, rtol=1e-12)
     # under one block the grouping is identical -> bit-equal
-    ref.colwise_dot(V[:100], W[:100], a)
-    blk.colwise_dot(V[:100], W[:100], b)
+    ref.colwise_dot(V[:blk.block_rows], W[:blk.block_rows], a)
+    blk.colwise_dot(V[:blk.block_rows], W[:blk.block_rows], b)
     np.testing.assert_array_equal(b, a)

@@ -1,30 +1,27 @@
-"""Cross-backend parity: the contracts that make backends swappable.
+"""Parity across engines: what the seam promises a substituted
+engine.
 
-* the reference ``numpy`` backend is bit-identical to the historical
-  execution (the golden fixtures pin the full matrix; here the default
-  resolution path is asserted directly);
-* every other available backend agrees to norm-scaled tolerance on
-  every registered workload scenario;
-* modeled traffic (the roofline's input) is *exactly* backend
-  independent — execution engines move wall time, never modeled time;
-* checkpoints are backend-agnostic: state saved under one backend
-  resumes under another.
+* a fresh instance of the engine reproduces the shared one bit for bit
+  (solves, every registered workload scenario, checkpoint resumes);
+* a backend whose dot products sum in a different grouping still lands
+  on the same solution to norm-scaled tolerance;
+* modeled traffic (the roofline's input) is *exactly* independent of
+  how the primitives execute — it is charged by the operator wrappers
+  outside the seam.
 
-``numpy-blocked`` is always available and — shrunk to a small block
-size — genuinely regroups the reduction arithmetic, so the tolerance
-contracts are exercised even where numba is not installed.
+The regrouping engine is test-local (``regrouped.py``): the one
+engine's subclass whose ``colwise_dot`` sums in small row blocks, so
+its reductions round differently even on test-sized systems.
 """
 
 import numpy as np
 import pytest
+from regrouped import RowBlockedBackend
 
 from repro.core.methods import run_method
 from repro.io.golden import canonical, golden_diff
-from repro.sparse.backend import (
-    BlockedNumpyBackend,
-    available_backend_names,
-    backend_by_name,
-)
+from repro.sparse import backend as backend_mod
+from repro.sparse.backend import ArrayBackend
 from repro.sparse.cg import pcg
 from repro.sparse.precond import BlockJacobi
 from repro.util.counters import tally_scope
@@ -33,16 +30,18 @@ from repro.workloads.scenario import scenario_by_name, scenario_names
 NT = 6
 WINDOW = (max(1, NT * 5 // 8), NT + 1)
 
-#: every importable engine (numpy first = the reference), plus a
-#: small-block blocked instance whose reductions round differently
-#: even on test-sized systems.
-PARITY_BACKENDS = list(available_backend_names())
+#: the engines a parity contract runs on: a fresh instance of the
+#: shared one (bit-identical), and the regrouping one (to tolerance)
+ENGINES = {"numpy": ArrayBackend, "row-blocked": RowBlockedBackend}
 
 
-def _small_block():
-    bk = BlockedNumpyBackend()
-    bk.block_rows = 64  # instance override: force multi-block rounding
-    return bk
+@pytest.fixture
+def use_engine(monkeypatch):
+    """``use_engine(name)``: what runs next resolves the shared engine
+    to a fresh ``ENGINES[name]`` instance."""
+    def use(name):
+        monkeypatch.setattr(backend_mod, "_SHARED", ENGINES[name]())
+    return use
 
 
 def _doc(result) -> dict:
@@ -76,14 +75,15 @@ class _DenseOp:
 
 
 # ------------------------------------------------------ solver parity
-@pytest.mark.parametrize("name", PARITY_BACKENDS)
+@pytest.mark.parametrize("name", ENGINES)
 def test_pcg_parity_across_backends(name):
     A, B = _spd_system()
-    ref = pcg(_DenseOp(A), B, eps=1e-10, max_iter=400,
-              backend=backend_by_name("numpy"))
+    ref = pcg(_DenseOp(A), B, eps=1e-10, max_iter=400)
     got = pcg(_DenseOp(A), B, eps=1e-10, max_iter=400,
-              backend=backend_by_name(name))
+              backend=ENGINES[name]())
     assert got.converged.all()
+    if name == "numpy":
+        assert got.x.tobytes() == ref.x.tobytes()
     scale = np.linalg.norm(ref.x, axis=0)
     np.testing.assert_allclose(got.x, ref.x, atol=1e-8 * scale.max())
 
@@ -93,30 +93,36 @@ def test_pcg_parity_under_regrouped_reductions():
     lands on the same solution to norm-scaled tolerance."""
     A, B = _spd_system(seed=1)
     ref = pcg(_DenseOp(A), B, eps=1e-10, max_iter=400)
-    got = pcg(_DenseOp(A), B, eps=1e-10, max_iter=400,
-              backend=_small_block())
+    bk = RowBlockedBackend()
+    out, got_dot = np.empty(3), np.empty(3)
+    bk.colwise_dot(B, B, got_dot)
+    assert not np.array_equal(ArrayBackend().colwise_dot(B, B, out), got_dot)
+    got = pcg(_DenseOp(A), B, eps=1e-10, max_iter=400, backend=bk)
     assert got.converged.all()
     scale = np.linalg.norm(ref.x, axis=0).max()
     np.testing.assert_allclose(got.x, ref.x, atol=1e-8 * scale)
 
 
-@pytest.mark.parametrize("name", PARITY_BACKENDS)
+@pytest.mark.parametrize("name", ENGINES)
 @pytest.mark.parametrize("scenario", scenario_names())
-def test_run_method_parity_on_every_scenario(scenario, name):
-    """Every available backend reproduces every registered workload
-    scenario's physics to norm-scaled tolerance (bit-exactly for the
-    reference backend)."""
+def test_run_method_parity_on_every_scenario(scenario, name, use_engine):
+    """Every engine reproduces every registered workload scenario's
+    physics to norm-scaled tolerance (bit-exactly for a fresh instance
+    of the shared engine)."""
     scen = scenario_by_name(scenario)()
     kw = dict(nt=4, method="ebe-mcg@cpu-gpu", s_range=(2, 4))
 
-    def run(backend):
+    def run():
         problem = scen.build_problem("stratified", (2, 2, 1))
         forces = scen.forces(problem, {}, seed=0, n_cases=2)
-        return run_method(problem, forces, backend=backend, **kw)
+        return run_method(problem, forces, **kw)
 
-    ref = run("numpy")
-    got = run(name)
+    ref = run()
+    use_engine(name)
+    got = run()
     for s_ref, s_got in zip(ref.final_states, got.final_states):
+        if name == "numpy":
+            assert s_got.u.tobytes() == s_ref.u.tobytes()
         scale = max(np.linalg.norm(s_ref.u), 1e-30)
         np.testing.assert_allclose(s_got.u, s_ref.u, atol=1e-9 * scale)
 
@@ -131,16 +137,13 @@ def test_modeled_traffic_exactly_backend_independent():
     diag = np.stack([A[3 * b:3 * b + 3, 3 * b:3 * b + 3] for b in range(nb)])
     M = BlockJacobi(diag)
     tallies = {}
-    for name, bk in [
-        ("numpy", backend_by_name("numpy")),
-        ("blocked-64", _small_block()),
-    ]:
+    for name, bk in [("shared", None), ("blocked-64", RowBlockedBackend())]:
         with tally_scope() as t:
             res = pcg(_DenseOp(A), B, eps=1e-30, max_iter=12, precond=M,
                       backend=bk)
         assert res.loop_iterations == 12  # unconverged: count pinned
         tallies[name] = t.snapshot()
-    ref = tallies["numpy"]
+    ref = tallies["shared"]
     got = tallies["blocked-64"]
     assert set(ref) == set(got)
     for tag, rec in ref.items():
@@ -149,44 +152,30 @@ def test_modeled_traffic_exactly_backend_independent():
         assert got[tag].calls == rec.calls, tag
 
 
-def test_run_method_bit_identical_below_block(ground_problem, make_forces):
-    """On systems smaller than one reduction block, numpy-blocked
-    performs the reference arithmetic exactly — full result documents
-    (numerics, modeled times, power) match bit-for-bit."""
-    forces = make_forces(ground_problem, 2)
-    kw = dict(nt=NT, method="ebe-mcg@cpu-gpu", s_range=(2, 4))
-    assert ground_problem.n_dofs < BlockedNumpyBackend.block_rows
-    ref = run_method(ground_problem, forces, **kw)
-    got = run_method(ground_problem, forces, backend="numpy-blocked", **kw)
-    assert golden_diff(_doc(ref), _doc(got)) == []
-
-
-# ------------------------------------------ cross-backend checkpoints
-@pytest.mark.parametrize("resume_backend", PARITY_BACKENDS)
+# ------------------------------------------ cross-engine checkpoints
+@pytest.mark.parametrize("resume_backend", ENGINES)
 def test_checkpoint_roundtrips_across_backends(
-    resume_backend, ground_problem, make_forces
+    resume_backend, ground_problem, make_forces, use_engine
 ):
-    """A checkpoint saved under one backend resumes under another: the
-    state header carries method/nparts/precision but deliberately no
-    backend (checkpoints hold only fp64 host state)."""
+    """A checkpoint saved on the shared engine resumes on another: the
+    state header carries method/nparts/precision and no engine
+    (checkpoints hold only fp64 host state)."""
     forces = make_forces(ground_problem, 2)
     kw = dict(nt=NT, method="ebe-mcg@cpu-gpu", s_range=(2, 4))
     straight = run_method(ground_problem, forces, **kw)
 
     saved = {}
     run_method(
-        ground_problem, forces, backend="numpy-blocked", checkpoint_every=3,
+        ground_problem, forces, checkpoint_every=3,
         on_checkpoint=lambda doc: saved.update(doc), **kw
     )
-    assert "backend" not in saved  # backend-agnostic by construction
+    assert "backend" not in saved  # engine-agnostic by construction
+    use_engine(resume_backend)
     resumed = run_method(
-        ground_problem, forces, backend=resume_backend,
-        start_state=canonical(saved), **kw
+        ground_problem, forces, start_state=canonical(saved), **kw
     )
     assert len(resumed.records) == NT
-    # below one block the blocked arithmetic is the reference
-    # arithmetic, so the cross-backend resume is bit-identical too
-    if resume_backend in ("numpy", "numpy-blocked"):
+    if resume_backend == "numpy":
         assert golden_diff(_doc(straight), _doc(resumed)) == []
     else:
         for s_ref, s_got in zip(straight.final_states, resumed.final_states):

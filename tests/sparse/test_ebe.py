@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fem.assembly import assemble_bsr, element_dof_ids
+from repro.sparse.backend import as_backend
 from repro.sparse.ebe import EBEOperator
 from repro.sparse.precision import as_precision
 from repro.util.counters import tally_scope
@@ -57,7 +58,7 @@ def test_to_dense_matches(small_problem):
     np.testing.assert_allclose(dense, ref, atol=1e-10 * np.abs(ref).max())
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numpy-blocked"])
+@pytest.mark.parametrize("backend", [as_backend()], ids=["numpy"])
 @pytest.mark.parametrize("precision", ["fp64", "fp32", "fp21"])
 @pytest.mark.parametrize("r", [1, 4, 8])
 def test_sweep_matches_dense(small_problem, rng, r, precision, backend):
@@ -95,8 +96,8 @@ def _ascending_element_sums(op, X, order=None):
 def test_summation_order_is_ascending_element_order(ops, rng):
     """Pin of the scatter's summation order: each node's value is, bit
     for bit, its element contributions added one by one in ascending
-    element order starting from the first.  The numba kernel and
-    ``DistributedEBE`` keep this order; an unordered (or pairwise)
+    element order starting from the first.  ``DistributedEBE`` keeps
+    this order; an unordered (or pairwise)
     reduction swapped in for the incidence product fails here."""
     A_ebe, _ = ops
     X = rng.standard_normal((A_ebe.n, 4))

@@ -80,7 +80,7 @@ def test_batched_groups_are_one_gemm_per_group_bit_for_bit(r, seed):
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         A = rng.standard_normal((sizes.size, 30, 30))
         X = rng.standard_normal((30 * offsets[-1], r))
-        got = as_backend("numpy").grouped_matmul(A, offsets, X, np.full_like(X, np.nan))
+        got = as_backend().grouped_matmul(A, offsets, X, np.full_like(X, np.nan))
         ref = np.full_like(X, np.nan)
         for c, (s, e) in enumerate(zip(30 * offsets[:-1], 30 * offsets[1:])):
             ref[s:e] = (A[c] @ X[s:e].reshape(30, -1)).reshape(-1, r)
@@ -106,11 +106,10 @@ def _per_class_sweep(op, X):
 def test_size_ordered_sweep_is_the_per_class_sweep_bit_for_bit(problem, r):
     """The plan orders the class blocks by size, so the sweep makes one
     product per distinct class size (10 at ``(6, 6, 3)``); A, M and C
-    give the bytes of one GEMM per class in label order (on the
-    reference engine, whatever the ambient one)."""
-    bk = as_backend("numpy")
-    for op in (problem.ebe_operator(backend=bk), problem.mass_operator("ebe", bk),
-               problem.damping_operator("ebe", bk)):
+    give the bytes of one GEMM per class in label order."""
+    bk = as_backend()
+    for op in (problem.ebe_operator(), problem.mass_operator("ebe"),
+               problem.damping_operator("ebe")):
         X = _block(problem, r)
         assert op.matvec(X).tobytes() == _per_class_sweep(op, X).tobytes()
         sizes = np.diff(op._plan[2])

@@ -1,4 +1,4 @@
-"""The reference backend picks its kernels by the operand's shape; the
+"""The array engine picks its kernels by the operand's shape; the
 pick must never show in the bits.
 
 * ``spmv_csr`` hands one vector to scipy's single-vector kernel and a
@@ -20,11 +20,11 @@ import scipy.sparse as sp
 from repro.cluster.halo import DistributedEBE
 from repro.cluster.partition import PartitionInfo, partition_elements
 from repro.sparse import backend as backend_mod
-from repro.sparse.backend import NumpyBackend, as_backend
+from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.cg import pcg
 from repro.sparse.distributed import distributed_pcg
 
-TILE = NumpyBackend._TILE
+TILE = ArrayBackend._TILE
 WIDE = TILE * TILE  # fewest rows the wide view takes
 
 
@@ -44,7 +44,7 @@ def _random_csr(seed, n_rows=57, n_cols=43, density=0.15):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_single_vector_spmv_is_bit_equal_to_the_multi_vector_kernel(seed):
-    bk = as_backend("numpy")
+    bk = as_backend()
     indptr, indices, data, n_cols = _random_csr(seed)
     n = indptr.size - 1
     X2 = np.random.default_rng(100 + seed).standard_normal((n_cols, 2))
@@ -65,7 +65,7 @@ def test_single_vector_spmv_is_bit_equal_to_the_multi_vector_kernel(seed):
 
 
 def test_spmv_rejects_a_row_pointer_that_does_not_match_out():
-    bk = as_backend("numpy")
+    bk = as_backend()
     indptr, indices, data, n_cols = _random_csr(0)
     n = indptr.size - 1
     for r in (1, 2):
@@ -81,7 +81,7 @@ def test_grouped_matmul_is_bit_equal_to_the_stacked_product(r):
     is the stacked product over the ``(N, 30, r)`` view; and each group
     of a grouping is its own single GEMM over the ``(30, k r)`` block
     at rows ``30 offsets[c]``, nothing more."""
-    bk = as_backend("numpy")
+    bk = as_backend()
     rng = np.random.default_rng(30 + r)
     A = rng.standard_normal((200, 30, 30))
     X = rng.standard_normal((30 * 200, r))
@@ -108,12 +108,11 @@ def _block(rng, n, r):
     return V
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numpy-blocked"])
+@pytest.mark.parametrize("bk", [as_backend()], ids=["numpy"])
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize(
     "n", [5, TILE, WIDE - 1, WIDE, WIDE + 1, WIDE + TILE, 3 * WIDE + 7])
-def test_column_primitives_are_bit_equal_to_the_broadcast(backend, n, r):
-    bk = as_backend(backend)
+def test_column_primitives_are_bit_equal_to_the_broadcast(bk, n, r):
     rng = np.random.default_rng(1000 * r + n)
     for scale in (rng.standard_normal(r), rng.choice(SPECIALS, size=r)):
         with np.errstate(all="ignore"):
@@ -136,7 +135,7 @@ def test_column_primitives_are_bit_equal_to_the_broadcast(backend, n, r):
 
 def test_column_primitives_leave_strided_blocks_to_the_broadcast():
     """A strided block has no wide view; the result is still right."""
-    bk = as_backend("numpy")
+    bk = as_backend()
     rng = np.random.default_rng(5)
     base = rng.standard_normal((WIDE + 9, 8))
     V, s = base[:, ::2], rng.standard_normal(4)
@@ -151,7 +150,7 @@ def test_column_primitives_allocate_nothing_per_call(n, r):
     """The tiled scale is one scratch per width, made on first use and
     reused; 40 sweeps peak where 2 do (numpy's own transient broadcast
     buffer, which the plain ``V * s`` takes as well, is all there is)."""
-    bk = as_backend("numpy")
+    bk = as_backend()
     rng = np.random.default_rng(9)
     P, Z, T = (rng.standard_normal((n, r)) for _ in range(3))
     s = rng.standard_normal(r) * 0.5

@@ -3,8 +3,8 @@
 The whole value of :mod:`repro.sparse.backend` is that the solver hot
 paths contain **no direct NumPy dispatch** — every array operation in
 them goes through ``bk.*`` primitives (or seam-level helper functions),
-so a registered backend really does control all the hot-path
-arithmetic.  This test enforces that statically: the AST of each hot
+so the seam — or a test's substituted subclass of it — really does
+control all the hot-path arithmetic.  This test enforces that statically: the AST of each hot
 region must contain no reference to the ``np``/``numpy`` names.
 
 Guarded regions:
@@ -310,7 +310,7 @@ def test_twogrid_cycle_is_backend_pure(method):
 def test_mgs_estimate_is_backend_pure():
     """The predictor's kernel is one backend primitive: the function
     the perf harness wraps must hand its arrays to ``qr_estimate``
-    untouched, or an engine's override would see only part of the
+    untouched, or a substituted subclass would see only part of the
     work."""
     fn = _find_function(_module_tree(datadriven), "mgs_estimate")
     _assert_pure("datadriven.mgs_estimate", fn.body)

@@ -1,5 +1,5 @@
-"""Geometric two-grid preconditioner: SPD-ness, iteration collapse,
-backend parity and the modeled-traffic contract.
+"""Geometric two-grid preconditioner: SPD-ness, iteration collapse and
+the modeled-traffic contract.
 
 The load-bearing properties:
 
@@ -9,9 +9,8 @@ The load-bearing properties:
 * on the real ground problem it cuts PCG iteration counts against
   plain block-Jacobi while converging to the same solution;
 * modeled traffic is charged from sizes only, so a pinned-iteration
-  solve tallies *exactly* the same work under every backend;
-* the numpy backend is the reference; the blocked backend agrees to
-  norm-scaled tolerance (its reductions genuinely regroup).
+  solve tallies *exactly* the same work when its reductions regroup
+  (``regrouped.py``), and agrees to norm-scaled tolerance.
 """
 
 import numpy as np
@@ -19,9 +18,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from regrouped import RowBlockedBackend
 
 from repro.fem.transfer import TransferOperators
-from repro.sparse.backend import BlockedNumpyBackend, backend_by_name
 from repro.sparse.cg import pcg
 from repro.sparse.precond import (
     DEFAULT_PRECONDITIONER,
@@ -187,21 +186,20 @@ def test_preconditioner_for_dispatch(ground_problem):
         pb.preconditioner_for("ilu")
 
 
-# -------------------------------------------- traffic and backends
-def _pinned_tally(pb, backend):
-    bk = backend_by_name(backend) if isinstance(backend, str) else backend
+# ------------------------------------------------------------ traffic
+def _pinned_tally(pb, backend=None):
     rng = np.random.default_rng(12)
     B = rng.standard_normal((pb.n_dofs, 2))
     B[pb.fixed_dofs, :] = 0.0
-    tg = pb.twogrid_preconditioner(backend=bk)
+    tg = pb.twogrid_preconditioner()
     with tally_scope() as t:
-        res = pcg(pb.ebe_operator(backend=bk), B, precond=tg,
-                  eps=1e-30, max_iter=6, backend=bk)
+        res = pcg(pb.ebe_operator(), B, precond=tg,
+                  eps=1e-30, max_iter=6, backend=backend)
     return res, t.snapshot()
 
 
 def test_traffic_tags_charged(ground_problem):
-    _, snap = _pinned_tally(ground_problem, "numpy")
+    _, snap = _pinned_tally(ground_problem)
     tags = set(snap)
     for tag in ("twogrid.smooth", "twogrid.transfer", "twogrid.coarse",
                 "twogrid.vec"):
@@ -212,28 +210,13 @@ def test_traffic_tags_charged(ground_problem):
 
 
 def test_modeled_traffic_backend_independent(ground_problem):
-    """Pinned iterations: every backend tallies exactly the same
-    modeled work — execution engines move wall time, never modeled
-    time — including the new coarse-grid tags."""
-    ref_res, ref = _pinned_tally(ground_problem, "numpy")
-    blocked = BlockedNumpyBackend()
-    blocked.block_rows = 64
-    got_res, got = _pinned_tally(ground_problem, blocked)
+    """Pinned iterations: a solve whose reductions regroup tallies
+    exactly the same modeled work — execution moves wall time, never
+    modeled time — including the coarse-grid tags."""
+    ref_res, ref = _pinned_tally(ground_problem)
+    got_res, got = _pinned_tally(ground_problem, RowBlockedBackend())
     assert got == ref
     # and the solutions agree to norm-scaled tolerance
     scale = np.abs(ref_res.x).max()
     np.testing.assert_allclose(got_res.x, ref_res.x,
                                rtol=1e-9, atol=1e-9 * scale)
-
-
-def test_numpy_blocked_cycle_close_to_reference(ground_problem):
-    pb = ground_problem
-    rng = np.random.default_rng(13)
-    r = rng.standard_normal((pb.n_dofs, 2))
-    r[pb.fixed_dofs, :] = 0.0
-    z_ref = pb.twogrid_preconditioner().apply(r)
-    blocked = BlockedNumpyBackend()
-    blocked.block_rows = 64
-    z_blk = pb.twogrid_preconditioner(backend=blocked).apply(r)
-    scale = np.abs(z_ref).max()
-    np.testing.assert_allclose(z_blk, z_ref, rtol=1e-10, atol=1e-12 * scale)

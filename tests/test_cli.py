@@ -333,82 +333,6 @@ def test_campaign_resume_needs_store(tmp_path):
         main(base + ["--store", str(tmp_path), "--checkpoint-every", "-1"])
 
 
-# ---------------------------------------------------------- backends
-def test_backends_command(capsys):
-    from repro.sparse.backend import available_backend_names, backend_names
-
-    assert main(["backends"]) == 0
-    out = capsys.readouterr().out
-    for name in backend_names():
-        assert name in out
-    assert "[available]" in out
-    if set(backend_names()) - set(available_backend_names()):
-        assert "not installed" in out
-
-
-def test_run_command_backend(capsys):
-    rc = main([
-        "run", "--model", "stratified", "--resolution", "2,2,1",
-        "--method", "ebe-mcg@cpu-gpu", "--cases", "2", "--steps", "4",
-        "--s-min", "2", "--s-max", "4", "--backend", "numpy-blocked",
-    ])
-    assert rc == 0
-    assert "achieved_relres" in capsys.readouterr().out
-
-
-def test_run_command_bad_backend_rejected():
-    with pytest.raises(SystemExit):  # argparse rejects unknown backends
-        main(["run", "--resolution", "2,2,1", "--backend", "fortran"])
-
-
-def test_run_command_unavailable_backend_rejected():
-    """A registered-but-unimportable engine exits with a clear message
-    instead of a traceback."""
-    from repro.sparse.backend import available_backend_names
-
-    if "numba" in available_backend_names():  # pragma: no cover
-        pytest.skip("numba installed: unavailability cannot be staged")
-    with pytest.raises(SystemExit, match="backend unavailable"):
-        main(["run", "--model", "stratified", "--resolution", "2,2,1",
-              "--method", "crs-cg@gpu", "--cases", "1", "--steps", "2",
-              "--backend", "numba"])
-
-
-def test_run_backend_env_default(capsys, monkeypatch):
-    """REPRO_BACKEND seeds the --backend default (parser built after
-    the env is set)."""
-    monkeypatch.setenv("REPRO_BACKEND", "numpy-blocked")
-    args = build_parser().parse_args(["run"])
-    assert args.backend == "numpy-blocked"
-    monkeypatch.delenv("REPRO_BACKEND")
-    assert build_parser().parse_args(["run"]).backend == "numpy"
-
-
-def test_campaign_backend_axis(capsys, tmp_path):
-    store = tmp_path / "store"
-    args = [
-        "campaign", "--models", "stratified", "--waves", "1",
-        "--methods", "crs-cg@gpu", "--resolutions", "2,2,1",
-        "--cases", "1", "--steps", "3",
-        "--backend", "numpy,numpy-blocked",
-        "--store", str(store),
-    ]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "2 cells" in out
-    assert "backends numpy,numpy-blocked" in out
-    # identical grid re-run: all cache hits
-    assert main(args) == 0
-    assert "2 cache hits" in capsys.readouterr().out
-
-
-def test_campaign_bad_backend_rejected(tmp_path):
-    with pytest.raises(SystemExit, match="bad campaign grid"):
-        main(["campaign", "--models", "stratified", "--waves", "1",
-              "--methods", "crs-cg@gpu", "--resolutions", "2,2,1",
-              "--backend", "numpy,fortran", "--no-store"])
-
-
 # -------------------------------------------------------- predictors
 def test_predictors_command(capsys):
     from repro.predictor.registry import predictor_names

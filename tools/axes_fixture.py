@@ -10,7 +10,9 @@ label, cell order or checkpoint header is *meant* to change — every
 cached store and pending checkpoint is invalidated by such a change.
 
 The ``cells`` and ``checkpoint_headers`` sections use only entry points
-that exist on both sides of that refactor.  The ``studies`` section no
+that exist on both sides of that refactor.  The ``backend`` axis has
+since been retired: the fixture's cells that carry it are no longer
+produced (the test drops them and checks the executor refuses them).  The ``studies`` section no
 longer does: at ``d140743`` it called the five per-study cell builders
 of ``repro.studies`` at their defaults; since the study table replaced
 them (PR 16) it reads the same cells from ``SWEEP[name].cells()``.
@@ -47,7 +49,6 @@ def composite_spec():
         scenarios=("impulse", "soft-soil"),
         nparts=(1, 2),
         precision=("fp64", "fp21"),
-        backends=("numpy", "numpy-blocked"),
         preconditioners=PRECONDS,
         predictors=("auto", "aitken"),
     )
