@@ -26,8 +26,7 @@ expansion, the cell schema, the executor, the report and the CLI flags
 all iterate: workload ``scenarios`` (:mod:`repro.workloads.scenario`),
 ``nparts`` of the distributed part-local solver
 (:func:`repro.sparse.distributed.distributed_pcg`, partitionable
-methods only), storage ``precision``, ``preconditioners`` and
-``predictors``.  One rule covers all of them:
+methods only), storage ``precision`` and ``predictors``.  One rule covers all of them:
 a cell at an axis default keeps the content hash it had before the
 axis existed, so growing a cached campaign along any axis recomputes
 only the new values, and the cell seed depends on no axis, so sweeps

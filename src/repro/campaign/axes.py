@@ -1,7 +1,7 @@
 """The campaign axes, declared once.
 
 Besides the plain grid (models x waves x methods x resolutions) a
-campaign sweeps five *axes*.  Each is one row of :data:`AXES`; the spec
+campaign sweeps four *axes*.  Each is one row of :data:`AXES`; the spec
 validation, grid expansion, cell schema, executor, report, study tables
 and CLI flags all iterate the table, so adding an axis is one row here
 plus one :class:`~repro.campaign.spec.CampaignSpec` field (plus a
@@ -31,7 +31,6 @@ from repro.predictor.registry import (
     predictor_names,
 )
 from repro.sparse.precision import FP64, PRECISIONS, as_precision
-from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
 from repro.workloads.scenario import (
     DEFAULT_SCENARIO,
     scenario_by_name,
@@ -78,18 +77,6 @@ class Axis:
         return params.get(self.key, self.default)
 
 
-def _registered(noun: str, names: Callable[[], Sequence[str]]) -> Callable:
-    """Membership validator: ``ValueError`` unless ``value`` is one of
-    ``names()``."""
-
-    def validate(value: str) -> str:
-        if value not in names():
-            raise ValueError(f"unknown {noun} {value!r}; choose from {names()}")
-        return value
-
-    return validate
-
-
 def _part_count(value: int) -> int:
     if value < 1:
         raise ValueError("nparts entries must be >= 1")
@@ -121,14 +108,6 @@ AXES: tuple[Axis, ...] = (
         validate=lambda v: as_precision(v).name,
         names=lambda: tuple(sorted(PRECISIONS)),
         help="transprecision storage policy of the solver's streamed data",
-    ),
-    Axis(
-        key="precond", field="preconditioners", noun="preconditioner",
-        default=DEFAULT_PRECONDITIONER, coerce=str,
-        validate=_registered("preconditioner", lambda: PRECONDITIONERS),
-        names=lambda: PRECONDITIONERS,
-        help="preconditioner family: 'bj' block-Jacobi, 'twogrid' "
-             "geometric two-grid cycle",
     ),
     Axis(
         key="predictor", field="predictors", noun="predictor",

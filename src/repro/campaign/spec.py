@@ -225,7 +225,6 @@ class CampaignSpec:
     nparts: tuple[int, ...] = (AXIS["nparts"].default,)
     precision: tuple[str, ...] = (AXIS["precision"].default,)
     scenarios: tuple[str, ...] = (AXIS["scenario"].default,)
-    preconditioners: tuple[str, ...] = (AXIS["precond"].default,)
     predictors: tuple[str, ...] = (AXIS["predictor"].default,)
 
     def __post_init__(self) -> None:

@@ -22,10 +22,6 @@ Commands
     input waves x methods x resolutions, optionally fanned over
     registered scenarios) through the cached, optionally parallel
     campaign engine, and print aggregated summary tables.
-``twogrid``
-    Compare the geometric two-grid preconditioner against block-Jacobi
-    (one campaign cell per scenario x resolution x family; iteration
-    reduction and modeled speedup against the block-Jacobi row).
 ``predictorzoo``
     Sweep the initial-guess predictor zoo across scenarios (one
     campaign cell per scenario x resolution x predictor; iterations
@@ -127,12 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "checkpoints instead of step 0 (finished cells "
                            "are cache hits either way)")
 
-    tg = sub.add_parser(
-        "twogrid",
-        help="compare the two-grid preconditioner against block-Jacobi",
-    )
-    _add_study_args(tg, modules, scenarios="soft-soil,impulse")
-
     pz = sub.add_parser(
         "predictorzoo",
         help="sweep the initial-guess predictor zoo across scenarios",
@@ -140,7 +130,23 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--predictors", default=None,
                     help="comma-separated registered predictors "
                          "(default: the whole zoo; see `repro predictors`)")
-    _add_study_args(pz, modules, scenarios="impulse,aftershocks")
+    pz.add_argument("--scenarios", default="impulse,aftershocks",
+                    help="comma-separated scenarios to sweep "
+                         "(see `repro scenarios`)")
+    pz.add_argument("--resolutions", default="2,2,1",
+                    help="semicolon-separated resolutions, e.g. '2,2,1;4,4,2'")
+    pz.add_argument("--model", default="stratified",
+                    help="ground model of the study cells")
+    pz.add_argument("--method", default="ebe-mcg@cpu-gpu")
+    pz.add_argument("--cases", type=int, default=2, help="ensemble size")
+    pz.add_argument("--steps", type=int, default=8, help="time steps")
+    pz.add_argument("--module", default="single-gh200", choices=modules)
+    pz.add_argument("--seed", type=int, default=0)
+    pz.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (1 = inline)")
+    pz.add_argument("--store", default=None,
+                    help="optional result store directory (content-hash "
+                         "cache shared with `repro campaign`)")
 
     end = sub.add_parser(
         "endurance",
@@ -170,27 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the profile document (point + gates) "
                           "to PATH")
     return p
-
-
-def _add_study_args(p: argparse.ArgumentParser, modules, scenarios: str) -> None:
-    """Flags shared by the study commands (``twogrid``, ``predictorzoo``)."""
-    p.add_argument("--scenarios", default=scenarios,
-                   help="comma-separated scenarios to sweep "
-                        "(see `repro scenarios`)")
-    p.add_argument("--resolutions", default="2,2,1",
-                   help="semicolon-separated resolutions, e.g. '2,2,1;4,4,2'")
-    p.add_argument("--model", default="stratified",
-                   help="ground model of the study cells")
-    p.add_argument("--method", default="ebe-mcg@cpu-gpu")
-    p.add_argument("--cases", type=int, default=2, help="ensemble size")
-    p.add_argument("--steps", type=int, default=8, help="time steps")
-    p.add_argument("--module", default="single-gh200", choices=modules)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (1 = inline)")
-    p.add_argument("--store", default=None,
-                   help="optional result store directory (content-hash "
-                        "cache shared with `repro campaign`)")
 
 
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
@@ -423,12 +408,13 @@ def _cmd_campaign(args) -> int:
     return 1 if report.n_failed else 0
 
 
-def _run_study(args, sweep, **grid) -> int:
-    """Shared body of the study commands: build the sweep's cells from
-    the common flags, run them through the campaign engine, print the
-    sweep's table."""
+def _cmd_predictorzoo(args) -> int:
+    """Build the predictor study's cells from the flags, run them
+    through the campaign engine, print the study's table."""
     from repro.campaign import CampaignRunner, ResultStore
+    from repro.studies import SWEEP
 
+    sweep = SWEEP["predictors"]
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
     what = sweep.label
@@ -442,7 +428,8 @@ def _run_study(args, sweep, **grid) -> int:
             method=args.method,
             module=args.module,
             seed=args.seed,
-            **grid,
+            predictor=(tuple(args.predictors.split(","))
+                       if args.predictors else None),
         )
     except ValueError as exc:
         raise SystemExit(f"bad {what} study grid: {exc}") from exc
@@ -463,21 +450,6 @@ def _run_study(args, sweep, **grid) -> int:
     if store is not None:
         print(f"store -> {store.root}")
     return 0 if all(o.ok for o in outcomes) else 1
-
-
-def _cmd_twogrid(args) -> int:
-    from repro.studies import SWEEP
-
-    return _run_study(args, SWEEP["twogrid"])
-
-
-def _cmd_predictorzoo(args) -> int:
-    from repro.studies import SWEEP
-
-    return _run_study(
-        args, SWEEP["predictors"],
-        predictor=tuple(args.predictors.split(",")) if args.predictors else None,
-    )
 
 
 def _cmd_endurance(args) -> int:
@@ -528,7 +500,6 @@ def main(argv: list[str] | None = None) -> int:
         "run": _cmd_run,
         "sensitivity": _cmd_sensitivity,
         "campaign": _cmd_campaign,
-        "twogrid": _cmd_twogrid,
         "predictorzoo": _cmd_predictorzoo,
         "endurance": _cmd_endurance,
     }

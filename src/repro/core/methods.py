@@ -48,7 +48,6 @@ from repro.predictor.registry import (
     predictor_by_name,
 )
 from repro.sparse.precision import Precision, as_precision
-from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
 
 __all__ = ["METHODS", "HETEROGENEOUS_METHODS", "PARTITIONABLE_METHODS",
            "NATIVE_PREDICTORS", "native_predictor", "RunConfig",
@@ -221,7 +220,6 @@ class RunConfig:
     cpu_threads: int | None = None
     nparts: int = 1
     precision: "Precision | str | None" = None
-    precond: str = DEFAULT_PRECONDITIONER
     predictor: str | None = DEFAULT_PREDICTOR
 
     def __post_init__(self) -> None:
@@ -232,10 +230,6 @@ class RunConfig:
             raise ValueError(
                 "the distributed solve path (nparts > 1) requires one of "
                 f"{PARTITIONABLE_METHODS}"
-            )
-        if self.precond not in PRECONDITIONERS:
-            raise ValueError(
-                f"unknown precond {self.precond!r}; choose from {PRECONDITIONERS}"
             )
         resolve = object.__setattr__  # frozen: each field is resolved once, here
         resolve(self, "nparts", int(self.nparts))
@@ -267,7 +261,6 @@ class RunConfig:
             ("method", self.method, None),
             ("nparts", self.nparts, None),
             ("precision", self.precision.name, None),
-            ("precond", self.precond, DEFAULT_PRECONDITIONER),
             ("predictor", DEFAULT_PREDICTOR if native else self.predictor,
              DEFAULT_PREDICTOR),
         )
@@ -288,8 +281,18 @@ class RunConfig:
 
     def check_header(self, state: dict, nt: int) -> int:
         """Validate a resume document against this run, loudly; returns
-        the completed step count."""
-        for key, want, absent in self._identity():
+        the completed step count.  A header key this run does not write
+        (a retired parameter's, say ``precond``) is refused too: the run
+        that wrote it computed something else."""
+        identity = self._identity()
+        known = {key for key, _, _ in identity} | {"step", "state"}
+        for key in state:
+            if key not in known:
+                raise ValueError(
+                    f"checkpoint header key {key!r} is not a parameter "
+                    "of this run"
+                )
+        for key, want, absent in identity:
             got = state.get(key, absent)
             if got != want:
                 raise ValueError(
@@ -328,7 +331,6 @@ def _case_set(
         op_kind=cfg.op_kind,
         eps=cfg.eps,
         precision=cfg.precision,
-        precond=cfg.precond,
         **partition,
     )
 
@@ -458,7 +460,6 @@ def run_method(
     waveform_dofs: np.ndarray | None = None,
     nparts: int = 1,
     precision: Precision | str | None = None,
-    precond: str = DEFAULT_PRECONDITIONER,
     predictor: str = DEFAULT_PREDICTOR,
     start_state: dict | None = None,
     checkpoint_every: int = 0,
@@ -494,15 +495,6 @@ def run_method(
         modeled — at this width; the time integration, predictors and
         CG recurrences stay fp64.  The fp64 default is bit-identical
         to the precision-unaware driver.
-    precond : preconditioner family
-        (:data:`~repro.sparse.precond.PRECONDITIONERS`): ``"bj"`` is
-        the paper's 3x3 block-Jacobi, ``"twogrid"`` the geometric
-        two-grid cycle (block-Jacobi smoothing + direct coarse solve)
-        that collapses CG iteration counts on hard scenarios.  With
-        ``nparts > 1`` the two-grid cycle runs globally (gather /
-        apply / scatter, wire traffic on the ``nic`` lane).
-        Checkpoints record a non-default precond in their header and
-        refuse to resume under a different one.
     predictor : initial-guess predictor, a registered name from
         :mod:`repro.predictor.registry` (``repro predictors`` lists
         them) or the ``"auto"`` default — the method's paper-native
@@ -519,7 +511,8 @@ def run_method(
         and energy numbers are bit-identical to an uninterrupted run,
         under either schedule (they share the step loop and the logs'
         part of the document).  The document's method/nparts/precision
-        header must match this call, and its ``step`` the last step its
+        header must match this call, it may carry no header key this
+        call would not write, and its ``step`` must be the last step its
         records hold; mismatches raise ``ValueError``.
     checkpoint_every : flush a state document to ``on_checkpoint``
         every this many completed steps (0 = never).  Checkpointing
@@ -545,8 +538,7 @@ def run_method(
     cfg = RunConfig(
         method=method, module=module, eps=eps, s_range=s_range,
         n_regions=n_regions, cpu_threads=cpu_threads, nparts=nparts,
-        precision=precision, precond=precond,
-        predictor=predictor,
+        precision=precision, predictor=predictor,
     )
     if nt < 1:
         raise ValueError("nt must be >= 1")

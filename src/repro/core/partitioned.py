@@ -46,7 +46,6 @@ from repro.core.pipeline import CaseSet
 from repro.hardware.transfer import TransferModel
 from repro.sparse.cg import CGResult
 from repro.sparse.distributed import distributed_pcg
-from repro.sparse.precond import DEFAULT_PRECONDITIONER
 from repro.util.counters import KernelTally
 
 __all__ = ["PartitionedCaseSet"]
@@ -71,13 +70,6 @@ class PartitionedCaseSet(CaseSet):
     block-Jacobi appliers are asked of the current problem at every
     solve, never passed in or captured — a nonlinear material update
     swaps the problem, and the next solve runs on its partition.
-
-    With ``precond="twogrid"`` the per-part block-Jacobi appliers are
-    replaced by one *global* geometric two-grid cycle: the distributed
-    solver assembles the owned residual rows, applies the cycle on the
-    aggregating device and redistributes — the coarse problem is too
-    small to shard profitably.  The gather/scatter wire traffic is
-    charged per application on the ``nic`` lane (see :meth:`comm_time`).
     """
 
     nparts: int = 2
@@ -107,21 +99,14 @@ class PartitionedCaseSet(CaseSet):
 
     # -- solver ---------------------------------------------------------
     def _solve_system(self, B: np.ndarray, guesses: np.ndarray) -> CGResult:
-        # per-part block-Jacobi appliers, or one global cycle on the
-        # aggregating device; either is cached on the problem, so both
-        # pipeline sets share it
-        if self.precond == DEFAULT_PRECONDITIONER:
-            local_preconds, global_precond = self.problem.part_preconditioners(
-                self.nparts, self.precision), None
-        else:
-            local_preconds, global_precond = None, self.problem.preconditioner_for(
-                self.precond, self.precision, self.op_kind)
+        # per-part block-Jacobi appliers, cached on the problem, so
+        # both pipeline sets share them
         return distributed_pcg(
             self.dist,
             B,
             x0=guesses,
-            local_preconds=local_preconds,
-            precond=global_precond,
+            local_preconds=self.problem.part_preconditioners(
+                self.nparts, self.precision),
             eps=self.eps,
             workspace=self._pcg_ws,
             precision=self.precision,
@@ -168,14 +153,4 @@ class PartitionedCaseSet(CaseSet):
         )
         t_halo = self._comm.halo_time([halo_bytes]) * (1.0 - self.overlap_fraction)
         t_reduce = 2.0 * self._comm.allreduce_time(8.0 * self.r, self.nparts)
-        t = n_exchanges * t_halo + res.loop_iterations * t_reduce
-        if self.precond != DEFAULT_PRECONDITIONER:
-            # global preconditioner: gather the residual to the
-            # aggregating device and scatter the correction back, once
-            # per loop iteration; a serial full-vector round trip, so
-            # none of it hides behind the sweep
-            precond_bytes = (
-                2.0 * self.precision.itemsize * self.problem.n_dofs * self.r
-            )
-            t += res.loop_iterations * self._comm.halo_time([precond_bytes])
-        return t
+        return n_exchanges * t_halo + res.loop_iterations * t_reduce

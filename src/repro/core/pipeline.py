@@ -1,8 +1,9 @@
 """The time-step loop and its two schedules (paper Algorithms 2, 3 & 4).
 
-A :class:`CaseSet` advances ``r`` cases one step: predict, solve,
-update.  :class:`StepDriver` is the one loop over time steps — it owns
-the per-step record log, the waveform frames and the one snapshot
+A :class:`CaseSet` advances ``r`` cases one step: predict, solve
+(block-Jacobi PCG, the paper's one preconditioner), update.
+:class:`StepDriver` is the one loop over time steps — it owns the
+per-step record log, the waveform frames and the one snapshot
 surface (``state_dict`` / ``load_state_dict``) every checkpoint goes
 through — and a *schedule* is what one step of it does with the sets
 and the modeled devices, plus its own keys of a snapshot:
@@ -44,7 +45,6 @@ from repro.hardware.transfer import TransferModel
 from repro.predictor.adaptive import AdaptiveSController
 from repro.sparse.cg import CGResult, PCGWorkspace, pcg
 from repro.sparse.precision import Precision, as_precision
-from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
 from repro.util import counters
 from repro.util.counters import KernelTally, tally_scope
 from repro.util.timeline import Timeline
@@ -79,10 +79,7 @@ class CaseSet:
     storage policy of the solver (operator values, block-Jacobi
     inverses and CG working vectors); the Newmark states, the RHS
     build and the predictors stay fp64 — the FP64-accurate outer loop.
-    ``precond`` names the preconditioner family
-    (:data:`~repro.sparse.precond.PRECONDITIONERS`): ``"bj"`` is the
-    paper's block-Jacobi, ``"twogrid"`` wraps it in the geometric
-    two-grid cycle.
+    The solve is preconditioned by the paper's 3x3 block-Jacobi.
 
     A problem with an equivalent-linear ``material`` is stepped on its
     current secant state: every ``material.update_interval``-th
@@ -97,7 +94,6 @@ class CaseSet:
     op_kind: str = "ebe"
     eps: float = 1e-8
     precision: Precision | str | None = None
-    precond: str = DEFAULT_PRECONDITIONER
     states: list[NewmarkState] = field(default_factory=list)
     _pcg_ws: PCGWorkspace = field(default_factory=PCGWorkspace, repr=False)
     # per-step force cache: row k of ``_F_T`` is case k's forcing for
@@ -110,10 +106,6 @@ class CaseSet:
             raise ValueError("one predictor per case required")
         if self.op_kind not in ("ebe", "crs"):
             raise ValueError("op_kind must be 'ebe' or 'crs'")
-        if self.precond not in PRECONDITIONERS:
-            raise ValueError(
-                f"precond must be one of {PRECONDITIONERS}, got {self.precond!r}"
-            )
         self.precision = as_precision(self.precision)
         if not self.states:
             self.states = [self.problem.zero_state() for _ in self.forces]
@@ -151,9 +143,7 @@ class CaseSet:
             self._operator(),
             B,
             x0=guesses,
-            precond=self.problem.preconditioner_for(
-                self.precond, self.precision, self.op_kind
-            ),
+            precond=self.problem.preconditioner(self.precision),
             eps=self.eps,
             workspace=self._pcg_ws,
             precision=self.precision,

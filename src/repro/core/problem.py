@@ -6,14 +6,13 @@ coefficients and boundary data so the method drivers
 operators.  Each element family is stored the way its EBE operator
 applies it: one matrix per element class where the classes group
 (:func:`~repro.sparse.ebe.class_groups`), else one per element.  Every
-representation (block-CRS, EBE, the partitioned parts, the two-grid
-Galerkin matrix) is built lazily from those *same* matrices —
-per-element readers through :meth:`ElasticProblem.element_matrices` —
-which is what makes the CRS-vs-EBE comparisons apples-to-apples and
-lets tests assert agreement to rounding.  The problem is also the one
-place a run's operators come from: solver, RHS, preconditioners and the
-mesh partition are each built once per storage precision
-and cached here.
+representation (block-CRS, EBE, the partitioned parts) is built
+lazily from those *same* matrices — per-element readers through
+:meth:`ElasticProblem.element_matrices` — which is what makes the
+CRS-vs-EBE comparisons apples-to-apples and lets tests assert
+agreement to rounding.  The problem is also the one place a run's
+operators come from: solver, RHS, preconditioner and the mesh
+partition are each built once per storage precision and cached here.
 """
 
 from __future__ import annotations
@@ -211,68 +210,6 @@ class ElasticProblem:
             lambda prec: BlockJacobi(
                 self.ebe_operator(prec).diagonal_blocks(), precision=prec,
             ),
-        )
-
-    def twogrid_preconditioner(
-        self,
-        precision: Precision | str | None = None,
-        op_kind: str = "ebe",
-        n_smooth: int = 2,
-    ):
-        """Geometric two-grid preconditioner of the effective matrix
-        (:mod:`repro.sparse.twogrid`): damped block-Jacobi smoothing on
-        this mesh, direct solve on its coarsened companion, transfers
-        from :mod:`repro.fem.transfer`.  Two sweeps per side is the
-        default: one is too weak for the strong-contrast (`soft-soil`)
-        regime this preconditioner exists for.  Two levels only: a
-        third never saved an iteration and cost 4-8% more modeled time
-        wherever it was measured (CHANGES, PR 24).
-
-        ``op_kind`` picks which fine-level operator the cycle's
-        residuals apply (``"ebe"``/``"crs"``) so the modeled traffic
-        matches the solver it preconditions.  Raises for meshes that
-        cannot be coarsened (already at resolution ``(1, 1, 1)``).
-        """
-        from repro.fem.mesh import mesh_hierarchy
-        from repro.fem.transfer import build_transfer
-        from repro.sparse.twogrid import build_twogrid
-
-        def build(prec):
-            meshes = mesh_hierarchy(self.mesh, 2)
-            if len(meshes) < 2:
-                raise ValueError(
-                    "mesh has no coarser companion: the two-grid "
-                    "preconditioner needs a coarsenable resolution"
-                )
-            op = (self.crs_operator(prec) if op_kind == "crs"
-                  else self.ebe_operator(prec))
-            A_csr = assemble_bsr(
-                self.element_matrices("A"), self.mesh.elems, self.n_nodes
-            ).tocsr()
-            return build_twogrid(
-                op, A_csr, build_transfer(*meshes), op.diagonal_blocks(),
-                fixed_nodes=self.fixed_nodes, n_smooth=n_smooth,
-                precision=prec,
-            )
-        return self._cached(
-            f"precond.twogrid.{op_kind}.{n_smooth}", precision, build)
-
-    def preconditioner_for(
-        self,
-        name: str,
-        precision: Precision | str | None = None,
-        op_kind: str = "ebe",
-    ):
-        """Preconditioner by campaign-axis name (``"bj"``/``"twogrid"``,
-        see :data:`repro.sparse.precond.PRECONDITIONERS`)."""
-        from repro.sparse.precond import DEFAULT_PRECONDITIONER, PRECONDITIONERS
-
-        if name is None or name == DEFAULT_PRECONDITIONER:
-            return self.preconditioner(precision)
-        if name == "twogrid":
-            return self.twogrid_preconditioner(precision, op_kind)
-        raise ValueError(
-            f"unknown preconditioner {name!r}; expected one of {PRECONDITIONERS}"
         )
 
     # -- stepping helpers ---------------------------------------------

@@ -24,10 +24,6 @@ __all__ = [
     "box_tet4",
     "promote_to_tet10",
     "structured_box",
-    "infer_structured_resolution",
-    "coarsen_resolution",
-    "coarsen_mesh",
-    "mesh_hierarchy",
 ]
 
 #: Corner-node triples of the four faces of a tetrahedron, oriented
@@ -224,79 +220,3 @@ def structured_box(
     """Convenience: Kuhn-split box promoted to TET10."""
     nodes, tets = box_tet4(nx, ny, nz, lx, ly, lz)
     return promote_to_tet10(nodes, tets)
-
-
-# -- level hierarchy ----------------------------------------------------
-#
-# The two-grid preconditioner (repro.sparse.twogrid) needs a coarser
-# companion mesh of the same box.  Rather than threading the original
-# ``resolution`` tuple through every call site, the builders below
-# recover it from the mesh geometry itself and re-run the generator —
-# any mesh produced by :func:`structured_box` round-trips exactly.
-
-
-def infer_structured_resolution(
-    mesh: Tet10Mesh, tol: float = 1e-9
-) -> tuple[tuple[int, int, int], tuple[float, float, float]]:
-    """Recover ``((nx, ny, nz), (lx, ly, lz))`` of a structured box mesh.
-
-    Validates that the corner nodes form a complete uniform grid
-    anchored at the origin (the :func:`structured_box` convention);
-    anything else fails loudly — the transfer operators silently built
-    on a wrong grid would be a much worse failure mode.
-    """
-    corners = mesh.nodes[: mesh.n_corner_nodes]
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
-    if np.any(np.abs(lo) > tol * np.maximum(1.0, np.abs(hi))):
-        raise ValueError("structured box meshes are anchored at the origin")
-    counts = []
-    for axis in range(3):
-        ticks = np.unique(corners[:, axis])
-        if ticks.size < 2:
-            raise ValueError("degenerate mesh: an axis has a single plane")
-        spacing = np.diff(ticks)
-        if np.any(np.abs(spacing - spacing[0]) > tol * max(1.0, hi[axis])):
-            raise ValueError("corner nodes are not uniformly spaced")
-        counts.append(int(ticks.size - 1))
-    nx, ny, nz = counts
-    if mesh.n_corner_nodes != (nx + 1) * (ny + 1) * (nz + 1):
-        raise ValueError("corner nodes do not form a complete structured grid")
-    return (nx, ny, nz), (float(hi[0]), float(hi[1]), float(hi[2]))
-
-
-def coarsen_resolution(
-    resolution: tuple[int, int, int],
-) -> tuple[int, int, int]:
-    """Halve each axis (floor), never below one cell."""
-    return tuple(max(1, n // 2) for n in resolution)  # type: ignore[return-value]
-
-
-def coarsen_mesh(mesh: Tet10Mesh) -> Tet10Mesh:
-    """The next-coarser structured companion of ``mesh``.
-
-    Raises :class:`ValueError` when the mesh is already at the coarsest
-    resolution ``(1, 1, 1)`` — a hierarchy cannot descend further.
-    """
-    resolution, dims = infer_structured_resolution(mesh)
-    coarse = coarsen_resolution(resolution)
-    if coarse == resolution:
-        raise ValueError(f"cannot coarsen a {resolution} mesh further")
-    return structured_box(*coarse, *dims)
-
-
-def mesh_hierarchy(mesh: Tet10Mesh, levels: int = 2) -> list[Tet10Mesh]:
-    """``[fine, coarser, ...]`` with at most ``levels`` entries.
-
-    The chain stops early when an axis can no longer be halved; the
-    caller decides whether a shorter-than-requested hierarchy is an
-    error (the two-grid builder requires at least two levels).
-    """
-    if levels < 1:
-        raise ValueError("a hierarchy has at least one level")
-    chain = [mesh]
-    while len(chain) < levels:
-        try:
-            chain.append(coarsen_mesh(chain[-1]))
-        except ValueError:
-            break
-    return chain

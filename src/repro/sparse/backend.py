@@ -3,7 +3,8 @@
 The reproduction executes every kernel in NumPy while device time is
 *modeled* from analytic traffic tallies.  This module is the seam that
 separates the two concerns: the solver hot loops (``cg``, ``ebe``,
-``bcrs``, ``precond``, ``distributed``) and the data-driven
+``bcrs``, ``distributed`` and the block-Jacobi ``precond``, the one
+preconditioner) and the data-driven
 predictor's history regression (``predictor.datadriven``) are written
 purely against the :class:`ArrayBackend` primitives below, and no hot
 loop calls NumPy on a work array directly
@@ -266,33 +267,6 @@ class ArrayBackend:
 
         m = sp.csr_matrix((data, indices, indptr), shape=(n, X.shape[0]))
         np.copyto(out, m @ X)
-        return out
-
-    # -- grid-transfer primitives -------------------------------------
-    #
-    # Node-level CSR operators applied to node-major dof vectors: a
-    # C-contiguous ``(3*n, r)`` dof block viewed as ``(n, 3*r)`` turns
-    # the 3-components-per-node application into a plain multi-vector
-    # SpMV through ``spmv_csr``.
-
-    def prolong(self, indptr, indices, data, X, out):
-        """Coarse-to-fine transfer ``out = (P x I3) @ X``: node-level
-        CSR ``P`` applied to dof columns (``X`` ``(3*n_coarse, r)``,
-        ``out`` ``(3*n_fine, r)``, both C-contiguous)."""
-        return self._node_csr_apply(indptr, indices, data, X, out)
-
-    def restrict(self, indptr, indices, data, X, out):
-        """Fine-to-coarse transfer ``out = (R x I3) @ X`` (``X``
-        ``(3*n_fine, r)``, ``out`` ``(3*n_coarse, r)``)."""
-        return self._node_csr_apply(indptr, indices, data, X, out)
-
-    def _node_csr_apply(self, indptr, indices, data, X, out):
-        r = X.shape[1]
-        self.spmv_csr(
-            indptr, indices, data,
-            X.reshape(X.shape[0] // 3, 3 * r),
-            out.reshape(out.shape[0] // 3, 3 * r),
-        )
         return out
 
     # -- history regression (the data-driven predictor) ---------------

@@ -19,7 +19,7 @@ vector updates run in place.  The operator and the preconditioner
 write into those blocks themselves: the loop calls
 ``A.matvec(V, out=)`` and ``precond.apply(R, out=)`` directly, so
 every operator of the package — EBE, block CRS, distributed,
-block-Jacobi, two-grid — takes ``out=``, and nothing here inspects a
+block-Jacobi — takes ``out=``, and nothing here inspects a
 signature or wraps a bare matrix.
 
 Every vector operation in the loop routes through the

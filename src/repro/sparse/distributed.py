@@ -16,8 +16,7 @@ does differently sits where ``pcg`` already takes it:
   slice by slice, then the cached halo-exchange plan of the
   :class:`~repro.cluster.halo.DistributedEBE` on the same slices;
 * the **preconditioner** — block-Jacobi from the globally-consistent
-  diagonal blocks restricted per part (no communication), or a global
-  family behind a gather of the owned rows and a rescatter;
+  diagonal blocks restricted per part (no communication);
 * the **reduction** (:class:`PartitionedReduction`) — partial sums over
   each part's *owned* rows (lowest touching part owns a node), added
   in ascending part order: the deterministic allreduce.
@@ -51,7 +50,6 @@ from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.cg import CGResult, PCGWorkspace, pcg
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.precond import BlockJacobi
-from repro.util import counters
 from repro.util.lanes import LaneLocal
 
 __all__ = ["PartitionedReduction", "PartLocalOperator", "part_block_jacobi",
@@ -98,7 +96,7 @@ class PartitionedReduction:
 
 
 def part_block_jacobi(dist) -> list[BlockJacobi]:
-    """Per-part block-Jacobi preconditioners from the globally-consistent
+    """Per-part block-Jacobi appliers from the globally-consistent
     diagonal blocks of a :class:`~repro.cluster.halo.DistributedEBE`.
 
     Each part inverts the blocks of every node it touches (owned and
@@ -141,8 +139,6 @@ class PartLocalOperator:
         self.owner_rows = np.empty(dist.n, dtype=np.int64)
         self.owner_rows[np.concatenate(dist.owned_global_dofs)] = (
             np.concatenate(owned))
-        # per lane (thread): r -> the global staging blocks
-        self._lane = LaneLocal(blocks=dict)
 
     def split(self, V: np.ndarray) -> list[np.ndarray]:
         """The per-part blocks of a stacked array, as views."""
@@ -158,17 +154,6 @@ class PartLocalOperator:
         self.dist.halo_exchange(parts, out=parts)
         return out
 
-    def global_blocks(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Full-vector ``(n, r)`` staging of a *global* preconditioner
-        (assembled residual, corrected block), made on first use."""
-        blocks = self._lane.blocks.get(r)
-        if blocks is None:
-            shape = (self.dist.n, r)
-            blocks = self._lane.blocks[r] = (
-                self.backend.empty(shape), self.backend.empty(shape))
-        return blocks
-
-
 class _PerPartPrecond:
     """``preconds[p]`` applied to part ``p``'s slice — no communication."""
 
@@ -181,34 +166,11 @@ class _PerPartPrecond:
         return out
 
 
-class _GatheredPrecond:
-    """A *global* preconditioner in a partitioned solve: the owned
-    residual rows are assembled into a full vector (the allgather an
-    MPI implementation would run), preconditioned once, and the
-    correction rescattered to the parts' owned+ghost rows."""
-
-    def __init__(self, op: PartLocalOperator, precond, r: int,
-                 prec: Precision) -> None:
-        self.op, self.precond = op, precond
-        self.RG, self.ZG = op.global_blocks(r)
-        # residual up, correction down, in storage words
-        self.comm_bytes = 2.0 * prec.itemsize * op.dist.n * r
-
-    def apply(self, R: np.ndarray, out: np.ndarray) -> np.ndarray:
-        op, bk = self.op, self.op.backend
-        bk.gather_rows(R, op.owner_rows, self.RG)
-        # wire bytes on their own tag keep the modeled comm/device split honest
-        counters.charge("halo.exchange.precond", 0.0, self.comm_bytes)
-        self.precond.apply(self.RG, out=self.ZG)
-        return bk.gather_rows(self.ZG, op.local_rows, out)
-
-
 def distributed_pcg(
     dist,
     b: np.ndarray,
     x0: np.ndarray | None = None,
     local_preconds: list[BlockJacobi] | None = None,
-    precond=None,
     eps: float = 1e-8,
     max_iter: int = 10_000,
     record_history: bool = False,
@@ -225,16 +187,8 @@ def distributed_pcg(
     b : ``(n,)`` or ``(n, r)`` global right-hand side(s); scattered to
         parts once up front (how the ranks would receive their slices).
     x0 : optional global initial guess(es), same shape as ``b``.
-    local_preconds : per-part block-Jacobi preconditioners; built with
+    local_preconds : per-part block-Jacobi appliers; built with
         :func:`part_block_jacobi` when omitted.
-    precond : optional *global* preconditioner (anything with
-        ``apply(r, out=) -> out``, e.g. a
-        :class:`~repro.sparse.twogrid.TwoGrid`).  When given it
-        replaces the part-local preconditioners: each iteration the
-        owned residual rows are gathered, preconditioned once and
-        rescattered, the wire bytes charged on the
-        ``halo.exchange.precond`` tag.  Mutually exclusive with
-        ``local_preconds``.
     eps, max_iter, record_history : as in :func:`~repro.sparse.cg.pcg`.
     workspace : reusable :class:`~repro.sparse.cg.PCGWorkspace` (it
         holds stacked blocks); pass the same instance across solves of
@@ -261,16 +215,11 @@ def distributed_pcg(
             raise ValueError(f"expected x0 shape {(n, r)}, got {x0.shape}")
 
     op = dist.part_local()
-    if precond is not None:
-        if local_preconds is not None:
-            raise ValueError("pass local_preconds or a global precond, not both")
-        M = _GatheredPrecond(op, precond, r, prec)
-    else:
-        if local_preconds is None:
-            local_preconds = part_block_jacobi(dist)
-        if len(local_preconds) != dist.nparts:
-            raise ValueError("one local preconditioner per part required")
-        M = _PerPartPrecond(op, local_preconds)
+    if local_preconds is None:
+        local_preconds = part_block_jacobi(dist)
+    if len(local_preconds) != dist.nparts:
+        raise ValueError("one local preconditioner per part required")
+    M = _PerPartPrecond(op, local_preconds)
 
     res = pcg(
         op, b[op.local_rows],

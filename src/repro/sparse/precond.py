@@ -9,20 +9,12 @@ from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import block_jacobi_traffic
 from repro.util import counters
 
-__all__ = ["BlockJacobi", "PRECONDITIONERS", "DEFAULT_PRECONDITIONER"]
+__all__ = ["BlockJacobi"]
 
 #: Determinant magnitude below which a 3x3 diagonal block is treated as
 #: singular (a zero block from a fully-constrained node, or a block so
 #: ill-scaled its inverse would be garbage).
 SINGULAR_DET_GUARD = 1e-300
-
-#: Selectable preconditioner families for the solver stack: plain 3x3
-#: block-Jacobi (the paper's matrix ``B``), or the geometric two-grid
-#: cycle wrapped around it (:mod:`repro.sparse.twogrid`).  The default
-#: is the content-hash anchor of the campaign ``preconditioners`` axis:
-#: it never appears in cell params, so pre-axis cells keep their keys.
-PRECONDITIONERS: tuple[str, ...] = ("bj", "twogrid")
-DEFAULT_PRECONDITIONER = "bj"
 
 
 class BlockJacobi:

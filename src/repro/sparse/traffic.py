@@ -39,9 +39,7 @@ from repro.sparse.precision import Precision, as_precision
 
 __all__ = ["KernelWork", "crs_traffic", "ebe_traffic", "vector_traffic",
            "cg_vector_traffic", "block_jacobi_traffic",
-           "modeled_solver_bytes_per_iteration",
-           "transfer_traffic", "coarse_solve_traffic",
-           "EBE_CONSTRUCTION_FLOPS"]
+           "modeled_solver_bytes_per_iteration", "EBE_CONSTRUCTION_FLOPS"]
 
 #: Estimated flops to rebuild one TET10 effective element matrix
 #: (Jacobians + quadrature contractions) inside the fused EBE kernel.
@@ -111,41 +109,6 @@ def ebe_traffic(
         + 2 * value_bytes * 3 * n_nodes  # gather x + scatter y at unique traffic
     )
     return KernelWork(flops=per_case_flops, bytes=per_case_bytes)
-
-
-def transfer_traffic(
-    nnz: int,
-    n_rows: int,
-    n_cols: int,
-    value_bytes: float = 8.0,
-) -> KernelWork:
-    """Per-case work of one grid-transfer application (restriction or
-    prolongation): a node-level CSR with ``nnz`` interpolation weights
-    applied to 3-component dof vectors.  The weight matrix streams once
-    (value + 4 B column index per entry, plus the row pointer), and the
-    source/destination dof vectors stream once each at ``value_bytes``.
-    flops = one multiply-add per weight per component."""
-    flops = 2.0 * 3 * nnz
-    bytes_ = (
-        (value_bytes + _IDX_BYTES) * nnz  # weights + column indices
-        + _IDX_BYTES * (n_rows + 1)  # row pointers
-        + value_bytes * 3 * (n_rows + n_cols)  # write out, read in
-    )
-    return KernelWork(flops=flops, bytes=bytes_)
-
-
-def coarse_solve_traffic(
-    factor_nnz: int,
-    n: int,
-    value_bytes: float = 8.0,
-) -> KernelWork:
-    """Per-case work of the prefactorized direct coarse solve: two
-    triangular sweeps streaming the ``factor_nnz`` stored L+U entries
-    (value + 4 B index each) with one multiply-add per entry, plus the
-    right-hand side read and solution write of both sweeps."""
-    flops = 2.0 * factor_nnz
-    bytes_ = (value_bytes + _IDX_BYTES) * factor_nnz + 4 * value_bytes * n
-    return KernelWork(flops=flops, bytes=bytes_)
 
 
 def vector_traffic(

@@ -18,9 +18,6 @@ transprecision FP64/FP32/FP21 storage vs ``fp64`` (residual, iteration
 weakscaling    part counts on an x-y tiled mesh, constant size per part
                (the paper's Fig. 5 protocol; parallel efficiency)
 strongscaling  part counts on one fixed mesh (efficiency of ``p * t``)
-twogrid        block-Jacobi vs the geometric two-grid cycle per
-               scenario x resolution (iteration reduction, modeled
-               speedup), soft-soil listed first
 predictors     the initial-guess predictor zoo per scenario x
                resolution vs ``data-driven`` (iteration inflation,
                earned history)

@@ -37,7 +37,6 @@ from repro.campaign.spec import CampaignCell, WaveSpec, method_cell_params
 from repro.core.methods import NATIVE_PREDICTORS
 from repro.predictor.registry import predictor_names
 from repro.sparse.precision import PRECISIONS
-from repro.sparse.precond import PRECONDITIONERS
 from repro.workloads.scenario import scenario_names
 
 __all__ = ["Column", "Sweep", "SWEEPS", "SWEEP"]
@@ -269,7 +268,6 @@ _SCALING_COLUMNS = (
 _NPARTS = {"nparts": lambda: (1, 2, 4, 8)}
 _RESOLUTIONS = lambda: ((2, 2, 1),)  # noqa: E731
 _PRECISIONS = lambda: tuple(PRECISIONS)  # noqa: E731 - widest storage first
-_PRECONDS = lambda: PRECONDITIONERS  # noqa: E731
 
 #: Row order is the order the README and ``repro.studies`` list them in.
 SWEEPS: tuple[Sweep, ...] = (
@@ -313,27 +311,6 @@ SWEEPS: tuple[Sweep, ...] = (
         along="nparts", anchor=AXIS["nparts"].default,
         columns=_SCALING_COLUMNS, module="alps",
         derived={"cost": ("nparts", _TIME)},
-    ),
-    # does the coarse-grid cycle pay for itself where block-Jacobi
-    # iteration counts blow up (soft-soil, listed first)?
-    Sweep(
-        name="twogrid", label="twogrid",
-        title="two-grid vs block-Jacobi (anchor: bj)",
-        swept=("scenario", "resolution", "precond"),
-        values={"scenario": lambda: ("soft-soil", "impulse"),
-                "resolution": _RESOLUTIONS,
-                "precond": _PRECONDS},
-        along="precond", anchor=AXIS["precond"].default,
-        order=_PRECONDS,
-        columns=(
-            Column("scenario", "scenario"), Column("res", "res"),
-            Column("precond", "precond"), _IT,
-            Column("iteration_reduction", "reduction", ".2f",
-                   ratio=(_ITERS, "anchor/row")),
-            _T,
-            Column("modeled_speedup", "modeled speedup", ".2f",
-                   ratio=(_TIME, "anchor/row")),
-        ),
     ),
     # does classical acceleration close the gap to the paper's
     # data-driven predictor?  The explicit name hashes differently from

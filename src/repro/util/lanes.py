@@ -2,7 +2,7 @@
 
 :class:`~repro.core.pipeline.HeterogeneousPipeline` steps its two case
 sets on two threads at once.  Every mutable buffer both can reach — the
-tally stack, the EBE element buffers, the backend's, two-grid and
+tally stack, the EBE element buffers, the backend's and the
 partitioned scratch — is an attribute of a :class:`LaneLocal`.
 """
 

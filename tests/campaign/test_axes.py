@@ -40,7 +40,6 @@ SAMPLES = {
     "scenario": ("soft-soil", "marsquake", "unknown scenario"),
     "nparts": (2, 0, "nparts entries must be >= 1"),
     "precision": ("fp21", "fp8", "unknown precision"),
-    "precond": ("twogrid", "ilu", "unknown preconditioner"),
     "predictor": ("aitken", "broyden", "unknown predictor"),
 }
 
@@ -189,7 +188,7 @@ def test_method_cell_params_rejects_unknown_axes():
         method_cell_params(
             "stratified", default_waves(1)[0], METHOD, (2, 2, 1), cases=2,
             steps=4, module="single-gh200", eps=1e-8, s_min=2, s_max=8,
-            seed=0, precondition="twogrid",
+            seed=0, precond="bj",
         )
 
 
@@ -231,8 +230,9 @@ def test_axis_cells_execute_and_cache(ax, tmp_path):
 
 def _parent_fixture():
     """The fixture tool, and the fixture it wrote, split into the cells
-    the axes still produce and the cells of the retired ``backend`` axis
-    (their params carry a key no axis reads any more)."""
+    the axes still produce and the cells of the retired ``backend`` and
+    ``precond`` axes (their params carry a key no axis reads any
+    more)."""
     spec = importlib.util.spec_from_file_location(
         "axes_fixture", REPO / "tools" / "axes_fixture.py"
     )
@@ -254,7 +254,7 @@ def test_executor_refuses_params_it_does_not_know(tmp_path):
     *_, retired = _parent_fixture()
     params = make_spec(waves=default_waves(1), steps=3).cells()[0].params
     store = ResultStore(tmp_path / "store")
-    for bad in (retired[0][2], {**params, "precondition": "twogrid"}):
+    for bad in (retired[0][2], {**params, "precondition": "bj"}):
         with pytest.raises(ValueError, match="unknown method-cell params"):
             run_method_cell(bad)
         cell = CampaignCell(kind="method", params=bad)
@@ -268,12 +268,47 @@ def test_cells_studies_and_headers_match_the_parent_commit():
     """Cell labels, keys, params (key order included), the study cell
     builders' output and the checkpoint headers (key order included)
     are what the per-axis code before the table produced — byte for
-    byte, bar the cells of the retired ``backend`` axis, which the
-    executor refuses."""
+    byte, bar what carries a retired axis value: the cells of the
+    ``backend`` and ``precond`` axes, which the executor refuses, the
+    ``twogrid`` study and the two-grid runs' headers, which a resume
+    refuses (:func:`test_pinned_twogrid_header_does_not_resume`)."""
     tool, text, parent, kept, retired = _parent_fixture()
     assert tool.dumps(parent) == text  # the layout round-trips the file
-    assert len(retired) == len(kept) == 80
-    assert tool.dumps(tool.build()) == tool.dumps({**parent, "cells": kept})
+    assert (len(retired), len(kept)) == (120, 40)
+    studies = {k: v for k, v in parent["studies"].items() if k != "twogrid"}
+    headers = {k: v for k, v in parent["checkpoint_headers"].items()
+               if "/twogrid/" not in k}
+    assert (len(studies), len(headers)) == (4, 13)
+    assert tool.dumps(tool.build()) == tool.dumps(
+        {"cells": kept, "studies": studies, "checkpoint_headers": headers})
     for _, _, params in retired:
         with pytest.raises(ValueError, match="unknown method-cell params"):
             run_method_cell(params)
+
+
+def test_pinned_twogrid_header_does_not_resume():
+    """A checkpoint a two-grid run wrote names ``precond`` in its
+    header; no run takes that parameter any more, so resuming from it
+    is a loud ``ValueError`` naming the key — never a silent
+    block-Jacobi continuation.  The pinned header is given a real
+    state (a block-Jacobi run's, same method and step) so nothing but
+    the header can be what is refused."""
+    from repro.workloads.scenario import scenario_by_name
+
+    *_, parent, _, _ = _parent_fixture()
+    pinned = parent["checkpoint_headers"]["ebe-mcg@cpu-gpu/twogrid/auto"][0]
+    doc = dict(pinned)
+    assert doc["precond"] == "twogrid" and doc["step"] == 1
+    scen = scenario_by_name("impulse")()
+    problem = scen.build_problem("stratified", (2, 2, 1))
+    forces = scen.forces(problem, {}, seed=0, n_cases=2)
+    kw = dict(method=METHOD, s_range=(2, 4))
+    docs: list[dict] = []
+    run_method(problem, forces, nt=3, checkpoint_every=1,
+               on_checkpoint=docs.append, **kw)
+    doc["state"] = docs[0]["state"]
+    with pytest.raises(ValueError, match="'precond'"):
+        run_method(problem, forces, nt=3, start_state=doc, **kw)
+    # the same document without the retired key resumes
+    del doc["precond"]
+    run_method(problem, forces, nt=3, start_state=doc, **kw)

@@ -1,7 +1,7 @@
 """Campaign ``predictors`` axis: hash stability, expansion, execution.
 
-Same content-addition discipline as the ``nparts`` / ``precision`` /
-``preconditioners`` axes: introducing the predictor axis must never
+Same content-addition discipline as the ``nparts`` / ``precision``
+axes: introducing the predictor axis must never
 re-key — and therefore never recompute — any previously cached cell.
 The default ``auto`` family (method-native pairing) leaves cell params
 untouched; only explicitly-named predictors carry a ``"predictor"``
@@ -67,13 +67,13 @@ def test_default_predictor_keeps_pre_axis_cell_hash():
 
 def test_predictor_axis_composes_with_other_axes():
     spec = make_spec(
-        nparts=(1, 2), preconditioners=("bj", "twogrid"),
+        nparts=(1, 2), precision=("fp64", "fp21"),
         predictors=("auto", "aitken"),
     )
     cells = spec.cells()
-    assert spec.n_cells == 2 * 2 * 2 * 2 == len(cells)  # waves x np x pc x pred
+    assert spec.n_cells == 2 * 2 * 2 * 2 == len(cells)  # waves x np x prec x pred
     combos = {
-        (c.params.get("nparts", 1), c.params.get("precond", "bj"),
+        (c.params.get("nparts", 1), c.params.get("precision", "fp64"),
          c.params.get("predictor", "auto"))
         for c in cells
     }

@@ -127,35 +127,12 @@ def test_resume_from_every_checkpoint(ground_problem, make_forces):
         assert golden_diff(straight, _doc(resumed)) == [], state["step"]
 
 
-def test_resume_bit_identical_under_twogrid(
-    ground_problem, make_forces, tmp_path
-):
-    """The preconditioner axis threads through checkpoint/resume: a
-    two-grid run interrupted mid-campaign resumes to the same bits."""
-    forces = make_forces(ground_problem, 2)
-    kw = dict(method="ebe-mcg@cpu-gpu", s_range=(2, 4), precond="twogrid")
-    straight = run_method(ground_problem, forces, nt=NT, **kw)
-
-    flushes = []
-    run_method(
-        ground_problem, forces, nt=NT, checkpoint_every=3,
-        on_checkpoint=flushes.append, **kw
-    )
-    saved = merge_checkpoint_docs(flushes)
-    assert saved["precond"] == "twogrid"  # family stamped in the header
-    path = save_pipeline_state(saved, tmp_path / "state.json")
-    resumed = run_method(
-        ground_problem, forces, nt=NT,
-        start_state=load_pipeline_state(path), **kw
-    )
-    assert golden_diff(_doc(straight), _doc(resumed)) == []
-
-
 def test_default_precond_absent_from_checkpoint_header(
     ground_problem, make_forces
 ):
-    """Block-Jacobi runs write exactly the pre-axis state document, so
-    old checkpoints keep resuming (and old goldens keep matching)."""
+    """Runs write exactly the state document of the days before a
+    preconditioner could be chosen, so old block-Jacobi checkpoints
+    keep resuming (and old goldens keep matching)."""
     forces = make_forces(ground_problem, 2)
     saved = {}
     run_method(
@@ -189,10 +166,11 @@ def test_header_mismatch_rejected(ground_problem, make_forces):
             ground_problem, forces, nt=4, method="ebe-mcg@cpu-gpu",
             precision="fp21", **kw
         )
-    with pytest.raises(ValueError, match="precond"):
+    with pytest.raises(ValueError, match="'precond' is not a parameter"):
+        # a header key no run writes (here a retired parameter's)
         run_method(
             ground_problem, forces, nt=4, method="ebe-mcg@cpu-gpu",
-            precond="twogrid", **kw
+            s_range=(2, 4), start_state={**saved, "precond": "bj"},
         )
     with pytest.raises(ValueError, match="step"):
         # the checkpoint (step 2) is already past this run's end

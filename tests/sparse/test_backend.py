@@ -184,27 +184,6 @@ def test_spmv_csr(bk):
     np.testing.assert_allclose(out, A @ X, rtol=1e-12)
 
 
-def test_prolong_restrict(bk):
-    """Grid-transfer primitives equal the kron-expanded scipy product."""
-    import scipy.sparse as sp
-
-    rng = _rng(10)
-    nf, nc, r = 17, 6, 2
-    P = sp.random(nf, nc, density=0.4, random_state=4, format="csr")
-    P.sort_indices()
-    R = P.T.tocsr()
-    R.sort_indices()
-    P_dof = sp.kron(P, sp.eye(3), format="csr")
-    XC = rng.standard_normal((3 * nc, r))
-    XF = rng.standard_normal((3 * nf, r))
-    out_f = np.empty((3 * nf, r))
-    out_c = np.empty((3 * nc, r))
-    assert bk.prolong(P.indptr, P.indices, P.data, XC, out_f) is out_f
-    np.testing.assert_allclose(out_f, P_dof @ XC, rtol=1e-13, atol=1e-13)
-    assert bk.restrict(R.indptr, R.indices, R.data, XF, out_c) is out_c
-    np.testing.assert_allclose(out_c, P_dof.T @ XF, rtol=1e-13, atol=1e-13)
-
-
 def test_qr_estimate(bk):
     """The history-regression primitive agrees with a per-region
     ``lstsq`` to rounding — on strided views (how the predictor passes

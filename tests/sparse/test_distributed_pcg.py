@@ -69,45 +69,6 @@ def test_bit_identical_to_fused_global_solve(ground_problem, rhs, nparts,
         assert got.loop_iterations == 3 and np.all(got.iterations == 3)
 
 
-@pytest.mark.parametrize("nparts", [1, 2, 4])
-def test_twogrid_global_precond_bit_identical(ground_problem, rhs, nparts):
-    """The two-grid cycle is a *global* preconditioner: parts gather
-    the residual, one cycle runs on the assembled vector, corrections
-    scatter back — bit-identical to the fused solve with the same
-    cycle at every part count."""
-    B, G = rhs
-    dist = make_dist(ground_problem, nparts)
-    tg = ground_problem.twogrid_preconditioner()
-    ref = pcg(
-        dist,
-        B,
-        x0=G,
-        precond=tg,
-        eps=1e-8,
-        reduction=PartitionedReduction(dist.owned_global_dofs),
-    )
-    got = distributed_pcg(dist, B, x0=G, precond=tg, eps=1e-8)
-    assert np.array_equal(got.x, ref.x)
-    assert np.array_equal(got.iterations, ref.iterations)
-    assert got.loop_iterations == ref.loop_iterations
-    assert np.array_equal(got.final_relres, ref.final_relres)
-    assert np.all(got.converged)
-
-
-def test_twogrid_beats_part_local_bj_iterations(ground_problem, rhs):
-    """The point of carrying a global family through the distributed
-    path: fewer loop iterations than per-part block-Jacobi."""
-    B, G = rhs
-    dist = make_dist(ground_problem, 4)
-    bj = distributed_pcg(dist, B, x0=G, eps=1e-8)
-    tg = distributed_pcg(
-        dist, B, x0=G,
-        precond=ground_problem.twogrid_preconditioner(), eps=1e-8,
-    )
-    assert tg.converged.all()
-    assert tg.loop_iterations < bj.loop_iterations
-
-
 @pytest.mark.parametrize("nparts", [2, 4])
 def test_matches_plain_global_solve_to_rounding(ground_problem, rhs, nparts):
     """Against the ordinary fused EBE solve only the reduction/scatter

@@ -15,14 +15,11 @@ Guarded regions:
   primitives);
 * what that loop calls on the stacked part-local layout —
   ``distributed.PartitionedReduction.dot`` / ``norm``,
-  ``distributed.PartLocalOperator.matvec``, and both preconditioner
-  ``apply`` bodies (per-part block-Jacobi and the gather/cycle/scatter
-  global family);
+  ``distributed.PartLocalOperator.matvec``, and the per-part
+  block-Jacobi ``apply``;
 * ``ebe.EBEOperator._sweep`` — the gather/apply/scatter sweep;
 * ``bcrs.BlockCRS._apply_block`` — the CSR SpMV fast path;
 * ``precond.BlockJacobi._apply_block`` — the block-Jacobi fast path;
-* ``twogrid.TwoGrid._cycle`` / ``_residual`` — the two-grid V-cycle
-  applied once per CG iteration;
 * ``predictor.datadriven.mgs_estimate`` — the data-driven predictor's
   per-step history regression, the one predictor kernel on the seam.
 
@@ -39,7 +36,7 @@ import pytest
 import repro
 from repro.core import methods, pipeline
 from repro.predictor import datadriven
-from repro.sparse import bcrs, cg, distributed, ebe, precond, twogrid
+from repro.sparse import bcrs, cg, distributed, ebe, precond
 
 FORBIDDEN_NAMES = {"np", "numpy"}
 
@@ -120,13 +117,10 @@ def test_distributed_closures_are_backend_pure(cls, method):
 
 
 def test_distributed_precond_closures_are_backend_pure():
-    """Both preconditioner adapters (the per-part default and the
-    global two-grid gather/cycle/scatter) run once per loop iteration
-    — each ``apply`` must stay on the seam."""
-    tree = _module_tree(distributed)
-    for cls in ("_PerPartPrecond", "_GatheredPrecond"):
-        fn = _find_method(tree, cls, "apply")
-        _assert_pure(f"distributed.{cls}.apply", fn.body)
+    """The per-part preconditioner adapter runs once per loop iteration
+    — its ``apply`` must stay on the seam."""
+    fn = _find_method(_module_tree(distributed), "_PerPartPrecond", "apply")
+    _assert_pure("distributed._PerPartPrecond.apply", fn.body)
 
 
 def _src_modules():
@@ -295,16 +289,6 @@ def test_bcrs_apply_is_backend_pure():
 def test_precond_apply_is_backend_pure():
     fn = _find_method(_module_tree(precond), "BlockJacobi", "_apply_block")
     _assert_pure("BlockJacobi._apply_block", fn.body)
-
-
-@pytest.mark.parametrize("method", ["_cycle", "_residual"])
-def test_twogrid_cycle_is_backend_pure(method):
-    """The V-cycle is the new per-iteration hot region: smoothing,
-    transfers and residuals all dispatch through ``bk.*``.  (No
-    ``_while_body`` here — the cycle's loops are bounded ``for``
-    sweeps; the whole body is hot.)"""
-    fn = _find_method(_module_tree(twogrid), "TwoGrid", method)
-    _assert_pure(f"TwoGrid.{method}", fn.body)
 
 
 def test_mgs_estimate_is_backend_pure():

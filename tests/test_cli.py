@@ -408,6 +408,10 @@ def test_predictorzoo_command(capsys, tmp_path):
 def test_predictorzoo_bad_grid_rejected():
     with pytest.raises(SystemExit, match="bad predictor study grid"):
         main(["predictorzoo", "--predictors", "broyden"])
+    with pytest.raises(SystemExit, match="bad predictor study grid"):
+        main(["predictorzoo", "--scenarios", "marsquake"])
+    with pytest.raises(SystemExit, match="bad predictor study grid"):
+        main(["predictorzoo", "--resolutions", "2,2,x"])
     with pytest.raises(SystemExit, match="jobs"):
         main(["predictorzoo", "--jobs", "0"])
 
@@ -419,33 +423,19 @@ def test_study_command_names_a_lost_anchor(capsys, monkeypatch):
 
     run_cells = CampaignRunner.run_cells
 
-    def lose_block_jacobi(self, cells):
+    def lose_data_driven(self, cells):
         outcomes = run_cells(self, cells)
         for o in outcomes:
-            if "precond" not in o.cell.params:
+            if o.cell.params.get("predictor") == "data-driven":
                 o.error = "boom"
         return outcomes
 
-    monkeypatch.setattr(CampaignRunner, "run_cells", lose_block_jacobi)
-    assert main(["twogrid", "--scenarios", "soft-soil", "--steps", "4"]) == 1
+    monkeypatch.setattr(CampaignRunner, "run_cells", lose_data_driven)
+    assert main(["predictorzoo", "--scenarios", "soft-soil", "--predictors",
+                 "data-driven,aitken", "--steps", "4"]) == 1
     out = capsys.readouterr().out
-    assert "FAILED twogrid/stratified/w0/ebe-mcg@cpu-gpu/2x2x1/soft-soil: boom" in out
-    assert ("ANCHOR bj missing in soft-soil/2x2x1: ratios are against twogrid"
-            in out)
-    assert "soft-soil  2x2x1  twogrid" in out
-
-
-def test_twogrid_command_shares_the_study_body(capsys):
-    """``twogrid`` and ``predictorzoo`` are one command body with two
-    studies plugged in: same flags, same failure messages."""
-    args = ["twogrid", "--scenarios", "soft-soil", "--resolutions", "2,2,1",
-            "--cases", "2", "--steps", "4"]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "two-grid vs block-Jacobi" in out and "soft-soil" in out
-    with pytest.raises(SystemExit, match="bad twogrid study grid"):
-        main(["twogrid", "--scenarios", "marsquake"])
-    with pytest.raises(SystemExit, match="bad twogrid study grid"):
-        main(["twogrid", "--resolutions", "2,2,x"])
-    with pytest.raises(SystemExit, match="jobs"):
-        main(["twogrid", "--jobs", "0"])
+    assert ("FAILED predictor/stratified/w0/ebe-mcg@cpu-gpu/2x2x1/soft-soil/"
+            "data-driven: boom") in out
+    assert ("ANCHOR data-driven missing in soft-soil/2x2x1: ratios are "
+            "against aitken") in out
+    assert "soft-soil  aitken" in out

@@ -89,7 +89,6 @@ def test_run_method_signature_pinned():
         ("waveform_dofs", keyword, None),
         ("nparts", keyword, 1),
         ("precision", keyword, None),
-        ("precond", keyword, "bj"),
         ("predictor", keyword, "auto"),
         ("start_state", keyword, None),
         ("checkpoint_every", keyword, 0),

@@ -10,12 +10,19 @@ label, cell order or checkpoint header is *meant* to change — every
 cached store and pending checkpoint is invalidated by such a change.
 
 The ``cells`` and ``checkpoint_headers`` sections use only entry points
-that exist on both sides of that refactor.  The ``backend`` axis has
-since been retired: the fixture's cells that carry it are no longer
-produced (the test drops them and checks the executor refuses them).  The ``studies`` section no
+that exist on both sides of that refactor.  The ``studies`` section no
 longer does: at ``d140743`` it called the five per-study cell builders
 of ``repro.studies`` at their defaults; since the study table replaced
-them (PR 16) it reads the same cells from ``SWEEP[name].cells()``.
+them it reads the same cells from ``SWEEP[name].cells()``.
+
+Two axes have since been retired, ``backend`` and ``precond``, and one
+rule covers both: what carries a retired value is no longer produced,
+and the test leaves it out of the comparison — the cells whose params
+name a retired axis (the executor must refuse each of them), the
+``twogrid`` study, and the checkpoint headers of two-grid runs (a
+resume must refuse each of them).  Everything else is still compared
+byte for byte; the surviving headers keep their parent names, whose
+middle segment is the retired ``precond`` axis's default, ``bj``.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE = REPO / "tests" / "campaign" / "fixtures" / "axes_parent.json"
 
-PRECONDS = ("bj", "twogrid")
 #: ``None`` stands for the method's own native predictor, named explicitly.
 PREDICTORS = ("auto", None, "aitken")
 
@@ -49,7 +55,6 @@ def composite_spec():
         scenarios=("impulse", "soft-soil"),
         nparts=(1, 2),
         precision=("fp64", "fp21"),
-        preconditioners=PRECONDS,
         predictors=("auto", "aitken"),
     )
 
@@ -63,7 +68,7 @@ def study_cells() -> dict:
     return {
         name: [[c.params, c.label] for c in SWEEP[name].cells()]
         for name in ("scenarios", "transprecision", "weakscaling",
-                     "twogrid", "predictors")
+                     "predictors")
     }
 
 
@@ -89,10 +94,10 @@ def checkpoint_headers() -> dict:
         ]
 
     out = {}
-    for method, precond, pred in itertools.product(METHODS, PRECONDS, PREDICTORS):
+    for method, pred in itertools.product(METHODS, PREDICTORS):
         name = NATIVE_PREDICTORS[method] if pred is None else pred
-        out[f"{method}/{precond}/{'native' if pred is None else pred}"] = headers(
-            method, precond=precond, predictor=name
+        out[f"{method}/bj/{'native' if pred is None else pred}"] = headers(
+            method, predictor=name
         )
     # the two axes the matrix above leaves at their defaults
     out["ebe-mcg@cpu-gpu/p2/fp21"] = headers(
