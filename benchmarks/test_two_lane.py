@@ -1,31 +1,32 @@
-"""Two lanes per heterogeneous step — where a second host thread pays.
+"""Two lanes per heterogeneous step — where a second host process pays.
 
-``HeterogeneousPipeline`` can step its two case sets on two threads,
-set A predicting then solving on the caller's while set B solves then
-predicts the next step on a lane thread (:mod:`repro.core.pipeline`).
-Each thread spends most of its time in kernels that release the GIL
-(the EBE GEMMs, ``take``, ``csr_matvecs``, LAPACK QR), so the two
-overlap on a 2-core box — once the kernels are long enough to cover
-the per-step thread handoff and the Python between them.
+``HeterogeneousPipeline`` can step its two case sets in two processes:
+after a ``run`` call's first step it forks once, and set B solves then
+predicts the next step in the worker while set A predicts then solves
+in the caller's process, one small message each way per step
+(:mod:`repro.core.pipeline`).  Neither process shares an interpreter
+lock with the other, so the two overlap on a 2-core box however short
+the kernels are; what a run pays is one fork, copy-on-write faults on
+the pages either process writes, and two pipe messages per step.
 
 For each mesh this bench times ``ebe-mcg@cpu-gpu`` runs with the lanes
 forced off (``MIN_LANE_WORK`` = inf) and forced on (0), in ``SAMPLES``
 back-to-back pairs, and reports each arm's best wall milliseconds per
 step and the median of the pairs' ratios (a shared box drifts between
-fast and slow spells lasting seconds; a pair sits within one).  The
-table is what sets :data:`repro.core.pipeline.MIN_LANE_WORK`: above
-the largest ``n_dofs * r`` at par, below the smallest winning one above
-it.  Over six runs on a shared 2-vCPU box the ``(4, 4, 2)`` mesh read
-0.81-1.17x, the stored ``(5, 5, 3)`` 1.08-1.47x and the grouped
-``(6, 6, 3)`` 0.98-1.33x (1.15x or more in four of the six; the box
-drifts, and in the slowest run ``(10, 10, 5)`` too fell to 1.20x).  Its
-class products are 10 stacked calls per sweep, one per class size; as
-36 GEMMs, each handing the GIL over, it read 0.97-1.11x.
-Asserted: at least 1.15x on every mesh the gate puts on two lanes
-(1.35-1.68x at ``(8, 8, 4)``, 1.20-1.68x at ``(10, 10, 5)`` measured).
-Run it with ``OPENBLAS_NUM_THREADS=1`` like the perf harness: a BLAS
-that threads every call on its own competes with the second lane for
-the cores.
+fast and slow spells lasting seconds; a pair sits within one).  Each
+sample is one ``run_method`` call, so its fork is in the two-lane time.
+Over three runs on a shared 2-vCPU box every mesh gained: ``(3, 3, 2)``
+at 2 cases 1.30-1.51x, ``(4, 4, 2)`` 1.32-1.62x, ``(5, 5, 3)``
+1.45-1.67x, the grouped ``(6, 6, 3)`` 1.55-1.72x, ``(8, 8, 4)``
+1.39-1.70x and ``(10, 10, 5)`` 1.46-1.68x (a second lane thread read
+0.79-1.45x here).  A fourth run, made while other jobs took the cores,
+read 1.02x at ``(5, 5, 3)`` and failed the assertion: the bench needs
+both cores to itself.  :data:`repro.core.pipeline.MIN_LANE_WORK` stays
+above the campaign grid's ``(3, 3, 2)`` cells, whose ``run`` calls are
+8-step checkpoint chunks.  Asserted: at least 1.15x on every mesh the
+gate puts on two lanes.  Run it with ``OPENBLAS_NUM_THREADS=1`` like
+the perf harness: a BLAS that threads every call on its own competes
+with the second lane for the cores.
 """
 
 from __future__ import annotations

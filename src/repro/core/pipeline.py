@@ -17,20 +17,26 @@ and the modeled devices, plus its own keys of a snapshot:
   time <= solver time, the predictor is completely hidden — the paper's
   central scheduling claim.
 
-On the host the heterogeneous schedule overlaps the sets too: from
-:data:`MIN_LANE_WORK` on, set B's chain runs on a second thread while
-set A's runs on the caller's, joined once per step.  Every buffer both
-sets reach is per thread (:class:`~repro.util.lanes.LaneLocal`), so
-records, states and checkpoints are byte-identical to one thread, and
+On the host the heterogeneous schedule overlaps the sets too, on two
+processes: from :data:`MIN_LANE_WORK` on, a ``run`` call forks once
+after its first step, and a worker process steps set B's chain (solve,
+then the next step's predict) while the caller's process steps set A's,
+joined once per step by a small message over a pipe.  Each process
+keeps its own sweep scratch and tally stack, so nothing both sets reach
+is shared; the worker hands set B's snapshot back when the call ends.
+Records, states and checkpoints are byte-identical to one lane, and
 results match a sequential per-case run to rounding (the fused
 multi-RHS kernels order flops differently, nothing more).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+import os
+import pickle
+import signal
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass, field, replace
+from multiprocessing import Pipe
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,14 +58,24 @@ from repro.util.timeline import Timeline
 __all__ = ["CaseSet", "StepDriver", "SequentialSchedule",
            "HeterogeneousPipeline", "MIN_LANE_WORK"]
 
-#: Fewest ``n_dofs * r`` per case set at which a heterogeneous step runs
-#: its sets on two threads: above the ``(4, 4, 2)`` mesh at 8 cases
-#: (4 860; 0.81-1.17x), below ``(5, 5, 3)`` (10 164; 1.08-1.47x) and the
-#: grouped ``(6, 6, 3)`` (14 196; 0.98-1.33x, six runs on a shared
-#: 2-vCPU box).  One-lane against two-lane host time per step:
-#: ``benchmarks/results/two_lane.txt``, written by
+#: Fewest ``n_dofs * r`` per case set at which a heterogeneous ``run``
+#: steps set B in a forked worker process.  The process lane paid on
+#: every mesh measured, from ``(3, 3, 2)`` at 2 cases (735; 1.30-1.51x
+#: over 100-step runs) to ``(10, 10, 5)`` (58 212; 1.46-1.68x), the
+#: grouped ``(6, 6, 3)`` at 1.55-1.72x (three runs on a shared 2-vCPU
+#: box); the gate stays above the test meshes and the campaign grid's
+#: ``(3, 3, 2)`` cells, whose ``run`` calls are 8-step checkpoint
+#: chunks, so neither forks.  One-lane against two-lane host time per
+#: step: ``benchmarks/results/two_lane.txt``, written by
 #: ``benchmarks/test_two_lane.py``.
 MIN_LANE_WORK = 8192
+
+
+def _follow(s: int, predictors) -> None:
+    """Set every predictor that follows the adaptive controller to ``s``."""
+    for p in predictors:
+        if hasattr(p, "set_s"):
+            p.set_s(s)
 
 
 def _s_effective(cs: "CaseSet") -> int | None:
@@ -332,9 +348,8 @@ class StepDriver:
     """The loop over time steps, and what every schedule of it shares.
 
     A schedule provides ``sets`` — its :class:`CaseSet` objects, in case
-    order — a ``timeline``, and ``_step(it, lane)``, which advances them
-    all by one time step, with ``lane`` (an executor, or ``None``) as a
-    second thread it may use, and returns the step's record (built by
+    order — a ``timeline``, and ``_step(it)``, which advances them all
+    by one time step and returns the step's record (built by
     :meth:`_record`).  For checkpoints it provides only its own keys:
     ``_STATE_KEYS``, ``save_state()`` returning them in that (on-disk)
     order, and ``load_state(doc)`` reading them back.  The driver owns
@@ -356,24 +371,29 @@ class StepDriver:
         Calling ``run`` again continues seamlessly: ``run(nt); run(nt)``
         produces the same records and makespan as ``run(2 * nt)``.
 
-        If :meth:`_two_lanes`, a second thread lives for this call and
-        every step but its first gets it as ``lane``: the first builds
-        every operator and plan the sets share on one thread.
+        If :meth:`_two_lanes`, the schedule's :meth:`_second_lane` is
+        entered after the call's first step (which builds every
+        operator and plan the sets share) and left before ``run``
+        returns or raises.
         """
         start_step = self.records[-1].step + 1 if self.records else 1
         dofs = self.waveform_dofs
-        with ThreadPoolExecutor(1, "lane") if self._two_lanes() else nullcontext() as lane:
+        with ExitStack() as lanes:
             for it in range(start_step, start_step + nt):
-                self.records.append(
-                    self._step(it, lane if it > start_step else None))
+                if it == start_step + 1 and self._two_lanes():
+                    lanes.enter_context(self._second_lane())
+                self.records.append(self._step(it))
                 if dofs is not None:
-                    self._waves.append(np.concatenate(
-                        [cs.displacements()[dofs].T for cs in self.sets]))
+                    self._waves.append(self._frame(dofs))
 
     def _two_lanes(self) -> bool:
-        """Whether steps run on two threads (only the heterogeneous
+        """Whether steps run on two processes (only the heterogeneous
         schedule's may)."""
         return False
+
+    def _frame(self, dofs: np.ndarray) -> np.ndarray:
+        """The step's waveform frame: every set's rows at ``dofs``."""
+        return np.concatenate([cs.displacements()[dofs].T for cs in self.sets])
 
     @staticmethod
     def _record(it: int, results: Sequence[CGResult], **costs) -> StepRecord:
@@ -480,7 +500,7 @@ class SequentialSchedule(StepDriver):
     # skip the overlap queues (keeps long runs O(1))
     timeline: Timeline = field(default_factory=lambda: Timeline(track_overlap=False))
 
-    def _step(self, it: int, lane: Executor | None = None) -> StepRecord:
+    def _step(self, it: int) -> StepRecord:
         tl = self.timeline
         t0 = tl.makespan
         results, s_vals = [], []
@@ -533,6 +553,9 @@ class HeterogeneousPipeline(StepDriver):
     c2c : the strongly-connected CPU<->GPU transfer model.
     controller : optional adaptive-``s`` controller; when given, every
         predictor with a ``set_s`` method follows it.
+
+    A ``run`` call whose sets reach :data:`MIN_LANE_WORK` steps set B in
+    a worker process (:class:`_SetBWorker`) from its second step on.
     """
 
     set_a: CaseSet
@@ -549,6 +572,10 @@ class HeterogeneousPipeline(StepDriver):
     # None when set B's predictor keeps no history length (see
     # ``_s_effective``); 0 only as the pre-bootstrap default
     _next_s_b: int | None = field(default=0, repr=False)
+    # the process stepping set B during a two-lane run() call; while it
+    # lives, set B's state here is the fork's and only the worker's moves
+    _worker: "_SetBWorker | None" = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     @property
     def sets(self) -> tuple[CaseSet, CaseSet]:
@@ -570,9 +597,42 @@ class HeterogeneousPipeline(StepDriver):
         return self.c2c.time(nbytes)
 
     def _two_lanes(self) -> bool:
-        return self.set_b.problem.n_dofs * self.set_b.r >= MIN_LANE_WORK
+        return (hasattr(os, "fork")
+                and self.set_b.problem.n_dofs * self.set_b.r >= MIN_LANE_WORK)
 
-    def _step(self, it: int, lane: Executor | None = None) -> StepRecord:
+    @contextmanager
+    def _second_lane(self):
+        """Set B moves to a forked worker for the rest of a ``run`` call.
+        The worker is reaped on every way out; on success its set B
+        snapshot and carried prediction are loaded back first, so
+        snapshots and final states see the true set B."""
+        self._worker = _SetBWorker(self)
+        try:
+            yield
+            self._next_guesses_b = self._worker.finish(self.set_b)
+            if self.controller is not None:
+                # the last step's update reached only the fork's copy
+                _follow(self.controller.s, self.set_b.predictors)
+        finally:
+            self._worker.reap()
+            self._worker = None
+
+    def _frame(self, dofs: np.ndarray) -> np.ndarray:
+        if self._worker is None:
+            return super()._frame(dofs)
+        return np.concatenate([self.set_a.displacements()[dofs].T,
+                               self._worker.rows])
+
+    def _chain_b(self, it: int) -> tuple[CGResult, KernelTally, KernelTally,
+                                         int | None]:
+        """Set B's share of step ``it``: solve it on the carried guesses,
+        then predict step ``it + 1`` (kept for the next step).  Returns
+        the solve, both tallies and the predictors' ``s_effective``."""
+        res, ts = self.set_b.solve(it, self._next_guesses_b)
+        self._next_guesses_b, tp = self.set_b.predict(it + 1)
+        return res, ts, tp, _s_effective(self.set_b)
+
+    def _step(self, it: int) -> StepRecord:
         tl = self.timeline
         lanes = ["cpu", "gpu", "c2c", "nic"]
 
@@ -587,33 +647,25 @@ class HeterogeneousPipeline(StepDriver):
             self._next_s_b = _s_effective(self.set_b)
             tl.schedule("cpu", "predictor", self.set_b.predictor_time(self.cpu, tp))
             tl.barrier(lanes)
-        guesses_b, s_used_b = self._next_guesses_b, self._next_s_b
+        s_used_b = self._next_s_b
 
         t0 = tl.makespan
 
-        # The sets share no state, so each runs its chain on its own
-        # thread: set A predicts then solves, set B solves then predicts
-        # the next step.  Phase A pairs predictor(A) with solver(B),
-        # phase B solver(A) with predictor(B); in one address space the
-        # mid-step C2C exchange moves nothing, so the lanes join once.
-        def chain_a():
-            guesses, tp = self.set_a.predict(it)
-            return (tp, _s_effective(self.set_a), *self.set_a.solve(it, guesses))
-
-        def chain_b():
-            res, ts = self.set_b.solve(it, guesses_b)
-            guesses, tp = self.set_b.predict(it + 1)
-            return res, ts, guesses, tp, _s_effective(self.set_b)
-
-        future = None if lane is None else lane.submit(chain_b)
-        try:
-            tp_a, s_used_a, res_a, ts_a = chain_a()
-        finally:
-            # set B's lane ends before any error leaves; set A's wins
-            if future is not None:
-                future.exception()
-        res_b, ts_b, self._next_guesses_b, tp_b, self._next_s_b = (
-            chain_b() if future is None else future.result())
+        # The sets share no state, so each runs its own chain — set B's
+        # in the worker process when there is one: set A predicts then
+        # solves, set B solves then predicts the next step.  Phase A
+        # pairs predictor(A) with solver(B), phase B solver(A) with
+        # predictor(B); the host joins the chains once per step.  An
+        # error of set A's leaves first; set B's is raised after it.
+        worker = self._worker
+        if worker is not None:
+            worker.send(it, None if self.controller is None
+                        else self.controller.s)
+        guesses_a, tp_a = self.set_a.predict(it)
+        s_used_a = _s_effective(self.set_a)
+        res_a, ts_a = self.set_a.solve(it, guesses_a)
+        res_b, ts_b, tp_b, self._next_s_b = (
+            self._chain_b(it) if worker is None else worker.receive())
 
         # the modeled devices, in Algorithm 3's order
         # ---- phase A: predictor(A)@CPU || solver(B)@GPU ----
@@ -647,10 +699,8 @@ class HeterogeneousPipeline(StepDriver):
         if self.controller is not None:
             t_pred = max(t_cpu_a, t_cpu_b)
             t_solve = max(t_gpu_a, t_gpu_b)
-            s_new = self.controller.update(t_pred, t_solve)
-            for p in (*self.set_a.predictors, *self.set_b.predictors):
-                if hasattr(p, "set_s"):
-                    p.set_s(s_new)
+            _follow(self.controller.update(t_pred, t_solve),
+                    (*self.set_a.predictors, *self.set_b.predictors))
 
         return self._record(
             it, (res_a, res_b),
@@ -704,3 +754,120 @@ class HeterogeneousPipeline(StepDriver):
                     "has no controller"
                 )
             self.controller.load_state_dict(doc["controller"])
+
+
+class _SetBWorker:
+    """Set B of one two-lane ``run`` call of a
+    :class:`HeterogeneousPipeline`, stepped in a child process made by
+    ``os.fork`` (not ``multiprocessing.Process``: a campaign pool
+    worker is daemonic and may not have one).
+
+    The child inherits the pipeline as it stands — set B, the operators
+    and plans its first step built, the carried prediction — so nothing
+    is pickled on the way in.  Each step the parent sends ``(it, s)``
+    (``s``: the controller's latest history length, ``None`` without a
+    controller) and later takes the reply: set B's solve (without its
+    solution), both tallies, its ``s_effective`` and, with waveforms
+    recorded, its rows at ``waveform_dofs`` (:attr:`rows`).  An error of
+    set B's chain comes back as the error itself, to be raised in the
+    parent.  The child blocks on its pipe between steps, never spins,
+    and exits on EOF when the parent is gone.
+    """
+
+    def __init__(self, pipe: HeterogeneousPipeline) -> None:
+        self.rows: np.ndarray | None = None
+        self._conn, conn = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                self._conn.close()
+                _serve_set_b(pipe, conn)
+                code = 0
+            finally:  # never return into the parent's code
+                os._exit(code)
+        conn.close()
+
+    def send(self, it: int, s: int | None) -> None:
+        self._conn.send((it, s))
+
+    def receive(self):
+        """The child's reply to the last :meth:`send` (or
+        :meth:`finish`); raises set B's error if its chain failed."""
+        try:
+            kind, payload = self._conn.recv()
+        except EOFError:
+            raise RuntimeError("set B's worker process ended without "
+                               "replying") from None
+        if kind == "error":
+            raise payload
+        if kind == "step":
+            *payload, self.rows = payload
+        return payload
+
+    def finish(self, cs: CaseSet) -> np.ndarray:
+        """End the child's loop and load its set B snapshot into ``cs``;
+        returns set B's carried prediction for the next step.  Each
+        predictor's history comes in its own message, received while
+        the load iterates over them: the whole snapshot in flight at
+        once, pickled and unpickled, would add twice its size to the
+        parent's peak memory."""
+        self._conn.send(None)
+        doc, guesses = self.receive()
+        doc["predictors"] = _Replies(self, cs.r)
+        cs.load_state_dict(doc)
+        return guesses
+
+    def reap(self) -> None:
+        """Stop the child — at once, if it is still stepping after an
+        error — and collect it."""
+        self._conn.close()
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _serve_set_b(pipe: HeterogeneousPipeline, conn) -> None:
+    """The worker's loop: step set B's chain for each ``(it, s)`` until
+    ``None`` arrives, then reply with set B's snapshot."""
+    dofs = pipe.waveform_dofs
+    while (msg := conn.recv()) is not None:
+        it, s = msg
+        try:
+            if s is not None:
+                _follow(s, pipe.set_b.predictors)
+            res, ts, tp, s_eff = pipe._chain_b(it)
+            rows = (None if dofs is None
+                    else pipe.set_b.displacements()[dofs].T)
+        except Exception as exc:
+            conn.send(("error", _portable(exc)))
+            return
+        conn.send(("step", (replace(res, x=None), ts, tp, s_eff, rows)))
+    doc = pipe.set_b.state_dict()
+    predictors = doc.pop("predictors")
+    conn.send(("state", (doc, pipe._next_guesses_b)))
+    for d in predictors:
+        conn.send(("state", d))
+
+
+class _Replies:
+    """``n`` further replies of ``worker``, each received when iteration
+    reaches it (a sized stand-in for a list of them)."""
+
+    def __init__(self, worker: _SetBWorker, n: int) -> None:
+        self.worker, self.n = worker, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return (self.worker.receive() for _ in range(self.n))
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives pickling, else a ``RuntimeError`` naming
+    its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc

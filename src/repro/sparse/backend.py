@@ -20,18 +20,16 @@ vector takes scipy's single-vector SpMV, a large block is scaled
 through a wide view.  The grouped EBE apply (one GEMM per element
 class; no golden groups) agrees with the stored sweep to rounding.
 
-There is one engine.  The seam stays a class because it owns the
-per-lane scratch (:class:`~repro.util.lanes.LaneLocal`) and because a
-test can hand any constructor (or ``pcg``) a subclass that counts or
-regroups its primitives; :func:`as_backend` resolves ``None`` to one
-shared instance.
+There is one engine.  The seam stays a class because it owns its
+scratch (the column-scaling tiles, the grouped product's views) and
+because a test can hand any constructor (or ``pcg``) a subclass that
+counts or regroups its primitives; :func:`as_backend` resolves
+``None`` to one shared instance.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.util.lanes import LaneLocal
 
 try:  # scipy's C kernels that accumulate A @ X into a caller buffer
     from scipy.sparse import _sparsetools as _spt
@@ -69,10 +67,11 @@ class ArrayBackend:
     """
 
     def __init__(self) -> None:
-        # per lane (thread): r -> ((_TILE, r), (_TILE * r,)) views of one
-        # scale scratch, and the last grouped product's (A, offsets, X,
-        # out) and stacked GEMM views
-        self._lane = LaneLocal(tiles=dict, groups=lambda: ((None,) * 4, []))
+        # r -> ((_TILE, r), (_TILE * r,)) views of one scale scratch, and
+        # the last grouped product's (A, offsets, X, out) and stacked
+        # GEMM views
+        self._tiles: dict = {}
+        self._groups: tuple = ((None,) * 4, [])
 
     # -- workspace allocation -----------------------------------------
     def empty(self, shape) -> np.ndarray:
@@ -142,7 +141,7 @@ class ArrayBackend:
         if r == 1 or m < k or not (V.flags.c_contiguous
                                    and out.flags.c_contiguous):
             return np.multiply(V, s, out=out)
-        tiles = self._lane.tiles
+        tiles = self._tiles
         tile = tiles.get(r)
         if tile is None:
             flat = np.empty(k * r)
@@ -207,7 +206,7 @@ class ArrayBackend:
         # kept for the next call on the same arrays (a sweep's, every pcg
         # iteration), compared by identity: the cache holds the arrays,
         # so no id is reused while they are kept
-        arrays, gemms = self._lane.groups
+        arrays, gemms = self._groups
         if not all(a is b for a, b in zip(arrays, (A, offsets, X, out))):
             r, sizes, rows = X.shape[1], np.diff(offsets), (d * offsets).tolist()
             runs = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), m]
@@ -216,7 +215,7 @@ class ArrayBackend:
                 shape = (e - c, d, int(sizes[c]) * r)
                 gemms.append((A[c:e], X[rows[c]:rows[e]].reshape(shape),
                               out[rows[c]:rows[e]].reshape(shape)))
-            self._lane.groups = ((A, offsets, X, out), gemms)
+            self._groups = ((A, offsets, X, out), gemms)
         for a, x, y in gemms:
             np.matmul(a, x, out=y)
         return out

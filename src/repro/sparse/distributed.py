@@ -50,7 +50,6 @@ from repro.sparse.backend import ArrayBackend, as_backend
 from repro.sparse.cg import CGResult, PCGWorkspace, pcg
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.precond import BlockJacobi
-from repro.util.lanes import LaneLocal
 
 __all__ = ["PartitionedReduction", "PartLocalOperator", "part_block_jacobi",
            "distributed_pcg"]
@@ -71,18 +70,18 @@ class PartitionedReduction:
                  backend: ArrayBackend | None = None) -> None:
         self.groups = [np.asarray(g, dtype=np.int64) for g in groups]
         self.backend = as_backend(backend)
-        # per lane: partial sum and per-group gather buffers, held
-        # across calls (re-made only when the column count changes)
-        self._lane = LaneLocal(buffers=lambda: (None, []))
+        # partial sum and per-group gather buffers, held across calls
+        # (re-made only when the column count changes)
+        self._buffers: tuple = (None, [])
 
     def dot(self, V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
         bk = self.backend
-        partial, owned = self._lane.buffers
+        partial, owned = self._buffers
         if partial is None or partial.shape != out.shape:
             partial = bk.empty(out.shape)
             owned = [(bk.empty((g.size, out.size)),
                       bk.empty((g.size, out.size))) for g in self.groups]
-            self._lane.buffers = (partial, owned)
+            self._buffers = (partial, owned)
         out[...] = 0.0
         for g, (VO, WO) in zip(self.groups, owned):
             bk.gather_rows(V, g, VO)

@@ -38,10 +38,11 @@ its sums differently).
 
 The fused multi-RHS path applies all ``r`` case vectors inside one
 sweep — the paper's Eq. 9, which cuts the random access per case to
-``1/r`` — within element buffers made once per width and thread (each
-lane of a two-lane step has its own pair, shared by all its operators),
-so steady-state applications (every ``pcg`` iteration of a campaign
-cell) allocate nothing.
+``1/r`` — within element buffers made once per width and per process
+(one pair shared by all operators; the two case sets of a two-lane
+heterogeneous step run in two processes, each with its own), so
+steady-state applications (every ``pcg`` iteration of a campaign cell)
+allocate nothing.
 
 The host execution stores ``A_e`` (per element or per class) in memory
 and runs the sweep through :class:`~repro.sparse.backend.ArrayBackend`
@@ -62,7 +63,6 @@ from repro.sparse.backend import ArrayBackend, as_backend, check_out
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import ebe_traffic
 from repro.util import counters
-from repro.util.lanes import LaneLocal
 
 __all__ = ["EBEOperator", "MIN_MEAN_CLASS_SIZE", "class_groups"]
 
@@ -84,16 +84,16 @@ def class_groups(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return (rep, labels) if labels.size >= MIN_MEAN_CLASS_SIZE * rep.size else None
 
 
-# per lane (thread): the sweep buffers by (kind, shape) — one ``xe`` /
-# ``ye`` pair of each ``(30 ne, r)`` shared by every operator the lane
-# applies (A, M and C alike), plus staging for strided operands
-_LANE = LaneLocal(buffers=dict)
+# the sweep buffers by (kind, shape), per process — one ``xe`` / ``ye``
+# pair of each ``(30 ne, r)`` shared by every operator (A, M and C
+# alike), plus staging for strided operands
+_BUFFERS: dict[tuple[str, tuple[int, int]], np.ndarray] = {}
 
 
-def _lane_buffer(kind: str, shape: tuple[int, int]) -> np.ndarray:
-    buf = _LANE.buffers.get((kind, shape))
+def _sweep_buffer(kind: str, shape: tuple[int, int]) -> np.ndarray:
+    buf = _BUFFERS.get((kind, shape))
     if buf is None:
-        buf = _LANE.buffers[kind, shape] = np.empty(shape)
+        buf = _BUFFERS[kind, shape] = np.empty(shape)
     return buf
 
 
@@ -243,7 +243,7 @@ class EBEOperator:
         ``out`` (block shape ``(n, r)``, C-contiguous, else
         ``ValueError``) receives the result without allocating;
         otherwise a fresh array is returned (the sweep itself runs in
-        the calling lane's element buffers).
+        the process's element buffers).
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -265,10 +265,10 @@ class EBEOperator:
         bounds re-checks)."""
         bk = self.backend
         if not X.flags.c_contiguous:  # the primitives take C-contiguous blocks
-            X = bk.copy(_lane_buffer("x", X.shape), X)
+            X = bk.copy(_sweep_buffer("x", X.shape), X)
         gather, mats, offsets, incidence = self._plan
         shape = (30 * self.n_elems, X.shape[1])
-        xe, ye = _lane_buffer("xe", shape), _lane_buffer("ye", shape)
+        xe, ye = _sweep_buffer("xe", shape), _sweep_buffer("ye", shape)
         w = X.shape[1] * (1 if self.classes is not None else 3)  # row width
         bk.gather_rows(X.reshape(-1, w), gather, xe.reshape(-1, w))
         bk.quantize_store(xe, self.precision)  # storage-format gather

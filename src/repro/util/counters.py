@@ -27,8 +27,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.util.lanes import LaneLocal
-
 
 @dataclass
 class KernelRecord:
@@ -102,29 +100,27 @@ class KernelTally:
         return out
 
 
-# the open scopes, per thread: each lane of a two-lane step charges its
-# own set's tallies
-_ACTIVE = LaneLocal(stack=list)
+# the open scopes, innermost last
+_ACTIVE: list[KernelTally] = []
 
 
 def active_tally() -> KernelTally | None:
-    """The innermost tally this thread opened by :func:`tally_scope`, if any."""
-    return _ACTIVE.stack[-1] if _ACTIVE.stack else None
+    """The innermost tally opened by :func:`tally_scope`, if any."""
+    return _ACTIVE[-1] if _ACTIVE else None
 
 
 def charge(tag: str, flops: float, bytes_: float, calls: int = 1) -> None:
     """Charge work to the active tally (no-op when none is active)."""
-    stack = _ACTIVE.stack
-    if stack:
-        stack[-1].charge(tag, flops, bytes_, calls)
+    if _ACTIVE:
+        _ACTIVE[-1].charge(tag, flops, bytes_, calls)
 
 
 @contextlib.contextmanager
 def tally_scope(tally: KernelTally | None = None) -> Iterator[KernelTally]:
-    """Route this thread's :func:`charge` calls to ``tally`` for the scope."""
+    """Route :func:`charge` calls to ``tally`` for the scope."""
     t = tally if tally is not None else KernelTally()
-    _ACTIVE.stack.append(t)
+    _ACTIVE.append(t)
     try:
         yield t
     finally:
-        _ACTIVE.stack.pop()
+        _ACTIVE.pop()

@@ -1,25 +1,21 @@
 """The two-lane heterogeneous step is invisible in every output.
 
 ``HeterogeneousPipeline`` runs set B's chain (solve, then the next
-step's predict) on a second thread while set A predicts and solves on
-the caller's, once a set's ``n_dofs * r`` reaches ``MIN_LANE_WORK``.
-Here the gate is forced open (``MIN_LANE_WORK = 0``) and the interpreter
-switches threads every 10 us, so the lanes interleave finely through
-every buffer both sets reach; records, final states, the modeled
-timeline and a mid-run checkpoint must equal the one-lane run's byte
-for byte.  Every buffer both sets reach is a
-``repro.util.lanes.LaneLocal``; sharing the tally stack, the EBE element
-buffers or the partitioned reduction's scratch again fails here.  (The
-backend's column-scaling scratch, reached by the grouped ``(4, 4, 2)``
-problem, races only within one microseconds-long multiply: too narrow
-a window to fail reliably at these sizes.)
+step's predict) in a forked worker process while set A predicts and
+solves in the caller's, once a set's ``n_dofs * r`` reaches
+``MIN_LANE_WORK``.  Here the gate is forced open (``MIN_LANE_WORK = 0``);
+records, final states, waveforms, the modeled timeline and a mid-run
+checkpoint must equal the one-lane run's byte for byte, so the worker's
+replies and the set B snapshot it hands back when a ``run`` call ends
+lose nothing.  Every solve appends its process id to a file: the
+one-lane run solves in this process only, the two-lane run in a second
+one too, and no worker outlives the ``run_method`` call that made it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import sys
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -34,16 +30,8 @@ from repro.sparse import ebe
 from repro.workloads.ground import build_ground_problem, stratified_model
 from repro.workloads.scenario import scenario_by_name
 
-STEPS, EVERY = 4, 2  # two run() calls: steps 2 and 4 take two lanes
+STEPS, EVERY = 4, 2  # two run() calls: step 2 and step 4 run in the worker
 NEVER = float("inf")
-
-
-@pytest.fixture(autouse=True)
-def fine_switching():
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    yield
-    sys.setswitchinterval(old)
 
 
 def _problem(material=None):
@@ -79,41 +67,59 @@ def _forces(problem, kind, n_cases=4):
             for i in range(n_cases)]
 
 
-def _journal(monkeypatch, tmp_path, gate, problem, forces, method, **kw):
-    """One run at ``MIN_LANE_WORK = gate`` as journal bytes: its mid-run
-    checkpoint, then its records, timeline and final u/v/a; and whether
-    any solve ran off the caller's thread."""
-    monkeypatch.setattr(pipeline, "MIN_LANE_WORK", gate)
-    solve, threads = CaseSet.solve, set()
+def _solving_pids(monkeypatch, path):
+    """Make every solve append its process id to ``path``; returns the
+    reader of the ids appended so far."""
+    solve = CaseSet.solve
 
-    def traced_solve(self, it, guesses):
-        threads.add(threading.current_thread())
+    def witnessed_solve(self, it, guesses):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
         return solve(self, it, guesses)
 
-    monkeypatch.setattr(CaseSet, "solve", traced_solve)
+    monkeypatch.setattr(CaseSet, "solve", witnessed_solve)
+    return lambda: {int(line) for line in path.read_text().split()}
+
+
+def _assert_reaped(pids):
+    """Every process but this one is a child already collected: no
+    worker outlives the run that made it."""
+    for pid in pids - {os.getpid()}:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _journal(monkeypatch, tmp_path, gate, problem, forces, method,
+             steps=STEPS, every=EVERY, s_range=(2, 4), **kw):
+    """One run at ``MIN_LANE_WORK = gate`` as journal bytes: its mid-run
+    checkpoints, then its records, timeline, final u/v/a and waveforms;
+    and the ids of the processes that solved."""
+    monkeypatch.setattr(pipeline, "MIN_LANE_WORK", gate)
+    pids = _solving_pids(monkeypatch, tmp_path / f"{gate}.pids")
     path = tmp_path / f"{gate}.jsonl"
 
     def flush(state):
         append_campaign_checkpoint({"key": "k", "kind": "method", "params": {},
                                     "step": state["step"], "state": state}, path)
 
-    result = run_method(problem, forces, STEPS, method, s_range=(2, 4),
-                        checkpoint_every=EVERY,
-                        on_checkpoint=flush, **kw)
-    flush({"step": STEPS, "records": [r.to_dict() for r in result.records],
+    result = run_method(problem, forces, steps, method, s_range=s_range,
+                        checkpoint_every=every, on_checkpoint=flush, **kw)
+    flush({"step": steps, "records": [r.to_dict() for r in result.records],
            "timeline": result.timeline.state_dict(),
-           "final": [[s.u, s.v, s.a] for s in result.final_states]})
-    return path.read_bytes(), threads != {threading.main_thread()}
+           "final": [[s.u, s.v, s.a] for s in result.final_states],
+           "waves": result.waveforms})
+    return path.read_bytes(), pids()
 
 
 def _assert_lanes_invisible(monkeypatch, tmp_path, problem, forces, method,
-                            gate=0, **kw):
-    one, off_main = _journal(monkeypatch, tmp_path, NEVER, problem, forces,
-                             method, **kw)
-    assert not off_main
-    two, off_main = _journal(monkeypatch, tmp_path, gate, problem, forces,
-                             method, **kw)
-    assert off_main  # the lanes did run
+                            gate=0, runs=2, **kw):
+    one, pids = _journal(monkeypatch, tmp_path, NEVER, problem, forces,
+                         method, **kw)
+    assert pids == {os.getpid()}
+    two, pids = _journal(monkeypatch, tmp_path, gate, problem, forces,
+                         method, **kw)
+    assert len(pids) == 1 + runs  # here, and one worker per run() call
+    _assert_reaped(pids)
     assert two == one
 
 
@@ -140,6 +146,25 @@ def test_material_updates_sources_and_classes_under_two_lanes(
                             _forces(problem, kind), "ebe-mcg@cpu-gpu")
 
 
+def test_waveforms_under_two_lanes(monkeypatch, tmp_path, problems):
+    """Set B's rows at ``waveform_dofs`` come back with every reply."""
+    problem = problems["linear"]
+    _assert_lanes_invisible(monkeypatch, tmp_path, problem,
+                            _forces(problem, "linear"), "ebe-mcg@cpu-gpu",
+                            waveform_dofs=np.arange(0, problem.n_dofs, 17))
+
+
+def test_the_worker_follows_the_controller(monkeypatch, tmp_path, problems):
+    """Two ``run`` calls of 4 steps, 3 of each in the worker: the
+    controller lengthens ``s`` every step, past the value the fork
+    inherited, and set B's predictors follow it there — up to the last
+    step's update, which the checkpoint after each call holds."""
+    problem = problems["linear"]
+    _assert_lanes_invisible(monkeypatch, tmp_path, problem,
+                            _forces(problem, "linear"), "ebe-mcg@cpu-gpu",
+                            steps=8, every=4, s_range=(2, 32))
+
+
 def test_the_headline_mesh_takes_two_lanes_at_the_default_gate(monkeypatch,
                                                                 tmp_path):
     """``hetero-3k``'s shape — the grouped ``(6, 6, 3)`` mesh, 8 cases —
@@ -160,20 +185,24 @@ def _lane_run() -> bytes:
 
 
 def test_a_fork_child_runs_two_lanes_after_its_parent(monkeypatch):
-    """A lane is a thread of one ``run`` call, gone when it returns: a
-    fork child inherits no executor whose worker it lacks (a
-    module-level one hangs here)."""
+    """A worker is a child of one ``run`` call, gone when it returns; a
+    daemonic pool worker may fork one too (``multiprocessing.Process``
+    could not)."""
     monkeypatch.setattr(pipeline, "MIN_LANE_WORK", 0)
     here = _lane_run()
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply_async(_lane_run).get(timeout=30) == here
 
 
-def test_a_lane_error_reraises_after_both_lanes_end(monkeypatch):
+def _assert_source_error_reraised(monkeypatch, tmp_path, case):
+    """Case ``case``'s source fails at step 3: its error leaves
+    ``run_method`` with its own type and message, and the worker is
+    collected first."""
     monkeypatch.setattr(pipeline, "MIN_LANE_WORK", 0)
+    pids = _solving_pids(monkeypatch, tmp_path / "pids")
     problem = _problem()
     forces = _forces(problem, "linear")
-    inner = forces[3]  # a set-B case
+    inner = forces[case]
 
     def failing(it):
         if it == 3:
@@ -182,8 +211,19 @@ def test_a_lane_error_reraises_after_both_lanes_end(monkeypatch):
         inner.evaluate(it, out)
         return out
 
-    baseline = threading.active_count()
-    with pytest.raises(RuntimeError, match="step 3"):
-        run_method(problem, [*forces[:3], failing], STEPS, "ebe-mcg@cpu-gpu",
-                   s_range=(2, 4))
-    assert threading.active_count() == baseline
+    forces[case] = failing
+    with pytest.raises(RuntimeError, match="^source failed at step 3$"):
+        run_method(problem, forces, STEPS, "ebe-mcg@cpu-gpu", s_range=(2, 4))
+    assert len(pids()) == 2
+    _assert_reaped(pids())
+
+
+def test_a_lane_error_reraises_after_both_lanes_end(monkeypatch, tmp_path):
+    """Set B's source (case 3) fails in the worker process."""
+    _assert_source_error_reraised(monkeypatch, tmp_path, 3)
+
+
+def test_a_set_a_error_leaves_after_the_worker_is_reaped(monkeypatch,
+                                                         tmp_path):
+    """Set A's source (case 0) fails while the worker steps set B."""
+    _assert_source_error_reraised(monkeypatch, tmp_path, 0)

@@ -19,12 +19,13 @@ from repro.core.methods import run_method
 from repro.io.spill import RecordLog, WaveLog
 from repro.workloads.ground import build_ground_problem, stratified_model
 
-SHORT, LONG = 200, 600
+SHORT, LONG = 100, 300
 KEEP = 64
-#: Peak growth allowed over the LONG - SHORT extra steps: 20 bytes per
-#: step.  Measured 1.9-2.1 KiB (flat from 400 steps on); one retained
-#: step record, waveform frame or schedule interval per step would be
-#: 40 KiB or more.
+#: Peak growth allowed over the LONG - SHORT extra steps: 40 bytes per
+#: step.  Measured 1.1-1.2 KiB (2 KiB at 200/600 steps; 16 KiB or more
+#: from SHORT <= 64 = KEEP on, before the logs spill); one retained
+#: one-element array per step measured 27 KiB here, and a step record,
+#: waveform frame or schedule interval is larger still.
 GROWTH_BOUND = 8 * 1024
 
 

@@ -114,7 +114,7 @@ def test_size_ordered_sweep_is_the_per_class_sweep_bit_for_bit(problem, r):
         assert op.matvec(X).tobytes() == _per_class_sweep(op, X).tobytes()
         sizes = np.diff(op._plan[2])
         assert (np.diff(sizes) >= 0).all()
-        assert len(bk._lane.groups[1]) == np.unique(sizes).size
+        assert len(bk._groups[1]) == np.unique(sizes).size
     assert np.unique(np.bincount(problem.classes["A"])).size == 10
 
 

@@ -166,10 +166,10 @@ def test_column_primitives_allocate_nothing_per_call(n, r):
         return peak
 
     peak_of(1)  # the scratch of this width appears here
-    scratch = bk._lane.tiles.get(r)
+    scratch = bk._tiles.get(r)
     assert (scratch is None) == (r == 1)
     assert peak_of(40) <= peak_of(2) + 512
-    assert bk._lane.tiles.get(r) is scratch
+    assert bk._tiles.get(r) is scratch
 
 
 # ------------------------------------------- per-case independence

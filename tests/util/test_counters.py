@@ -1,7 +1,5 @@
 """Unit tests for the flop/byte tally infrastructure."""
 
-import threading
-
 import pytest
 
 from repro.util.counters import KernelRecord, KernelTally, active_tally, charge, tally_scope
@@ -92,31 +90,3 @@ def test_record_merged_is_pure():
     m = r1.merged(r2)
     assert (m.flops, m.bytes, m.calls) == (11, 22, 3)
     assert (r1.flops, r1.calls) == (1, 1)
-
-
-def test_scopes_are_per_thread():
-    """Two threads each open a scope and charge at once (the two lanes
-    of a heterogeneous step): each tally holds exactly its own
-    charges, and neither thread sees the other's scope."""
-    both_open = threading.Barrier(2)
-    tallies, seen = {}, {}
-
-    def lane(tag):
-        with tally_scope() as t:
-            both_open.wait()
-            for _ in range(2000):
-                charge(tag, 1.0, 2.0)
-            seen[tag] = active_tally() is t
-            both_open.wait()
-        tallies[tag] = t
-
-    threads = [threading.Thread(target=lane, args=(tag,)) for tag in "ab"]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    assert seen == {"a": True, "b": True}
-    for tag, t in tallies.items():
-        assert list(t.records) == [tag]
-        assert (t.records[tag].calls, t.records[tag].flops) == (2000, 2000.0)
-    assert active_tally() is None
