@@ -58,7 +58,7 @@ def derive_seed(*parts) -> int:
     changes the seed — and hence the cached result — of an existing
     cell.
     """
-    text = "|".join(str(p) for p in parts)
+    text = "|".join(map(str, parts))
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "little")
 
 
@@ -77,7 +77,12 @@ class WaveSpec:
     cycles_to_onset: float = 1.0
 
     def to_dict(self) -> dict:
-        # flat scalars: no deep copy (runs once per cell expanded)
+        # a fresh copy of the flat scalars read once per wave: a spec
+        # expands each of its waves into many cells
+        return dict(self._fields)
+
+    @functools.cached_property
+    def _fields(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
@@ -143,7 +148,7 @@ def method_cell_params(
     :mod:`repro.campaign.axes` — and the scenario ``seed`` is
     independent of all of them.
     """
-    res = tuple(int(x) for x in resolution)
+    res = tuple(map(int, resolution))
     res_tag = "x".join(map(str, res))
     params = {
         "model": model,

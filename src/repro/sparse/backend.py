@@ -31,6 +31,12 @@ from __future__ import annotations
 
 import numpy as np
 
+try:  # numpy's C entry points, without their Python dispatch layers
+    from numpy._core.multiarray import c_einsum as _einsum
+    from numpy._core.multiarray import count_nonzero
+except ImportError:  # pragma: no cover - numpy < 2 names its core differently
+    _einsum, count_nonzero = np.einsum, np.count_nonzero
+
 try:  # scipy's C kernels that accumulate A @ X into a caller buffer
     from scipy.sparse import _sparsetools as _spt
 
@@ -42,8 +48,9 @@ except ImportError:  # pragma: no cover - scipy always ships them today
 __all__ = [
     "ArrayBackend",
     "as_backend",
-    "apply_staged",
+    "block_operands",
     "check_out",
+    "count_nonzero",
 ]
 
 
@@ -146,7 +153,7 @@ class ArrayBackend:
         if tile is None:
             flat = np.empty(k * r)
             tile = tiles[r] = (flat.reshape(k, r), flat)
-        np.copyto(tile[0], s)
+        tile[0][...] = s  # broadcast to every row of the tile
         mk = m * k
         np.multiply(V[:mk].reshape(m, k * r), tile[1],
                     out=out[:mk].reshape(m, k * r))
@@ -156,7 +163,7 @@ class ArrayBackend:
 
     def colwise_dot(self, V: np.ndarray, W: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-column dot products ``out[j] = sum_i V[i,j] W[i,j]``."""
-        return np.einsum("ij,ij->j", V, W, out=out)
+        return _einsum("ij,ij->j", V, W, out=out)
 
     def colwise_norm(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Per-column 2-norms into ``out`` (dot then in-place sqrt)."""
@@ -180,8 +187,9 @@ class ArrayBackend:
         flat, by node or by class-blocked dof)."""
         # mode="clip" writes straight into `out` (mode="raise" rechecks
         # the indices through a temporary); callers validate indices
-        # in-range at construction.
-        np.take(X, idx, axis=0, out=out, mode="clip")
+        # in-range at construction.  The method is np.take's C kernel
+        # without its Python wrapper.
+        X.take(idx, 0, out, "clip")
         return out
 
     def grouped_matmul(
@@ -207,7 +215,8 @@ class ArrayBackend:
         # iteration), compared by identity: the cache holds the arrays,
         # so no id is reused while they are kept
         arrays, gemms = self._groups
-        if not all(a is b for a, b in zip(arrays, (A, offsets, X, out))):
+        if not (arrays[0] is A and arrays[1] is offsets and arrays[2] is X
+                and arrays[3] is out):
             r, sizes, rows = X.shape[1], np.diff(offsets), (d * offsets).tolist()
             runs = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), m]
             gemms = []
@@ -361,18 +370,24 @@ def check_out(out: np.ndarray | None, shape: tuple) -> None:
         )
 
 
-def apply_staged(kernel, x: np.ndarray, out: np.ndarray | None,
-                 backend: ArrayBackend) -> np.ndarray:
-    """Run ``kernel(X, Y)`` — an operator's one primitive — on ``x`` as
-    a C-contiguous fp64 ``(n, r)`` block (a strided operand is staged
-    first), into ``out`` (validated by :func:`check_out`) or a fresh
-    ``backend`` buffer; returns ``out``, or the result in ``x``'s
-    shape."""
-    X = x[:, None] if x.ndim == 1 else x
+def block_operands(x, out: np.ndarray | None, n: int,
+                   backend: ArrayBackend) -> tuple:
+    """``(X, Y, result)`` of one operator application to ``x`` (``(n,)``
+    or ``(n, r)``), checked before anything is charged or run: ``X`` is
+    ``x`` as the C-contiguous fp64 ``(n, r)`` block an operator's
+    primitive takes — a ready block as it is, a 1-D operand as its
+    one-column view, a strided or non-fp64 one staged in a copy — ``Y``
+    the ``(n, r)`` block of ``out`` (validated by :func:`check_out`) or
+    a fresh ``backend`` buffer, and ``result`` what the application
+    returns: ``out``, or the fresh result in ``x``'s shape."""
+    x = np.asarray(x)
+    if x.shape[0] != n:  # the C kernels would read past its end
+        raise ValueError(f"operand size {x.shape[0]} != {n}")
+    check_out(out, x.shape)
+    X = x if x.ndim == 2 else x[:, None]
     if not X.flags.c_contiguous or X.dtype != np.float64:
         X = np.ascontiguousarray(X, dtype=np.float64)
     if out is not None:
-        kernel(X, out if out.ndim == 2 else out[:, None])
-        return out
-    Y = kernel(X, backend.empty(X.shape))
-    return Y[:, 0] if x.ndim == 1 else Y
+        return X, (out if out.ndim == 2 else out[:, None]), out
+    Y = backend.empty(X.shape)
+    return X, Y, (Y if x.ndim == 2 else Y[:, 0])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.sparse.backend import ArrayBackend, apply_staged, as_backend, check_out
+from repro.sparse.backend import ArrayBackend, as_backend, block_operands
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import crs_traffic
 from repro.util import counters
@@ -60,6 +60,7 @@ class BlockCRS:
             bsr = bsr.copy()
             self.precision.quantize_(bsr.data)
         self._m = bsr
+        self._rows = int(bsr.shape[0])
         self._csr = None  # lazy scalar CSR twin, what every SpMV runs on
         self._charges: dict[int, tuple] = {}  # n_rhs -> (tag, flops, bytes)
         self.tag = tag
@@ -71,7 +72,7 @@ class BlockCRS:
 
     @property
     def n(self) -> int:
-        return int(self._m.shape[0])
+        return self._rows
 
     @property
     def n_block_rows(self) -> int:
@@ -113,23 +114,21 @@ class BlockCRS:
         multi-RHS fusion, matching the paper's baseline).  The result
         lands in ``out`` (``x``'s shape, C-contiguous) — repeated
         applications then allocate nothing — or in a fresh array; a
-        strided operand is staged first.  Sizes are checked before
-        anything is charged or run.
+        1-D, strided or non-fp64 operand is staged first (see
+        :func:`~repro.sparse.backend.block_operands`).  Sizes are
+        checked before anything is charged or run.
         """
-        x = np.asarray(x)
-        n = self.n
-        if x.shape[0] != n:  # the C kernels would read past its end
-            raise ValueError(f"operand size {x.shape[0]} != {n}")
-        check_out(out, x.shape)
-        n_rhs = 1 if x.ndim == 1 else x.shape[1]
+        X, Y, result = block_operands(x, out, self._rows, self.backend)
+        n_rhs = X.shape[1]
         charge = self._charges.get(n_rhs)
-        if charge is None:
+        if charge is None:  # priced once per width, on first use
             w = crs_traffic(self.nnz_blocks, self.n_block_rows,
                             value_bytes=self.precision.itemsize)
             charge = self._charges[n_rhs] = (
                 self.tag, w.flops * n_rhs, w.bytes * n_rhs)
         counters.charge(*charge)
-        return apply_staged(self._apply_block, x, out, self.backend)
+        self._apply_block(X, Y)
+        return result
 
     def _apply_block(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The SpMV of every application, pure backend primitives over

@@ -10,7 +10,9 @@ One implementation serves both of the paper's solver shapes:
 Each case carries its own CG scalars; the loop runs until every case
 meets ``||r||_2 / ||f||_2 < eps`` and per-case first-crossing
 iterations are recorded (these are the paper's "solver iterations per
-time step").
+time step").  A case whose relative residual turns NaN or infinite is
+closed at that iteration with ``converged`` False: nothing can mend it,
+and its fused neighbours must not spin to ``max_iter`` behind it.
 
 The loop body is allocation-free: all ``(n, r)`` working blocks live
 in a :class:`PCGWorkspace` (reusable across solves — the campaign
@@ -26,12 +28,31 @@ Every vector operation in the loop routes through the
 :class:`~repro.sparse.backend.ArrayBackend` seam, which is
 bit-identical to the historical solver (golden-pinned) — the same
 roundings in the same order, no longer the same call sequence: it
-picks its kernels by the operand's shape.  The *modeled* vector
-traffic is charged here, outside the seam, so the roofline tally does
-not depend on how the primitives execute: once per solve, after the
-loop, as ``loop_iterations`` calls of the per-iteration cost — to the
-last bit what charging it every iteration gave (see
-:mod:`repro.util.counters`).
+picks its kernels by the operand's shape.
+
+Each kernel of an iteration is one seam call deep: the operator and the
+preconditioner take a ready ``(n, r)`` block straight to a charge
+priced once per width and their primitive, the column updates and the
+norm are one seam call each, the scalar guards and the crossing test
+are C-level counts, and an fp64 solve makes no store call at all.  On
+small solves the interpreter, not the kernels, set the pace.  Warm
+solves, single-threaded BLAS on a shared 2-vCPU x86 host, medians of
+six alternating timings against the previous loop (best of 9x20
+solves each): a ``(2, 2, 1)`` r = 1 CRS iteration (225 dofs,
+``endurance-225``'s shape) went from 38.0 to 30.6 us, the ``(3, 3, 2)``
+one (735 dofs) from 65.6 to 58.7 us and a grouped ``(6, 6, 3)`` r = 4
+EBE one from 382 to 361 us; ``benchmarks/test_campaign_throughput.py``
+puts the first two's kernels, called bare, at 22-24 and 49-54 us.
+cProfile counts 44.5 calls per iteration where it counted 79, and 63
+where 114.  End to end, ten alternating pairs of ``endurance-225``
+read ``case_steps_per_s`` 697 -> 840 in the median (1.21x, every pair
+faster): short of the 1.25x aimed at.
+
+The *modeled* vector traffic is charged here, outside the seam, so the
+roofline tally does not depend on how the primitives execute: once per
+solve, after the loop, as ``loop_iterations`` calls of the
+per-iteration cost — to the last bit what charging it every iteration
+gave (see :mod:`repro.util.counters`).
 
 Transprecision storage (``precision=``): the CG *recurrences* — dot
 products, the scalar dance, the solution update — always run at fp64,
@@ -49,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sparse.backend import ArrayBackend, as_backend
+from repro.sparse.backend import ArrayBackend, as_backend, count_nonzero
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import cg_vector_traffic
 from repro.util import counters
@@ -104,49 +125,47 @@ class PCGWorkspace:
 def _as_block(v: np.ndarray | None, n: int, r: int) -> np.ndarray:
     if v is None:
         return np.zeros((n, r))
-    v = np.asarray(v, dtype=float)
+    v = np.array(v, dtype=np.float64, order="C")  # a copy, whatever the layout
     if v.ndim == 1:
         v = v[:, None]
     if v.shape != (n, r):
         raise ValueError(f"expected shape {(n, r)}, got {v.shape}")
-    return v.copy()  # C-order copy regardless of input layout
+    return v
 
 
 def _guarded_divide(num: np.ndarray, den: np.ndarray, out: np.ndarray,
                     done: np.ndarray | None) -> np.ndarray:
     """``out = num / den`` columnwise with the CG scalar guard:
     zero denominators (converged or zero columns would produce
-    0/0 -> NaN and poison the block update) and already-converged
+    0/0 -> NaN and poison the block update) and already-closed
     columns (``done``; ``None`` while every column is open) are frozen
     at 0.  Mutates ``den`` (a scratch buffer)."""
-    if not den.all():
+    if count_nonzero(den) < den.size:
         den[den == 0.0] = 1.0
-    np.divide(num, den, out=out)
+    np.divide(num, den, out)
     if done is not None:
         out[done] = 0.0
     return out
 
 
 def _mark_crossings(relres: np.ndarray, eps: float, done: np.ndarray,
-                    iterations: np.ndarray, loop_it: int) -> int:
-    """Close the columns that met the tolerance at iteration
-    ``loop_it`` (their first crossing; closed columns stay closed).
+                    converged: np.ndarray, iterations: np.ndarray,
+                    loop_it: int) -> int:
+    """Close the open columns whose relative residual met the tolerance
+    at iteration ``loop_it`` (their first crossing: ``converged``) or
+    is not finite — a NaN or overflowed case no further iteration can
+    mend, closed at once with ``converged`` False instead of spinning
+    the fused loop to ``max_iter``.  Closed columns stay closed.
     Returns how many it closed."""
-    newly = relres < eps
-    if not newly.any():
-        return 0
-    newly &= ~done
-    iterations[newly] = loop_it
-    done |= newly
-    return int(newly.sum())
-
-
-def _store_fn(bk: ArrayBackend, prec: Precision):
-    """``store(a)``, resolved once per solve: round a working block to
-    the storage format in place — nothing at all under fp64."""
-    if prec.is_fp64:
-        return lambda a: a
-    return lambda a: bk.quantize_store(a, prec)
+    met = relres < eps
+    if not count_nonzero(met) and not count_nonzero(relres - relres):
+        return 0  # the common case: all open, all finite (inf - inf is NaN)
+    closing = ~done
+    closing &= met | ~np.isfinite(relres)
+    iterations[closing] = loop_it
+    converged |= closing & met
+    done |= closing
+    return count_nonzero(closing)
 
 
 def _charge_vec_iters(n: int, r: int, prec: Precision, iters: int) -> None:
@@ -215,6 +234,7 @@ def pcg(
     """
     bk = as_backend(backend)
     prec = as_precision(precision)
+    lossy = not prec.is_fp64  # fp64 stores are no-ops, so none is made
     b = np.asarray(b, dtype=float)
     single = b.ndim == 1
     B = b[:, None] if single else b
@@ -229,7 +249,7 @@ def pcg(
 
     if reduction is None:  # one contiguous sweep over all rows
         dot, norm = bk.colwise_dot, bk.colwise_norm
-        norm_b = np.linalg.norm(B, axis=0)
+        norm_b = np.sqrt(np.add.reduce(B * B, axis=0))  # np.linalg.norm's sums
     else:
         dot, norm = reduction.dot, reduction.norm
         norm_b = norm(B, out=np.empty(r))
@@ -237,24 +257,27 @@ def pcg(
     # ill-defined; the paper's problems always have nonzero f after the
     # first impulse, but robustness demands the guard).
     zero_rhs = norm_b == 0.0
-    denom = np.where(zero_rhs, 1.0, norm_b)
+    denom = norm_b
+    if count_nonzero(zero_rhs):
+        denom[zero_rhs] = 1.0
 
-    store = _store_fn(bk, prec)
     A.matvec(X, out=R)
     bk.subtract(B, R, out=R)
-    store(R)
+    if lossy:
+        bk.quantize_store(R, prec)
     norm(R, out=relres)
     relres /= denom
     initial_relres = relres.copy()
     history = [relres.copy()] if record_history else None
 
     iterations = np.zeros(r, dtype=np.int64)
-    done = (relres < eps) | zero_rhs
+    done, converged = zero_rhs, zero_rhs.copy()
+    n_open = r - count_nonzero(done)  # kept in step with ``done``
+    n_open -= _mark_crossings(relres, eps, done, converged, iterations, 0)
 
     bk.fill(P, 0.0)
     rho_prev.fill(1.0)
     loop_it = 0
-    n_open = r - int(done.sum())  # kept in step with ``done``
 
     while n_open and loop_it < max_iter:
         loop_it += 1
@@ -263,42 +286,46 @@ def pcg(
             bk.copy(Z, R)
         else:
             precond.apply(R, out=Z)
-        store(Z)
+        if lossy:
+            bk.quantize_store(Z, prec)
         dot(Z, R, out=rho)
-        # beta = rho/rho_prev; converged/zero columns frozen at 0
+        # beta = rho/rho_prev; closed/zero columns frozen at 0
         # (rho_prev is spent after this: the divide may use it up).
         _guarded_divide(rho, rho_prev, beta, frozen)
         if loop_it == 1:
             beta.fill(0.0)
         bk.xpay_cols(P, beta, Z)
-        store(P)
+        if lossy:
+            bk.quantize_store(P, prec)
         A.matvec(P, out=Q)
-        store(Q)
+        if lossy:
+            bk.quantize_store(Q, prec)
         dot(P, Q, out=work)
         _guarded_divide(rho, work, alpha, frozen)
         bk.axpy_cols(X, alpha, P, T)
         bk.axmy_cols(R, alpha, Q, T)
-        store(R)
+        if lossy:
+            bk.quantize_store(R, prec)
         rho, rho_prev = rho_prev, rho  # next dot overwrites the old one
 
         norm(R, out=relres)
         relres /= denom
         if record_history:
             history.append(relres.copy())
-        n_open -= _mark_crossings(relres, eps, done, iterations, loop_it)
+        n_open -= _mark_crossings(relres, eps, done, converged, iterations,
+                                  loop_it)
 
     # one charge per part's rows on a stacked part-local layout
     for rows in getattr(A, "row_extents", (n,)):
         _charge_vec_iters(rows, r, prec, loop_it)
-    iterations[~done] = loop_it  # non-converged cases report the cap
-    final_relres = relres.copy()
-    out_x = X[:, 0] if single else X
+    if n_open:
+        iterations[~done] = loop_it  # still-open cases report the cap
     return CGResult(
-        x=out_x,
-        iterations=iterations if not single else iterations[:1],
+        x=X[:, 0] if single else X,
+        iterations=iterations,
         loop_iterations=loop_it,
-        converged=done if not single else done[:1],
-        initial_relres=initial_relres if not single else initial_relres[:1],
-        final_relres=final_relres if not single else final_relres[:1],
+        converged=converged,
+        initial_relres=initial_relres,
+        final_relres=relres.copy(),
         residual_history=np.asarray(history) if record_history else None,
     )

@@ -149,6 +149,7 @@ class EBEOperator:
             raise ValueError("element matrices inconsistent with connectivity")
         self.elems = np.asarray(elems, dtype=np.int64)
         self.n_nodes = int(n_nodes)
+        self._rows, self._ne = 3 * self.n_nodes, ne
         self.tag = tag
         if self.elems.max() >= n_nodes:
             raise ValueError("connectivity references nodes beyond n_nodes")
@@ -166,6 +167,7 @@ class EBEOperator:
         if not self.precision.is_fp64:
             elem_mats = self.precision.quantize(elem_mats)
         self.Ae = elem_mats
+        self._lossy = not self.precision.is_fp64
         self._charges: dict[int, tuple] = {}  # r -> (tag, flops, bytes)
 
     @cached_property
@@ -207,16 +209,6 @@ class EBEOperator:
         incidence = (indptr, slots[np.argsort(rows, kind="stable")], np.ones(rows.size))
         return gather, mats, offsets, incidence
 
-    def _charge(self, r: int) -> tuple:
-        """The tally charge of one fused sweep of width ``r``."""
-        charge = self._charges.get(r)
-        if charge is None:
-            w = ebe_traffic(self.n_elems, self.n_nodes, n_rhs=r,
-                            value_bytes=self.precision.itemsize)
-            charge = self._charges[r] = (f"{self.tag}{r}", w.flops * r,
-                                         w.bytes * r)
-        return charge
-
     @property
     def shape(self) -> tuple[int, int]:
         n = 3 * self.n_nodes
@@ -249,13 +241,19 @@ class EBEOperator:
         single = x.ndim == 1
         X = x[:, None] if single else x
         n, r = X.shape
-        if n != self.n:
-            raise ValueError(f"operand size {n} != {self.n}")
+        if n != self._rows:
+            raise ValueError(f"operand size {n} != {self._rows}")
 
         check_out(out, X.shape)  # a strided block's row view would be a lost copy
+        charge = self._charges.get(r)
+        if charge is None:  # priced once per width, on first use
+            w = ebe_traffic(self._ne, self.n_nodes, n_rhs=r,
+                            value_bytes=self.precision.itemsize)
+            charge = self._charges[r] = (
+                f"{self.tag}{r}", w.flops * r, w.bytes * r)
+        counters.charge(*charge)
         Y = self.backend.empty(X.shape) if out is None else out
         self._sweep(X, Y)
-        counters.charge(*self._charge(r))
         return Y[:, 0] if single else Y
 
     def _sweep(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -267,11 +265,13 @@ class EBEOperator:
         if not X.flags.c_contiguous:  # the primitives take C-contiguous blocks
             X = bk.copy(_sweep_buffer("x", X.shape), X)
         gather, mats, offsets, incidence = self._plan
-        shape = (30 * self.n_elems, X.shape[1])
+        r = X.shape[1]
+        shape = (30 * self._ne, r)
         xe, ye = _sweep_buffer("xe", shape), _sweep_buffer("ye", shape)
-        w = X.shape[1] * (1 if self.classes is not None else 3)  # row width
+        w = r if self.classes is not None else 3 * r  # row width
         bk.gather_rows(X.reshape(-1, w), gather, xe.reshape(-1, w))
-        bk.quantize_store(xe, self.precision)  # storage-format gather
+        if self._lossy:  # storage-format gather (fp64 stores as it is)
+            bk.quantize_store(xe, self.precision)
         bk.grouped_matmul(mats, offsets, xe, ye)
         bk.spmv_csr(*incidence, ye.reshape(-1, w), Y.reshape(-1, w))
         return Y

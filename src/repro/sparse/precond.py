@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.backend import ArrayBackend, apply_staged, as_backend, check_out
+from repro.sparse.backend import ArrayBackend, as_backend, block_operands
 from repro.sparse.precision import Precision, as_precision
 from repro.sparse.traffic import block_jacobi_traffic
 from repro.util import counters
@@ -45,6 +45,7 @@ class BlockJacobi:
         self.precision = as_precision(precision)
         self.backend = as_backend(backend)
         self._inv = self.precision.quantize_(np.linalg.inv(blocks))
+        self._n = 3 * self._inv.shape[0]
         self._charges: dict[int, tuple] = {}  # n_rhs -> (tag, flops, bytes)
         self.tag = tag
 
@@ -60,28 +61,27 @@ class BlockJacobi:
 
     @property
     def n(self) -> int:
-        return 3 * self._inv.shape[0]
+        return self._n
 
     def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``z = B^{-1} r`` for ``(n,)`` or ``(n, nrhs)`` inputs.
 
         The batched 3x3 mat-vec writes into ``out`` (``r``'s shape,
         C-contiguous) — no allocation on the solver hot path — or into
-        a fresh array; a strided operand is staged first.  Sizes are
-        checked before anything is charged or run.
+        a fresh array; a 1-D, strided or non-fp64 operand is staged
+        first (see :func:`~repro.sparse.backend.block_operands`).  Sizes
+        are checked before anything is charged or run.
         """
-        r = np.asarray(r)
-        if r.shape[0] != self.n:
-            raise ValueError(f"operand size {r.shape[0]} != {self.n}")
-        check_out(out, r.shape)
-        n_rhs = 1 if r.ndim == 1 else r.shape[1]
+        R, Z, result = block_operands(r, out, self._n, self.backend)
+        n_rhs = R.shape[1]
         charge = self._charges.get(n_rhs)
         if charge is None:  # priced once per width, on first use
             w = block_jacobi_traffic(self.n, self.precision.itemsize)
             charge = self._charges[n_rhs] = (
                 self.tag, w.flops * n_rhs, w.bytes * n_rhs)
         counters.charge(*charge)
-        return apply_staged(self._apply_block, r, out, self.backend)
+        self._apply_block(R, Z)
+        return result
 
     def _apply_block(self, R: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The batched 3x3 mat-vec of every application, pure backend

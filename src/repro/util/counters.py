@@ -110,9 +110,16 @@ def active_tally() -> KernelTally | None:
 
 
 def charge(tag: str, flops: float, bytes_: float, calls: int = 1) -> None:
-    """Charge work to the active tally (no-op when none is active)."""
+    """Charge work to the active tally (no-op when none is active) —
+    what :meth:`KernelTally.charge` adds, in one Python frame (operators
+    charge once per application)."""
     if _ACTIVE:
-        _ACTIVE[-1].charge(tag, flops, bytes_, calls)
+        if flops < 0 or bytes_ < 0 or calls < 0:
+            raise ValueError("work must be non-negative")
+        rec = _ACTIVE[-1].records[tag]
+        rec.flops += float(flops) * calls
+        rec.bytes += float(bytes_) * calls
+        rec.calls += calls
 
 
 @contextlib.contextmanager
